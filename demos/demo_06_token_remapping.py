@@ -5,12 +5,17 @@ exactly wrong for token-wise linear modules. The remapping layer computes a
 transfer matrix to the even layout that minimizes the worst per-sender cost,
 applies it before the linear modules, and reverses it afterwards for the
 same price.
+
+With one cost inside a node and a higher one across nodes, the optimum is a
+per-node water-fill: each node first covers its own deficits, then pushes
+its excess off-node, spread over its senders so that the most loaded one
+pays as little as possible.
 """
 
 import numpy as np
 
 from varlenplan import build_plan, cluster_a, preset, sample_batch
-from varlenplan.remapping import cost_matrix, matrix_to_csv, solve_remap, target_distribution
+from varlenplan.remapping import cost_matrix, solve_remap, target_distribution
 
 cluster, _ = cluster_a()
 batch = sample_batch(preset("prolong64k"), 65536, seed=3)
@@ -29,23 +34,23 @@ print(f"\noptimal transfer: {moved} tokens moved, "
       f"worst per-sender cost {result.objective * 1e6:.2f} us")
 senders = np.nonzero(result.matrix.sum(axis=1))[0]
 for i in senders:
-    targets = {j: int(result.matrix[i][j]) for j in np.nonzero(result.matrix[i])[0]}
+    targets = {int(j): int(result.matrix[i][j]) for j in np.nonzero(result.matrix[i])[0]}
     print(f"  rank {i} sends {targets}")
 
 print("\nreceiver-side row costs (diagnostic, not part of the objective):")
 print(" ", [f"{c * 1e6:.1f}us" for c in result.col_costs if c > 0] or ["none"])
 
-print("\ntransfer matrix CSV dump:")
-print(matrix_to_csv(result.matrix))
+print("\ntransfer matrix:")
+print(result.matrix)
 
 # a deliberately skewed example on a 2-node, 2-GPU toy cluster: the solver
-# drains the surplus over the cheap intra-node arc as far as the even target
-# allows before paying for cross-node hops
+# fills the node's own deficit over the cheap intra-node arc and sends the
+# node's excess across the expensive one
 from varlenplan.topology import ClusterSpec
 
 toy = ClusterSpec(num_nodes=2, gpus_per_node=2, token_capacity=1000,
                   inv_bw_intra=1.0, inv_bw_inter=10.0)
 skewed = [300, 0, 0, 0]
 res = solve_remap(skewed, cost_matrix(toy))
-print(f"skewed 4-rank example {skewed} -> {target_distribution(skewed)}:")
-print(matrix_to_csv(res.matrix))
+print(f"\nskewed 4-rank example {skewed} -> {target_distribution(skewed)}:")
+print(res.matrix)

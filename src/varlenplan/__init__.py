@@ -24,7 +24,7 @@ from .partitioner import (
     save_plan,
     validate_plan,
 )
-from .remapping import RemapResult, cost_matrix, remap_cost_pair, solve_remap, target_distribution
+from .remapping import RemapResult, cost_matrix, solve_remap, target_distribution
 from .routing import RoutePlan, RouteStep, build_route, route_schedule, routed_time, select_proxies
 from .simulator import StepReport, Timeline, compare, export_trace, simulate, write_compare_csv
 from .topology import (

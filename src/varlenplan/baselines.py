@@ -9,6 +9,9 @@ balanced on quadratic work.
 
 from __future__ import annotations
 
+import sys
+
+from . import partitioner
 from .attention_engine import (
     INTER_NODE,
     INTRA_NODE,
@@ -22,7 +25,22 @@ from .partitioner import Fragment, InfeasibleBatch, PlacementPlan, first_over_ca
 from .topology import ClusterSpec
 from .workload import SequenceBatch
 
-STRATEGIES = ("zeppelin", "te_cp", "llama_cp", "hybrid_dp")
+# Each strategy's planner as (module, function name). The function is looked
+# up when a plan is asked for, so a replaced module attribute (a wrapper that
+# times calls, a test double) is the one that runs.
+PLANNERS = {
+    "zeppelin": (partitioner, "build_plan"),
+    "te_cp": (sys.modules[__name__], "plan_te_cp"),
+    "llama_cp": (sys.modules[__name__], "plan_llama_cp"),
+    "hybrid_dp": (sys.modules[__name__], "plan_hybrid_dp"),
+}
+STRATEGIES = tuple(PLANNERS)
+
+
+def plan_with(strategy: str, batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
+    """Place `batch` with the named strategy's planner."""
+    module, name = PLANNERS[strategy]
+    return getattr(module, name)(batch, cluster)
 
 
 def _validate(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:

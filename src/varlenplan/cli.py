@@ -75,13 +75,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     cluster, _ = topology.resolve_cluster(args.config)
     batch = workload.load_batch(args.batch)
-    planners = {
-        "zeppelin": partitioner.build_plan,
-        "te_cp": baselines.plan_te_cp,
-        "llama_cp": baselines.plan_llama_cp,
-        "hybrid_dp": baselines.plan_hybrid_dp,
-    }
-    plan = planners[args.strategy](batch, cluster)
+    plan = baselines.plan_with(args.strategy, batch, cluster)
     partitioner.save_plan(args.out, plan)
     print(f"wrote {args.strategy} plan for {len(batch)} sequences to {args.out}")
     return EXIT_OK
@@ -115,11 +109,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     cluster, coeffs = topology.resolve_cluster(args.config)
     batch = _load_batch_arg(args)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    reports = simulator.compare(batch, cluster, coeffs, strategies)
+    reports, timelines = simulator.compare_with_timelines(batch, cluster, coeffs, strategies)
     simulator.write_compare_csv(reports, args.out)
     if args.trace_dir:
         os.makedirs(args.trace_dir, exist_ok=True)
-        timelines = simulator.simulate_timelines(batch, cluster, coeffs, strategies)
         for name, timeline in timelines.items():
             simulator.export_trace(timeline, os.path.join(args.trace_dir, f"{name}.trace.json"))
     for report in reports:

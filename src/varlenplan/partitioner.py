@@ -129,10 +129,6 @@ class PlacementPlan:
     def num_ranks(self) -> int:
         return self.num_nodes * self.gpus_per_node
 
-    @property
-    def device_buckets(self) -> list[list[Fragment]]:
-        return self.fragments
-
     def total_tokens(self) -> int:
         return sum(self.tokens_per_rank)
 

@@ -2,28 +2,28 @@
 
 Given per-rank token counts A, the target layout B spreads the total evenly
 (largest-remainder rounding). The solver finds a transfer matrix M >= 0 with
-row sums equal to the per-rank surplus and column sums equal to the deficit
-that minimizes the maximum per-sender cost sum_j T[i][j]*M[i][j], where T
-holds the intra/inter link coefficients.
+row sums equal to the per-rank surplus u and column sums equal to the
+deficit v that minimizes the maximum per-sender cost sum_j T[i][j]*M[i][j].
 
-The minimax value is found by bisection on the per-sender cost bound; each
-bound is checked with a max-flow feasibility test. Because every row of T
-carries at most two distinct costs (same-node vs cross-node), the row cost
-constraint  cheap*u_i + (expensive-cheap)*f_i <= bound  reduces to a cap on
-the tokens f_i a sender may push over its expensive arcs, which a flow
-network expresses exactly via a per-sender budget node.
+T carries two link classes: cost c between the ranks of one node and e >= c
+across nodes. A sender that pushes f_i of its u_i tokens off its node pays
+c*u_i + (e-c)*f_i, so the problem splits by node. Node n holds surplus U_n
+and deficit V_n and must push E_n = max(0, U_n - V_n) tokens to other nodes,
+whose deficits left over after their own in-node fills take them at the same
+price. The continuous optimum is max(max_i c*u_i, max_n L_n), where the
+water level L_n solves sum_i clamp((L - c*u_i)/(e-c), 0, u_i) = E_n over the
+node's senders (the parametric-flow view of Gallo, Grigoriadis & Tarjan,
+SIAM J. Comput. 1989).
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .topology import ClusterSpec
-
-_EPS = 1e-9
 
 
 def target_distribution(counts: list[int]) -> list[int]:
@@ -61,137 +61,62 @@ class RemapResult:
     col_costs: np.ndarray  # per-receiver cost (diagnostic)
 
 
-class _MaxFlow:
-    """Edmonds-Karp with float capacities on a small dense-ish graph."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
-
-    def add_edge(self, u: int, v: int, cap: float) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0.0)
-        return idx
-
-    def max_flow(self, s: int, t: int) -> float:
-        flow = 0.0
-        while True:
-            parent_edge = [-1] * self.n
-            parent_edge[s] = -2
-            queue = deque([s])
-            while queue and parent_edge[t] == -1:
-                u = queue.popleft()
-                for e in self.head[u]:
-                    v = self.to[e]
-                    if parent_edge[v] == -1 and self.cap[e] > _EPS:
-                        parent_edge[v] = e
-                        queue.append(v)
-            if parent_edge[t] == -1:
-                return flow
-            push = float("inf")
-            v = t
-            while v != s:
-                e = parent_edge[v]
-                push = min(push, self.cap[e])
-                v = self.to[e ^ 1]
-            v = t
-            while v != s:
-                e = parent_edge[v]
-                self.cap[e] -= push
-                self.cap[e ^ 1] += push
-                v = self.to[e ^ 1]
-            flow += push
-
-    def edge_flow(self, idx: int) -> float:
-        return self.cap[idx ^ 1]
+def _node_blocks(t: np.ndarray) -> tuple[list[np.ndarray], float, float]:
+    """Read the nodes off a cost matrix: (rank indices per node, intra cost c,
+    inter cost e). Ranks i and j share a node iff t[i][j] is the smallest
+    off-diagonal entry c; anything but a zero-diagonal block form raises."""
+    d = len(t)
+    off = ~np.eye(d, dtype=bool)
+    if d == 1:
+        c = e = 0.0
+        label = np.zeros(1, dtype=np.int64)
+    else:
+        c, e = float(t[off].min()), float(t[off].max())
+        # each rank is labelled by the first rank of its node
+        label = ((t == c) | ~off).argmax(axis=1)
+    expected = np.where(off, np.where(label[:, None] == label[None, :], c, e), 0.0)
+    if not c >= 0 or not np.array_equal(t, expected):
+        raise ValueError("cost matrix must be zero on the diagonal, one cost within each "
+                         "node and one cost across nodes")
+    return [np.flatnonzero(label == n) for n in np.unique(label)], c, e
 
 
-def _row_classes(t_row: np.ndarray, receivers: list[int]) -> tuple[float, float]:
-    costs = sorted({float(t_row[j]) for j in receivers})
-    if len(costs) > 2:
-        raise ValueError("cost matrix rows may carry at most two distinct arc costs")
-    cheap = costs[0]
-    expensive = costs[-1]
-    return cheap, expensive
+def _water_level(lo: list[float], hi: list[float], need: float) -> float:
+    """The level L at which sum_i clamp(L - lo_i, 0, hi_i - lo_i) reaches
+    `need`: walk the sorted breakpoints, where the number of senders still
+    filling (the slope) changes, and solve the segment that crosses."""
+    points = sorted([(x, 1) for x in lo] + [(x, -1) for x in hi])
+    level, filled, slope = points[0][0], 0.0, 0
+    for x, step in points:
+        gain = slope * (x - level)
+        if filled + gain >= need:
+            return level + (need - filled) / slope
+        filled += gain
+        level = x
+        slope += step
+    # float noise left the full node just short of `need`: every sender is drained
+    return level
 
 
-def _build_network(
-    senders: list[int],
-    receivers: list[int],
-    u: np.ndarray,
-    v: np.ndarray,
-    t: np.ndarray,
-    bound: float,
-    integral: bool,
-) -> tuple["_MaxFlow", dict[tuple[int, int], int], bool]:
-    """Flow network whose max flow saturates all surpluses iff some transfer
-    matrix meets the per-sender cost bound. Returns (network, arc index map,
-    trivially_infeasible)."""
-    n_nodes = 2 + len(senders) * 2 + len(receivers)
-    net = _MaxFlow(n_nodes)
-    source, sink = 0, 1
-    sender_node = {i: 2 + k for k, i in enumerate(senders)}
-    budget_node = {i: 2 + len(senders) + k for k, i in enumerate(senders)}
-    recv_node = {j: 2 + 2 * len(senders) + k for k, j in enumerate(receivers)}
-    arcs: dict[tuple[int, int], int] = {}
-    big = float(u.sum())
-    for i in senders:
-        net.add_edge(source, sender_node[i], float(u[i]))
-        cheap, expensive = _row_classes(t[i], receivers)
-        if cheap * u[i] > bound * (1 + _EPS) + _EPS:
-            return net, arcs, True
-        if expensive > cheap:
-            budget = (bound - cheap * float(u[i])) / (expensive - cheap)
-        else:
-            budget = big
-        if integral:
-            budget = float(np.floor(budget + _EPS))
-        net.add_edge(sender_node[i], budget_node[i], max(0.0, budget))
-        for j in receivers:
-            cost = float(t[i][j])
-            origin = sender_node[i] if cost <= cheap + _EPS else budget_node[i]
-            arcs[(i, j)] = net.add_edge(origin, recv_node[j], big)
-    for j in receivers:
-        net.add_edge(recv_node[j], sink, float(v[j]))
-    return net, arcs, False
-
-
-def _feasible_flow(
-    senders: list[int],
-    receivers: list[int],
-    u: np.ndarray,
-    v: np.ndarray,
-    t: np.ndarray,
-    bound: float,
-    integral: bool,
-) -> dict[tuple[int, int], float] | None:
-    net, arcs, dead = _build_network(senders, receivers, u, v, t, bound, integral)
-    if dead:
-        return None
-    need = float(u.sum())
-    got = net.max_flow(0, 1)
-    # supplies and demands are integral; only the budget arcs are real-valued,
-    # so the flow shortfall of a feasible bound is float noise only
-    if got + max(1e-9, 1e-12 * need) < need:
-        return None
-    return {key: net.edge_flow(idx) for key, idx in arcs.items()}
+def _northwest(supply: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """Fill each supply onto the demands in index order (north-west corner):
+    entry (i, j) is the overlap of supply i's and demand j's slots on the
+    line of cumulative tokens. Demand may exceed supply."""
+    s, t = np.cumsum(supply), np.cumsum(demand)
+    return np.maximum(np.minimum.outer(s, t) - np.maximum.outer(s - supply, t - demand), 0)
 
 
 def solve_remap(counts: list[int], cost: np.ndarray) -> RemapResult:
     """Minimize the maximum per-sender transfer cost of rebalancing `counts`
     to the even target distribution.
 
-    Returns the continuous minimax optimum as `objective` together with an
-    integer transfer matrix whose row/column sums match the surplus/deficit
-    vectors exactly; the integer matrix's own max row cost can exceed the
-    continuous optimum by at most one token times the largest arc cost.
+    `cost` must be in the block form of `cost_matrix`. Returns the continuous
+    minimax optimum as `objective` together with an integer transfer matrix
+    whose row/column sums match the surplus/deficit vectors exactly and whose
+    max row cost is the integer minimax optimum: each sender's cross-node
+    share is the floor of its continuous share, plus one token at a time for
+    the shortfall to the sender left cheapest by it (ties by index). Senders
+    fill their in-node deficits in index order, then the cross-node ones.
     """
     a = np.asarray(counts, dtype=np.int64)
     d = len(a)
@@ -199,6 +124,7 @@ def solve_remap(counts: list[int], cost: np.ndarray) -> RemapResult:
     if t.shape != (d, d):
         raise ValueError("cost matrix shape does not match the rank count")
     b = np.asarray(target_distribution(list(counts)), dtype=np.int64)
+    nodes, c, e = _node_blocks(t)
     u = np.maximum(a - b, 0)
     v = np.maximum(b - a, 0)
     matrix = np.zeros((d, d), dtype=np.int64)
@@ -206,56 +132,24 @@ def solve_remap(counts: list[int], cost: np.ndarray) -> RemapResult:
         zero = np.zeros(d)
         return RemapResult(matrix=matrix, objective=0.0, row_costs=zero, col_costs=zero)
 
-    senders = [i for i in range(d) if u[i] > 0]
-    receivers = [j for j in range(d) if v[j] > 0]
-    hi = max(float(u[i]) * float(max(t[i][j] for j in receivers)) for i in senders)
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _feasible_flow(senders, receivers, u, v, t, mid, integral=False) is not None:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-9 * max(hi, 1e-30):
-            break
-    objective = hi
-
-    # extract an integer matrix: floor the per-sender expensive-arc budgets and
-    # search the smallest bound that still admits an integral saturating flow
-    max_cost = float(t.max())
-    int_lo, int_hi = objective, objective + 2.0 * max_cost + 1.0
-    if _feasible_flow(senders, receivers, u, v, t, int_lo, integral=True) is None:
-        for _ in range(80):
-            mid = 0.5 * (int_lo + int_hi)
-            if _feasible_flow(senders, receivers, u, v, t, mid, integral=True) is not None:
-                int_hi = mid
-            else:
-                int_lo = mid
-            if int_hi - int_lo <= 1e-9 * max(int_hi, 1e-30):
-                break
-        int_bound = int_hi
-    else:
-        int_bound = int_lo
-    flow = _feasible_flow(senders, receivers, u, v, t, int_bound, integral=True)
-    assert flow is not None
-    for (i, j), amount in flow.items():
-        matrix[i][j] = int(round(amount))
+    objective = c * float(u.max())
+    cross = np.zeros(d, dtype=np.int64)  # tokens each sender pushes off its node
+    for members in nodes:
+        excess = int(u[members].sum() - v[members].sum())
+        if excess > 0:  # only with two or more nodes, so e > c
+            senders = [int(i) for i in members if u[i] > 0]
+            level = _water_level([c * u[i] for i in senders], [e * u[i] for i in senders],
+                                 (e - c) * excess)
+            objective = max(objective, level)
+            shares = {i: min(int(u[i]), max(0, math.floor((level - c * u[i]) / (e - c)))) for i in senders}
+            for _ in range(excess - sum(shares.values())):
+                k = min((i for i in senders if shares[i] < u[i]),
+                        key=lambda i: (c * u[i] + (e - c) * (shares[i] + 1), i))
+                shares[k] += 1
+            cross[senders] = [shares[i] for i in senders]
+        matrix[np.ix_(members, members)] = _northwest(u[members] - cross[members], v[members])
+    # only nodes that push nothing off keep deficits, so these fills all cross nodes
+    matrix += _northwest(cross, v - matrix.sum(axis=0))
     row_costs = (t * matrix).sum(axis=1)
     col_costs = (t * matrix).sum(axis=0)
     return RemapResult(matrix=matrix, objective=objective, row_costs=row_costs, col_costs=col_costs)
-
-
-def remap_cost_pair(tokens_per_rank: list[int], cluster: ClusterSpec) -> tuple[float, float]:
-    """Forward remap cost and the cost of the inverse transformation.
-
-    The inverse replays the same transfers reversed over the symmetric cost
-    matrix, so it is charged the same objective as the forward pass.
-    """
-    result = solve_remap(tokens_per_rank, cost_matrix(cluster))
-    return result.objective, result.objective
-
-
-def matrix_to_csv(matrix: np.ndarray) -> str:
-    """Debug dump of a transfer matrix."""
-    lines = [",".join(str(int(x)) for x in row) for row in matrix]
-    return "\n".join(lines) + "\n"

@@ -16,10 +16,12 @@ on the whole forward step, so the exported timeline covers forward only.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+from . import baselines
 from .attention_engine import AttentionSchedule, build_schedule, causal_pairs
-from .partitioner import PlacementPlan
+from .partitioner import InfeasibleBatch, PlacementPlan
 from .remapping import cost_matrix, solve_remap, target_distribution
 from .routing import route_schedule
 from .topology import ClusterSpec, CostCoefficients
@@ -272,10 +274,10 @@ def simulate(
     if plan.num_nodes != cluster.num_nodes or plan.gpus_per_node != cluster.gpus_per_node:
         raise ValueError("plan topology does not match this cluster")
     engine = _Engine(cluster)
-    schedule = build_schedule(plan)
     if plan.strategy == "llama_cp":
         ready = _run_allgather(engine, plan, cluster, coeffs)
     else:
+        schedule = build_schedule(plan)
         ready = _run_rings(engine, schedule, plan, cluster, coeffs, routed=plan.strategy == "zeppelin")
     attention_end = max([0.0] + [e.end for e in engine.events] + ready)
 
@@ -388,6 +390,41 @@ CSV_HEADER = (
 )
 
 
+def _simulate_each(
+    batch: SequenceBatch,
+    cluster: ClusterSpec,
+    coeffs: CostCoefficients,
+    strategies: list[str],
+) -> Iterator[tuple[StepReport, Timeline | None]]:
+    """Plan and simulate each strategy in turn. A strategy that cannot place
+    the batch yields an infeasible report and no timeline."""
+    unknown = [s for s in strategies if s not in baselines.PLANNERS]
+    if unknown:
+        raise ValueError(f"unknown strategies: {', '.join(unknown)}")
+    for strategy in strategies:
+        try:
+            timeline, report = simulate(baselines.plan_with(strategy, batch, cluster), cluster, coeffs)
+        except InfeasibleBatch as exc:
+            timeline, report = None, StepReport(strategy=strategy, feasible=False, error=str(exc))
+        yield report, timeline
+
+
+def _set_speedups(
+    reports: list[StepReport],
+    batch: SequenceBatch,
+    cluster: ClusterSpec,
+    coeffs: CostCoefficients,
+) -> None:
+    """Speedups relative to te_cp, simulated here when it is not a row."""
+    te = next((r for r in reports if r.strategy == "te_cp"), None)
+    if te is None:
+        te, _ = next(_simulate_each(batch, cluster, coeffs, ["te_cp"]))
+    te_total = te.total_step if te.feasible else None
+    for report in reports:
+        if report.feasible and te_total and report.total_step > 0:
+            report.speedup_vs_te_cp = te_total / report.total_step
+
+
 def compare(
     batch: SequenceBatch,
     cluster: ClusterSpec,
@@ -399,39 +436,23 @@ def compare(
     A strategy that cannot place the batch yields an infeasible row instead
     of failing the whole comparison.
     """
-    from .baselines import plan_hybrid_dp, plan_llama_cp, plan_te_cp
-    from .partitioner import InfeasibleBatch, build_plan
-
-    planners = {
-        "zeppelin": build_plan,
-        "te_cp": plan_te_cp,
-        "llama_cp": plan_llama_cp,
-        "hybrid_dp": plan_hybrid_dp,
-    }
-    unknown = [s for s in strategies if s not in planners]
-    if unknown:
-        raise ValueError(f"unknown strategies: {', '.join(unknown)}")
-    reports: list[StepReport] = []
-    te_total: float | None = None
-    for strategy in strategies:
-        try:
-            plan = planners[strategy](batch, cluster)
-            _, report = simulate(plan, cluster, coeffs)
-        except InfeasibleBatch as exc:
-            report = StepReport(strategy=strategy, feasible=False, error=str(exc))
-        reports.append(report)
-        if strategy == "te_cp" and report.feasible:
-            te_total = report.total_step
-    if te_total is None and "te_cp" not in strategies:
-        try:
-            te_plan = plan_te_cp(batch, cluster)
-            te_total = simulate(te_plan, cluster, coeffs)[1].total_step
-        except InfeasibleBatch:
-            te_total = None
-    for report in reports:
-        if report.feasible and te_total and report.total_step > 0:
-            report.speedup_vs_te_cp = te_total / report.total_step
+    reports = [report for report, _ in _simulate_each(batch, cluster, coeffs, strategies)]
+    _set_speedups(reports, batch, cluster, coeffs)
     return reports
+
+
+def compare_with_timelines(
+    batch: SequenceBatch,
+    cluster: ClusterSpec,
+    coeffs: CostCoefficients,
+    strategies: list[str],
+) -> tuple[list[StepReport], dict[str, Timeline]]:
+    """`compare` plus the timeline of every feasible strategy, from the same
+    single simulation of each."""
+    runs = list(_simulate_each(batch, cluster, coeffs, strategies))
+    reports = [report for report, _ in runs]
+    _set_speedups(reports, batch, cluster, coeffs)
+    return reports, {report.strategy: timeline for report, timeline in runs if timeline is not None}
 
 
 def simulate_timelines(
@@ -440,24 +461,8 @@ def simulate_timelines(
     coeffs: CostCoefficients,
     strategies: list[str],
 ) -> dict[str, Timeline]:
-    """Timelines per strategy for the feasible ones (used for trace export)."""
-    from .baselines import plan_hybrid_dp, plan_llama_cp, plan_te_cp
-    from .partitioner import InfeasibleBatch, build_plan
-
-    planners = {
-        "zeppelin": build_plan,
-        "te_cp": plan_te_cp,
-        "llama_cp": plan_llama_cp,
-        "hybrid_dp": plan_hybrid_dp,
-    }
-    out: dict[str, Timeline] = {}
-    for strategy in strategies:
-        try:
-            plan = planners[strategy](batch, cluster)
-        except InfeasibleBatch:
-            continue
-        out[strategy] = simulate(plan, cluster, coeffs)[0]
-    return out
+    """Timelines per strategy for the feasible ones, without the reports."""
+    return {r.strategy: t for r, t in _simulate_each(batch, cluster, coeffs, strategies) if t is not None}
 
 
 def _fmt(x: float | None) -> str:

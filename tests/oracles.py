@@ -79,10 +79,10 @@ def ring_pair_totals_bruteforce(seq_len: int, ranges_by_position) -> list[int]:
     return np.bincount(owner, weights=weights, minlength=len(ranges_by_position)).astype(np.int64).tolist()
 
 
-def lp_remap_oracle(counts: list[int], cost: np.ndarray) -> float:
-    """Continuous minimax remapping optimum via linear programming."""
-    from scipy.optimize import linprog
-
+def _remap_program(counts: list[int], cost: np.ndarray):
+    """The minimax remapping program over M[i][j] flattened row-major, then
+    the bound t: minimize t subject to row sums = surplus, column sums =
+    deficit and every per-sender cost <= t. None when nothing moves."""
     d = len(counts)
     total = sum(counts)
     base, extra = divmod(total, d)
@@ -90,8 +90,7 @@ def lp_remap_oracle(counts: list[int], cost: np.ndarray) -> float:
     u = [max(counts[i] - target[i], 0) for i in range(d)]
     v = [max(target[i] - counts[i], 0) for i in range(d)]
     if sum(u) == 0:
-        return 0.0
-    # variables: M[i][j] flattened row-major, then t
+        return None
     n_var = d * d + 1
     c = np.zeros(n_var)
     c[-1] = 1.0
@@ -108,16 +107,42 @@ def lp_remap_oracle(counts: list[int], cost: np.ndarray) -> float:
         a_eq.append(col)
         b_eq.append(v[j])
     a_ub = []
-    b_ub = []
     for i in range(d):
         row = np.zeros(n_var)
         row[i * d:(i + 1) * d] = cost[i]
         row[-1] = -1.0
         a_ub.append(row)
-        b_ub.append(0.0)
-    res = linprog(c, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-                  A_eq=np.array(a_eq), b_eq=np.array(b_eq),
-                  bounds=[(0, None)] * n_var, method="highs")
+    return c, np.array(a_ub), np.zeros(d), np.array(a_eq), np.array(b_eq, dtype=float)
+
+
+def lp_remap_oracle(counts: list[int], cost: np.ndarray) -> float:
+    """Continuous minimax remapping optimum via linear programming."""
+    from scipy.optimize import linprog
+
+    program = _remap_program(counts, cost)
+    if program is None:
+        return 0.0
+    c, a_ub, b_ub, a_eq, b_eq = program
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(0, None)] * len(c), method="highs")
+    assert res.success, res.message
+    return float(res.x[-1])
+
+
+def milp_remap_oracle(counts: list[int], cost: np.ndarray) -> float:
+    """Integer minimax remapping optimum via mixed-integer programming: the
+    smallest worst per-sender cost of any integer transfer matrix."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    program = _remap_program(counts, cost)
+    if program is None:
+        return 0.0
+    c, a_ub, b_ub, a_eq, b_eq = program
+    integrality = np.ones(len(c))
+    integrality[-1] = 0
+    res = milp(c, integrality=integrality, bounds=Bounds(0, np.inf),
+               constraints=[LinearConstraint(a_ub, -np.inf, b_ub), LinearConstraint(a_eq, b_eq, b_eq)],
+               options={"mip_rel_gap": 0.0})
     assert res.success, res.message
     return float(res.x[-1])
 

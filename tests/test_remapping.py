@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import lp_remap_oracle
+from oracles import lp_remap_oracle, milp_remap_oracle
 from varlenplan import remapping
 from varlenplan.topology import ClusterSpec
 
@@ -98,30 +100,46 @@ class TestSolveRemap:
             remapping.solve_remap([1, 2, 3], uniform_cost(2))
 
 
-class TestRemapCostPair:
-    def test_balanced_plan_is_free(self):
-        cluster = ClusterSpec(num_nodes=2, gpus_per_node=2, token_capacity=100,
-                              inv_bw_intra=1.0, inv_bw_inter=4.0)
-        assert remapping.remap_cost_pair([10, 10, 10, 10], cluster) == (0.0, 0.0)
-
-    def test_forward_equals_inverse(self):
-        cluster = ClusterSpec(num_nodes=2, gpus_per_node=3, token_capacity=1000,
-                              inv_bw_intra=1.0, inv_bw_inter=12.0)
-        rng = random.Random(3)
-        for _ in range(100):
-            counts = [rng.randint(0, 50) for _ in range(6)]
-            fwd, inv = remapping.remap_cost_pair(counts, cluster)
-            assert fwd == inv
-
-    def test_two_rank_example_pair(self):
-        cluster = ClusterSpec(num_nodes=1, gpus_per_node=2, token_capacity=100,
-                              inv_bw_intra=3.0, inv_bw_inter=3.0)
-        fwd, inv = remapping.remap_cost_pair([6, 2], cluster)
-        assert fwd == pytest.approx(6.0, rel=1e-9)
-        assert inv == fwd
+    def test_rejects_cost_outside_block_form(self):
+        not_block_form = [
+            np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]),  # three costs
+            uniform_cost(3) + np.eye(3),  # non-zero diagonal
+            np.array([[0.0, 1.0], [2.0, 0.0]]),  # asymmetric
+            np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]),  # 0~1~2 but 0 !~ 2
+            uniform_cost(2, b=-1.0),  # negative
+            np.array([[1.0]]),
+        ]
+        for cost in not_block_form:
+            for counts in ([4, 0, 2][:len(cost)], [3] * len(cost)):
+                with pytest.raises(ValueError):
+                    remapping.solve_remap(counts, cost)
 
 
-def test_matrix_csv_dump():
-    result = remapping.solve_remap([6, 2], uniform_cost(2))
-    text = remapping.matrix_to_csv(result.matrix)
-    assert text == "0,2\n0,0\n"
+def block_cost(nodes, gpus, c, e):
+    node = np.arange(nodes * gpus) // gpus
+    t = np.where(node[:, None] == node[None, :], c, e).astype(float)
+    np.fill_diagonal(t, 0.0)
+    return t
+
+
+@st.composite
+def remap_instances(draw):
+    nodes = draw(st.integers(1, 4))
+    gpus = draw(st.integers(1, 6))
+    # integer costs keep the distinct per-sender costs apart, so the MILP's
+    # tolerances cannot settle on a slightly worse integer matrix
+    c = draw(st.integers(0, 8))
+    e = c + draw(st.integers(0, 40))
+    counts = draw(st.lists(st.integers(0, 60), min_size=nodes * gpus, max_size=nodes * gpus))
+    return counts, block_cost(nodes, gpus, c, e)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(remap_instances())
+def test_water_fill_matches_lp_and_milp_oracles(instance):
+    counts, cost = instance
+    result = remapping.solve_remap(counts, cost)
+    assert result.objective == pytest.approx(lp_remap_oracle(counts, cost), rel=1e-9, abs=1e-9)
+    check_marginals(counts, result.matrix)
+    # the worst integer row is what the compare CSV reports as remap time
+    assert result.row_costs.max() == pytest.approx(milp_remap_oracle(counts, cost), rel=1e-9, abs=1e-9)
