@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:
     from .partitioner import PlacementPlan
 
@@ -110,30 +112,32 @@ def ranges_from_sizes(sizes: list[int]) -> list[list[tuple[int, int]]]:
     return out
 
 
+def visible_pair_counts(q_start, q_end, kv_start, kv_end) -> np.ndarray:
+    """Causal (q, k) pairs with q in [q_start, q_end), k in [kv_start, kv_end)
+    and k <= q, elementwise over the broadcast int64 arrays.
+
+    Ranges are half-open in one sequence's global coordinates; empty or
+    reversed ranges count 0, and overlapping ranges count once per range
+    pair.
+    """
+    a, b, c, d = (np.asarray(x, dtype=np.int64) for x in (q_start, q_end, kv_start, kv_end))
+    # per-q contribution: clamp(q + 1 - c, 0, m), summed over q in [a, b):
+    # a ramp over the queries inside the key range, then a flat m after it
+    ramp_lo = np.maximum(a, c)
+    ramp_hi = np.minimum(b - 1, d - 2)
+    ramp = (ramp_lo + ramp_hi + 2 - 2 * c) * np.maximum(ramp_hi - ramp_lo + 1, 0) // 2
+    flat = np.maximum(d - c, 0) * np.maximum(b - np.maximum(a, d - 1), 0)
+    return ramp + flat
+
+
 def visible_pairs(q_range: tuple[int, int], kv_ranges: list[tuple[int, int]] | tuple) -> int:
     """Count causal (q, k) pairs with q in q_range, k in any kv range, k <= q.
 
-    Ranges are half-open [start, end) in one sequence's global coordinates.
+    Ranges are half-open [start, end) in one sequence's global coordinates;
+    this is the one-query-range case of visible_pair_counts.
     """
-    a, b = q_range
-    if b <= a:
-        return 0
-    total = 0
-    for c, d in kv_ranges:
-        if d <= c:
-            continue
-        m = d - c
-        # per-q contribution: clamp(q + 1 - c, 0, m), summed over q in [a, b)
-        ramp_lo = max(a, c)
-        ramp_hi = min(b - 1, d - 2)
-        if ramp_hi >= ramp_lo:
-            first = ramp_lo + 1 - c
-            last = ramp_hi + 1 - c
-            total += (first + last) * (ramp_hi - ramp_lo + 1) // 2
-        flat_lo = max(a, d - 1)
-        if b - 1 >= flat_lo:
-            total += m * (b - flat_lo)
-    return total
+    kv = np.array(kv_ranges, dtype=np.int64).reshape(-1, 2)
+    return int(visible_pair_counts(q_range[0], q_range[1], kv[:, 0], kv[:, 1]).sum())
 
 
 def causal_pairs(seq_len: int) -> int:
@@ -226,22 +230,37 @@ class AttentionSchedule:
         return self.inter_rings + self.intra_rings
 
 
+def _ring_pair_matrix(ring: RingGroup) -> np.ndarray:
+    """M[i, j]: causal pairs between the queries held at ring position i and
+    the KV resident at position j, summed over the ring's sequences. Each
+    sequence is one (n x n) block over its n ranges, added into M by the
+    positions holding them."""
+    g = ring.group_size
+    matrix = np.zeros((g, g), dtype=np.int64)
+    for seq in ring.sequences:
+        pos = [p for p, ranges in enumerate(seq.ranges_by_position) for _ in ranges]
+        if not pos:
+            continue
+        bounds = np.array([r for ranges in seq.ranges_by_position for r in ranges], dtype=np.int64)
+        start, end = bounds[:, 0], bounds[:, 1]
+        block = visible_pair_counts(start[:, None], end[:, None], start, end)
+        np.add.at(matrix, np.ix_(pos, pos), block)
+    return matrix
+
+
 def _ring_schedule(ring: RingGroup) -> RingSchedule:
     g = ring.group_size
     kv_sizes = [ring.kv_tokens(p) for p in range(g)]
-    rounds = []
-    for i in range(g):
-        per_pos = []
-        q_ranges = {seq.sequence_id: seq.ranges_by_position[i] for seq in ring.sequences}
-        for r in range(g):
-            src = (i - r) % g
-            pairs = 0
-            for seq in ring.sequences:
-                for q_range in q_ranges[seq.sequence_id]:
-                    pairs += visible_pairs(q_range, seq.ranges_by_position[src])
-            per_pos.append(RingRound(position=i, round_index=r, compute_pairs=pairs, comm_tokens=kv_sizes[src]))
-        rounds.append(tuple(per_pos))
-    return RingSchedule(ring=ring, rounds=tuple(rounds))
+    pairs = _ring_pair_matrix(ring).tolist()
+    rounds = tuple(
+        tuple(
+            RingRound(position=i, round_index=r, compute_pairs=pairs[i][(i - r) % g],
+                      comm_tokens=kv_sizes[(i - r) % g])
+            for r in range(g)
+        )
+        for i in range(g)
+    )
+    return RingSchedule(ring=ring, rounds=rounds)
 
 
 def build_schedule(plan: "PlacementPlan") -> AttentionSchedule:

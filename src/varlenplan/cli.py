@@ -85,17 +85,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cluster, coeffs = topology.resolve_cluster(args.config)
     plan = partitioner.load_plan(args.plan)
     timeline, report = simulator.simulate(plan, cluster, coeffs)
-    batch = partitioner.batch_from_plan(plan)
-    if plan.strategy != "te_cp":
-        try:
-            te_plan = baselines.plan_te_cp(batch, cluster)
-            te_total = simulator.simulate(te_plan, cluster, coeffs)[1].total_step
-            if te_total and report.total_step > 0:
-                report.speedup_vs_te_cp = te_total / report.total_step
-        except partitioner.InfeasibleBatch:
-            pass
-    else:
-        report.speedup_vs_te_cp = 1.0
+    simulator.set_speedups([report], partitioner.batch_from_plan(plan), cluster, coeffs)
     if args.trace:
         simulator.export_trace(timeline, args.trace)
     if args.report:

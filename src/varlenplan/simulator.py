@@ -409,7 +409,7 @@ def _simulate_each(
         yield report, timeline
 
 
-def _set_speedups(
+def set_speedups(
     reports: list[StepReport],
     batch: SequenceBatch,
     cluster: ClusterSpec,
@@ -437,7 +437,7 @@ def compare(
     of failing the whole comparison.
     """
     reports = [report for report, _ in _simulate_each(batch, cluster, coeffs, strategies)]
-    _set_speedups(reports, batch, cluster, coeffs)
+    set_speedups(reports, batch, cluster, coeffs)
     return reports
 
 
@@ -451,7 +451,7 @@ def compare_with_timelines(
     single simulation of each."""
     runs = list(_simulate_each(batch, cluster, coeffs, strategies))
     reports = [report for report, _ in runs]
-    _set_speedups(reports, batch, cluster, coeffs)
+    set_speedups(reports, batch, cluster, coeffs)
     return reports, {report.strategy: timeline for report, timeline in runs if timeline is not None}
 
 

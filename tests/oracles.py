@@ -79,6 +79,33 @@ def ring_pair_totals_bruteforce(seq_len: int, ranges_by_position) -> list[int]:
     return np.bincount(owner, weights=weights, minlength=len(ranges_by_position)).astype(np.int64).tolist()
 
 
+def ring_round_pairs_bruteforce(ring) -> list[list[tuple[int, int]]]:
+    """(compute_pairs, comm_tokens) of every ring round, indexed
+    [position][round], by token enumeration: each range lists its tokens
+    with the position holding them, and every (query, key) token pair with
+    key <= query is tallied under (query position, key position). Round r
+    of position i works on the KV set of position (i - r) mod G."""
+    g = ring.group_size
+    pairs = np.zeros((g, g), dtype=np.int64)
+    held = np.zeros(g, dtype=np.int64)
+    for seq in ring.sequences:
+        tokens = [np.arange(s, e, dtype=np.int64) for ranges in seq.ranges_by_position for s, e in ranges]
+        owners = [np.full(e - s, pos, dtype=np.int64)
+                  for pos, ranges in enumerate(seq.ranges_by_position) for s, e in ranges]
+        if not tokens:
+            continue
+        token = np.concatenate(tokens)
+        owner = np.concatenate(owners)
+        visible = token[None, :] <= token[:, None]
+        cell = owner[:, None] * g + owner[None, :]
+        pairs += np.bincount(cell[visible], minlength=g * g).reshape(g, g)
+        held += np.bincount(owner, minlength=g)
+    return [
+        [(int(pairs[i, (i - r) % g]), int(held[(i - r) % g])) for r in range(g)]
+        for i in range(g)
+    ]
+
+
 def _remap_program(counts: list[int], cost: np.ndarray):
     """The minimax remapping program over M[i][j] flattened row-major, then
     the bound t: minimize t subject to row sums = surplus, column sums =

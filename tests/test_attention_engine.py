@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import ring_pair_totals_bruteforce, visible_pairs_bruteforce
+from oracles import ring_pair_totals_bruteforce, ring_round_pairs_bruteforce, visible_pairs_bruteforce
 from varlenplan import attention_engine as ae
 from varlenplan.partitioner import build_plan
 from varlenplan.topology import ClusterSpec, cluster_a
@@ -66,6 +68,9 @@ def test_visible_pairs_examples():
     assert ae.visible_pairs((0, 4), [(0, 4)]) == 10
     assert ae.visible_pairs((4, 8), [(0, 4)]) == 16
     assert ae.visible_pairs((4, 8), [(0, 8)]) == 26
+    # reversed ranges count as empty
+    assert ae.visible_pairs((4, 8), [(6, 2), (0, 4)]) == 16
+    assert ae.visible_pairs((8, 4), [(0, 8)]) == 0
 
 
 def test_visible_pairs_matches_enumeration():
@@ -155,3 +160,34 @@ def test_ring_per_rank_totals_equal_for_exact_split():
     rs = schedule.inter_rings[0]
     totals = {sum(rr.compute_pairs for rr in rs.rounds[pos]) for pos in range(rs.ring.group_size)}
     assert len(totals) == 1
+
+
+@st.composite
+def rings(draw):
+    """Rings of 2-12 members carrying 1-4 sequences, each laid out either as
+    balanced zigzag chunks or as arbitrary (possibly empty or overlapping)
+    ranges per position."""
+    g = draw(st.integers(2, 12))
+    sequences = []
+    for sid in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            seq_len = draw(st.integers(0, 8 * g))
+            loads = draw(st.lists(st.integers(0, 50), min_size=g, max_size=g))
+            ranges = ae.ranges_from_sizes(ae.balanced_zigzag_sizes(seq_len, g, loads))
+        else:
+            span = st.tuples(st.integers(0, 40), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1]))
+            ranges = draw(st.lists(st.lists(span, max_size=3), min_size=g, max_size=g))
+        sequences.append(ae.RingSequence(sequence_id=sid, ranges_by_position=tuple(tuple(r) for r in ranges)))
+    return ae.RingGroup(kind=ae.INTRA_NODE, members=tuple(range(g)), sequences=tuple(sequences))
+
+
+@given(rings())
+def test_ring_rounds_match_token_enumeration(ring):
+    sched = ae._ring_schedule(ring)
+    got = [[(rr.compute_pairs, rr.comm_tokens) for rr in row] for row in sched.rounds]
+    assert got == ring_round_pairs_bruteforce(ring)
+    for i, row in enumerate(sched.rounds):
+        for r, rr in enumerate(row):
+            assert (rr.position, rr.round_index) == (i, r)
+            assert type(rr.compute_pairs) is int
+            assert type(rr.comm_tokens) is int

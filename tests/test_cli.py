@@ -45,6 +45,27 @@ def test_plan_and_simulate_round_trip(tmp_path, batch_file):
     assert lines[1].startswith("zeppelin,")
 
 
+def test_simulate_report_speedup_matches_compare(tmp_path, batch_file):
+    rows = {}
+    for strategy in ("zeppelin", "te_cp"):
+        plan_path = tmp_path / f"{strategy}.json"
+        report = tmp_path / f"{strategy}.csv"
+        assert run(["plan", "--config", "cluster_a", "--batch", batch_file,
+                    "--strategy", strategy, "--out", str(plan_path)]) == 0
+        assert run(["simulate", "--config", "cluster_a", "--plan", str(plan_path),
+                    "--report", str(report)]) == 0
+        rows[strategy] = report.read_text().splitlines()[1]
+    out = tmp_path / "cmp.csv"
+    assert run(["compare", "--config", "cluster_a", "--batch", batch_file,
+                "--strategies", "zeppelin", "--out", str(out)]) == 0
+    compared = out.read_text().splitlines()[1]
+    speedup = compared.split(",")[5]
+    assert speedup
+    assert rows["zeppelin"].split(",")[5] == speedup
+    assert rows["zeppelin"] == compared
+    assert rows["te_cp"].split(",")[5] == "1"
+
+
 def test_compare_writes_requested_rows(tmp_path, batch_file):
     out = tmp_path / "cmp.csv"
     assert run(["compare", "--config", "cluster_a", "--batch", batch_file,
