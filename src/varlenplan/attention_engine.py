@@ -7,6 +7,7 @@ and communication in KV tokens; no tensor math happens here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -199,15 +200,37 @@ class RingRound:
     comm_tokens: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RingSchedule:
+    """A ring's work as matrices: in round r, position i computes against
+    the KV set of position (i - r) mod G and sends that set onward.
+
+    pairs[i, j] counts the causal pairs between the queries held at
+    position i and the KV resident at position j (read-only int64 array);
+    kv_sizes[j] is the KV tokens resident at position j.
+    """
+
     ring: RingGroup
-    # rounds[position][round_index]
-    rounds: tuple[tuple[RingRound, ...], ...]
+    pairs: np.ndarray
+    kv_sizes: tuple[int, ...]
 
     @property
     def num_rounds(self) -> int:
         return self.ring.group_size
+
+    @cached_property
+    def rounds(self) -> tuple[tuple[RingRound, ...], ...]:
+        """rounds[position][round_index], built on first access."""
+        g = self.ring.group_size
+        pairs = self.pairs.tolist()
+        return tuple(
+            tuple(
+                RingRound(position=i, round_index=r, compute_pairs=pairs[i][(i - r) % g],
+                          comm_tokens=self.kv_sizes[(i - r) % g])
+                for r in range(g)
+            )
+            for i in range(g)
+        )
 
 
 @dataclass(frozen=True)
@@ -249,18 +272,10 @@ def _ring_pair_matrix(ring: RingGroup) -> np.ndarray:
 
 
 def _ring_schedule(ring: RingGroup) -> RingSchedule:
-    g = ring.group_size
-    kv_sizes = [ring.kv_tokens(p) for p in range(g)]
-    pairs = _ring_pair_matrix(ring).tolist()
-    rounds = tuple(
-        tuple(
-            RingRound(position=i, round_index=r, compute_pairs=pairs[i][(i - r) % g],
-                      comm_tokens=kv_sizes[(i - r) % g])
-            for r in range(g)
-        )
-        for i in range(g)
-    )
-    return RingSchedule(ring=ring, rounds=rounds)
+    pairs = _ring_pair_matrix(ring)
+    pairs.setflags(write=False)
+    kv_sizes = tuple(ring.kv_tokens(p) for p in range(ring.group_size))
+    return RingSchedule(ring=ring, pairs=pairs, kv_sizes=kv_sizes)
 
 
 def build_schedule(plan: "PlacementPlan") -> AttentionSchedule:

@@ -164,6 +164,10 @@ def route_schedule(
     """Build a RoutePlan for every cross-node send of every inter-node ring
     round, keyed by (ring index within schedule.rings(), round, source rank).
 
+    A ring sends each position's KV set once per hop, so its sends repeat a
+    few (source, destination, tokens) keys; each key is built once per ring
+    and the same RoutePlan serves every round that sends it.
+
     Schedules without inter-node rings come back unchanged (empty mapping).
     """
     routes: dict[tuple[int, int, int], RoutePlan] = {}
@@ -172,14 +176,18 @@ def route_schedule(
         if ring.kind != INTER_NODE:
             continue
         g = ring.group_size
+        built: dict[tuple[int, int, int], RoutePlan] = {}
         for r in range(g):
             for pos in range(g):
                 src = ring.members[pos]
                 dst = ring.members[(pos + 1) % g]
                 if cluster.node_of(src) == cluster.node_of(dst):
                     continue
-                tokens = ring_sched.rounds[pos][r].comm_tokens
+                tokens = ring_sched.kv_sizes[(pos - r) % g]
                 if tokens == 0:
                     continue
-                routes[(ring_idx, r, src)] = build_route(cluster, ring, src, dst, tokens)
+                key = (src, dst, tokens)
+                if key not in built:
+                    built[key] = build_route(cluster, ring, src, dst, tokens)
+                routes[(ring_idx, r, src)] = built[key]
     return routes

@@ -8,6 +8,10 @@ are expanded into dispatch/transfer/combine step events over proxy ranks;
 dispatch overlaps the round's compute and the transfer overlaps intra-node
 traffic, but the three steps of one payload stay causally ordered.
 
+Ring round ends are evaluated in closed form over (position, round) arrays,
+and events are kept in compact records: `Timeline.events` builds the Event
+objects on first read, so a comparison that only needs reports builds none.
+
 After the attention phase the remapping, linear-module, and inverse-remapping
 phases run barrier-synchronized; backward is modeled as a scalar multiplier
 on the whole forward step, so the exported timeline covers forward only.
@@ -18,12 +22,15 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+
+import numpy as np
 
 from . import baselines
-from .attention_engine import AttentionSchedule, build_schedule, causal_pairs
+from .attention_engine import INTER_NODE, AttentionSchedule, RingGroup, RingSchedule, build_schedule, causal_pairs
 from .partitioner import InfeasibleBatch, PlacementPlan
 from .remapping import cost_matrix, solve_remap, target_distribution
-from .routing import route_schedule
+from .routing import COMBINE, DISPATCH, INTER_TRANSFER, RoutePlan, route_schedule
 from .topology import ClusterSpec, CostCoefficients
 from .workload import SequenceBatch
 
@@ -47,14 +54,28 @@ class Event:
         return self.start + self.duration
 
 
-@dataclass
+@dataclass(eq=False)
 class Timeline:
+    """One simulated forward step. `records` holds its events in compact
+    form, in emission order: an Event's fields as a tuple, or a callable
+    that returns a ring's events. `events` builds them on first read."""
+
     num_nodes: int
     gpus_per_node: int
-    events: list[Event]
     attention_makespan: float
     forward_makespan: float
     phase_bounds: dict[str, float]
+    records: list = field(default_factory=list, repr=False)
+
+    @cached_property
+    def events(self) -> list[Event]:
+        events: list[Event] = []
+        for record in self.records:
+            if isinstance(record, tuple):
+                events.append(Event(*record))
+            else:
+                events.extend(record())
+        return events
 
     def sorted_events(self) -> list[Event]:
         return sorted(
@@ -88,21 +109,23 @@ class StepReport:
 
 
 class _Engine:
-    """Accumulates events with per-(rank, stream) exclusivity."""
+    """Per-lane tails with (rank, stream) exclusivity, token and NIC tallies,
+    and the step's event records. Lane 3 * rank + s is stream s of a rank."""
 
     def __init__(self, cluster: ClusterSpec):
         self.cluster = cluster
-        self.events: list[Event] = []
-        self.tails: dict[tuple[int, str], float] = {}
+        self.records: list = []
+        self.tails = [0.0] * (3 * cluster.num_ranks)
         self.inter_tokens = [0] * cluster.num_ranks
         self.intra_tokens = [0] * cluster.num_ranks
         self.nic_busy = [[0.0] * cluster.nics_per_node for _ in range(cluster.num_nodes)]
         self._nic_cursor = [0] * cluster.num_nodes
 
     def emit(self, rank: int, stream: str, earliest: float, duration: float, kind: str, payload: dict) -> float:
-        start = max(earliest, self.tails.get((rank, stream), 0.0))
-        self.tails[(rank, stream)] = start + duration
-        self.events.append(Event(rank, stream, start, duration, kind, payload))
+        lane = 3 * rank + _STREAM_ORDER[stream]
+        start = max(earliest, self.tails[lane])
+        self.tails[lane] = start + duration
+        self.records.append((rank, stream, start, duration, kind, payload))
         return start + duration
 
     def count(self, rank: int, scope: str, tokens: int) -> None:
@@ -111,16 +134,16 @@ class _Engine:
         else:
             self.intra_tokens[rank] += tokens
 
-    def charge_nic(self, node: int, duration: float, rank: int | None = None) -> None:
-        """Direct sends bill the sender's affine NIC; routed transfers (no
-        rank given) spread round-robin over the node's NICs."""
-        if rank is not None:
-            local = rank - node * self.cluster.gpus_per_node
-            nic = local * self.cluster.nics_per_node // self.cluster.gpus_per_node
-        else:
-            nic = self._nic_cursor[node] % self.cluster.nics_per_node
-            self._nic_cursor[node] += 1
-        self.nic_busy[node][nic] += duration
+    def affine_nic(self, rank: int) -> int:
+        """Direct sends bill the sender's affine NIC."""
+        local = rank % self.cluster.gpus_per_node
+        return local * self.cluster.nics_per_node // self.cluster.gpus_per_node
+
+    def next_nic(self, node: int) -> int:
+        """Routed transfers spread round-robin over the node's NICs."""
+        nic = self._nic_cursor[node] % self.cluster.nics_per_node
+        self._nic_cursor[node] += 1
+        return nic
 
 
 def _run_rings(
@@ -136,94 +159,209 @@ def _run_rings(
     ready = [0.0] * cluster.num_ranks
     routes = route_schedule(schedule, plan, cluster) if routed else {}
     for ring_idx, ring_sched in enumerate(schedule.rings()):
-        ring = ring_sched.ring
-        g = ring.group_size
-        t = max(ready[m] for m in ring.members)
-        for r in range(g):
-            round_end = t
-            for pos, member in enumerate(ring.members):
-                rr = ring_sched.rounds[pos][r]
-                if rr.compute_pairs > 0:
-                    dur = coeffs.attn_quadratic * rr.compute_pairs
-                    end = engine.emit(member, COMPUTE, t, dur, f"{ring.kind}.attn",
-                                      {"ring": ring_idx, "round": r, "pairs": rr.compute_pairs})
-                    round_end = max(round_end, end)
-            # plain sends first: their data is resident at round start, while
-            # routed step chains deliver into other ranks' intra streams later
-            routed_legs = []
-            for pos, member in enumerate(ring.members):
-                rr = ring_sched.rounds[pos][r]
-                n = rr.comm_tokens
-                if n == 0:
-                    continue
-                dst = ring.members[(pos + 1) % g]
-                crossing = cluster.node_of(member) != cluster.node_of(dst)
-                route = routes.get((ring_idx, r, member)) if crossing else None
-                if route is not None:
-                    routed_legs.append(route)
-                elif crossing:
-                    dur = cluster.inv_bw_inter * n
-                    end = engine.emit(member, INTER_COMM, t, dur, "kv.send",
-                                      {"ring": ring_idx, "round": r, "tokens": n, "dst": dst})
-                    engine.count(member, "inter", n)
-                    engine.charge_nic(cluster.node_of(member), dur, rank=member)
-                    round_end = max(round_end, end)
-                else:
-                    dur = cluster.inv_bw_intra * n
-                    end = engine.emit(member, INTRA_COMM, t, dur, "kv.send",
-                                      {"ring": ring_idx, "round": r, "tokens": n, "dst": dst})
-                    engine.count(member, "intra", n)
-                    round_end = max(round_end, end)
-            for route in routed_legs:
-                end = _emit_route(engine, cluster, route, t, ring_idx, r)
-                round_end = max(round_end, end)
-            t = round_end
-        for m in ring.members:
+        members = ring_sched.ring.members
+        # route_schedule routes every cross-node send of an inter-node ring
+        ring_routes = routes if routed and ring_sched.ring.kind == INTER_NODE else None
+        t = _run_ring(engine, ring_idx, ring_sched, max(ready[m] for m in members),
+                      cluster, coeffs, ring_routes)
+        for m in members:
             ready[m] = t
     for task in schedule.local_tasks:
         if task.compute_pairs <= 0:
             continue
         dur = coeffs.attn_quadratic * task.compute_pairs
-        end = engine.emit(task.rank, COMPUTE, ready[task.rank], dur, "local.attn",
-                          {"seq": task.sequence_id, "pairs": task.compute_pairs})
-        ready[task.rank] = end
+        ready[task.rank] = engine.emit(task.rank, COMPUTE, ready[task.rank], dur, "local.attn",
+                                       {"seq": task.sequence_id, "pairs": task.compute_pairs})
     return ready
 
 
-def _emit_route(engine: _Engine, cluster: ClusterSpec, route, t: float, ring_idx: int, r: int) -> float:
-    """Place one routed transfer's step events: dispatch scatter serialized on
-    the source's intra stream, per-proxy transfers in parallel once dispatch
-    completes, gather serialized on the destination's intra stream."""
-    meta = {"ring": ring_idx, "round": r, "src": route.source_rank, "dst": route.dest_rank}
+def _run_ring(
+    engine: _Engine,
+    ring_idx: int,
+    ring_sched: RingSchedule,
+    t0: float,
+    cluster: ClusterSpec,
+    coeffs: CostCoefficients,
+    routes: dict[tuple[int, int, int], RoutePlan] | None,
+) -> float:
+    """Run one ring from t0 and return the end of its last round.
+
+    Every leg of round r starts at max(t_r, tail), with tail its lane's tail
+    when the ring began: a lane the ring used before ended by t_r. Float
+    addition rounds monotonically, so a round whose legs all start at t_r
+    ends at t_r + (its longest leg); lanes whose tail lies past t0 (a rank
+    that proxied an earlier routed ring) and routed step chains are added
+    per round on top. Sends of positions in `routes` are routed; the rest
+    go direct.
+    """
+    ring = ring_sched.ring
+    g = ring.group_size
+    members = ring.members
+    tails = engine.tails
+    pos = np.arange(g)
+    held = (pos[:, None] - pos) % g  # [i, r]: position whose KV i holds in round r
+    pairs = ring_sched.pairs[pos[:, None], held]
+    tokens = np.array(ring_sched.kv_sizes, dtype=np.int64)[held]
+    p = cluster.gpus_per_node
+    crossing = [m // p != members[(i + 1) % g] // p for i, m in enumerate(members)]
+    via_route = crossing if routes is not None else [False] * g
+    compute = coeffs.attn_quadratic * pairs
+    send = np.array([cluster.inv_bw_inter if c else cluster.inv_bw_intra for c in crossing])[:, None] * tokens
+    direct = ~np.array(via_route)[:, None] & (tokens > 0)
+    longest = np.maximum(compute, np.where(direct, send, 0.0)).max(axis=0).tolist()
+
+    compute_lanes = [3 * m for m in members]
+    send_lanes = [3 * m + (2 if c else 1) for m, c in zip(members, crossing)]
+    compute_tail = [tails[lane] for lane in compute_lanes]
+    send_tail = [tails[lane] for lane in send_lanes]
+    late = [(compute_tail[i], compute[i], pairs[i] > 0) for i in range(g) if compute_tail[i] > t0]
+    late += [(send_tail[i], send[i], direct[i]) for i in range(g) if send_tail[i] > t0 and not via_route[i]]
+
+    routed_pos = [i for i in range(g) if via_route[i]]
+    chains: list[list[tuple]] = []
+    chain_tails: dict[int, float] = {}
+    if routed_pos:
+        token_rows = tokens.tolist()
+        direct_lane = {send_lanes[j]: j for j in range(g) if not via_route[j]}
+
+    def lane_tail(lane: int) -> float:
+        # the lane's tail so far in round r: its own earlier step of the
+        # round, else a direct send of the round on it, else its tail at t
+        if lane in seen:
+            return seen[lane]
+        j = direct_lane.get(lane)
+        if j is not None and token_rows[j][r] > 0:
+            return max(t, send_tail[j]) + float(send[j, r])
+        return max(t, tails[lane])
+
+    starts = []
+    t = t0
+    for r in range(g):
+        starts.append(t)
+        end = t + longest[r]
+        for tail, dur, used in late:
+            if tail > t and used[r]:
+                end = max(end, tail + float(dur[r]))
+        if routed_pos:
+            chain: list[tuple] = []
+            seen = {}
+            for i in routed_pos:
+                if token_rows[i][r] == 0:
+                    continue
+                route = routes[(ring_idx, r, members[i])]
+                end = max(end, _run_route(engine, route, t, lane_tail, seen, chain))
+            chains.append(chain)
+            chain_tails.update(seen)
+        t = end
+
+    round_start = np.array(starts)
+    compute_start = np.maximum(round_start, np.array(compute_tail)[:, None])
+    send_start = np.maximum(round_start, np.array(send_tail)[:, None])
+    # a lane's ends rise with the rounds, so its tail is its latest end
+    compute_end = np.where(pairs > 0, compute_start + compute, 0.0).max(axis=1).tolist()
+    send_end = np.where(direct, send_start + send, 0.0).max(axis=1).tolist()
+    for i in range(g):
+        tails[compute_lanes[i]] = max(tails[compute_lanes[i]], compute_end[i])
+        tails[send_lanes[i]] = max(tails[send_lanes[i]], send_end[i])
+    for lane, end in chain_tails.items():
+        tails[lane] = max(tails[lane], end)
+
+    kv_total = sum(ring_sched.kv_sizes)
+    node_nics: dict[tuple[int, int], list[int]] = {}
+    for i, m in enumerate(members):
+        if via_route[i]:
+            continue
+        engine.count(m, "inter" if crossing[i] else "intra", kv_total)
+        if crossing[i]:
+            node_nics.setdefault((m // p, engine.affine_nic(m)), []).append(i)
+    for (node, nic), rows in node_nics.items():
+        # NIC busy time adds up in event order: round by round, then position
+        busy = np.concatenate(([engine.nic_busy[node][nic]], send[rows].T.ravel()))
+        engine.nic_busy[node][nic] = float(np.cumsum(busy)[-1])
+
+    engine.records.append(partial(_ring_events, ring_idx, ring, crossing, pairs, tokens, compute, send, direct,
+                                  compute_start, send_start, chains))
+    return t
+
+
+def _run_route(engine: _Engine, route: RoutePlan, t: float, lane_tail, seen: dict, chain: list) -> float:
+    """Place one routed transfer's steps from round start t: dispatch scatter
+    serialized on the source's intra stream, per-proxy transfers in parallel
+    once dispatch completes, gather serialized on the destination's intra
+    stream. `lane_tail` gives a lane's tail so far in the round and `seen`
+    takes the new ones. Appends (rank, stream, start, duration, kind, route,
+    proxy, tokens) records to `chain` and returns the gather's end."""
+    cluster = engine.cluster
+    src, dst = route.source_rank, route.dest_rank
     dispatch_end = t
     for step in route.steps:
-        if step.kind != "dispatch":
+        if step.kind != DISPATCH:
             continue
         dur = cluster.inv_bw_intra * step.tokens
-        end = engine.emit(step.source_rank, INTRA_COMM, t, dur, "route.dispatch",
-                          {**meta, "proxy": step.dest_rank, "tokens": step.tokens})
-        engine.count(step.source_rank, "intra", step.tokens)
+        lane = 3 * src + 1
+        start = max(t, lane_tail(lane))
+        seen[lane] = end = start + dur
+        chain.append((src, INTRA_COMM, start, dur, "route.dispatch", route, step.dest_rank, step.tokens))
+        engine.count(src, "intra", step.tokens)
         dispatch_end = max(dispatch_end, end)
     transfer_end = dispatch_end
     for step in route.steps:
-        if step.kind != "inter_transfer":
+        if step.kind != INTER_TRANSFER:
             continue
         dur = cluster.inv_bw_inter * step.tokens
-        end = engine.emit(step.source_rank, INTER_COMM, dispatch_end, dur, "route.transfer",
-                          {**meta, "proxy": step.dest_rank, "tokens": step.tokens})
-        engine.charge_nic(cluster.node_of(step.source_rank), dur)
+        lane = 3 * step.source_rank + 2
+        start = max(dispatch_end, lane_tail(lane))
+        seen[lane] = end = start + dur
+        chain.append((step.source_rank, INTER_COMM, start, dur, "route.transfer", route, step.dest_rank,
+                      step.tokens))
+        node = cluster.node_of(step.source_rank)
+        engine.nic_busy[node][engine.next_nic(node)] += dur
         transfer_end = max(transfer_end, end)
-    engine.count(route.source_rank, "inter", route.tokens)
+    engine.count(src, "inter", route.tokens)
     combine_end = transfer_end
     for step in route.steps:
-        if step.kind != "combine":
+        if step.kind != COMBINE:
             continue
         dur = cluster.inv_bw_intra * step.tokens
-        end = engine.emit(route.dest_rank, INTRA_COMM, transfer_end, dur, "route.combine",
-                          {**meta, "proxy": step.source_rank, "tokens": step.tokens})
+        lane = 3 * dst + 1
+        start = max(transfer_end, lane_tail(lane))
+        seen[lane] = end = start + dur
+        chain.append((dst, INTRA_COMM, start, dur, "route.combine", route, step.source_rank, step.tokens))
         engine.count(step.source_rank, "intra", step.tokens)
         combine_end = max(combine_end, end)
     return combine_end
+
+
+def _ring_events(ring_idx: int, ring: RingGroup, crossing: list[bool], pairs: np.ndarray, tokens: np.ndarray,
+                 compute: np.ndarray, send: np.ndarray, direct: np.ndarray, compute_start: np.ndarray,
+                 send_start: np.ndarray, chains: list[list[tuple]]) -> list[Event]:
+    """One ring's events from its compact record ([position, round] matrices
+    and each round's routed steps), in emission order: per round the
+    computes, the direct sends, then the routed steps, each in position
+    order."""
+    members = ring.members
+    g = len(members)
+    compute_start, send_start = compute_start.tolist(), send_start.tolist()
+    pairs, tokens = pairs.tolist(), tokens.tolist()
+    compute, send, direct = compute.tolist(), send.tolist(), direct.tolist()
+    streams = [INTER_COMM if c else INTRA_COMM for c in crossing]
+    kind = f"{ring.kind}.attn"
+    events = []
+    for r in range(g):
+        for i in range(g):
+            if pairs[i][r] > 0:
+                events.append(Event(members[i], COMPUTE, compute_start[i][r], compute[i][r], kind,
+                                    {"ring": ring_idx, "round": r, "pairs": pairs[i][r]}))
+        for i in range(g):
+            if direct[i][r]:
+                events.append(Event(members[i], streams[i], send_start[i][r], send[i][r], "kv.send",
+                                    {"ring": ring_idx, "round": r, "tokens": tokens[i][r],
+                                     "dst": members[(i + 1) % g]}))
+        for rank, stream, start, dur, step_kind, route, proxy, n in (chains[r] if chains else ()):
+            events.append(Event(rank, stream, start, dur, step_kind,
+                                {"ring": ring_idx, "round": r, "src": route.source_rank,
+                                 "dst": route.dest_rank, "proxy": proxy, "tokens": n}))
+    return events
 
 
 def _run_allgather(
@@ -249,7 +387,7 @@ def _run_allgather(
             engine.emit(rank, stream, 0.0, ag_time, "kv.allgather", {"tokens": sent})
             engine.count(rank, "inter" if is_boundary else "intra", sent)
             if is_boundary:
-                engine.charge_nic(node, ag_time, rank=rank)
+                engine.nic_busy[node][engine.affine_nic(rank)] += ag_time
         start = ag_time
     else:
         start = 0.0
@@ -279,7 +417,9 @@ def simulate(
     else:
         schedule = build_schedule(plan)
         ready = _run_rings(engine, schedule, plan, cluster, coeffs, routed=plan.strategy == "zeppelin")
-    attention_end = max([0.0] + [e.end for e in engine.events] + ready)
+    # every attention leg ends by its ring's last round or its rank's last
+    # kernel, and `ready` holds both
+    attention_end = max([0.0] + ready)
 
     remap_fwd = remap_inv = 0.0
     if plan.strategy == "zeppelin" and plan.total_tokens() > 0:
@@ -307,7 +447,6 @@ def simulate(
     timeline = Timeline(
         num_nodes=cluster.num_nodes,
         gpus_per_node=cluster.gpus_per_node,
-        events=engine.events,
         attention_makespan=attention_end,
         forward_makespan=forward_makespan,
         phase_bounds={
@@ -316,6 +455,7 @@ def simulate(
             "linear_end": linear_end,
             "remap_inverse_end": forward_makespan,
         },
+        records=engine.records,
     )
     report = StepReport(
         strategy=plan.strategy,

@@ -9,6 +9,7 @@ linear modules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Bytes moved per KV token: 2 tensors (K and V) x 4096 hidden x 2-byte dtype.
@@ -17,6 +18,14 @@ KV_BYTES_PER_TOKEN = 16384
 
 class ConfigError(ValueError):
     """Raised for malformed cluster config files or invalid parameter values."""
+
+
+def _require_finite(spec, names: tuple[str, ...]) -> None:
+    """Costs must be finite: an infinite coefficient turns a zero-token leg
+    into nan (inf * 0) and the step times into inf or nan."""
+    for name in names:
+        if not math.isfinite(getattr(spec, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(spec, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +46,7 @@ class ClusterSpec:
     backward_multiplier: float = 2.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("inv_bw_intra", "inv_bw_inter", "backward_multiplier"))
         if self.num_nodes < 1:
             raise ConfigError("num_nodes must be >= 1")
         if self.gpus_per_node < 1:
@@ -75,6 +85,7 @@ class CostCoefficients:
     linear_per_token: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("attn_quadratic", "linear_per_token"))
         if not self.attn_quadratic > 0:
             raise ConfigError("attn_quadratic must be > 0")
         if self.linear_per_token < 0:

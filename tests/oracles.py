@@ -10,8 +10,12 @@ import itertools
 
 import numpy as np
 
+from varlenplan.attention_engine import INTER_NODE, build_schedule, causal_pairs
 from varlenplan.partitioner import PlacementPlan
-from varlenplan.topology import ClusterSpec
+from varlenplan.remapping import cost_matrix, solve_remap, target_distribution
+from varlenplan.routing import build_route
+from varlenplan.simulator import COMPUTE, INTER_COMM, INTRA_COMM, Event, StepReport, _peak_kv
+from varlenplan.topology import ClusterSpec, CostCoefficients
 
 
 def check_plan(plan: PlacementPlan, lengths: dict[int, int], cluster: ClusterSpec) -> list[str]:
@@ -194,3 +198,213 @@ def best_unsplit_makespan(lengths: list[int], n_ranks: int, capacity: int, alpha
             if best is None or m < best:
                 best = m
     return best
+
+
+class _ScalarEngine:
+    """The reference event engine: one Event per leg, emitted in order, with
+    per-(rank, stream) exclusivity."""
+
+    def __init__(self, cluster: ClusterSpec):
+        self.cluster = cluster
+        self.events: list[Event] = []
+        self.tails: dict[tuple[int, str], float] = {}
+        self.inter_tokens = [0] * cluster.num_ranks
+        self.intra_tokens = [0] * cluster.num_ranks
+        self.nic_busy = [[0.0] * cluster.nics_per_node for _ in range(cluster.num_nodes)]
+        self._nic_cursor = [0] * cluster.num_nodes
+
+    def emit(self, rank, stream, earliest, duration, kind, payload) -> float:
+        start = max(earliest, self.tails.get((rank, stream), 0.0))
+        self.tails[(rank, stream)] = start + duration
+        self.events.append(Event(rank, stream, start, duration, kind, payload))
+        return start + duration
+
+    def count(self, rank, scope, tokens) -> None:
+        if scope == "inter":
+            self.inter_tokens[rank] += tokens
+        else:
+            self.intra_tokens[rank] += tokens
+
+    def charge_nic(self, node, duration, rank=None) -> None:
+        if rank is not None:
+            local = rank - node * self.cluster.gpus_per_node
+            nic = local * self.cluster.nics_per_node // self.cluster.gpus_per_node
+        else:
+            nic = self._nic_cursor[node] % self.cluster.nics_per_node
+            self._nic_cursor[node] += 1
+        self.nic_busy[node][nic] += duration
+
+
+def _reference_route(engine, cluster, route, t, ring_idx, r) -> float:
+    meta = {"ring": ring_idx, "round": r, "src": route.source_rank, "dst": route.dest_rank}
+    dispatch_end = t
+    for step in route.steps:
+        if step.kind != "dispatch":
+            continue
+        dur = cluster.inv_bw_intra * step.tokens
+        end = engine.emit(step.source_rank, INTRA_COMM, t, dur, "route.dispatch",
+                          {**meta, "proxy": step.dest_rank, "tokens": step.tokens})
+        engine.count(step.source_rank, "intra", step.tokens)
+        dispatch_end = max(dispatch_end, end)
+    transfer_end = dispatch_end
+    for step in route.steps:
+        if step.kind != "inter_transfer":
+            continue
+        dur = cluster.inv_bw_inter * step.tokens
+        end = engine.emit(step.source_rank, INTER_COMM, dispatch_end, dur, "route.transfer",
+                          {**meta, "proxy": step.dest_rank, "tokens": step.tokens})
+        engine.charge_nic(cluster.node_of(step.source_rank), dur)
+        transfer_end = max(transfer_end, end)
+    engine.count(route.source_rank, "inter", route.tokens)
+    combine_end = transfer_end
+    for step in route.steps:
+        if step.kind != "combine":
+            continue
+        dur = cluster.inv_bw_intra * step.tokens
+        end = engine.emit(route.dest_rank, INTRA_COMM, transfer_end, dur, "route.combine",
+                          {**meta, "proxy": step.source_rank, "tokens": step.tokens})
+        engine.count(step.source_rank, "intra", step.tokens)
+        combine_end = max(combine_end, end)
+    return combine_end
+
+
+def _reference_rings(engine, plan, cluster, coeffs) -> list[float]:
+    """Every ring round leg by leg from the schedule's `rounds` view, with a
+    route built for each cross-node send of a zeppelin inter-node ring."""
+    schedule = build_schedule(plan)
+    ready = [0.0] * cluster.num_ranks
+    for ring_idx, ring_sched in enumerate(schedule.rings()):
+        ring = ring_sched.ring
+        g = ring.group_size
+        routed = plan.strategy == "zeppelin" and ring.kind == INTER_NODE
+        t = max(ready[m] for m in ring.members)
+        for r in range(g):
+            round_end = t
+            for pos, member in enumerate(ring.members):
+                rr = ring_sched.rounds[pos][r]
+                if rr.compute_pairs > 0:
+                    dur = coeffs.attn_quadratic * rr.compute_pairs
+                    end = engine.emit(member, COMPUTE, t, dur, f"{ring.kind}.attn",
+                                      {"ring": ring_idx, "round": r, "pairs": rr.compute_pairs})
+                    round_end = max(round_end, end)
+            routed_legs = []
+            for pos, member in enumerate(ring.members):
+                n = ring_sched.rounds[pos][r].comm_tokens
+                if n == 0:
+                    continue
+                dst = ring.members[(pos + 1) % g]
+                crossing = cluster.node_of(member) != cluster.node_of(dst)
+                if crossing and routed:
+                    routed_legs.append(build_route(cluster, ring, member, dst, n))
+                elif crossing:
+                    dur = cluster.inv_bw_inter * n
+                    end = engine.emit(member, INTER_COMM, t, dur, "kv.send",
+                                      {"ring": ring_idx, "round": r, "tokens": n, "dst": dst})
+                    engine.count(member, "inter", n)
+                    engine.charge_nic(cluster.node_of(member), dur, rank=member)
+                    round_end = max(round_end, end)
+                else:
+                    dur = cluster.inv_bw_intra * n
+                    end = engine.emit(member, INTRA_COMM, t, dur, "kv.send",
+                                      {"ring": ring_idx, "round": r, "tokens": n, "dst": dst})
+                    engine.count(member, "intra", n)
+                    round_end = max(round_end, end)
+            for route in routed_legs:
+                round_end = max(round_end, _reference_route(engine, cluster, route, t, ring_idx, r))
+            t = round_end
+        for m in ring.members:
+            ready[m] = t
+    for task in schedule.local_tasks:
+        if task.compute_pairs <= 0:
+            continue
+        dur = coeffs.attn_quadratic * task.compute_pairs
+        ready[task.rank] = engine.emit(task.rank, COMPUTE, ready[task.rank], dur, "local.attn",
+                                       {"seq": task.sequence_id, "pairs": task.compute_pairs})
+    return ready
+
+
+def _reference_allgather(engine, plan, cluster, coeffs) -> list[float]:
+    g = cluster.num_ranks
+    total = plan.total_tokens()
+    start = 0.0
+    if g > 1 and total > 0:
+        crossing = cluster.num_nodes > 1
+        ag_time = (cluster.inv_bw_inter if crossing else cluster.inv_bw_intra) * total * (g - 1) / g
+        sent = round(total * (g - 1) / g)
+        for rank in range(g):
+            node = cluster.node_of(rank)
+            boundary = crossing and rank == max(cluster.ranks_of_node(node))
+            engine.emit(rank, INTER_COMM if boundary else INTRA_COMM, 0.0, ag_time, "kv.allgather", {"tokens": sent})
+            engine.count(rank, "inter" if boundary else "intra", sent)
+            if boundary:
+                engine.charge_nic(node, ag_time, rank=rank)
+        start = ag_time
+    total_pairs = sum(causal_pairs(ln) for ln in plan.sequence_lengths.values())
+    if total_pairs == 0:
+        return [start] * g
+    dur = coeffs.attn_quadratic * total_pairs / g
+    for rank in range(g):
+        engine.emit(rank, COMPUTE, start, dur, "attn.parallel", {"pairs": total_pairs / g})
+    return [start + dur] * g
+
+
+def _reference_remap(engine, cluster, result, start, kind) -> None:
+    for rank in range(cluster.num_ranks):
+        cost = float(result.row_costs[rank])
+        if cost <= 0:
+            continue
+        crosses = any(result.matrix[rank][j] > 0 and cluster.node_of(j) != cluster.node_of(rank)
+                      for j in range(cluster.num_ranks))
+        engine.emit(rank, INTER_COMM if crosses else INTRA_COMM, start, cost, kind,
+                    {"tokens": int(result.matrix[rank].sum())})
+
+
+def reference_timeline(plan: PlacementPlan, cluster: ClusterSpec,
+                       coeffs: CostCoefficients) -> tuple[list[Event], StepReport]:
+    """One simulated step by the scalar event engine: every leg of every
+    round is emitted as an Event, its start taken from its lane's running
+    tail, and the attention phase ends at the latest event end. Returns the
+    events in emission order and the step report."""
+    engine = _ScalarEngine(cluster)
+    if plan.strategy == "llama_cp":
+        ready = _reference_allgather(engine, plan, cluster, coeffs)
+    else:
+        ready = _reference_rings(engine, plan, cluster, coeffs)
+    attention_end = max([0.0] + [e.end for e in engine.events] + ready)
+    remap_fwd = remap_inv = 0.0
+    if plan.strategy == "zeppelin" and plan.total_tokens() > 0:
+        result = solve_remap(plan.tokens_per_rank, cost_matrix(cluster))
+        worst_row = float(result.row_costs.max()) if result.row_costs.size else 0.0
+        remap_fwd = remap_inv = max(result.objective, worst_row)
+        linear_tokens = target_distribution(plan.tokens_per_rank)
+        _reference_remap(engine, cluster, result, attention_end, "remap.forward")
+    else:
+        linear_tokens = list(plan.tokens_per_rank)
+    linear_start = attention_end + remap_fwd
+    linear_time = 0.0
+    if coeffs.linear_per_token > 0:
+        for rank, tokens in enumerate(linear_tokens):
+            if tokens > 0:
+                dur = coeffs.linear_per_token * tokens
+                engine.emit(rank, COMPUTE, linear_start, dur, "linear", {"tokens": tokens})
+                linear_time = max(linear_time, dur)
+    linear_end = linear_start + linear_time
+    if remap_inv > 0:
+        _reference_remap(engine, cluster, result, linear_end, "remap.inverse")
+    forward = linear_end + remap_inv
+    report = StepReport(
+        strategy=plan.strategy,
+        attention_makespan=attention_end,
+        remap_forward=remap_fwd,
+        linear_time=linear_time,
+        remap_inverse=remap_inv,
+        total_step=forward * (1.0 + cluster.backward_multiplier),
+        inter_comm_tokens=sum(engine.inter_tokens),
+        intra_comm_tokens=sum(engine.intra_tokens),
+        inter_tokens_per_rank=list(engine.inter_tokens),
+        intra_tokens_per_rank=list(engine.intra_tokens),
+        nic_busy_time=[list(row) for row in engine.nic_busy],
+        peak_kv_tokens=_peak_kv(plan),
+        max_micro_batches=max(plan.micro_batch_counts, default=1),
+    )
+    return engine.events, report

@@ -118,6 +118,20 @@ def test_bad_config_value_gives_usage_exit(tmp_path, capsys):
     assert "nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["attn_quadratic", "inv_bw_inter"])
+def test_non_finite_config_value_gives_usage_exit(tmp_path, capsys, key):
+    cluster, coeffs = cluster_a()
+    cfg = tmp_path / "cluster.cfg"
+    save_cluster_config(str(cfg), cluster, coeffs)
+    cfg.write_text(cfg.read_text() + f"{key} = inf\n")
+    out = tmp_path / "o.csv"
+    rc = run(["compare", "--config", str(cfg), "--dataset", "arxiv",
+              "--total-len", "65536", "--out", str(out)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infeasible_batch_gives_distinct_exit(tmp_path, capsys):
     cluster, coeffs = cluster_a(num_nodes=1, token_capacity=16)
     cfg = tmp_path / "small.cfg"

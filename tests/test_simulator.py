@@ -1,14 +1,24 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_timeline
 from varlenplan import simulator
-from varlenplan.attention_engine import causal_pairs
-from varlenplan.baselines import plan_te_cp
-from varlenplan.partitioner import build_plan
+from varlenplan.attention_engine import (
+    INTER_NODE,
+    INTRA_NODE,
+    RingGroup,
+    RingSequence,
+    causal_pairs,
+    ranges_from_sizes,
+)
+from varlenplan.baselines import STRATEGIES, plan_te_cp, plan_with
+from varlenplan.partitioner import Fragment, InfeasibleBatch, PlacementPlan, build_plan
 from varlenplan.routing import routed_time
 from varlenplan.topology import ClusterSpec, CostCoefficients, cluster_a, direct_transfer_time
-from varlenplan.workload import SequenceBatch, preset, sample_batch
+from varlenplan.workload import PRESET_NAMES, SequenceBatch, preset, sample_batch
 
 STREAMS = ("compute", "intra-comm", "inter-comm")
 
@@ -240,3 +250,125 @@ class TestCompare:
         assert hybrid.feasible  # micro-batching absorbs the overflow
         line = simulator.reports_to_csv(reports).splitlines()[1]
         assert line.startswith("te_cp,") and line.endswith(",,")
+
+
+def assert_matches_reference(plan, cluster, coeffs):
+    timeline, report = simulator.simulate(plan, cluster, coeffs)
+    events, expected = reference_timeline(plan, cluster, coeffs)
+    assert timeline.events == events
+    # == takes 3 for 3.0; the trace prints them differently
+    assert [(type(e.start), type(e.duration), [type(v) for v in e.payload.values()]) for e in timeline.events] \
+        == [(type(e.start), type(e.duration), [type(v) for v in e.payload.values()]) for e in events]
+    assert report == expected
+    assert timeline.attention_makespan == expected.attention_makespan
+    return events
+
+
+@st.composite
+def clusters_and_batches(draw):
+    intra = draw(st.floats(1e-9, 1e-6))
+    cluster = ClusterSpec(
+        num_nodes=draw(st.integers(1, 4)),
+        gpus_per_node=draw(st.integers(1, 8)),
+        token_capacity=draw(st.integers(64, 4096)),
+        inv_bw_intra=intra,
+        inv_bw_inter=intra * draw(st.floats(1.0, 32.0)),
+        nics_per_node=draw(st.integers(1, 4)),
+        backward_multiplier=draw(st.floats(0.0, 3.0)),
+    )
+    coeffs = CostCoefficients(attn_quadratic=draw(st.floats(1e-12, 1e-8)),
+                              linear_per_token=draw(st.sampled_from([0.0, 2e-6])))
+    total = max(1, int(cluster.num_ranks * cluster.token_capacity * draw(st.floats(0.05, 1.0))))
+    dist = preset(draw(st.sampled_from(PRESET_NAMES)))
+    return cluster, coeffs, sample_batch(dist, total, seed=draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=100)
+@given(clusters_and_batches())
+def test_simulate_matches_scalar_reference(case):
+    cluster, coeffs, batch = case
+    for strategy in STRATEGIES:
+        try:
+            plan = plan_with(strategy, batch, cluster)
+        except InfeasibleBatch:
+            continue
+        assert_matches_reference(plan, cluster, coeffs)
+
+
+def hand_built_plan(strategy, cluster, rings, fragments, zone_of):
+    """A plan as a stored JSON file may carry it, never validated."""
+    lengths = {}
+    for frag in (f for frags in fragments for f in frags):
+        lengths[frag.sequence_id] = max(lengths.get(frag.sequence_id, 0), frag.end)
+    return PlacementPlan(
+        strategy=strategy, num_nodes=cluster.num_nodes, gpus_per_node=cluster.gpus_per_node, s1=0,
+        s0_per_node=[0] * cluster.num_nodes, zone_of=zone_of, sequence_lengths=lengths,
+        node_buckets=[[] for _ in range(cluster.num_nodes)], fragments=fragments, ring_groups=rings,
+        tokens_per_rank=[sum(f.end - f.start for f in frags) for frags in fragments],
+        micro_batch_counts=[1] * cluster.num_ranks, meta={},
+    )
+
+
+@pytest.mark.parametrize("later_kind", [INTER_NODE, INTRA_NODE])
+def test_late_lane_matches_scalar_reference(later_kind):
+    # ring (0, 2) routes its sends through proxies 1 and 3; ring (1, 3) then
+    # starts at 0 while those proxies' inter-node lanes are still busy. As
+    # an inter-node ring its sends are routed again; as an intra-node ring
+    # across nodes (which only an unvalidated stored plan holds) they go
+    # direct on the busy lanes.
+    cluster = ClusterSpec(num_nodes=2, gpus_per_node=2, token_capacity=1000,
+                          inv_bw_intra=1e-6, inv_bw_inter=1e-4, nics_per_node=2)
+    coeffs = CostCoefficients(attn_quadratic=1e-9, linear_per_token=1e-7)
+    rings = (
+        RingGroup(INTER_NODE, (0, 2), (RingSequence(0, (((0, 100), (300, 400)), ((100, 300),))),)),
+        RingGroup(later_kind, (1, 3), (RingSequence(1, (((0, 20),), ((20, 40),))),)),
+    )
+    fragments = [
+        [Fragment(0, 0, 100, 0), Fragment(0, 300, 400, 0)],
+        [Fragment(1, 0, 20, 1)],
+        [Fragment(0, 100, 300, 2)],
+        [Fragment(1, 20, 40, 3)],
+    ]
+    plan = hand_built_plan("zeppelin", cluster, rings, fragments, {0: INTER_NODE, 1: later_kind})
+    events = assert_matches_reference(plan, cluster, coeffs)
+    lane = [e for e in events if e.rank == 1 and e.stream == "inter-comm"]
+    proxy_tail = max(e.end for e in lane if e.payload["ring"] == 0)
+    later_start = min(e.start for e in events if e.payload.get("ring") == 1)
+    assert later_start < proxy_tail == min(e.start for e in lane if e.payload["ring"] == 1)
+
+
+def test_shared_nic_busy_time_adds_in_event_order():
+    # a stored te_cp ring that alternates nodes: every hop crosses, and both
+    # senders of a node share its one NIC, so the per-round sends of the two
+    # interleave in the NIC's sum
+    cluster = ClusterSpec(num_nodes=2, gpus_per_node=2, token_capacity=1000,
+                          inv_bw_intra=0.1, inv_bw_inter=0.3, nics_per_node=1)
+    coeffs = CostCoefficients(attn_quadratic=1e-3)
+    members = (0, 2, 1, 3)
+    ranges = ranges_from_sizes([7, 11, 13, 17, 19, 23, 29, 31])
+    ring = RingGroup(INTER_NODE, members, (RingSequence(0, tuple(map(tuple, ranges))),))
+    fragments = [[Fragment(0, s, e, rank) for s, e in ranges[members.index(rank)]] for rank in range(4)]
+    plan = hand_built_plan("te_cp", cluster, (ring,), fragments, {0: INTER_NODE})
+    events = assert_matches_reference(plan, cluster, coeffs)
+    assert {e.rank for e in events if e.stream == "inter-comm"} == {0, 1, 2, 3}
+
+
+def test_compare_builds_no_events(monkeypatch):
+    cluster, coeffs = cluster_a(num_nodes=8)
+    batch = sample_batch(preset("arxiv"), 262144, seed=3)
+    built = []
+    init = simulator.Event.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(simulator.Event, "__init__", counting_init)
+    reports = simulator.compare(batch, cluster, coeffs, list(STRATEGIES))
+    assert all(r.feasible for r in reports)
+    assert built == []
+    timeline, _ = simulator.simulate(plan_te_cp(batch, cluster), cluster, coeffs)
+    assert built == []
+    events = timeline.events
+    assert timeline.events is events
+    assert len(built) == len(events) > 4096  # one 64-rank ring: 64 x 64 computes alone

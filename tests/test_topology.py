@@ -109,6 +109,20 @@ def test_invalid_parameters_rejected():
         CostCoefficients(attn_quadratic=1.0, linear_per_token=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("spec, name", [
+    (ClusterSpec, "inv_bw_intra"), (ClusterSpec, "inv_bw_inter"), (ClusterSpec, "backward_multiplier"),
+    (CostCoefficients, "attn_quadratic"), (CostCoefficients, "linear_per_token"),
+])
+def test_non_finite_costs_rejected(spec, name, value):
+    valid = {
+        ClusterSpec: dict(num_nodes=2, gpus_per_node=8, token_capacity=4096, inv_bw_intra=4.0, inv_bw_inter=8.0),
+        CostCoefficients: dict(attn_quadratic=1.0, linear_per_token=0.0),
+    }[spec]
+    with pytest.raises(ConfigError, match=name):
+        spec(**{**valid, name: value})
+
+
 def test_cluster_a_preset():
     cluster, coeffs = cluster_a()
     assert cluster.num_nodes == 2
