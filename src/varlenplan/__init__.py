@@ -14,7 +14,6 @@ from .baselines import STRATEGIES, plan_hybrid_dp, plan_llama_cp, plan_te_cp
 from .partitioner import (
     Fragment,
     InfeasibleBatch,
-    InfeasibleNode,
     PlacementPlan,
     PlanValidationError,
     build_plan,

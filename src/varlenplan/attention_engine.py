@@ -291,10 +291,13 @@ def build_schedule(plan: "PlacementPlan") -> AttentionSchedule:
             inter.append(sched)
         else:
             intra.append(sched)
+    # a sequence a ring carries is computed in its rounds, even when all of
+    # its tokens sit on one rank (a one-token sequence on te_cp's global ring)
+    ringed = {seq.sequence_id for ring in plan.ring_groups for seq in ring.sequences}
     local = []
     for rank, frags in enumerate(plan.fragments):
         for frag in frags:
-            if plan.zone_of.get(frag.sequence_id) == LOCAL or frag.micro_batch > 0:
+            if frag.micro_batch > 0 or frag.sequence_id not in ringed:
                 local.append(LocalTask(rank=rank, sequence_id=frag.sequence_id,
                                        compute_pairs=causal_pairs(frag.end - frag.start)))
     key = lambda s: s.ring.members

@@ -6,6 +6,12 @@ over its devices, splitting medium sequences to balance quadratic attention
 work. Both levels iteratively lower their zone threshold whenever a whole
 sequence fails to fit, which guarantees every sequence below the final
 threshold is placeable.
+
+When the greedy levels cannot place a batch (a chunked sequence finds no
+fitting buckets, a threshold refinement does not converge, or zigzag
+re-chunking leaves a rank over capacity), build_plan falls back to the even
+zigzag split over one global ring. That layout keeps every rank within one
+token of total/R, so it fits whenever the batch total does.
 """
 
 from __future__ import annotations
@@ -30,10 +36,6 @@ from .workload import SequenceBatch
 
 class InfeasibleBatch(RuntimeError):
     """The batch cannot be placed within the cluster's token capacity."""
-
-
-class InfeasibleNode(InfeasibleBatch):
-    """A node bucket cannot be spread over its devices within capacity."""
 
 
 class PlanValidationError(RuntimeError):
@@ -137,50 +139,17 @@ def _sorted_desc(batch: SequenceBatch) -> list[tuple[int, int]]:
     return sorted(batch.sequences, key=lambda t: (-t[1], t[0]))
 
 
-class _PlacementFailure(Exception):
-    """Internal: even-split placement of one sequence found no fitting bucket
-    set; carries the chunk counts in force so a neighbor can be re-split."""
-
-    def __init__(self, sid: int, length: int, counts: dict[int, tuple[int, int]]):
-        super().__init__(f"sequence {sid} ({length} tokens) does not fit")
-        self.sid = sid
-        self.counts = counts  # sid -> (length, chunk count)
-
-
-def _bump_for_failure(exc: _PlacementFailure, overrides: dict[int, int], limit: int) -> bool:
-    """Raise the chunk count of the sequence currently placing the largest
-    chunks; returns False when every candidate is already fully split."""
-    candidates = [
-        (ln / k, sid, k)
-        for sid, (ln, k) in exc.counts.items()
-        if k < limit
-    ]
-    if not candidates:
-        return False
-    _, sid, k = max(candidates, key=lambda c: (c[0], -c[1]))
-    overrides[sid] = k + 1
-    return True
-
-
-def partition_inter_node(
-    batch: SequenceBatch,
-    cluster: ClusterSpec,
-    chunk_overrides: dict[int, int] | None = None,
-) -> InterNodeAssignment:
+def partition_inter_node(batch: SequenceBatch, cluster: ClusterSpec) -> InterNodeAssignment:
     """Assign sequences to node buckets.
 
     Sequences at or above the running threshold s1 are split evenly into
     ceil(len/s_avg) chunks placed on distinct least-loaded buckets; shorter
     sequences go whole to the least-loaded bucket. When a whole sequence
     would exceed the per-node budget P*L, s1 drops to the longest remaining
-    whole sequence and placement restarts. A chunked sequence that cannot be
-    placed triggers a bounded re-split of the sequence holding the largest
-    chunks (the pseudocode leaves this capacity corner open).
-
-    chunk_overrides raises the chunk count of specific sequences; it is used
-    by the capacity reconciliation pass in build_plan.
+    whole sequence and placement restarts. A chunked sequence that fits no
+    set of buckets raises InfeasibleBatch (build_plan then falls back to the
+    even split).
     """
-    overrides = dict(chunk_overrides or {})
     n_nodes = cluster.num_nodes
     node_cap = cluster.gpus_per_node * cluster.token_capacity
     order = _sorted_desc(batch)
@@ -189,24 +158,6 @@ def partition_inter_node(
         raise InfeasibleBatch(
             f"batch of {total} tokens exceeds cluster capacity {n_nodes * node_cap}"
         )
-    budget = (len(order) + 1) * n_nodes
-    while True:
-        try:
-            return _partition_inter_once(order, n_nodes, node_cap, overrides)
-        except _PlacementFailure as exc:
-            budget -= 1
-            if budget < 0 or not _bump_for_failure(exc, overrides, n_nodes):
-                raise InfeasibleBatch(
-                    f"sequence {exc.sid} cannot be chunked across nodes"
-                ) from None
-
-
-def _partition_inter_once(
-    order: list[tuple[int, int]],
-    n_nodes: int,
-    node_cap: int,
-    overrides: dict[int, int],
-) -> InterNodeAssignment:
     s1 = node_cap
     restarts = 0
     max_restarts = len(order) + 1
@@ -216,15 +167,11 @@ def _partition_inter_once(
         z2 = [(sid, ln) for sid, ln in order if ln >= s1]
         z01 = [(sid, ln) for sid, ln in order if ln < s1]
         total_z2 = sum(ln for _, ln in z2)
-        counts: dict[int, tuple[int, int]] = {}
         for sid, ln in z2:
             # ceil(len / s_avg) with s_avg = total_z2 / N, in exact integers
             k0 = max(1, -(-ln * n_nodes // total_z2))
-            k0 = max(k0, overrides.get(sid, 1))
-            placed_k = _place_chunks(sid, ln, k0, buckets, loads, node_cap)
-            if placed_k == 0:
-                raise _PlacementFailure(sid, ln, counts)
-            counts[sid] = (ln, placed_k)
+            if not _place_chunks(sid, ln, k0, buckets, loads, node_cap):
+                raise InfeasibleBatch(f"sequence {sid} cannot be chunked across nodes")
         restart = False
         for sid, ln in z01:
             idx = min(range(n_nodes), key=lambda i: (loads[i], i))
@@ -248,11 +195,11 @@ def _place_chunks(
     buckets: list[NodeBucket],
     loads: list[int],
     node_cap: int,
-) -> int:
+) -> bool:
     """Place one sequence as k contiguous chunks on k distinct buckets, largest
     chunk to the least-loaded fitting bucket. Retries with more chunks when a
     placement does not fit; mutates buckets/loads only on success and returns
-    the chunk count used (0 when nothing fits)."""
+    whether any chunk count fit."""
     n = len(buckets)
     for k in range(min(k_init, n), n + 1):
         sizes = split_even(length, k)
@@ -279,15 +226,11 @@ def _place_chunks(
             if end > start:
                 buckets[idx].chunks.append(NodeChunk(sequence_id=sid, start=start, end=end))
                 loads[idx] += end - start
-        return k
-    return 0
+        return True
+    return False
 
 
-def partition_intra_node(
-    node: NodeBucket,
-    cluster: ClusterSpec,
-    split_overrides: dict[int, int] | None = None,
-) -> IntraNodeAssignment:
+def partition_intra_node(node: NodeBucket, cluster: ClusterSpec) -> IntraNodeAssignment:
     """Spread one node bucket over its P devices.
 
     Inter-node chunks are split evenly across all devices. Among the node's
@@ -295,31 +238,12 @@ def partition_intra_node(
     ceil(len^2/c_avg) equal fragments assigned round-robin (continuing from
     the previous sequence's last device, skipping devices they do not fit);
     shorter ones go whole to the least-loaded device, lowering s0 and
-    restarting on overflow.
+    restarting on overflow. A split sequence that fits no set of devices
+    raises InfeasibleBatch.
     """
-    overrides = dict(split_overrides or {})
     p = cluster.gpus_per_node
     cap = cluster.token_capacity
     own = sorted(node.own, key=lambda t: (-t[1], t[0]))
-    budget = (len(own) + 1) * p
-    while True:
-        try:
-            return _partition_intra_once(node, own, p, cap, overrides)
-        except _PlacementFailure as exc:
-            budget -= 1
-            if budget < 0 or not _bump_for_failure(exc, overrides, p):
-                raise InfeasibleNode(
-                    f"sequence {exc.sid} cannot be split within the node"
-                ) from None
-
-
-def _partition_intra_once(
-    node: NodeBucket,
-    own: list[tuple[int, int]],
-    p: int,
-    cap: int,
-    overrides: dict[int, int],
-) -> IntraNodeAssignment:
     s0 = cap
     restarts = 0
     max_restarts = len(own) + 1
@@ -336,14 +260,11 @@ def _partition_intra_once(
         z0 = [(sid, ln) for sid, ln in own if ln < s0]
         sq_total = sum(ln * ln for _, ln in z1)
         cursor = 0
-        counts: dict[int, tuple[int, int]] = {}
         for sid, ln in z1:
             k0 = max(1, -(-ln * ln * p // sq_total))
-            k0 = max(k0, overrides.get(sid, 1))
-            cursor, used_k = _place_split(sid, ln, k0, cursor, devices, loads, cap)
+            cursor = _place_split(sid, ln, k0, cursor, devices, loads, cap)
             if cursor < 0:
-                raise _PlacementFailure(sid, ln, counts)
-            counts[sid] = (ln, used_k)
+                raise InfeasibleBatch(f"sequence {sid} cannot be split within the node")
         restart = False
         for sid, ln in z0:
             idx = min(range(p), key=lambda i: (loads[i], i))
@@ -357,7 +278,7 @@ def _partition_intra_once(
         if not restart:
             return IntraNodeAssignment(devices=devices, s0=s0, restarts=restarts)
         if restarts > max_restarts:
-            raise InfeasibleNode("device threshold refinement did not converge")
+            raise InfeasibleBatch("device threshold refinement did not converge")
 
 
 def _place_split(
@@ -368,9 +289,9 @@ def _place_split(
     devices: list[list[DeviceEntry]],
     loads: list[int],
     cap: int,
-) -> tuple[int, int]:
-    """Round-robin fragment placement with fit skipping; returns (next cursor,
-    fragment count), or (-1, 0) when the sequence cannot be placed at any k."""
+) -> int:
+    """Round-robin fragment placement with fit skipping; returns the next
+    cursor, or -1 when the sequence cannot be placed at any k."""
     p = len(devices)
     for k in range(min(k_init, p), p + 1):
         sizes = split_even(length, k)
@@ -402,8 +323,8 @@ def _place_split(
             if end > start:
                 devices[dev].append(DeviceEntry(sid, start, end, "split"))
                 loads[dev] += end - start
-        return (chosen[-1] + 1) % p, k
-    return -1, 0
+        return (chosen[-1] + 1) % p
+    return -1
 
 
 def build_plan(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
@@ -411,53 +332,22 @@ def build_plan(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
     layouts, label zones from the resulting placement and validate the plan.
 
     Zigzag re-chunking can shift a rank's token count by a token or two
-    relative to the even-split accounting the levels used, so an over-capacity
-    rank triggers a bounded reconciliation pass that raises the chunk count of
-    the largest split sequence on that rank and retries.
+    relative to the even-split accounting the levels used. When a level
+    cannot place the batch, or a rank ends up over capacity, the batch takes
+    the even zigzag split over one global ring instead; meta
+    "reconcile_attempts" is 1 for such a plan and 0 otherwise.
     """
-    node_overrides: dict[int, int] = {}
-    split_overrides: list[dict[int, int]] = [dict() for _ in range(cluster.num_nodes)]
-    for attempt in range(cluster.num_ranks + 1):
-        inter = partition_inter_node(batch, cluster, node_overrides)
-        intra = []
-        failed_node = None
-        for n, bucket in enumerate(inter.buckets):
-            try:
-                intra.append(partition_intra_node(bucket, cluster, split_overrides[n]))
-            except InfeasibleNode:
-                failed_node = n
-                break
-        if failed_node is not None:
-            # spread one of the node's chunked sequences thinner and redo
-            # the node assignment from the top
-            bucket = inter.buckets[failed_node]
-            counts: dict[int, int] = {}
-            for b in inter.buckets:
-                for chunk in b.chunks:
-                    counts[chunk.sequence_id] = counts.get(chunk.sequence_id, 0) + 1
-            candidates = sorted(
-                ((chunk.tokens, chunk.sequence_id) for chunk in bucket.chunks
-                 if max(counts[chunk.sequence_id], node_overrides.get(chunk.sequence_id, 1)) < cluster.num_nodes),
-                reverse=True,
-            )
-            if not candidates:
-                raise InfeasibleBatch(
-                    f"node {failed_node} cannot spread its bucket over its devices"
-                )
-            sid = candidates[0][1]
-            node_overrides[sid] = max(counts[sid], node_overrides.get(sid, 1)) + 1
-            continue
-        plan = _assemble_plan(batch, cluster, inter, intra, attempt)
-        overloaded = [
-            r for r in range(cluster.num_ranks)
-            if _phase_load_exceeds(plan, r, cluster.token_capacity)
-        ]
-        if not overloaded:
-            validate_plan(plan, batch, cluster)
-            return plan
-        if not _bump_overrides(plan, cluster, overloaded[0], inter, node_overrides, split_overrides):
-            raise InfeasibleBatch("no split sequence available to relieve an over-capacity rank")
-    raise InfeasibleBatch("capacity reconciliation exceeded its retry budget")
+    try:
+        inter = partition_inter_node(batch, cluster)
+        intra = [partition_intra_node(bucket, cluster) for bucket in inter.buckets]
+        plan = _assemble_plan(batch, cluster, inter, intra)
+    except InfeasibleBatch:
+        plan = None
+    if plan is None or first_over_capacity(plan, cluster) is not None:
+        plan = even_zigzag_plan(batch, cluster, "zeppelin")
+        plan.meta = {"s1_restarts": 0, "s0_restarts": [0] * cluster.num_nodes, "reconcile_attempts": 1}
+    validate_plan(plan, batch, cluster)
+    return plan
 
 
 def _phase_load_exceeds(plan: PlacementPlan, rank: int, cap: int) -> bool:
@@ -475,38 +365,91 @@ def first_over_capacity(plan: PlacementPlan, cluster: ClusterSpec) -> int | None
     return None
 
 
-def _bump_overrides(
-    plan: PlacementPlan,
+def plan_from_fragments(
+    strategy: str,
+    batch: SequenceBatch,
     cluster: ClusterSpec,
-    rank: int,
-    inter: InterNodeAssignment,
-    node_overrides: dict[int, int],
-    split_overrides: list[dict[int, int]],
-) -> bool:
-    node = rank // cluster.gpus_per_node
-    chunk_counts: dict[int, int] = {}
-    for bucket in inter.buckets:
-        for chunk in bucket.chunks:
-            chunk_counts[chunk.sequence_id] = chunk_counts.get(chunk.sequence_id, 0) + 1
-    candidates = sorted(
-        ((sum(f.tokens for f in plan.fragments[rank] if f.sequence_id == sid), sid)
-         for sid in {f.sequence_id for f in plan.fragments[rank]}
-         if plan.zone_of[sid] != LOCAL),
-        reverse=True,
+    fragments: list[list[Fragment]],
+    zone_of: dict[int, str],
+    ring_groups: tuple[RingGroup, ...],
+    meta: dict,
+    s1: int = 0,
+    s0_per_node: list[int] | None = None,
+    micro_batch_counts: list[int] | None = None,
+) -> PlacementPlan:
+    """Sort each rank's fragments into execution order and derive the
+    per-rank and per-node token totals of the plan."""
+    for frags in fragments:
+        frags.sort(key=lambda f: (f.micro_batch, f.sequence_id, f.start))
+    node_buckets = []
+    for node in range(cluster.num_nodes):
+        totals: dict[int, int] = {}
+        for rank in cluster.ranks_of_node(node):
+            for frag in fragments[rank]:
+                totals[frag.sequence_id] = totals.get(frag.sequence_id, 0) + frag.tokens
+        node_buckets.append(sorted(totals.items()))
+    return PlacementPlan(
+        strategy=strategy,
+        num_nodes=cluster.num_nodes,
+        gpus_per_node=cluster.gpus_per_node,
+        s1=s1,
+        s0_per_node=[0] * cluster.num_nodes if s0_per_node is None else s0_per_node,
+        zone_of=zone_of,
+        sequence_lengths=batch.lengths,
+        node_buckets=node_buckets,
+        fragments=fragments,
+        ring_groups=ring_groups,
+        tokens_per_rank=[sum(f.tokens for f in frags) for frags in fragments],
+        micro_batch_counts=[1] * cluster.num_ranks if micro_batch_counts is None else micro_batch_counts,
+        meta=meta,
     )
-    for _, sid in candidates:
-        if plan.zone_of[sid] == INTER_NODE or sid in chunk_counts:
-            current = max(chunk_counts.get(sid, 1), node_overrides.get(sid, 1))
-            if current < cluster.num_nodes:
-                node_overrides[sid] = current + 1
-                return True
+
+
+def lay_out_global_ring(
+    sequences: list[tuple[int, int]],
+    cluster: ClusterSpec,
+) -> tuple[list[list[Fragment]], dict[int, str], tuple[RingGroup, ...]]:
+    """Zigzag-split each (sequence_id, length), in order, over all ranks,
+    leftover tokens to the lightest ranks. Returns the per-rank fragments,
+    each sequence's zone, read from the ranks it landed on, and the one
+    global ring that carries them all."""
+    n_ranks = cluster.num_ranks
+    fragments: list[list[Fragment]] = [[] for _ in range(n_ranks)]
+    running = [0] * n_ranks
+    zone_of: dict[int, str] = {}
+    ring_seqs: list[RingSequence] = []
+    for sid, length in sequences:
+        if n_ranks > 1:
+            ranges = ranges_from_sizes(balanced_zigzag_sizes(length, n_ranks, running))
         else:
-            spans = len({f.rank for fr in plan.fragments for f in fr if f.sequence_id == sid})
-            current = max(spans, split_overrides[node].get(sid, 1))
-            if current < cluster.gpus_per_node:
-                split_overrides[node][sid] = current + 1
-                return True
-    return False
+            ranges = [[(0, length)]]
+        held = set()
+        for position, pos_ranges in enumerate(ranges):
+            for start, end in pos_ranges:
+                fragments[position].append(Fragment(sid, start, end, position))
+                running[position] += end - start
+                held.add(position)
+        nodes = {cluster.node_of(r) for r in held}
+        zone_of[sid] = INTER_NODE if len(nodes) >= 2 else INTRA_NODE if len(held) >= 2 else LOCAL
+        if n_ranks > 1:
+            # every sequence's KV rides the global ring, even the ones whose
+            # queries fit on a single rank: that is the even split's overhead
+            ring_seqs.append(RingSequence(sequence_id=sid, ranges_by_position=tuple(tuple(r) for r in ranges)))
+    if not ring_seqs:
+        return fragments, zone_of, ()
+    kind = INTER_NODE if cluster.num_nodes > 1 else INTRA_NODE
+    return fragments, zone_of, (RingGroup(kind=kind, members=tuple(range(n_ranks)), sequences=tuple(ring_seqs)),)
+
+
+def even_zigzag_plan(batch: SequenceBatch, cluster: ClusterSpec, strategy: str) -> PlacementPlan:
+    """Every sequence zigzag-split over all ranks on one global ring. Each
+    rank's load stays within one token of total/R, so the plan fits exactly
+    when the batch total fits the cluster."""
+    cap = cluster.num_ranks * cluster.token_capacity
+    if batch.total_tokens > cap:
+        raise InfeasibleBatch(f"batch of {batch.total_tokens} tokens exceeds cluster capacity {cap}")
+    fragments, zone_of, rings = lay_out_global_ring(sorted(batch.sequences), cluster)
+    return plan_from_fragments(strategy, batch, cluster, fragments, zone_of, rings, meta={})
 
 
 def _assemble_plan(
@@ -514,7 +457,6 @@ def _assemble_plan(
     cluster: ClusterSpec,
     inter: InterNodeAssignment,
     intra: list[IntraNodeAssignment],
-    attempt: int,
 ) -> PlacementPlan:
     lengths = batch.lengths
     p = cluster.gpus_per_node
@@ -572,34 +514,15 @@ def _assemble_plan(
         RingGroup(kind=kind, members=members, sequences=tuple(sorted(seqs, key=lambda s: s.sequence_id)))
         for (kind, members), seqs in sorted(ring_map.items())
     )
-    for rank_frags in fragments:
-        rank_frags.sort(key=lambda f: (f.micro_batch, f.sequence_id, f.start))
-    tokens_per_rank = [sum(f.tokens for f in frs) for frs in fragments]
-    node_buckets = [
-        sorted(
-            {sid: sum(f.tokens for r in cluster.ranks_of_node(n) for f in fragments[r] if f.sequence_id == sid)
-             for sid in {f.sequence_id for r in cluster.ranks_of_node(n) for f in fragments[r]}}.items()
-        )
-        for n in range(cluster.num_nodes)
-    ]
-    return PlacementPlan(
-        strategy="zeppelin",
-        num_nodes=cluster.num_nodes,
-        gpus_per_node=p,
-        s1=inter.s1,
-        s0_per_node=[a.s0 for a in intra],
-        zone_of=zone_of,
-        sequence_lengths=dict(lengths),
-        node_buckets=node_buckets,
-        fragments=fragments,
-        ring_groups=rings,
-        tokens_per_rank=tokens_per_rank,
-        micro_batch_counts=[1] * cluster.num_ranks,
+    return plan_from_fragments(
+        "zeppelin", batch, cluster, fragments, zone_of, rings,
         meta={
             "s1_restarts": inter.restarts,
             "s0_restarts": [a.restarts for a in intra],
-            "reconcile_attempts": attempt,
+            "reconcile_attempts": 0,
         },
+        s1=inter.s1,
+        s0_per_node=[a.s0 for a in intra],
     )
 
 
@@ -653,11 +576,13 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
     if plan.total_tokens() != batch.total_tokens:
         raise PlanValidationError("token conservation violated")
     per_seq: dict[int, list[tuple[int, int]]] = {sid: [] for sid in lengths}
+    ranks_of: dict[int, set[int]] = {sid: set() for sid in lengths}
     for rank, frags in enumerate(plan.fragments):
         for frag in frags:
             if frag.rank != rank:
                 raise PlanValidationError("fragment filed under the wrong rank")
             per_seq[frag.sequence_id].append((frag.start, frag.end))
+            ranks_of[frag.sequence_id].add(rank)
     for sid, ranges in per_seq.items():
         ranges.sort()
         pos = 0
@@ -671,7 +596,7 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
         if _phase_load_exceeds(plan, rank, cluster.token_capacity):
             raise PlanValidationError(f"rank {rank} exceeds token capacity")
     for sid, zone in plan.zone_of.items():
-        ranks = {f.rank for frs in plan.fragments for f in frs if f.sequence_id == sid}
+        ranks = ranks_of.get(sid, set())
         nodes = {cluster.node_of(r) for r in ranks}
         if zone == LOCAL and len(ranks) != 1:
             raise PlanValidationError(f"local sequence {sid} spans {len(ranks)} ranks")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import ring_pair_totals_bruteforce, ring_round_pairs_bruteforce, visible_pairs_bruteforce
 from varlenplan import attention_engine as ae
+from varlenplan.baselines import STRATEGIES, plan_with
 from varlenplan.partitioner import build_plan
 from varlenplan.topology import ClusterSpec, cluster_a
 from varlenplan.workload import SequenceBatch
@@ -134,6 +135,9 @@ def test_fused_intra_ring_balances_two_sequences():
 
 
 def test_ring_work_conservation_random_plans():
+    # te_cp's global ring carries a one-token sequence whose tokens sit on a
+    # single rank; its pairs must be counted once
+    cases = [(_tiny_cluster(), SequenceBatch(((0, 1), (1, 40))))]
     cluster, _ = cluster_a()
     rng = random.Random(3)
     for _ in range(5):
@@ -141,16 +145,19 @@ def test_ring_work_conservation_random_plans():
         batch = SequenceBatch(tuple(enumerate(lengths)))
         if batch.total_tokens > cluster.num_ranks * cluster.token_capacity:
             continue
-        plan = build_plan(batch, cluster)
-        schedule = ae.build_schedule(plan)
-        ring_pairs = sum(
-            rr.compute_pairs
-            for rs in schedule.rings()
-            for pos_rounds in rs.rounds
-            for rr in pos_rounds
-        )
-        local_pairs = sum(t.compute_pairs for t in schedule.local_tasks)
-        assert ring_pairs + local_pairs == sum(ae.causal_pairs(ln) for ln in lengths)
+        cases.append((cluster, batch))
+    for cluster, batch in cases:
+        for strategy in STRATEGIES:
+            schedule = ae.build_schedule(plan_with(strategy, batch, cluster))
+            ring_pairs = sum(
+                rr.compute_pairs
+                for rs in schedule.rings()
+                for pos_rounds in rs.rounds
+                for rr in pos_rounds
+            )
+            local_pairs = sum(t.compute_pairs for t in schedule.local_tasks)
+            expected = sum(ae.causal_pairs(ln) for _, ln in batch.sequences)
+            assert ring_pairs + local_pairs == expected, (strategy, batch.sequences)
 
 
 def test_ring_per_rank_totals_equal_for_exact_split():

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import check_plan
 from varlenplan import partitioner as pt
+from varlenplan.baselines import plan_te_cp
 from varlenplan.topology import ClusterSpec, cluster_a
 from varlenplan.workload import SequenceBatch, preset, sample_batch
 
@@ -158,6 +161,7 @@ class TestBuildPlan:
         assert check_plan(plan, batch.lengths, cluster) == []
         assert plan.zone_of[0] == "inter_node"
         assert plan.s1 == 20
+        assert plan.meta["reconcile_attempts"] == 0
         ring = next(r for r in plan.ring_groups if r.kind == "inter_node")
         assert ring.members == (0, 1, 2, 3)
 
@@ -223,3 +227,66 @@ class TestBuildPlan:
         cluster = make_cluster()
         with pytest.raises(pt.InfeasibleBatch):
             pt.build_plan(SequenceBatch(((0, 30), (1, 30))), cluster)
+
+
+@st.composite
+def small_clusters_and_batches(draw):
+    """1-4 nodes of 1-8 GPUs with small capacities, and a batch cut at
+    random into 1-8 sequences whose total fills the cluster up to 100%, or
+    one token past it; about half the draws fill it to within 3 tokens, where the
+    greedy levels run out of room."""
+    cluster = make_cluster(n=draw(st.integers(1, 4)), p=draw(st.integers(1, 8)), cap=draw(st.integers(1, 16)))
+    room = cluster.num_ranks * cluster.token_capacity
+    total = draw(st.integers(max(room - 3, 1), room + 1) | st.integers(1, room + 1))
+    cuts = draw(st.lists(st.integers(1, max(total - 1, 1)), max_size=min(7, total - 1), unique=True))
+    bounds = [0, *sorted(cuts), total]
+    return cluster, SequenceBatch(tuple(enumerate(b - a for a, b in zip(bounds, bounds[1:]))))
+
+
+class TestEvenSplitFallback:
+    def test_batch_the_greedy_levels_cannot_place(self):
+        # node 1's bucket does not spread over its devices; the even split puts 8 tokens on each rank
+        cluster = ClusterSpec(num_nodes=2, gpus_per_node=2, token_capacity=8,
+                              inv_bw_intra=0.5, inv_bw_inter=1.0)
+        batch = SequenceBatch(tuple(enumerate((6, 6, 9, 11))))
+        plan = pt.build_plan(batch, cluster)
+        assert check_plan(plan, batch.lengths, cluster) == []
+        assert plan.meta["reconcile_attempts"] == 1
+        assert plan.tokens_per_rank == [8, 8, 8, 8]
+        assert plan.strategy == "zeppelin"
+
+    @settings(max_examples=300)
+    @given(small_clusters_and_batches())
+    def test_feasible_exactly_when_te_cp_is(self, case):
+        cluster, batch = case
+        try:
+            plan_te_cp(batch, cluster)
+            te_cp_places = True
+        except pt.InfeasibleBatch:
+            te_cp_places = False
+        if not te_cp_places:
+            with pytest.raises(pt.InfeasibleBatch):
+                pt.build_plan(batch, cluster)
+            return
+        plan = pt.build_plan(batch, cluster)
+        assert check_plan(plan, batch.lengths, cluster) == []
+
+    def test_validation_error_in_a_level_is_not_swallowed(self, monkeypatch):
+        def broken(node, cluster):
+            raise pt.PlanValidationError("bug guard")
+
+        monkeypatch.setattr(pt, "partition_intra_node", broken)
+        with pytest.raises(pt.PlanValidationError, match="bug guard"):
+            pt.build_plan(SequenceBatch(((0, 24), (1, 6))), make_cluster())
+
+    def test_invalid_greedy_plan_raises_instead_of_falling_back(self, monkeypatch):
+        assemble = pt._assemble_plan
+
+        def mislabelled(*args):
+            plan = assemble(*args)
+            plan.zone_of[1] = "inter_node"  # sequence 1 sits whole on one rank
+            return plan
+
+        monkeypatch.setattr(pt, "_assemble_plan", mislabelled)
+        with pytest.raises(pt.PlanValidationError, match="inter-node sequence 1"):
+            pt.build_plan(SequenceBatch(((0, 24), (1, 6))), make_cluster())
