@@ -6,8 +6,10 @@ it, and truncates the final draw so the batch hits the requested token total
 exactly.
 """
 
+import numpy as np
+
 from varlenplan import preset, sample_batch
-from varlenplan.workload import PRESET_NAMES, bin_frequencies
+from varlenplan.workload import BIN_EDGES, PRESET_NAMES
 
 for name in PRESET_NAMES:
     dist = preset(name)
@@ -27,7 +29,9 @@ for name in PRESET_NAMES:
 print("\nempirical vs nominal bin mass over one large arxiv batch:")
 dist = preset("arxiv")
 big = sample_batch(dist, 16_000_000, seed=1)
-freqs = bin_frequencies(dist, [ln for _, ln in big.sequences])
+# bin i holds BIN_EDGES[i] <= length < BIN_EDGES[i + 1]
+bins = np.searchsorted(BIN_EDGES, [ln for _, ln in big.sequences], side="right") - 1
+freqs = np.bincount(bins, minlength=len(dist.bins)) / len(big)
 for (lo, hi, p), f in zip(dist.bins, freqs):
     if p > 0 or f > 0:
         print(f"  [{lo:>6}, {hi:>6})  nominal {p:6.3f}  sampled {f:6.3f}")

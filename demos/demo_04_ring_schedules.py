@@ -23,17 +23,18 @@ ring = schedule.inter_rings[0]
 g = ring.ring.group_size
 
 print(f"\nsingle 64k sequence -> one {ring.ring.kind} ring of {g} ranks, {g} rounds")
-print(f"KV tokens sent per rank per round: {ring.rounds[0][0].comm_tokens}")
+# in round r, position i computes against and sends on the KV of position (i - r) mod g
+print(f"KV tokens sent per rank per round: {ring.kv_sizes[0]}")
 
-totals = [sum(rr.compute_pairs for rr in ring.rounds[pos]) for pos in range(g)]
+totals = ring.pairs.sum(axis=1).tolist()
 print(f"per-rank visible-pair totals: {sorted(set(totals))} "
       f"({'exactly equal' if len(set(totals)) == 1 else 'spread'})")
 print(f"sum over ranks = {sum(totals)} = n(n+1)/2 = {causal_pairs(65536)}")
 
 print("\nround-by-round pairs for ring position 0 (varying: different KV sets):")
 for r in range(0, g, 4):
-    rr = ring.rounds[0][r]
-    print(f"  round {r:>2}: {rr.compute_pairs:>11} pairs, send {rr.comm_tokens} KV tokens")
+    src = -r % g
+    print(f"  round {r:>2}: {ring.pairs[0, src]:>11} pairs, send {ring.kv_sizes[src]} KV tokens")
 
 # a mixed batch exercises all three queues
 mixed = SequenceBatch(((0, 70000), (1, 9000), (2, 9000), (3, 600), (4, 500)))

@@ -7,7 +7,6 @@ and communication in KV tokens; no tensor math happens here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,23 +56,6 @@ def zigzag_chunks(seq_len: int, group_size: int) -> list[tuple[int, int]]:
 def zigzag_positions(group_size: int) -> list[tuple[int, int]]:
     """Chunk indices (i, 2G-1-i) held by each ring position i."""
     return [(i, 2 * group_size - 1 - i) for i in range(group_size)]
-
-
-def zigzag_ranges_by_position(seq_len: int, group_size: int) -> list[list[tuple[int, int]]]:
-    """Per-position token ranges under zigzag chunking.
-
-    Unlike zigzag_chunks this tolerates seq_len < 2*G by emitting empty tail
-    chunks, which plan construction relies on for short ring members; empty
-    ranges are dropped from the result.
-    """
-    chunks = contiguous_ranges(split_even(seq_len, 2 * group_size))
-    out: list[list[tuple[int, int]]] = []
-    for i, j in zigzag_positions(group_size):
-        ranges = [chunks[i]]
-        if j != i:
-            ranges.append(chunks[j])
-        out.append([(a, b) for a, b in ranges if b > a])
-    return out
 
 
 def balanced_zigzag_sizes(seq_len: int, group_size: int, position_loads: list[int]) -> list[int]:
@@ -188,18 +170,6 @@ class RingGroup:
         return sum(self.kv_tokens(p) for p in range(self.group_size))
 
 
-@dataclass(frozen=True)
-class RingRound:
-    """One member's work in one ring round: pairs computed against the KV set
-    currently held, and the tokens of that KV set sent onward to the next
-    member when the round completes."""
-
-    position: int
-    round_index: int
-    compute_pairs: int
-    comm_tokens: int
-
-
 @dataclass(frozen=True, eq=False)
 class RingSchedule:
     """A ring's work as matrices: in round r, position i computes against
@@ -217,20 +187,6 @@ class RingSchedule:
     @property
     def num_rounds(self) -> int:
         return self.ring.group_size
-
-    @cached_property
-    def rounds(self) -> tuple[tuple[RingRound, ...], ...]:
-        """rounds[position][round_index], built on first access."""
-        g = self.ring.group_size
-        pairs = self.pairs.tolist()
-        return tuple(
-            tuple(
-                RingRound(position=i, round_index=r, compute_pairs=pairs[i][(i - r) % g],
-                          comm_tokens=self.kv_sizes[(i - r) % g])
-                for r in range(g)
-            )
-            for i in range(g)
-        )
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,11 @@ from __future__ import annotations
 import sys
 
 from . import partitioner
-from .attention_engine import LOCAL
 from .partitioner import (
     Fragment,
     InfeasibleBatch,
     PlacementPlan,
     even_zigzag_plan,
-    first_over_capacity,
     lay_out_global_ring,
     plan_from_fragments,
     validate_plan,
@@ -44,23 +42,19 @@ def plan_with(strategy: str, batch: SequenceBatch, cluster: ClusterSpec) -> Plac
     return getattr(module, name)(batch, cluster)
 
 
-def _validate(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
-    over = first_over_capacity(plan, cluster)
-    if over is not None:
-        raise InfeasibleBatch(f"rank {over} exceeds token capacity under the even split")
-    validate_plan(plan, batch, cluster)
-    return plan
-
-
 def plan_te_cp(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
     """Even split with balanced ring attention over one global ring."""
-    return _validate(even_zigzag_plan(batch, cluster, "te_cp"), batch, cluster)
+    plan = even_zigzag_plan(batch, cluster, "te_cp")
+    validate_plan(plan, batch, cluster)
+    return plan
 
 
 def plan_llama_cp(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
     """Even split where KV is all-gathered before attention: communication is
     charged on the critical path (no overlap), compute is fully parallel."""
-    return _validate(even_zigzag_plan(batch, cluster, "llama_cp"), batch, cluster)
+    plan = even_zigzag_plan(batch, cluster, "llama_cp")
+    validate_plan(plan, batch, cluster)
+    return plan
 
 
 def plan_hybrid_dp(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
@@ -80,7 +74,7 @@ def plan_hybrid_dp(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
     if sum(ln for _, ln in cp_seqs) > n_ranks * cap:
         raise InfeasibleBatch("ring-phase sequences exceed the cluster's token capacity")
 
-    fragments, zone_of, rings = lay_out_global_ring(cp_seqs, cluster)
+    fragments, rings = lay_out_global_ring(cp_seqs, cluster)
 
     # LPT on squared length balances the quadratic attention work
     sq_loads = [0] * n_ranks
@@ -89,7 +83,6 @@ def plan_hybrid_dp(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
         idx = min(range(n_ranks), key=lambda i: (sq_loads[i], i))
         sq_loads[idx] += length * length
         per_rank_dp[idx].append((sid, length))
-    micro_batch_counts = [1] * n_ranks
     for rank, seqs in enumerate(per_rank_dp):
         mb = 1
         mb_tokens = 0
@@ -99,12 +92,10 @@ def plan_hybrid_dp(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
                 mb_tokens = 0
             mb_tokens += length
             fragments[rank].append(Fragment(sid, 0, length, rank, micro_batch=mb))
-            zone_of[sid] = LOCAL
-        micro_batch_counts[rank] = mb
 
     plan = plan_from_fragments(
-        "hybrid_dp", batch, cluster, fragments, zone_of, rings,
+        "hybrid_dp", batch, cluster, fragments, rings,
         meta={"cp_sequences": [sid for sid, _ in cp_seqs]},
-        micro_batch_counts=micro_batch_counts,
     )
-    return _validate(plan, batch, cluster)
+    validate_plan(plan, batch, cluster)
+    return plan

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .attention_engine import (
     INTER_NODE,
@@ -113,18 +114,19 @@ class IntraNodeAssignment:
 
 @dataclass
 class PlacementPlan:
+    """What a planner decided: where each fragment lands and which rings
+    carry them. Zones, per-node buckets, per-rank token totals and
+    micro-batch counts follow from the fragments; they are derived on first
+    read and cached, so a plan's fragments must not change once it is built."""
+
     strategy: str
     num_nodes: int
     gpus_per_node: int
     s1: int
     s0_per_node: list[int]
-    zone_of: dict[int, str]
     sequence_lengths: dict[int, int]
-    node_buckets: list[list[tuple[int, int]]]  # per node: (sequence_id, tokens)
     fragments: list[list[Fragment]]  # per rank, the device buckets
     ring_groups: tuple[RingGroup, ...]
-    tokens_per_rank: list[int]
-    micro_batch_counts: list[int]
     meta: dict
 
     @property
@@ -133,6 +135,40 @@ class PlacementPlan:
 
     def total_tokens(self) -> int:
         return sum(self.tokens_per_rank)
+
+    @cached_property
+    def tokens_per_rank(self) -> list[int]:
+        return [sum(f.tokens for f in frags) for frags in self.fragments]
+
+    @cached_property
+    def micro_batch_counts(self) -> list[int]:
+        """Per rank, its largest micro-batch index, and at least 1."""
+        return [max([1, *(f.micro_batch for f in frags)]) for frags in self.fragments]
+
+    @cached_property
+    def zone_of(self) -> dict[int, str]:
+        """Each placed sequence's zone: inter-node when its fragments span two
+        or more nodes, intra-node when they span two or more ranks of one
+        node, local otherwise."""
+        ranks_of: dict[int, set[int]] = {}
+        for rank, frags in enumerate(self.fragments):
+            for frag in frags:
+                ranks_of.setdefault(frag.sequence_id, set()).add(rank)
+        p = self.gpus_per_node
+        return {
+            sid: INTER_NODE if len({r // p for r in ranks}) >= 2 else INTRA_NODE if len(ranks) >= 2 else LOCAL
+            for sid, ranks in ranks_of.items()
+        }
+
+    @cached_property
+    def node_buckets(self) -> list[list[tuple[int, int]]]:
+        """Per node, the (sequence_id, tokens) its ranks hold, by sequence id."""
+        totals: list[dict[int, int]] = [{} for _ in range(self.num_nodes)]
+        for rank, frags in enumerate(self.fragments):
+            node = totals[rank // self.gpus_per_node]
+            for frag in frags:
+                node[frag.sequence_id] = node.get(frag.sequence_id, 0) + frag.tokens
+        return [sorted(node.items()) for node in totals]
 
 
 def _sorted_desc(batch: SequenceBatch) -> list[tuple[int, int]]:
@@ -329,7 +365,7 @@ def _place_split(
 
 def build_plan(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
     """Run both partitioning levels, form ring groups with zigzag chunk
-    layouts, label zones from the resulting placement and validate the plan.
+    layouts and validate the plan.
 
     Zigzag re-chunking can shift a rank's token count by a token or two
     relative to the even-split accounting the levels used. When a level
@@ -342,27 +378,10 @@ def build_plan(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
         intra = [partition_intra_node(bucket, cluster) for bucket in inter.buckets]
         plan = _assemble_plan(batch, cluster, inter, intra)
     except InfeasibleBatch:
-        plan = None
-    if plan is None or first_over_capacity(plan, cluster) is not None:
         plan = even_zigzag_plan(batch, cluster, "zeppelin")
         plan.meta = {"s1_restarts": 0, "s0_restarts": [0] * cluster.num_nodes, "reconcile_attempts": 1}
     validate_plan(plan, batch, cluster)
     return plan
-
-
-def _phase_load_exceeds(plan: PlacementPlan, rank: int, cap: int) -> bool:
-    per_mb: dict[int, int] = {}
-    for frag in plan.fragments[rank]:
-        per_mb[frag.micro_batch] = per_mb.get(frag.micro_batch, 0) + frag.tokens
-    return any(v > cap for v in per_mb.values())
-
-
-def first_over_capacity(plan: PlacementPlan, cluster: ClusterSpec) -> int | None:
-    """Lowest rank whose token load (per micro-batch) exceeds capacity, if any."""
-    for rank in range(plan.num_ranks):
-        if _phase_load_exceeds(plan, rank, cluster.token_capacity):
-            return rank
-    return None
 
 
 def plan_from_fragments(
@@ -370,37 +389,23 @@ def plan_from_fragments(
     batch: SequenceBatch,
     cluster: ClusterSpec,
     fragments: list[list[Fragment]],
-    zone_of: dict[int, str],
     ring_groups: tuple[RingGroup, ...],
     meta: dict,
     s1: int = 0,
     s0_per_node: list[int] | None = None,
-    micro_batch_counts: list[int] | None = None,
 ) -> PlacementPlan:
-    """Sort each rank's fragments into execution order and derive the
-    per-rank and per-node token totals of the plan."""
+    """Sort each rank's fragments into execution order and wrap them in a plan."""
     for frags in fragments:
         frags.sort(key=lambda f: (f.micro_batch, f.sequence_id, f.start))
-    node_buckets = []
-    for node in range(cluster.num_nodes):
-        totals: dict[int, int] = {}
-        for rank in cluster.ranks_of_node(node):
-            for frag in fragments[rank]:
-                totals[frag.sequence_id] = totals.get(frag.sequence_id, 0) + frag.tokens
-        node_buckets.append(sorted(totals.items()))
     return PlacementPlan(
         strategy=strategy,
         num_nodes=cluster.num_nodes,
         gpus_per_node=cluster.gpus_per_node,
         s1=s1,
         s0_per_node=[0] * cluster.num_nodes if s0_per_node is None else s0_per_node,
-        zone_of=zone_of,
         sequence_lengths=batch.lengths,
-        node_buckets=node_buckets,
         fragments=fragments,
         ring_groups=ring_groups,
-        tokens_per_rank=[sum(f.tokens for f in frags) for frags in fragments],
-        micro_batch_counts=[1] * cluster.num_ranks if micro_batch_counts is None else micro_batch_counts,
         meta=meta,
     )
 
@@ -408,37 +413,31 @@ def plan_from_fragments(
 def lay_out_global_ring(
     sequences: list[tuple[int, int]],
     cluster: ClusterSpec,
-) -> tuple[list[list[Fragment]], dict[int, str], tuple[RingGroup, ...]]:
+) -> tuple[list[list[Fragment]], tuple[RingGroup, ...]]:
     """Zigzag-split each (sequence_id, length), in order, over all ranks,
-    leftover tokens to the lightest ranks. Returns the per-rank fragments,
-    each sequence's zone, read from the ranks it landed on, and the one
-    global ring that carries them all."""
+    leftover tokens to the lightest ranks. Returns the per-rank fragments and
+    the one global ring that carries them all."""
     n_ranks = cluster.num_ranks
     fragments: list[list[Fragment]] = [[] for _ in range(n_ranks)]
     running = [0] * n_ranks
-    zone_of: dict[int, str] = {}
     ring_seqs: list[RingSequence] = []
     for sid, length in sequences:
         if n_ranks > 1:
             ranges = ranges_from_sizes(balanced_zigzag_sizes(length, n_ranks, running))
         else:
             ranges = [[(0, length)]]
-        held = set()
         for position, pos_ranges in enumerate(ranges):
             for start, end in pos_ranges:
                 fragments[position].append(Fragment(sid, start, end, position))
                 running[position] += end - start
-                held.add(position)
-        nodes = {cluster.node_of(r) for r in held}
-        zone_of[sid] = INTER_NODE if len(nodes) >= 2 else INTRA_NODE if len(held) >= 2 else LOCAL
         if n_ranks > 1:
             # every sequence's KV rides the global ring, even the ones whose
             # queries fit on a single rank: that is the even split's overhead
             ring_seqs.append(RingSequence(sequence_id=sid, ranges_by_position=tuple(tuple(r) for r in ranges)))
     if not ring_seqs:
-        return fragments, zone_of, ()
+        return fragments, ()
     kind = INTER_NODE if cluster.num_nodes > 1 else INTRA_NODE
-    return fragments, zone_of, (RingGroup(kind=kind, members=tuple(range(n_ranks)), sequences=tuple(ring_seqs)),)
+    return fragments, (RingGroup(kind=kind, members=tuple(range(n_ranks)), sequences=tuple(ring_seqs)),)
 
 
 def even_zigzag_plan(batch: SequenceBatch, cluster: ClusterSpec, strategy: str) -> PlacementPlan:
@@ -448,8 +447,8 @@ def even_zigzag_plan(batch: SequenceBatch, cluster: ClusterSpec, strategy: str) 
     cap = cluster.num_ranks * cluster.token_capacity
     if batch.total_tokens > cap:
         raise InfeasibleBatch(f"batch of {batch.total_tokens} tokens exceeds cluster capacity {cap}")
-    fragments, zone_of, rings = lay_out_global_ring(sorted(batch.sequences), cluster)
-    return plan_from_fragments(strategy, batch, cluster, fragments, zone_of, rings, meta={})
+    fragments, rings = lay_out_global_ring(sorted(batch.sequences), cluster)
+    return plan_from_fragments(strategy, batch, cluster, fragments, rings, meta={})
 
 
 def _assemble_plan(
@@ -460,7 +459,6 @@ def _assemble_plan(
 ) -> PlacementPlan:
     lengths = batch.lengths
     p = cluster.gpus_per_node
-    zone_of: dict[int, str] = {}
     fragments: list[list[Fragment]] = [[] for _ in range(cluster.num_ranks)]
 
     chunk_nodes: dict[int, list[int]] = {}
@@ -481,7 +479,6 @@ def _assemble_plan(
             ring_jobs.append((INTRA_NODE, tuple(cluster.ranks_of_node(spanned[0])), sid, length))
         else:
             rank = spanned[0] * p
-            zone_of[sid] = LOCAL
             fragments[rank].append(Fragment(sid, 0, length, rank))
 
     for n, assignment in enumerate(intra):
@@ -489,7 +486,7 @@ def _assemble_plan(
         for dev, entries in enumerate(assignment.devices):
             for entry in entries:
                 if entry.kind == "chunk_part":
-                    continue  # covered by the ring/zone handling above
+                    continue  # covered by the chunk handling above
                 by_seq.setdefault(entry.sequence_id, []).append(dev)
         for sid, devs in sorted(by_seq.items()):
             length = lengths[sid]
@@ -498,7 +495,6 @@ def _assemble_plan(
                 ring_jobs.append((INTRA_NODE, tuple(n * p + d for d in devs), sid, length))
             else:
                 rank = n * p + devs[0]
-                zone_of[sid] = LOCAL
                 fragments[rank].append(Fragment(sid, 0, length, rank))
 
     running = [sum(f.tokens for f in frags) for frags in fragments]
@@ -508,14 +504,16 @@ def _assemble_plan(
     # anywhere and so plug the remaining gaps best
     ring_jobs.sort(key=lambda job: (len(job[1]), job[1], job[2]))
     for kind, members, sid, length in ring_jobs:
-        _add_ring_sequence(ring_map, kind, members, sid, length, zone_of, fragments, running, p)
+        _add_ring_sequence(ring_map, kind, members, sid, length, fragments, running, p)
+    if max(running) > cluster.token_capacity:
+        raise InfeasibleBatch("zigzag re-chunking leaves a rank over capacity")
 
     rings = tuple(
         RingGroup(kind=kind, members=members, sequences=tuple(sorted(seqs, key=lambda s: s.sequence_id)))
         for (kind, members), seqs in sorted(ring_map.items())
     )
     return plan_from_fragments(
-        "zeppelin", batch, cluster, fragments, zone_of, rings,
+        "zeppelin", batch, cluster, fragments, rings,
         meta={
             "s1_restarts": inter.restarts,
             "s0_restarts": [a.restarts for a in intra],
@@ -532,7 +530,6 @@ def _add_ring_sequence(
     members: tuple[int, ...],
     sid: int,
     length: int,
-    zone_of: dict[int, str],
     fragments: list[list[Fragment]],
     running: list[int],
     gpus_per_node: int,
@@ -545,7 +542,6 @@ def _add_ring_sequence(
     if len(spanned_ranks) < 2:
         # too short to actually occupy several ranks: keep it local
         rank = members[spanned[0]] if spanned else members[0]
-        zone_of[sid] = LOCAL
         fragments[rank].append(Fragment(sid, 0, length, rank))
         running[rank] += length
         return
@@ -554,10 +550,8 @@ def _add_ring_sequence(
         # too short to genuinely cross nodes: run it on a node-local ring
         node = spanned_nodes.pop()
         node_members = tuple(r for r in members if r // gpus_per_node == node)
-        _add_ring_sequence(ring_map, INTRA_NODE, node_members, sid, length,
-                           zone_of, fragments, running, gpus_per_node)
+        _add_ring_sequence(ring_map, INTRA_NODE, node_members, sid, length, fragments, running, gpus_per_node)
         return
-    zone_of[sid] = INTER_NODE if kind == INTER_NODE else INTRA_NODE
     ring_map.setdefault((kind, members), []).append(
         RingSequence(sequence_id=sid, ranges_by_position=tuple(tuple(r) for r in ranges))
     )
@@ -569,20 +563,24 @@ def _add_ring_sequence(
 
 def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpec) -> None:
     """Internal invariant guard: token conservation, disjoint full coverage of
-    every sequence, per-phase capacity, and placement-consistent zone labels."""
+    every sequence, per-phase capacity, and ring kinds that match the nodes
+    their members sit on. Zones need no check: they are read off placement."""
     lengths = batch.lengths
     if set(plan.sequence_lengths) != set(lengths):
         raise PlanValidationError("plan covers a different sequence id set than the batch")
     if plan.total_tokens() != batch.total_tokens:
         raise PlanValidationError("token conservation violated")
+    cap = cluster.token_capacity
     per_seq: dict[int, list[tuple[int, int]]] = {sid: [] for sid in lengths}
-    ranks_of: dict[int, set[int]] = {sid: set() for sid in lengths}
     for rank, frags in enumerate(plan.fragments):
+        per_mb: dict[int, int] = {}
         for frag in frags:
             if frag.rank != rank:
                 raise PlanValidationError("fragment filed under the wrong rank")
             per_seq[frag.sequence_id].append((frag.start, frag.end))
-            ranks_of[frag.sequence_id].add(rank)
+            per_mb[frag.micro_batch] = per_mb.get(frag.micro_batch, 0) + frag.tokens
+        if any(v > cap for v in per_mb.values()):
+            raise PlanValidationError(f"rank {rank} exceeds token capacity")
     for sid, ranges in per_seq.items():
         ranges.sort()
         pos = 0
@@ -592,18 +590,6 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
             pos = end
         if pos != lengths[sid]:
             raise PlanValidationError(f"sequence {sid} fragments do not cover its length")
-    for rank in range(plan.num_ranks):
-        if _phase_load_exceeds(plan, rank, cluster.token_capacity):
-            raise PlanValidationError(f"rank {rank} exceeds token capacity")
-    for sid, zone in plan.zone_of.items():
-        ranks = ranks_of.get(sid, set())
-        nodes = {cluster.node_of(r) for r in ranks}
-        if zone == LOCAL and len(ranks) != 1:
-            raise PlanValidationError(f"local sequence {sid} spans {len(ranks)} ranks")
-        if zone == INTRA_NODE and (len(nodes) != 1 or len(ranks) < 2):
-            raise PlanValidationError(f"intra-node sequence {sid} has a bad span")
-        if zone == INTER_NODE and len(nodes) < 2:
-            raise PlanValidationError(f"inter-node sequence {sid} stays within one node")
     for ring in plan.ring_groups:
         nodes = {cluster.node_of(r) for r in ring.members}
         if ring.kind == INTER_NODE and len(nodes) < 2:
@@ -672,17 +658,24 @@ def plan_from_json(text: str) -> PlacementPlan:
             gpus_per_node=payload["gpus_per_node"],
             s1=payload["s1"],
             s0_per_node=list(payload["s0_per_node"]),
-            zone_of={int(k): v for k, v in payload["zones"].items()},
             sequence_lengths={int(k): v for k, v in payload["sequence_lengths"].items()},
-            node_buckets=[[(sid, tok) for sid, tok in bucket] for bucket in payload["node_buckets"]],
             fragments=fragments,
             ring_groups=rings,
-            tokens_per_rank=[sum(f.tokens for f in frags) for frags in fragments],
-            micro_batch_counts=list(payload["micro_batch_counts"]),
             meta=dict(payload.get("meta", {})),
         )
+        if len(fragments) != plan.num_ranks:
+            raise ValueError(f"plan file lists {len(fragments)} ranks for {plan.num_ranks} in its topology")
+        # written for readers of the file; the plan derives them from its fragments
+        stored = {
+            "zones": ({int(k): v for k, v in payload["zones"].items()}, plan.zone_of),
+            "node_buckets": ([[tuple(e) for e in bucket] for bucket in payload["node_buckets"]], plan.node_buckets),
+            "micro_batch_counts": (list(payload["micro_batch_counts"]), plan.micro_batch_counts),
+        }
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed plan file: missing or invalid key ({exc})") from exc
+    for key, (value, derived) in stored.items():
+        if value != derived:
+            raise ValueError(f"plan file's {key} disagree with its fragments")
     return plan
 
 

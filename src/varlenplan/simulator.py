@@ -519,9 +519,9 @@ def export_trace(timeline: Timeline, path: str) -> None:
             "args": {k: v for k, v in sorted(event.payload.items())},
         })
     payload = {"displayTimeUnit": "ms", "traceEvents": records}
+    # one dumps call takes json's C encoder, which json.dump never uses
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 CSV_HEADER = (

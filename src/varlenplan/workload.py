@@ -116,18 +116,6 @@ def sample_batch(dist: LengthDistribution, target_total: int, seed: int) -> Sequ
     return SequenceBatch(tuple(sequences))
 
 
-def bin_frequencies(dist: LengthDistribution, lengths: list[int]) -> list[float]:
-    """Fraction of the given lengths that falls into each bin of dist."""
-    counts = [0] * len(dist.bins)
-    for length in lengths:
-        for i, (lo, hi, _) in enumerate(dist.bins):
-            if lo <= length < hi:
-                counts[i] += 1
-                break
-    n = max(len(lengths), 1)
-    return [c / n for c in counts]
-
-
 def save_batch(path: str, batch: SequenceBatch) -> None:
     payload = [{"id": sid, "len": length} for sid, length in batch.sequences]
     with open(path, "w", encoding="utf-8") as fh:

@@ -269,8 +269,10 @@ def _reference_route(engine, cluster, route, t, ring_idx, r) -> float:
 
 
 def _reference_rings(engine, plan, cluster, coeffs) -> list[float]:
-    """Every ring round leg by leg from the schedule's `rounds` view, with a
-    route built for each cross-node send of a zeppelin inter-node ring."""
+    """Every ring round leg by leg from the schedule's pair matrix (in round
+    r, position i computes against and sends on the KV of position
+    (i - r) mod G), with a route built for each cross-node send of a
+    zeppelin inter-node ring."""
     schedule = build_schedule(plan)
     ready = [0.0] * cluster.num_ranks
     for ring_idx, ring_sched in enumerate(schedule.rings()):
@@ -278,18 +280,19 @@ def _reference_rings(engine, plan, cluster, coeffs) -> list[float]:
         g = ring.group_size
         routed = plan.strategy == "zeppelin" and ring.kind == INTER_NODE
         t = max(ready[m] for m in ring.members)
+        pairs = ring_sched.pairs.tolist()
         for r in range(g):
             round_end = t
             for pos, member in enumerate(ring.members):
-                rr = ring_sched.rounds[pos][r]
-                if rr.compute_pairs > 0:
-                    dur = coeffs.attn_quadratic * rr.compute_pairs
+                compute_pairs = pairs[pos][(pos - r) % g]
+                if compute_pairs > 0:
+                    dur = coeffs.attn_quadratic * compute_pairs
                     end = engine.emit(member, COMPUTE, t, dur, f"{ring.kind}.attn",
-                                      {"ring": ring_idx, "round": r, "pairs": rr.compute_pairs})
+                                      {"ring": ring_idx, "round": r, "pairs": compute_pairs})
                     round_end = max(round_end, end)
             routed_legs = []
             for pos, member in enumerate(ring.members):
-                n = ring_sched.rounds[pos][r].comm_tokens
+                n = ring_sched.kv_sizes[(pos - r) % g]
                 if n == 0:
                     continue
                 dst = ring.members[(pos + 1) % g]

@@ -20,7 +20,7 @@ from oracles import (
     ring_pair_totals_bruteforce,
 )
 from varlenplan import cli, remapping, routing, simulator
-from varlenplan.attention_engine import causal_pairs, zigzag_ranges_by_position
+from varlenplan.attention_engine import causal_pairs, ranges_from_sizes, split_even
 from varlenplan.baselines import plan_te_cp
 from varlenplan.partitioner import build_plan
 from varlenplan.topology import ClusterSpec, CostCoefficients, cluster_a, direct_transfer_time
@@ -93,7 +93,7 @@ def test_criterion_04_zigzag_balance_against_enumeration():
             s = 2 * g * rng.randint(1, max(1, 512 // (2 * g)))
         else:
             s = rng.randint(2 * g, 512)
-        totals = ring_pair_totals_bruteforce(s, zigzag_ranges_by_position(s, g))
+        totals = ring_pair_totals_bruteforce(s, ranges_from_sizes(split_even(s, 2 * g)))
         assert sum(totals) == causal_pairs(s)
         if s % (2 * g) == 0:
             assert len(set(totals)) == 1, (s, g, totals)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ def test_zigzag_two_rank_example():
     chunks = ae.zigzag_chunks(8, 2)
     assert chunks == [(0, 2), (2, 4), (4, 6), (6, 8)]
     assert ae.zigzag_positions(2) == [(0, 3), (1, 2)]
-    ranges = ae.zigzag_ranges_by_position(8, 2)
+    ranges = ae.ranges_from_sizes(ae.split_even(8, 4))
     assert ranges[0] == [(0, 2), (6, 8)]
     assert ranges[1] == [(2, 4), (4, 6)]
     # pair totals against a full context: 3 + 15 and 7 + 11
@@ -35,7 +36,7 @@ def test_zigzag_two_rank_example():
 
 
 def test_zigzag_degenerate_single_rank():
-    ranges = ae.zigzag_ranges_by_position(10, 1)
+    ranges = ae.ranges_from_sizes(ae.split_even(10, 2))
     assert ranges == [[(0, 5), (5, 10)]]
 
 
@@ -46,7 +47,7 @@ def test_zigzag_rejects_short_sequences():
 
 
 def test_zigzag_balance_when_divisible():
-    ranges = ae.zigzag_ranges_by_position(4096, 8)
+    ranges = ae.ranges_from_sizes(ae.split_even(4096, 16))
     totals = ring_pair_totals_bruteforce(4096, ranges)
     assert len(set(totals)) == 1
 
@@ -56,7 +57,7 @@ def test_zigzag_balance_bound_when_not_divisible():
     for _ in range(50):
         g = rng.randint(2, 8)
         s = rng.randint(2 * g, 512)
-        ranges = ae.zigzag_ranges_by_position(s, g)
+        ranges = ae.ranges_from_sizes(ae.split_even(s, 2 * g))
         totals = ring_pair_totals_bruteforce(s, ranges)
         if s % (2 * g) == 0:
             assert len(set(totals)) == 1
@@ -114,9 +115,7 @@ def test_single_long_sequence_ring_structure():
     rs = schedule.inter_rings[0]
     assert rs.ring.group_size == 16
     assert rs.num_rounds == 16
-    for pos in range(16):
-        for r in range(16):
-            assert rs.rounds[pos][r].comm_tokens == 65536 // 16
+    assert rs.kv_sizes == (65536 // 16,) * 16
 
 
 def test_fused_intra_ring_balances_two_sequences():
@@ -125,13 +124,12 @@ def test_fused_intra_ring_balances_two_sequences():
         members=(0, 1),
         sequences=tuple(
             ae.RingSequence(sequence_id=sid,
-                            ranges_by_position=tuple(tuple(r) for r in ae.zigzag_ranges_by_position(8, 2)))
+                            ranges_by_position=tuple(tuple(r) for r in ae.ranges_from_sizes(ae.split_even(8, 4))))
             for sid in (0, 1)
         ),
     )
     sched = ae._ring_schedule(ring)
-    totals = [sum(rr.compute_pairs for rr in sched.rounds[pos]) for pos in range(2)]
-    assert totals[0] == totals[1] == 2 * 18
+    assert sched.pairs.sum(axis=1).tolist() == [2 * 18, 2 * 18]
 
 
 def test_ring_work_conservation_random_plans():
@@ -149,12 +147,7 @@ def test_ring_work_conservation_random_plans():
     for cluster, batch in cases:
         for strategy in STRATEGIES:
             schedule = ae.build_schedule(plan_with(strategy, batch, cluster))
-            ring_pairs = sum(
-                rr.compute_pairs
-                for rs in schedule.rings()
-                for pos_rounds in rs.rounds
-                for rr in pos_rounds
-            )
+            ring_pairs = sum(int(rs.pairs.sum()) for rs in schedule.rings())
             local_pairs = sum(t.compute_pairs for t in schedule.local_tasks)
             expected = sum(ae.causal_pairs(ln) for _, ln in batch.sequences)
             assert ring_pairs + local_pairs == expected, (strategy, batch.sequences)
@@ -165,8 +158,7 @@ def test_ring_per_rank_totals_equal_for_exact_split():
     plan = build_plan(SequenceBatch(((0, 65536),)), cluster)
     schedule = ae.build_schedule(plan)
     rs = schedule.inter_rings[0]
-    totals = {sum(rr.compute_pairs for rr in rs.rounds[pos]) for pos in range(rs.ring.group_size)}
-    assert len(totals) == 1
+    assert len(set(rs.pairs.sum(axis=1).tolist())) == 1
 
 
 @st.composite
@@ -191,10 +183,9 @@ def rings(draw):
 @given(rings())
 def test_ring_rounds_match_token_enumeration(ring):
     sched = ae._ring_schedule(ring)
-    got = [[(rr.compute_pairs, rr.comm_tokens) for rr in row] for row in sched.rounds]
+    g = ring.group_size
+    # in round r, position i computes against and sends on the KV of position (i - r) mod g
+    got = [[(int(sched.pairs[i, (i - r) % g]), sched.kv_sizes[(i - r) % g]) for r in range(g)] for i in range(g)]
     assert got == ring_round_pairs_bruteforce(ring)
-    for i, row in enumerate(sched.rounds):
-        for r, rr in enumerate(row):
-            assert (rr.position, rr.round_index) == (i, r)
-            assert type(rr.compute_pairs) is int
-            assert type(rr.comm_tokens) is int
+    assert sched.pairs.dtype == np.int64 and not sched.pairs.flags.writeable
+    assert all(type(n) is int for n in sched.kv_sizes)

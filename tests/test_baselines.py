@@ -34,10 +34,9 @@ class TestTeCp:
         ring_sched = schedule.rings()[0]
         g = ring_sched.ring.group_size
         assert g == 16
-        for pos in range(g):
-            for r in range(g):
-                tokens = ring_sched.rounds[pos][r].comm_tokens
-                assert abs(tokens - 65536 // 16) <= len(batch)
+        # each round sends every position's resident KV one hop on, so kv_sizes are the round volumes
+        for tokens in ring_sched.kv_sizes:
+            assert abs(tokens - 65536 // 16) <= len(batch)
 
     def test_every_sequence_rides_the_ring(self):
         cluster, _ = cluster_a()

@@ -45,6 +45,19 @@ def test_plan_and_simulate_round_trip(tmp_path, batch_file):
     assert lines[1].startswith("zeppelin,")
 
 
+def test_simulate_rejects_a_plan_file_with_an_edited_zone(tmp_path, batch_file, capsys):
+    plan_path = tmp_path / "plan.json"
+    assert run(["plan", "--config", "cluster_a", "--batch", batch_file,
+                "--strategy", "zeppelin", "--out", str(plan_path)]) == 0
+    payload = json.loads(plan_path.read_text())
+    sid, zone = next(iter(payload["zones"].items()))
+    payload["zones"][sid] = "inter_node" if zone != "inter_node" else "local"
+    plan_path.write_text(json.dumps(payload))
+    rc = run(["simulate", "--config", "cluster_a", "--plan", str(plan_path)])
+    assert rc == 2
+    assert "zones disagree with its fragments" in capsys.readouterr().err
+
+
 def test_simulate_report_speedup_matches_compare(tmp_path, batch_file):
     rows = {}
     for strategy in ("zeppelin", "te_cp"):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -223,6 +224,32 @@ class TestBuildPlan:
         assert loaded.zone_of == plan.zone_of
         assert loaded.tokens_per_rank == plan.tokens_per_rank
 
+    def test_plan_from_json_rejects_fields_that_disagree_with_fragments(self):
+        cluster, _ = cluster_a()
+        batch = SequenceBatch(((0, 40000), (1, 512), (2, 3000)))
+        text = pt.plan_to_json(pt.build_plan(batch, cluster))
+        payload = json.loads(text)
+        assert payload["zones"]["1"] == "local"
+        edits = {
+            "zones": lambda p: p["zones"].update({"1": "inter_node"}),
+            "node_buckets": lambda p: p["node_buckets"][0].pop(),
+            "micro_batch_counts": lambda p: p.update(micro_batch_counts=[2] * 16),
+        }
+        for key, edit in edits.items():
+            edited = json.loads(text)
+            edit(edited)
+            with pytest.raises(ValueError, match=f"plan file's {key} disagree with its fragments"):
+                pt.plan_from_json(json.dumps(edited))
+        extra_rank = json.loads(text)
+        extra_rank["ranks"].append([])
+        with pytest.raises(ValueError, match="lists 17 ranks for 16"):
+            pt.plan_from_json(json.dumps(extra_rank))
+        for key in edits:
+            missing = json.loads(text)
+            del missing[key]
+            with pytest.raises(ValueError, match="malformed plan file"):
+                pt.plan_from_json(json.dumps(missing))
+
     def test_infeasible_total_raises(self):
         cluster = make_cluster()
         with pytest.raises(pt.InfeasibleBatch):
@@ -282,11 +309,14 @@ class TestEvenSplitFallback:
     def test_invalid_greedy_plan_raises_instead_of_falling_back(self, monkeypatch):
         assemble = pt._assemble_plan
 
-        def mislabelled(*args):
+        def dropping(*args):
             plan = assemble(*args)
-            plan.zone_of[1] = "inter_node"  # sequence 1 sits whole on one rank
+            rank = next(r for r, frags in enumerate(plan.fragments) if frags)
+            plan.fragments[rank].pop()  # lose one fragment's tokens
             return plan
 
-        monkeypatch.setattr(pt, "_assemble_plan", mislabelled)
-        with pytest.raises(pt.PlanValidationError, match="inter-node sequence 1"):
+        monkeypatch.setattr(pt, "_assemble_plan", dropping)
+        # the even split would place this batch and validate, so the error
+        # also shows that the batch did not fall back
+        with pytest.raises(pt.PlanValidationError, match="token conservation"):
             pt.build_plan(SequenceBatch(((0, 24), (1, 6))), make_cluster())

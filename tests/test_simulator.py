@@ -295,17 +295,15 @@ def test_simulate_matches_scalar_reference(case):
         assert_matches_reference(plan, cluster, coeffs)
 
 
-def hand_built_plan(strategy, cluster, rings, fragments, zone_of):
+def hand_built_plan(strategy, cluster, rings, fragments):
     """A plan as a stored JSON file may carry it, never validated."""
     lengths = {}
     for frag in (f for frags in fragments for f in frags):
         lengths[frag.sequence_id] = max(lengths.get(frag.sequence_id, 0), frag.end)
     return PlacementPlan(
         strategy=strategy, num_nodes=cluster.num_nodes, gpus_per_node=cluster.gpus_per_node, s1=0,
-        s0_per_node=[0] * cluster.num_nodes, zone_of=zone_of, sequence_lengths=lengths,
-        node_buckets=[[] for _ in range(cluster.num_nodes)], fragments=fragments, ring_groups=rings,
-        tokens_per_rank=[sum(f.end - f.start for f in frags) for frags in fragments],
-        micro_batch_counts=[1] * cluster.num_ranks, meta={},
+        s0_per_node=[0] * cluster.num_nodes, sequence_lengths=lengths, fragments=fragments,
+        ring_groups=rings, meta={},
     )
 
 
@@ -329,7 +327,7 @@ def test_late_lane_matches_scalar_reference(later_kind):
         [Fragment(0, 100, 300, 2)],
         [Fragment(1, 20, 40, 3)],
     ]
-    plan = hand_built_plan("zeppelin", cluster, rings, fragments, {0: INTER_NODE, 1: later_kind})
+    plan = hand_built_plan("zeppelin", cluster, rings, fragments)
     events = assert_matches_reference(plan, cluster, coeffs)
     lane = [e for e in events if e.rank == 1 and e.stream == "inter-comm"]
     proxy_tail = max(e.end for e in lane if e.payload["ring"] == 0)
@@ -348,7 +346,7 @@ def test_shared_nic_busy_time_adds_in_event_order():
     ranges = ranges_from_sizes([7, 11, 13, 17, 19, 23, 29, 31])
     ring = RingGroup(INTER_NODE, members, (RingSequence(0, tuple(map(tuple, ranges))),))
     fragments = [[Fragment(0, s, e, rank) for s, e in ranges[members.index(rank)]] for rank in range(4)]
-    plan = hand_built_plan("te_cp", cluster, (ring,), fragments, {0: INTER_NODE})
+    plan = hand_built_plan("te_cp", cluster, (ring,), fragments)
     events = assert_matches_reference(plan, cluster, coeffs)
     assert {e.rank for e in events if e.stream == "inter-comm"} == {0, 1, 2, 3}
 

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from varlenplan.workload import (
+    BIN_EDGES,
     LengthDistribution,
     SequenceBatch,
-    bin_frequencies,
     load_batch,
     preset,
     sample_batch,
@@ -64,7 +65,9 @@ def test_bin_frequencies_converge_to_preset():
     batch = sample_batch(dist, 16_000_000, seed=7)
     lengths = [ln for _, ln in batch.sequences]
     assert len(lengths) >= 1000
-    freqs = bin_frequencies(dist, lengths)
+    # bin i holds BIN_EDGES[i] <= length < BIN_EDGES[i + 1]
+    bins = np.searchsorted(BIN_EDGES, lengths, side="right") - 1
+    freqs = np.bincount(bins, minlength=len(dist.bins)) / len(lengths)
     for (lo, hi, p), f in zip(dist.bins, freqs):
         assert abs(f - p) <= 0.05, f"bin [{lo},{hi}) frequency {f} vs mass {p}"
 
