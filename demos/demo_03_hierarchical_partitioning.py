@@ -36,8 +36,7 @@ print(f"  spread: min {min(plan.tokens_per_rank)}, max {max(plan.tokens_per_rank
 
 print("\nring groups:")
 for ring in plan.ring_groups:
-    seqs = [s.sequence_id for s in ring.sequences]
-    print(f"  {ring.kind:<10} over ranks {ring.members}: sequences {seqs}")
+    print(f"  {ring.kind:<10} over ranks {ring.members}: sequences {list(ring.sequence_ids)}")
 
 print("\nfragments on rank 0:")
 for frag in plan.fragments[0]:

@@ -3,7 +3,6 @@
 from .attention_engine import (
     AttentionSchedule,
     RingGroup,
-    RingSequence,
     build_schedule,
     causal_pairs,
     split_even,

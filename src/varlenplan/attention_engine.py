@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .partitioner import PlacementPlan
+    from .partitioner import Fragment, PlacementPlan
 
 INTER_NODE = "inter_node"
 INTRA_NODE = "intra_node"
@@ -129,45 +129,40 @@ def causal_pairs(seq_len: int) -> int:
 
 
 @dataclass(frozen=True)
-class RingSequence:
-    """One sequence's token layout over a ring: ranges_by_position[i] holds
-    the (start, end) ranges resident at ring position i."""
-
-    sequence_id: int
-    ranges_by_position: tuple[tuple[tuple[int, int], ...], ...]
-
-    def tokens_at(self, position: int) -> int:
-        return sum(e - s for s, e in self.ranges_by_position[position])
-
-
-@dataclass(frozen=True)
 class RingGroup:
-    """A KV-rotation group: ordered member ranks plus the sequences whose
-    chunks travel the ring. Inter-node rings span >= 2 nodes, intra-node
-    rings stay within one."""
+    """A KV-rotation group: ordered member ranks plus the ids of the
+    sequences whose KV travels the ring. Position i holds those sequences'
+    micro-batch-0 fragments on rank members[i] (`ring_ranges`). Inter-node
+    rings span >= 2 nodes, intra-node rings stay within one."""
 
     kind: str
     members: tuple[int, ...]
-    sequences: tuple[RingSequence, ...]
+    sequence_ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.kind not in (INTER_NODE, INTRA_NODE):
             raise ValueError(f"bad ring kind {self.kind!r}")
         if len(self.members) < 2:
             raise ValueError("a ring needs at least 2 members")
-        for seq in self.sequences:
-            if len(seq.ranges_by_position) != len(self.members):
-                raise ValueError("sequence chunk map does not match ring size")
 
     @property
     def group_size(self) -> int:
         return len(self.members)
 
-    def kv_tokens(self, position: int) -> int:
-        return sum(seq.tokens_at(position) for seq in self.sequences)
 
-    def total_tokens(self) -> int:
-        return sum(self.kv_tokens(p) for p in range(self.group_size))
+def ring_ranges(ring: RingGroup, fragments: "list[list[Fragment]]") -> list[list[list[tuple[int, int]]]]:
+    """The ring's layout read off per-rank fragments: for each of
+    ring.sequence_ids in order, per ring position i, the (start, end) ranges
+    of that sequence's micro-batch-0 fragments on rank members[i], in the
+    rank's fragment order."""
+    index = {sid: k for k, sid in enumerate(ring.sequence_ids)}
+    layout: list[list[list[tuple[int, int]]]] = [[[] for _ in ring.members] for _ in ring.sequence_ids]
+    for position, rank in enumerate(ring.members):
+        for frag in fragments[rank]:
+            k = index.get(frag.sequence_id)
+            if k is not None and frag.micro_batch == 0:
+                layout[k][position].append((frag.start, frag.end))
+    return layout
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,28 +204,31 @@ class AttentionSchedule:
         return self.inter_rings + self.intra_rings
 
 
-def _ring_pair_matrix(ring: RingGroup) -> np.ndarray:
+def _ring_pair_matrix(layout: list[list[list[tuple[int, int]]]], g: int) -> np.ndarray:
     """M[i, j]: causal pairs between the queries held at ring position i and
     the KV resident at position j, summed over the ring's sequences. Each
     sequence is one (n x n) block over its n ranges, added into M by the
     positions holding them."""
-    g = ring.group_size
     matrix = np.zeros((g, g), dtype=np.int64)
-    for seq in ring.sequences:
-        pos = [p for p, ranges in enumerate(seq.ranges_by_position) for _ in ranges]
+    for by_position in layout:
+        pos = [p for p, ranges in enumerate(by_position) for _ in ranges]
         if not pos:
             continue
-        bounds = np.array([r for ranges in seq.ranges_by_position for r in ranges], dtype=np.int64)
+        bounds = np.array([r for ranges in by_position for r in ranges], dtype=np.int64)
         start, end = bounds[:, 0], bounds[:, 1]
         block = visible_pair_counts(start[:, None], end[:, None], start, end)
         np.add.at(matrix, np.ix_(pos, pos), block)
     return matrix
 
 
-def _ring_schedule(ring: RingGroup) -> RingSchedule:
-    pairs = _ring_pair_matrix(ring)
+def _ring_schedule(ring: RingGroup, fragments: "list[list[Fragment]]") -> RingSchedule:
+    layout = ring_ranges(ring, fragments)
+    pairs = _ring_pair_matrix(layout, ring.group_size)
     pairs.setflags(write=False)
-    kv_sizes = tuple(ring.kv_tokens(p) for p in range(ring.group_size))
+    kv_sizes = tuple(
+        sum(end - start for by_position in layout for start, end in by_position[p])
+        for p in range(ring.group_size)
+    )
     return RingSchedule(ring=ring, pairs=pairs, kv_sizes=kv_sizes)
 
 
@@ -242,14 +240,14 @@ def build_schedule(plan: "PlacementPlan") -> AttentionSchedule:
     inter = []
     intra = []
     for ring in plan.ring_groups:
-        sched = _ring_schedule(ring)
+        sched = _ring_schedule(ring, plan.fragments)
         if ring.kind == INTER_NODE:
             inter.append(sched)
         else:
             intra.append(sched)
     # a sequence a ring carries is computed in its rounds, even when all of
     # its tokens sit on one rank (a one-token sequence on te_cp's global ring)
-    ringed = {seq.sequence_id for ring in plan.ring_groups for seq in ring.sequences}
+    ringed = {sid for ring in plan.ring_groups for sid in ring.sequence_ids}
     local = []
     for rank, frags in enumerate(plan.fragments):
         for frag in frags:

@@ -1,7 +1,7 @@
 """Command-line entry point: sample, plan, simulate, compare.
 
-Exit codes: 0 success, 2 usage or config-value error, 3 infeasible batch,
-4 I/O failure (missing or unreadable files).
+Exit codes: 0 success, 2 usage, config-value or invalid-plan error,
+3 infeasible batch, 4 I/O failure (missing or unreadable files).
 """
 
 from __future__ import annotations
@@ -84,8 +84,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cluster, coeffs = topology.resolve_cluster(args.config)
     plan = partitioner.load_plan(args.plan)
+    batch = partitioner.batch_from_plan(plan)
+    simulator.check_topology(plan, cluster)
+    partitioner.validate_plan(plan, batch, cluster)
     timeline, report = simulator.simulate(plan, cluster, coeffs)
-    simulator.set_speedups([report], partitioner.batch_from_plan(plan), cluster, coeffs)
+    simulator.set_speedups([report], batch, cluster, coeffs)
     if args.trace:
         simulator.export_trace(timeline, args.trace)
     if args.report:
@@ -137,6 +140,9 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return EXIT_IO
+    except partitioner.PlanValidationError as exc:
+        print(f"error: invalid plan: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (topology.ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,10 +25,10 @@ from .attention_engine import (
     INTRA_NODE,
     LOCAL,
     RingGroup,
-    RingSequence,
     balanced_zigzag_sizes,
     contiguous_ranges,
     ranges_from_sizes,
+    ring_ranges,
     split_even,
 )
 from .topology import ClusterSpec
@@ -418,26 +418,21 @@ def lay_out_global_ring(
     leftover tokens to the lightest ranks. Returns the per-rank fragments and
     the one global ring that carries them all."""
     n_ranks = cluster.num_ranks
+    if n_ranks == 1:
+        return [[Fragment(sid, 0, length, 0) for sid, length in sequences]], ()
     fragments: list[list[Fragment]] = [[] for _ in range(n_ranks)]
     running = [0] * n_ranks
-    ring_seqs: list[RingSequence] = []
     for sid, length in sequences:
-        if n_ranks > 1:
-            ranges = ranges_from_sizes(balanced_zigzag_sizes(length, n_ranks, running))
-        else:
-            ranges = [[(0, length)]]
-        for position, pos_ranges in enumerate(ranges):
+        for position, pos_ranges in enumerate(ranges_from_sizes(balanced_zigzag_sizes(length, n_ranks, running))):
             for start, end in pos_ranges:
                 fragments[position].append(Fragment(sid, start, end, position))
                 running[position] += end - start
-        if n_ranks > 1:
-            # every sequence's KV rides the global ring, even the ones whose
-            # queries fit on a single rank: that is the even split's overhead
-            ring_seqs.append(RingSequence(sequence_id=sid, ranges_by_position=tuple(tuple(r) for r in ranges)))
-    if not ring_seqs:
+    if not sequences:
         return fragments, ()
+    # every sequence's KV rides the global ring, even the ones whose queries
+    # fit on a single rank: that is the even split's overhead
     kind = INTER_NODE if cluster.num_nodes > 1 else INTRA_NODE
-    return fragments, (RingGroup(kind=kind, members=tuple(range(n_ranks)), sequences=tuple(ring_seqs)),)
+    return fragments, (RingGroup(kind, tuple(range(n_ranks)), tuple(sid for sid, _ in sequences)),)
 
 
 def even_zigzag_plan(batch: SequenceBatch, cluster: ClusterSpec, strategy: str) -> PlacementPlan:
@@ -498,7 +493,7 @@ def _assemble_plan(
                 fragments[rank].append(Fragment(sid, 0, length, rank))
 
     running = [sum(f.tokens for f in frags) for frags in fragments]
-    ring_map: dict[tuple[str, tuple[int, ...]], list[RingSequence]] = {}
+    ring_map: dict[tuple[str, tuple[int, ...]], list[int]] = {}
     # lay out the narrowest rings first: sequences confined to few ranks have
     # the least placement freedom, while wide rings spread within +/- 1 token
     # anywhere and so plug the remaining gaps best
@@ -508,10 +503,7 @@ def _assemble_plan(
     if max(running) > cluster.token_capacity:
         raise InfeasibleBatch("zigzag re-chunking leaves a rank over capacity")
 
-    rings = tuple(
-        RingGroup(kind=kind, members=members, sequences=tuple(sorted(seqs, key=lambda s: s.sequence_id)))
-        for (kind, members), seqs in sorted(ring_map.items())
-    )
+    rings = tuple(RingGroup(kind, members, tuple(sorted(sids))) for (kind, members), sids in sorted(ring_map.items()))
     return plan_from_fragments(
         "zeppelin", batch, cluster, fragments, rings,
         meta={
@@ -552,9 +544,7 @@ def _add_ring_sequence(
         node_members = tuple(r for r in members if r // gpus_per_node == node)
         _add_ring_sequence(ring_map, INTRA_NODE, node_members, sid, length, fragments, running, gpus_per_node)
         return
-    ring_map.setdefault((kind, members), []).append(
-        RingSequence(sequence_id=sid, ranges_by_position=tuple(tuple(r) for r in ranges))
-    )
+    ring_map.setdefault((kind, members), []).append(sid)
     for position, rank in enumerate(members):
         for start, end in ranges[position]:
             fragments[rank].append(Fragment(sid, start, end, rank))
@@ -563,13 +553,32 @@ def _add_ring_sequence(
 
 def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpec) -> None:
     """Internal invariant guard: token conservation, disjoint full coverage of
-    every sequence, per-phase capacity, and ring kinds that match the nodes
-    their members sit on. Zones need no check: they are read off placement."""
+    every sequence, per-phase capacity, ring kinds that match the nodes their
+    members sit on, and the layout `ring_ranges` reads: each ringed sequence
+    rides one ring of distinct ranks, with every fragment at micro-batch 0 on
+    a member, and every other sequence is one fragment. Zones need no check:
+    they are read off placement."""
     lengths = batch.lengths
     if set(plan.sequence_lengths) != set(lengths):
         raise PlanValidationError("plan covers a different sequence id set than the batch")
     if plan.total_tokens() != batch.total_tokens:
         raise PlanValidationError("token conservation violated")
+    members_of: dict[int, set[int]] = {}
+    for ring in plan.ring_groups:
+        members = set(ring.members)
+        if len(members) != ring.group_size or min(members) < 0 or max(members) >= plan.num_ranks:
+            raise PlanValidationError("ring members are not distinct ranks of the plan")
+        nodes = {r // cluster.gpus_per_node for r in members}
+        if ring.kind == INTER_NODE and len(nodes) < 2:
+            raise PlanValidationError("inter-node ring does not span nodes")
+        if ring.kind == INTRA_NODE and len(nodes) != 1:
+            raise PlanValidationError("intra-node ring crosses nodes")
+        for sid in ring.sequence_ids:
+            if sid not in lengths:
+                raise PlanValidationError(f"a ring carries sequence {sid}, which the batch lacks")
+            if sid in members_of:
+                raise PlanValidationError(f"sequence {sid} rides two rings")
+            members_of[sid] = members
     cap = cluster.token_capacity
     per_seq: dict[int, list[tuple[int, int]]] = {sid: [] for sid in lengths}
     for rank, frags in enumerate(plan.fragments):
@@ -577,8 +586,15 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
         for frag in frags:
             if frag.rank != rank:
                 raise PlanValidationError("fragment filed under the wrong rank")
-            per_seq[frag.sequence_id].append((frag.start, frag.end))
-            per_mb[frag.micro_batch] = per_mb.get(frag.micro_batch, 0) + frag.tokens
+            sid, mb = frag.sequence_id, frag.micro_batch
+            members = members_of.get(sid)
+            if members is not None and (mb or rank not in members):
+                raise PlanValidationError(f"sequence {sid} has a fragment off its ring's micro-batch 0")
+            try:
+                per_seq[sid].append((frag.start, frag.end))
+            except KeyError:
+                raise PlanValidationError(f"a fragment holds sequence {sid}, which the batch lacks") from None
+            per_mb[mb] = per_mb.get(mb, 0) + frag.end - frag.start
         if any(v > cap for v in per_mb.values()):
             raise PlanValidationError(f"rank {rank} exceeds token capacity")
     for sid, ranges in per_seq.items():
@@ -590,12 +606,9 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
             pos = end
         if pos != lengths[sid]:
             raise PlanValidationError(f"sequence {sid} fragments do not cover its length")
-    for ring in plan.ring_groups:
-        nodes = {cluster.node_of(r) for r in ring.members}
-        if ring.kind == INTER_NODE and len(nodes) < 2:
-            raise PlanValidationError("inter-node ring does not span nodes")
-        if ring.kind == INTRA_NODE and len(nodes) != 1:
-            raise PlanValidationError("intra-node ring crosses nodes")
+        if len(ranges) > 1 and sid not in members_of:
+            # local kernels compute each fragment alone
+            raise PlanValidationError(f"sequence {sid} is split but rides no ring")
 
 
 def plan_to_json(plan: PlacementPlan) -> str:
@@ -617,10 +630,10 @@ def plan_to_json(plan: PlacementPlan) -> str:
             {
                 "kind": ring.kind,
                 "members": list(ring.members),
+                # written for readers of the file; the plan reads them off its fragments
                 "sequences": [
-                    {"sequence_id": seq.sequence_id,
-                     "ranges": [[list(r) for r in pos] for pos in seq.ranges_by_position]}
-                    for seq in ring.sequences
+                    {"sequence_id": sid, "ranges": [[list(r) for r in pos] for pos in by_position]}
+                    for sid, by_position in zip(ring.sequence_ids, ring_ranges(ring, plan.fragments))
                 ],
             }
             for ring in plan.ring_groups
@@ -639,17 +652,7 @@ def plan_from_json(text: str) -> PlacementPlan:
             for rank, frags in enumerate(payload["ranks"])
         ]
         rings = tuple(
-            RingGroup(
-                kind=r["kind"],
-                members=tuple(r["members"]),
-                sequences=tuple(
-                    RingSequence(
-                        sequence_id=s["sequence_id"],
-                        ranges_by_position=tuple(tuple(tuple(rr) for rr in pos) for pos in s["ranges"]),
-                    )
-                    for s in r["sequences"]
-                ),
-            )
+            RingGroup(r["kind"], tuple(r["members"]), tuple(s["sequence_id"] for s in r["sequences"]))
             for r in payload["rings"]
         )
         plan = PlacementPlan(
@@ -670,8 +673,13 @@ def plan_from_json(text: str) -> PlacementPlan:
             "zones": ({int(k): v for k, v in payload["zones"].items()}, plan.zone_of),
             "node_buckets": ([[tuple(e) for e in bucket] for bucket in payload["node_buckets"]], plan.node_buckets),
             "micro_batch_counts": (list(payload["micro_batch_counts"]), plan.micro_batch_counts),
+            "ring ranges": (
+                [[[[tuple(x) for x in pos] for pos in s["ranges"]] for s in ring["sequences"]]
+                 for ring in payload["rings"]],
+                [ring_ranges(ring, fragments) for ring in rings],
+            ),
         }
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed plan file: missing or invalid key ({exc})") from exc
     for key, (value, derived) in stored.items():
         if value != derived:

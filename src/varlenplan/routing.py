@@ -72,29 +72,22 @@ def select_proxies(
     ring: RingGroup,
     source_rank: int,
     dest_rank: int,
-    available: dict[int, int] | None = None,
 ) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     """Pick send/receive proxy ranks for one cross-node ring transfer.
 
-    The send proxy count is the minimum of the GPUs available on the source
-    and destination nodes (the receive count likewise, so the two match and
-    proxies pair one-to-one). Ring members on a node proxy first; ranks busy
-    with local or intra-node sequences serve as the remaining proxies. The
-    `available` map caps the usable GPU count per node.
+    Every GPU of the source node proxies the send and every GPU of the
+    destination node the receive, so x1 = x2 = gpus_per_node and proxies
+    pair one-to-one. Each endpoint comes first, then its node's other ring
+    members, then ranks busy with local or intra-node sequences.
     """
     src_node = cluster.node_of(source_rank)
     dst_node = cluster.node_of(dest_rank)
     if src_node == dst_node:
         raise ValueError("proxy selection applies to cross-node transfers only")
     p = cluster.gpus_per_node
-    avail = available or {}
-    avail_src = min(avail.get(src_node, p), p)
-    avail_dst = min(avail.get(dst_node, p), p)
-    x1 = max(1, min(avail_src, avail_dst))
-    x2 = max(1, min(avail_dst, avail_src))
-    send_proxies = _proxy_order(cluster, ring, src_node, source_rank)[:x1]
-    recv_proxies = _proxy_order(cluster, ring, dst_node, dest_rank)[:x2]
-    return x1, x2, tuple(send_proxies), tuple(recv_proxies)
+    send_proxies = _proxy_order(cluster, ring, src_node, source_rank)
+    recv_proxies = _proxy_order(cluster, ring, dst_node, dest_rank)
+    return p, p, tuple(send_proxies), tuple(recv_proxies)
 
 
 def _proxy_order(cluster: ClusterSpec, ring: RingGroup, node: int, endpoint: int) -> list[int]:
@@ -112,7 +105,6 @@ def build_route(
     source_rank: int,
     dest_rank: int,
     tokens: int,
-    available: dict[int, int] | None = None,
 ) -> RoutePlan:
     """Expand one cross-node send into dispatch/transfer/combine steps.
 
@@ -121,24 +113,12 @@ def build_route(
     ranks keep their own shares, so dispatch moves n*(x1-1)/x1 tokens and
     combine n*(x2-1)/x2.
     """
-    x1, x2, send_proxies, recv_proxies = select_proxies(cluster, ring, source_rank, dest_rank, available)
-    send_shares = split_even(tokens, x1)
-    recv_shares = split_even(tokens, x2)
-    steps: list[RouteStep] = []
-    for proxy, share in zip(send_proxies[1:], send_shares[1:]):
-        steps.append(RouteStep(DISPATCH, source_rank, proxy, share, "intra"))
-    pairs = max(x1, x2)
-    transfer_shares = split_even(tokens, pairs)
-    for i, share in enumerate(transfer_shares):
-        steps.append(RouteStep(
-            INTER_TRANSFER,
-            send_proxies[i % x1],
-            recv_proxies[i % x2],
-            share,
-            "inter",
-        ))
-    for proxy, share in zip(recv_proxies[1:], recv_shares[1:]):
-        steps.append(RouteStep(COMBINE, proxy, dest_rank, share, "intra"))
+    x1, x2, send_proxies, recv_proxies = select_proxies(cluster, ring, source_rank, dest_rank)
+    # x1 == x2: send proxy i hands its share straight to receive proxy i
+    shares = split_even(tokens, x1)
+    steps = [RouteStep(DISPATCH, source_rank, proxy, n, "intra") for proxy, n in zip(send_proxies[1:], shares[1:])]
+    steps += [RouteStep(INTER_TRANSFER, s, r, n, "inter") for s, r, n in zip(send_proxies, recv_proxies, shares)]
+    steps += [RouteStep(COMBINE, proxy, dest_rank, n, "intra") for proxy, n in zip(recv_proxies[1:], shares[1:])]
     bi = cluster.inv_bw_intra
     be = cluster.inv_bw_inter
     return RoutePlan(

@@ -402,6 +402,11 @@ def _run_allgather(
     return ready
 
 
+def check_topology(plan: PlacementPlan, cluster: ClusterSpec) -> None:
+    if plan.num_nodes != cluster.num_nodes or plan.gpus_per_node != cluster.gpus_per_node:
+        raise ValueError("plan topology does not match this cluster")
+
+
 def simulate(
     plan: PlacementPlan,
     cluster: ClusterSpec,
@@ -409,10 +414,10 @@ def simulate(
 ) -> tuple[Timeline, StepReport]:
     """Evaluate one plan: attention phase, remapping and linear phases, and a
     report with the backward-inclusive step time."""
-    if plan.num_nodes != cluster.num_nodes or plan.gpus_per_node != cluster.gpus_per_node:
-        raise ValueError("plan topology does not match this cluster")
+    check_topology(plan, cluster)
     engine = _Engine(cluster)
     if plan.strategy == "llama_cp":
+        schedule = None
         ready = _run_allgather(engine, plan, cluster, coeffs)
     else:
         schedule = build_schedule(plan)
@@ -469,7 +474,7 @@ def simulate(
         inter_tokens_per_rank=list(engine.inter_tokens),
         intra_tokens_per_rank=list(engine.intra_tokens),
         nic_busy_time=[list(row) for row in engine.nic_busy],
-        peak_kv_tokens=_peak_kv(plan),
+        peak_kv_tokens=_peak_kv(plan, schedule),
         max_micro_batches=max(plan.micro_batch_counts, default=1),
     )
     return timeline, report
@@ -489,14 +494,15 @@ def _emit_remap(engine: _Engine, cluster: ClusterSpec, result, start: float, kin
         engine.emit(rank, stream, start, cost, kind, {"tokens": int(matrix[rank].sum())})
 
 
-def _peak_kv(plan: PlacementPlan) -> int:
-    """Diagnostic upper estimate of concurrently resident KV tokens per rank."""
-    if plan.strategy == "llama_cp":
+def _peak_kv(plan: PlacementPlan, schedule: AttentionSchedule | None) -> int:
+    """Diagnostic upper estimate of concurrently resident KV tokens per rank.
+    Without a ring schedule (llama_cp) every rank gathers all the KV."""
+    if schedule is None:
         return plan.total_tokens()
     extra = [0] * plan.num_ranks
-    for ring in plan.ring_groups:
-        held = max((ring.kv_tokens(p) for p in range(ring.group_size)), default=0)
-        for m in ring.members:
+    for ring_sched in schedule.rings():
+        held = max(ring_sched.kv_sizes)
+        for m in ring_sched.ring.members:
             extra[m] = max(extra[m], held)
     return max(
         (plan.tokens_per_rank[r] + extra[r] for r in range(plan.num_ranks)),

@@ -14,13 +14,14 @@ from varlenplan.attention_engine import INTER_NODE, build_schedule, causal_pairs
 from varlenplan.partitioner import PlacementPlan
 from varlenplan.remapping import cost_matrix, solve_remap, target_distribution
 from varlenplan.routing import build_route
-from varlenplan.simulator import COMPUTE, INTER_COMM, INTRA_COMM, Event, StepReport, _peak_kv
+from varlenplan.simulator import COMPUTE, INTER_COMM, INTRA_COMM, Event, StepReport
 from varlenplan.topology import ClusterSpec, CostCoefficients
 
 
 def check_plan(plan: PlacementPlan, lengths: dict[int, int], cluster: ClusterSpec) -> list[str]:
-    """Re-derive conservation, coverage, per-phase capacity and zone labels
-    directly from the fragment lists; returns a list of violations."""
+    """Re-derive conservation, coverage, per-phase capacity, zone labels and
+    ring membership directly from the fragment lists; returns a list of
+    violations."""
     problems = []
     frags = [f for rank_frags in plan.fragments for f in rank_frags]
     total = sum(f.end - f.start for f in frags)
@@ -59,6 +60,24 @@ def check_plan(plan: PlacementPlan, lengths: dict[int, int], cluster: ClusterSpe
             problems.append(f"intra-node seq {sid} spans nodes {sorted(nodes)} ranks {sorted(ranks)}")
         if zone == "inter_node" and len(nodes) < 2:
             problems.append(f"inter-node seq {sid} stays on node {sorted(nodes)}")
+    # a ringed sequence lives at micro-batch 0 on the members of exactly one
+    # ring; any other sequence sits whole on one rank
+    rings_of: dict[int, list[int]] = {}
+    for idx, ring in enumerate(plan.ring_groups):
+        for sid in ring.sequence_ids:
+            rings_of.setdefault(sid, []).append(idx)
+    for sid, idxs in rings_of.items():
+        if sid not in lengths:
+            problems.append(f"ring {idxs} carries unknown seq {sid}")
+        if len(idxs) != 1:
+            problems.append(f"seq {sid} rides rings {idxs}")
+        members = plan.ring_groups[idxs[0]].members
+        off = [(f.rank, f.micro_batch) for f in by_seq.get(sid, []) if f.micro_batch != 0 or f.rank not in members]
+        if off:
+            problems.append(f"seq {sid} of ring {idxs[0]} has fragments off its members at (rank, micro-batch) {off}")
+    for sid, seq_frags in by_seq.items():
+        if sid not in rings_of and len(seq_frags) != 1:
+            problems.append(f"seq {sid} rides no ring but has {len(seq_frags)} fragments")
     return problems
 
 
@@ -83,19 +102,21 @@ def ring_pair_totals_bruteforce(seq_len: int, ranges_by_position) -> list[int]:
     return np.bincount(owner, weights=weights, minlength=len(ranges_by_position)).astype(np.int64).tolist()
 
 
-def ring_round_pairs_bruteforce(ring) -> list[list[tuple[int, int]]]:
+def ring_round_pairs_bruteforce(ring, fragments) -> list[list[tuple[int, int]]]:
     """(compute_pairs, comm_tokens) of every ring round, indexed
-    [position][round], by token enumeration: each range lists its tokens
-    with the position holding them, and every (query, key) token pair with
+    [position][round], by token enumeration: each micro-batch-0 fragment of
+    a ring sequence on member rank members[pos] lists its tokens with
+    position pos, and every (query, key) token pair of one sequence with
     key <= query is tallied under (query position, key position). Round r
     of position i works on the KV set of position (i - r) mod G."""
     g = ring.group_size
     pairs = np.zeros((g, g), dtype=np.int64)
     held = np.zeros(g, dtype=np.int64)
-    for seq in ring.sequences:
-        tokens = [np.arange(s, e, dtype=np.int64) for ranges in seq.ranges_by_position for s, e in ranges]
-        owners = [np.full(e - s, pos, dtype=np.int64)
-                  for pos, ranges in enumerate(seq.ranges_by_position) for s, e in ranges]
+    for sid in ring.sequence_ids:
+        mine = [(pos, f) for pos, rank in enumerate(ring.members) for f in fragments[rank]
+                if f.sequence_id == sid and f.micro_batch == 0]
+        tokens = [np.arange(f.start, f.end, dtype=np.int64) for _, f in mine]
+        owners = [np.full(f.end - f.start, pos, dtype=np.int64) for pos, f in mine]
         if not tokens:
             continue
         token = np.concatenate(tokens)
@@ -362,6 +383,22 @@ def _reference_remap(engine, cluster, result, start, kind) -> None:
                     {"tokens": int(result.matrix[rank].sum())})
 
 
+def _reference_peak_kv(plan: PlacementPlan) -> int:
+    """Each rank's own tokens plus the largest KV set any ring it is on
+    holds at one position, summed from the fragments; all tokens under
+    llama_cp's all-gather."""
+    tokens = [sum(f.end - f.start for f in frags) for frags in plan.fragments]
+    if plan.strategy == "llama_cp":
+        return sum(tokens)
+    extra = [0] * plan.num_ranks
+    for ring in plan.ring_groups:
+        held = max(sum(f.end - f.start for f in plan.fragments[m]
+                       if f.sequence_id in ring.sequence_ids and f.micro_batch == 0) for m in ring.members)
+        for m in ring.members:
+            extra[m] = max(extra[m], held)
+    return max((t + e for t, e in zip(tokens, extra)), default=0)
+
+
 def reference_timeline(plan: PlacementPlan, cluster: ClusterSpec,
                        coeffs: CostCoefficients) -> tuple[list[Event], StepReport]:
     """One simulated step by the scalar event engine: every leg of every
@@ -407,7 +444,7 @@ def reference_timeline(plan: PlacementPlan, cluster: ClusterSpec,
         inter_tokens_per_rank=list(engine.inter_tokens),
         intra_tokens_per_rank=list(engine.intra_tokens),
         nic_busy_time=[list(row) for row in engine.nic_busy],
-        peak_kv_tokens=_peak_kv(plan),
+        peak_kv_tokens=_reference_peak_kv(plan),
         max_micro_batches=max(plan.micro_batch_counts, default=1),
     )
     return engine.events, report

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import ring_pair_totals_bruteforce, ring_round_pairs_bruteforce, visible_pairs_bruteforce
 from varlenplan import attention_engine as ae
 from varlenplan.baselines import STRATEGIES, plan_with
-from varlenplan.partitioner import build_plan
+from varlenplan.partitioner import Fragment, build_plan
 from varlenplan.topology import ClusterSpec, cluster_a
 from varlenplan.workload import SequenceBatch
 
@@ -119,16 +119,10 @@ def test_single_long_sequence_ring_structure():
 
 
 def test_fused_intra_ring_balances_two_sequences():
-    ring = ae.RingGroup(
-        kind=ae.INTRA_NODE,
-        members=(0, 1),
-        sequences=tuple(
-            ae.RingSequence(sequence_id=sid,
-                            ranges_by_position=tuple(tuple(r) for r in ae.ranges_from_sizes(ae.split_even(8, 4))))
-            for sid in (0, 1)
-        ),
-    )
-    sched = ae._ring_schedule(ring)
+    ranges = ae.ranges_from_sizes(ae.split_even(8, 4))
+    fragments = [[Fragment(sid, s, e, rank) for sid in (0, 1) for s, e in ranges[rank]] for rank in (0, 1)]
+    ring = ae.RingGroup(kind=ae.INTRA_NODE, members=(0, 1), sequence_ids=(0, 1))
+    sched = ae._ring_schedule(ring, fragments)
     assert sched.pairs.sum(axis=1).tolist() == [2 * 18, 2 * 18]
 
 
@@ -163,12 +157,16 @@ def test_ring_per_rank_totals_equal_for_exact_split():
 
 @st.composite
 def rings(draw):
-    """Rings of 2-12 members carrying 1-4 sequences, each laid out either as
-    balanced zigzag chunks or as arbitrary (possibly empty or overlapping)
-    ranges per position."""
+    """Rings of 2-12 members, in any order over ranks 0..G-1, carrying 1-4
+    sequences, and the per-rank fragments that hold them. Each sequence is
+    laid out either as balanced zigzag chunks or as arbitrary (possibly
+    empty or overlapping) ranges per position. A sequence the ring does not
+    carry, at micro-batch 0 or 1, may sit on one rank beside them."""
     g = draw(st.integers(2, 12))
-    sequences = []
-    for sid in range(draw(st.integers(1, 4))):
+    members = tuple(draw(st.permutations(range(g))))
+    fragments: list[list[Fragment]] = [[] for _ in range(g)]
+    n_seqs = draw(st.integers(1, 4))
+    for sid in range(n_seqs):
         if draw(st.booleans()):
             seq_len = draw(st.integers(0, 8 * g))
             loads = draw(st.lists(st.integers(0, 50), min_size=g, max_size=g))
@@ -176,16 +174,21 @@ def rings(draw):
         else:
             span = st.tuples(st.integers(0, 40), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1]))
             ranges = draw(st.lists(st.lists(span, max_size=3), min_size=g, max_size=g))
-        sequences.append(ae.RingSequence(sequence_id=sid, ranges_by_position=tuple(tuple(r) for r in ranges)))
-    return ae.RingGroup(kind=ae.INTRA_NODE, members=tuple(range(g)), sequences=tuple(sequences))
+        for rank, pos_ranges in zip(members, ranges):
+            fragments[rank] += [Fragment(sid, s, e, rank) for s, e in pos_ranges]
+    if draw(st.booleans()):
+        rank = draw(st.integers(0, g - 1))
+        fragments[rank].append(Fragment(n_seqs, 0, draw(st.integers(1, 40)), rank, draw(st.integers(0, 1))))
+    return ae.RingGroup(kind=ae.INTRA_NODE, members=members, sequence_ids=tuple(range(n_seqs))), fragments
 
 
 @given(rings())
-def test_ring_rounds_match_token_enumeration(ring):
-    sched = ae._ring_schedule(ring)
+def test_ring_rounds_match_token_enumeration(case):
+    ring, fragments = case
+    sched = ae._ring_schedule(ring, fragments)
     g = ring.group_size
     # in round r, position i computes against and sends on the KV of position (i - r) mod g
     got = [[(int(sched.pairs[i, (i - r) % g]), sched.kv_sizes[(i - r) % g]) for r in range(g)] for i in range(g)]
-    assert got == ring_round_pairs_bruteforce(ring)
+    assert got == ring_round_pairs_bruteforce(ring, fragments)
     assert sched.pairs.dtype == np.int64 and not sched.pairs.flags.writeable
     assert all(type(n) is int for n in sched.kv_sizes)

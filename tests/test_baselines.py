@@ -43,7 +43,7 @@ class TestTeCp:
         batch = SequenceBatch(((0, 100), (1, 40000)))
         plan = baselines.plan_te_cp(batch, cluster)
         ring = plan.ring_groups[0]
-        assert {s.sequence_id for s in ring.sequences} == {0, 1}
+        assert ring.sequence_ids == (0, 1)
 
     def test_plans_validate(self):
         cluster, _ = cluster_a()

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from varlenplan import cli
+from varlenplan import cli, partitioner
 from varlenplan.topology import cluster_a, save_cluster_config
 from varlenplan.workload import load_batch
 
@@ -45,17 +46,61 @@ def test_plan_and_simulate_round_trip(tmp_path, batch_file):
     assert lines[1].startswith("zeppelin,")
 
 
-def test_simulate_rejects_a_plan_file_with_an_edited_zone(tmp_path, batch_file, capsys):
+def _edit_zone(path):
+    payload = json.loads(path.read_text())
+    sid, zone = next(iter(payload["zones"].items()))
+    payload["zones"][sid] = "inter_node" if zone != "inter_node" else "local"
+    path.write_text(json.dumps(payload))
+
+
+def _delete_ring_range(path):
+    payload = json.loads(path.read_text())
+    ranges = payload["rings"][0]["sequences"][0]["ranges"]
+    ranges[next(i for i, pos in enumerate(ranges) if pos)] = []
+    path.write_text(json.dumps(payload))
+
+
+def _overfill_rank_0(path):
+    # move whole local sequences onto rank 0 and write the file afresh, so
+    # its zones, node buckets, counts and ring ranges match its fragments
+    plan = partitioner.load_plan(str(path))
+    load = plan.tokens_per_rank[0]
+    moved = []
+    for frag in (f for frags in plan.fragments[1:] for f in frags):
+        if load <= 8192 and plan.zone_of[frag.sequence_id] == "local":
+            moved.append(frag)
+            load += frag.tokens
+    assert load > 8192
+    fragments = [[f for f in frags if f not in moved] for frags in plan.fragments]
+    fragments[0] += [dataclasses.replace(f, rank=0) for f in moved]
+    partitioner.save_plan(str(path), dataclasses.replace(plan, fragments=fragments))
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_edit_zone, "zones disagree with its fragments"),
+    (_delete_ring_range, "ring ranges disagree with its fragments"),
+    (_overfill_rank_0, "invalid plan: rank 0 exceeds token capacity"),
+], ids=["zone", "ring_range", "over_capacity"])
+def test_simulate_rejects_a_plan_file_with_an_edited_zone(tmp_path, batch_file, capsys, edit, error):
     plan_path = tmp_path / "plan.json"
     assert run(["plan", "--config", "cluster_a", "--batch", batch_file,
                 "--strategy", "zeppelin", "--out", str(plan_path)]) == 0
-    payload = json.loads(plan_path.read_text())
-    sid, zone = next(iter(payload["zones"].items()))
-    payload["zones"][sid] = "inter_node" if zone != "inter_node" else "local"
-    plan_path.write_text(json.dumps(payload))
+    edit(plan_path)
     rc = run(["simulate", "--config", "cluster_a", "--plan", str(plan_path)])
     assert rc == 2
-    assert "zones disagree with its fragments" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
+
+
+def test_simulate_checks_topology_before_validating(tmp_path, batch_file, capsys):
+    plan_path = tmp_path / "plan.json"
+    assert run(["plan", "--config", "cluster_a", "--batch", batch_file,
+                "--strategy", "zeppelin", "--out", str(plan_path)]) == 0
+    cluster, coeffs = cluster_a(num_nodes=4)
+    cfg = tmp_path / "four.cfg"
+    save_cluster_config(str(cfg), cluster, coeffs)
+    rc = run(["simulate", "--config", str(cfg), "--plan", str(plan_path)])
+    assert rc == 2
+    assert "error: plan topology does not match this cluster" in capsys.readouterr().err
 
 
 def test_simulate_report_speedup_matches_compare(tmp_path, batch_file):

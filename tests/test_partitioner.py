@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import check_plan
 from varlenplan import partitioner as pt
+from varlenplan.attention_engine import INTRA_NODE, RingGroup
 from varlenplan.baselines import plan_te_cp
 from varlenplan.topology import ClusterSpec, cluster_a
 from varlenplan.workload import SequenceBatch, preset, sample_batch
@@ -234,6 +236,7 @@ class TestBuildPlan:
             "zones": lambda p: p["zones"].update({"1": "inter_node"}),
             "node_buckets": lambda p: p["node_buckets"][0].pop(),
             "micro_batch_counts": lambda p: p.update(micro_batch_counts=[2] * 16),
+            "ring ranges": lambda p: p["rings"][0]["sequences"][0]["ranges"][0].pop(),
         }
         for key, edit in edits.items():
             edited = json.loads(text)
@@ -244,11 +247,44 @@ class TestBuildPlan:
         extra_rank["ranks"].append([])
         with pytest.raises(ValueError, match="lists 17 ranks for 16"):
             pt.plan_from_json(json.dumps(extra_rank))
-        for key in edits:
+        for key in ("zones", "node_buckets", "micro_batch_counts", "rings"):
             missing = json.loads(text)
             del missing[key]
             with pytest.raises(ValueError, match="malformed plan file"):
                 pt.plan_from_json(json.dumps(missing))
+        missing = json.loads(text)
+        del missing["rings"][0]["sequences"][0]["ranges"]
+        with pytest.raises(ValueError, match="malformed plan file"):
+            pt.plan_from_json(json.dumps(missing))
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda plan, ring: {"fragments": [[dataclasses.replace(f, micro_batch=int(f.sequence_id == 1))
+                                            for f in frags] for frags in plan.fragments]},
+         "sequence 1 has a fragment off its ring's micro-batch 0"),
+        (lambda plan, ring: {"ring_groups": (dataclasses.replace(ring, members=(0, 1, 2)),)},
+         "has a fragment off its ring's micro-batch 0"),
+        (lambda plan, ring: {"ring_groups": (ring, RingGroup(INTRA_NODE, (0, 1), (1,)))},
+         "sequence 1 rides two rings"),
+        (lambda plan, ring: {"ring_groups": (dataclasses.replace(ring, sequence_ids=(1,)),)},
+         "sequence 0 is split but rides no ring"),
+        (lambda plan, ring: {"ring_groups": (dataclasses.replace(ring, members=(0, 1, 2, 2)),)},
+         "ring members are not distinct ranks"),
+        (lambda plan, ring: {"ring_groups": (dataclasses.replace(ring, sequence_ids=(0, 1, 9)),)},
+         "a ring carries sequence 9, which the batch lacks"),
+        (lambda plan, ring: {"fragments": [[f if f.sequence_id == 0 else dataclasses.replace(f, sequence_id=9)
+                                            for f in frags] for frags in plan.fragments]},
+         "a fragment holds sequence 9, which the batch lacks"),
+    ], ids=["micro_batch", "off_member", "two_rings", "split_unringed", "repeated_member", "unknown_ringed",
+            "unknown_fragment"])
+    def test_validate_plan_checks_the_ring_layout(self, edit, error):
+        cluster = make_cluster(n=2, p=2, cap=40)
+        batch = SequenceBatch(((0, 24), (1, 6)))
+        plan = plan_te_cp(batch, cluster)
+        (ring,) = plan.ring_groups
+        broken = dataclasses.replace(plan, **edit(plan, ring))
+        with pytest.raises(pt.PlanValidationError, match=error):
+            pt.validate_plan(broken, batch, cluster)
+        assert check_plan(broken, batch.lengths, cluster) != []
 
     def test_infeasible_total_raises(self):
         cluster = make_cluster()

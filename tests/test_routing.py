@@ -68,16 +68,6 @@ class TestProxySelection:
         assert send[0] == 7 and set(send) == set(range(0, 8))
         assert recv[0] == 8 and set(recv) == set(range(8, 16))
 
-    def test_availability_cap_degenerates_toward_direct(self):
-        cluster, _ = cluster_a()
-        plan = build_plan(SequenceBatch(((0, 65536),)), cluster)
-        ring = plan.ring_groups[0]
-        x1, x2, send, recv = routing.select_proxies(cluster, ring, 7, 8, available={1: 1})
-        assert x1 == x2 == 1
-        assert send == (7,) and recv == (8,)
-        rt = routing.routed_time(cluster, 4096, x1, x2)
-        assert rt == direct_transfer_time(cluster, 4096, "inter")
-
     def test_same_node_endpoints_rejected(self):
         cluster, _ = cluster_a()
         plan = build_plan(SequenceBatch(((0, 65536),)), cluster)

@@ -10,12 +10,11 @@ from varlenplan.attention_engine import (
     INTER_NODE,
     INTRA_NODE,
     RingGroup,
-    RingSequence,
     causal_pairs,
     ranges_from_sizes,
 )
 from varlenplan.baselines import STRATEGIES, plan_te_cp, plan_with
-from varlenplan.partitioner import Fragment, InfeasibleBatch, PlacementPlan, build_plan
+from varlenplan.partitioner import Fragment, InfeasibleBatch, PlacementPlan, build_plan, plan_from_json, plan_to_json
 from varlenplan.routing import routed_time
 from varlenplan.topology import ClusterSpec, CostCoefficients, cluster_a, direct_transfer_time
 from varlenplan.workload import PRESET_NAMES, SequenceBatch, preset, sample_batch
@@ -293,6 +292,8 @@ def test_simulate_matches_scalar_reference(case):
         except InfeasibleBatch:
             continue
         assert_matches_reference(plan, cluster, coeffs)
+        text = plan_to_json(plan)
+        assert plan_to_json(plan_from_json(text)) == text
 
 
 def hand_built_plan(strategy, cluster, rings, fragments):
@@ -318,8 +319,8 @@ def test_late_lane_matches_scalar_reference(later_kind):
                           inv_bw_intra=1e-6, inv_bw_inter=1e-4, nics_per_node=2)
     coeffs = CostCoefficients(attn_quadratic=1e-9, linear_per_token=1e-7)
     rings = (
-        RingGroup(INTER_NODE, (0, 2), (RingSequence(0, (((0, 100), (300, 400)), ((100, 300),))),)),
-        RingGroup(later_kind, (1, 3), (RingSequence(1, (((0, 20),), ((20, 40),))),)),
+        RingGroup(INTER_NODE, (0, 2), (0,)),
+        RingGroup(later_kind, (1, 3), (1,)),
     )
     fragments = [
         [Fragment(0, 0, 100, 0), Fragment(0, 300, 400, 0)],
@@ -344,7 +345,7 @@ def test_shared_nic_busy_time_adds_in_event_order():
     coeffs = CostCoefficients(attn_quadratic=1e-3)
     members = (0, 2, 1, 3)
     ranges = ranges_from_sizes([7, 11, 13, 17, 19, 23, 29, 31])
-    ring = RingGroup(INTER_NODE, members, (RingSequence(0, tuple(map(tuple, ranges))),))
+    ring = RingGroup(INTER_NODE, members, (0,))
     fragments = [[Fragment(0, s, e, rank) for s, e in ranges[members.index(rank)]] for rank in range(4)]
     plan = hand_built_plan("te_cp", cluster, (ring,), fragments)
     events = assert_matches_reference(plan, cluster, coeffs)
