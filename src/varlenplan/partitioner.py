@@ -1,22 +1,25 @@
 """Two-level hierarchical sequence partitioning.
 
-Level one assigns sequences (chunking the longest ones) to node buckets so
-inter-node communication stays bounded; level two spreads each node bucket
-over its devices, splitting medium sequences to balance quadratic attention
-work. Both levels iteratively lower their zone threshold whenever a whole
-sequence fails to fit, which guarantees every sequence below the final
-threshold is placeable.
+Both levels run one greedy threshold fill. Items at or above the running
+threshold split into pieces on distinct bins, as many as their share of the
+tier's cost asks for (linear in length across nodes, quadratic across
+devices); shorter items go whole to the least-loaded bin. When a whole item
+overflows, the threshold drops to the longest whole item and the fill
+restarts, so every item below the final threshold is placeable. Level one
+fills node bins of P*L tokens; level two fills each node's L-token devices on
+top of its inter-node chunks. The levels record only where each sequence
+lands: the plan's token ranges come from the zigzag layout of its rings.
 
-When the greedy levels cannot place a batch (a chunked sequence finds no
-fitting buckets, a threshold refinement does not converge, or zigzag
-re-chunking leaves a rank over capacity), build_plan falls back to the even
-zigzag split over one global ring. That layout keeps every rank within one
-token of total/R, so it fits whenever the batch total does.
+When the greedy levels cannot place a batch (a split item fits no set of
+bins, or zigzag re-chunking leaves a rank over capacity), build_plan falls
+back to the even zigzag split over one global ring. That layout keeps every
+rank within one token of total/R, so it fits whenever the batch total does.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,7 +29,6 @@ from .attention_engine import (
     LOCAL,
     RingGroup,
     balanced_zigzag_sizes,
-    contiguous_ranges,
     ranges_from_sizes,
     ring_ranges,
     split_even,
@@ -62,28 +64,14 @@ class Fragment:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class NodeChunk:
-    sequence_id: int
-    start: int
-    end: int
-
-    @property
-    def tokens(self) -> int:
-        return self.end - self.start
-
-
 @dataclass
 class NodeBucket:
-    """One node's share after inter-node partitioning: chunks of sequences
-    that span several nodes plus whole sequences owned by this node."""
+    """One node's share after inter-node partitioning: (sequence_id, tokens)
+    chunks of sequences in the split tier, which may span several nodes, plus
+    the whole sequences this node owns."""
 
-    chunks: list[NodeChunk] = field(default_factory=list)
+    chunks: list[tuple[int, int]] = field(default_factory=list)
     own: list[tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def tokens(self) -> int:
-        return sum(c.tokens for c in self.chunks) + sum(ln for _, ln in self.own)
 
 
 @dataclass
@@ -93,21 +81,12 @@ class InterNodeAssignment:
     restarts: int
 
 
-@dataclass(frozen=True)
-class DeviceEntry:
-    sequence_id: int
-    start: int
-    end: int
-    kind: str  # "chunk_part" | "split" | "whole"
-
-    @property
-    def tokens(self) -> int:
-        return self.end - self.start
-
-
 @dataclass
 class IntraNodeAssignment:
-    devices: list[list[DeviceEntry]]
+    """The devices each of a node's own sequences landed on, in piece order:
+    piece i holds split_even(length, len(devices))[i] tokens."""
+
+    devices_of: dict[int, list[int]]
     s0: int
     restarts: int
 
@@ -171,196 +150,123 @@ class PlacementPlan:
         return [sorted(node.items()) for node in totals]
 
 
-def _sorted_desc(batch: SequenceBatch) -> list[tuple[int, int]]:
-    return sorted(batch.sequences, key=lambda t: (-t[1], t[0]))
+# a fill's candidate bins for the next piece, from the loads and the previous piece's bin
+Order = Callable[[list[int], int], list[int]]
+
+
+def _least_loaded(loads: list[int], last: int) -> list[int]:
+    """Bins by load, ties to the lowest index."""
+    return sorted(range(len(loads)), key=loads.__getitem__)
+
+
+def _round_robin(loads: list[int], last: int) -> list[int]:
+    """Bins in cyclic order, starting after the previous piece's bin."""
+    return [*range(last + 1, len(loads)), *range(last + 1)]
+
+
+def _place_pieces(
+    length: int, k_init: int, loads: list[int], cap: int, order: Order, last: int
+) -> list[tuple[int, int]] | None:
+    """Split one item evenly into k pieces on k distinct bins, each piece to
+    the first bin in `order(loads, previous bin)` that it fits, trying k from
+    k_init up to the bin count. Returns the (bin, tokens) pieces of the first
+    k that fits, zero-token pieces included, or None when none does; `loads`
+    is left alone."""
+    n = len(loads)
+    for k in range(min(k_init, n), n + 1):
+        pieces: list[tuple[int, int]] = []
+        used: set[int] = set()
+        prev = last  # every k starts from the item's own cursor
+        for size in split_even(length, k):
+            prev = next((b for b in order(loads, prev) if b not in used and loads[b] + size <= cap), None)
+            if prev is None:
+                break
+            used.add(prev)
+            pieces.append((prev, size))
+        else:
+            return pieces
+    return None
+
+
+def _threshold_fill(
+    items: list[tuple[int, int]], loads: list[int], cap: int, power: int, order: Order
+) -> tuple[int, int, dict[int, list[tuple[int, int]]]]:
+    """Place (sequence_id, length) items, longest first, on bins of `cap`
+    tokens that start at `loads`.
+
+    Items at or above the running threshold (initially `cap`) split into
+    ceil(len^power * B / sum of the tier's len^power) pieces over B bins, or
+    more when those do not fit (`_place_pieces`); the previous item's last
+    bin seeds `order`. Shorter items go whole to the least-loaded bin. When
+    a whole item overflows, the threshold drops to the longest whole item,
+    which so joins the split tier, and the fill restarts: restarts never
+    exceed the item count. Returns (threshold, restarts, placed), where
+    placed[sid] lists the item's nonempty (bin, tokens) pieces in placement
+    order; an item that fits no set of bins raises InfeasibleBatch.
+    """
+    items = sorted(items, key=lambda t: (-t[1], t[0]))
+    threshold, restarts = cap, 0
+    while True:
+        trial = list(loads)
+        placed: dict[int, list[tuple[int, int]]] = {}
+        n_split = sum(1 for _, ln in items if ln >= threshold)
+        weight = sum(ln**power for _, ln in items[:n_split])
+        last = -1
+        for sid, ln in items[:n_split]:
+            pieces = _place_pieces(ln, max(1, -(-ln**power * len(trial) // weight)), trial, cap, order, last)
+            if pieces is None:
+                raise InfeasibleBatch(f"sequence {sid} fits no set of {len(trial)} bins of {cap} tokens")
+            last = pieces[-1][0]
+            placed[sid] = [(b, size) for b, size in pieces if size]
+            for b, size in pieces:
+                trial[b] += size
+        for sid, ln in items[n_split:]:
+            b = min(range(len(trial)), key=trial.__getitem__)
+            if trial[b] + ln > cap:
+                threshold = items[n_split][1]
+                restarts += 1
+                break
+            placed[sid] = [(b, ln)]
+            trial[b] += ln
+        else:
+            return threshold, restarts, placed
 
 
 def partition_inter_node(batch: SequenceBatch, cluster: ClusterSpec) -> InterNodeAssignment:
-    """Assign sequences to node buckets.
-
-    Sequences at or above the running threshold s1 are split evenly into
-    ceil(len/s_avg) chunks placed on distinct least-loaded buckets; shorter
-    sequences go whole to the least-loaded bucket. When a whole sequence
-    would exceed the per-node budget P*L, s1 drops to the longest remaining
-    whole sequence and placement restarts. A chunked sequence that fits no
-    set of buckets raises InfeasibleBatch (build_plan then falls back to the
-    even split).
+    """Assign sequences to node buckets: a threshold fill of node bins of
+    P*L tokens, splitting by linear cost, least-loaded bins first. Pieces of
+    split sequences become the buckets' chunks, even when a sequence lands
+    in one piece; whole sequences are the buckets' own. A split sequence
+    that fits no set of buckets, as in any batch above the cluster's
+    capacity, raises InfeasibleBatch (build_plan then falls back to the even
+    split, which reports the over-full batch).
     """
-    n_nodes = cluster.num_nodes
     node_cap = cluster.gpus_per_node * cluster.token_capacity
-    order = _sorted_desc(batch)
-    total = sum(ln for _, ln in order)
-    if total > n_nodes * node_cap:
-        raise InfeasibleBatch(
-            f"batch of {total} tokens exceeds cluster capacity {n_nodes * node_cap}"
-        )
-    s1 = node_cap
-    restarts = 0
-    max_restarts = len(order) + 1
-    while True:
-        buckets = [NodeBucket() for _ in range(n_nodes)]
-        loads = [0] * n_nodes
-        z2 = [(sid, ln) for sid, ln in order if ln >= s1]
-        z01 = [(sid, ln) for sid, ln in order if ln < s1]
-        total_z2 = sum(ln for _, ln in z2)
-        for sid, ln in z2:
-            # ceil(len / s_avg) with s_avg = total_z2 / N, in exact integers
-            k0 = max(1, -(-ln * n_nodes // total_z2))
-            if not _place_chunks(sid, ln, k0, buckets, loads, node_cap):
-                raise InfeasibleBatch(f"sequence {sid} cannot be chunked across nodes")
-        restart = False
-        for sid, ln in z01:
-            idx = min(range(n_nodes), key=lambda i: (loads[i], i))
-            if ln + loads[idx] > node_cap:
-                s1 = max(length for _, length in z01)
-                restarts += 1
-                restart = True
-                break
-            buckets[idx].own.append((sid, ln))
-            loads[idx] += ln
-        if not restart:
-            return InterNodeAssignment(buckets=buckets, s1=s1, restarts=restarts)
-        if restarts > max_restarts:
-            raise InfeasibleBatch("node threshold refinement did not converge")
-
-
-def _place_chunks(
-    sid: int,
-    length: int,
-    k_init: int,
-    buckets: list[NodeBucket],
-    loads: list[int],
-    node_cap: int,
-) -> bool:
-    """Place one sequence as k contiguous chunks on k distinct buckets, largest
-    chunk to the least-loaded fitting bucket. Retries with more chunks when a
-    placement does not fit; mutates buckets/loads only on success and returns
-    whether any chunk count fit."""
-    n = len(buckets)
-    for k in range(min(k_init, n), n + 1):
-        sizes = split_even(length, k)
-        ranges = contiguous_ranges(sizes)
-        by_load = sorted(range(n), key=lambda i: (loads[i], i))
-        chosen: list[int] = []
-        used: set[int] = set()
-        trial = list(loads)
-        ok = True
-        for size in sizes:
-            target = next(
-                (i for i in by_load if i not in used and trial[i] + size <= node_cap),
-                None,
-            )
-            if target is None:
-                ok = False
-                break
-            chosen.append(target)
-            used.add(target)
-            trial[target] += size
-        if not ok:
-            continue
-        for (start, end), idx in zip(ranges, chosen):
-            if end > start:
-                buckets[idx].chunks.append(NodeChunk(sequence_id=sid, start=start, end=end))
-                loads[idx] += end - start
-        return True
-    return False
+    s1, restarts, placed = _threshold_fill(list(batch.sequences), [0] * cluster.num_nodes, node_cap, 1, _least_loaded)
+    lengths = batch.lengths
+    buckets = [NodeBucket() for _ in range(cluster.num_nodes)]
+    for sid, pieces in placed.items():
+        for node, tokens in pieces:
+            (buckets[node].chunks if lengths[sid] >= s1 else buckets[node].own).append((sid, tokens))
+    return InterNodeAssignment(buckets=buckets, s1=s1, restarts=restarts)
 
 
 def partition_intra_node(node: NodeBucket, cluster: ClusterSpec) -> IntraNodeAssignment:
     """Spread one node bucket over its P devices.
 
-    Inter-node chunks are split evenly across all devices. Among the node's
-    own sequences, those at or above the running threshold s0 split into
-    ceil(len^2/c_avg) equal fragments assigned round-robin (continuing from
-    the previous sequence's last device, skipping devices they do not fit);
-    shorter ones go whole to the least-loaded device, lowering s0 and
-    restarting on overflow. A split sequence that fits no set of devices
-    raises InfeasibleBatch.
+    The bucket's inter-node chunks split evenly over all devices and form
+    the starting loads. Its own sequences then take a threshold fill of
+    L-token devices, splitting by quadratic cost round-robin: each piece
+    goes to the next device after the previous piece's that it fits. A split
+    sequence that fits no set of devices raises InfeasibleBatch.
     """
-    p = cluster.gpus_per_node
-    cap = cluster.token_capacity
-    own = sorted(node.own, key=lambda t: (-t[1], t[0]))
-    s0 = cap
-    restarts = 0
-    max_restarts = len(own) + 1
-    while True:
-        devices: list[list[DeviceEntry]] = [[] for _ in range(p)]
-        loads = [0] * p
-        for chunk in node.chunks:
-            sizes = split_even(chunk.tokens, p)
-            for dev, (start, end) in enumerate(contiguous_ranges(sizes, offset=chunk.start)):
-                if end > start:
-                    devices[dev].append(DeviceEntry(chunk.sequence_id, start, end, "chunk_part"))
-                    loads[dev] += end - start
-        z1 = [(sid, ln) for sid, ln in own if ln >= s0]
-        z0 = [(sid, ln) for sid, ln in own if ln < s0]
-        sq_total = sum(ln * ln for _, ln in z1)
-        cursor = 0
-        for sid, ln in z1:
-            k0 = max(1, -(-ln * ln * p // sq_total))
-            cursor = _place_split(sid, ln, k0, cursor, devices, loads, cap)
-            if cursor < 0:
-                raise InfeasibleBatch(f"sequence {sid} cannot be split within the node")
-        restart = False
-        for sid, ln in z0:
-            idx = min(range(p), key=lambda i: (loads[i], i))
-            if ln + loads[idx] > cap:
-                s0 = max(length for _, length in z0)
-                restarts += 1
-                restart = True
-                break
-            devices[idx].append(DeviceEntry(sid, 0, ln, "whole"))
-            loads[idx] += ln
-        if not restart:
-            return IntraNodeAssignment(devices=devices, s0=s0, restarts=restarts)
-        if restarts > max_restarts:
-            raise InfeasibleBatch("device threshold refinement did not converge")
-
-
-def _place_split(
-    sid: int,
-    length: int,
-    k_init: int,
-    cursor: int,
-    devices: list[list[DeviceEntry]],
-    loads: list[int],
-    cap: int,
-) -> int:
-    """Round-robin fragment placement with fit skipping; returns the next
-    cursor, or -1 when the sequence cannot be placed at any k."""
-    p = len(devices)
-    for k in range(min(k_init, p), p + 1):
-        sizes = split_even(length, k)
-        ranges = contiguous_ranges(sizes)
-        chosen: list[int] = []
-        used: set[int] = set()
-        trial = list(loads)
-        pos = cursor
-        ok = True
-        for size in sizes:
-            target = None
-            for step in range(p):
-                d = (pos + step) % p
-                if d in used:
-                    continue
-                if trial[d] + size <= cap:
-                    target = d
-                    break
-            if target is None:
-                ok = False
-                break
-            chosen.append(target)
-            used.add(target)
-            trial[target] += size
-            pos = (target + 1) % p
-        if not ok:
-            continue
-        for (start, end), dev in zip(ranges, chosen):
-            if end > start:
-                devices[dev].append(DeviceEntry(sid, start, end, "split"))
-                loads[dev] += end - start
-        return (chosen[-1] + 1) % p
-    return -1
+    loads = [0] * cluster.gpus_per_node
+    for _, tokens in node.chunks:
+        for dev, size in enumerate(split_even(tokens, cluster.gpus_per_node)):
+            loads[dev] += size
+    s0, restarts, placed = _threshold_fill(node.own, loads, cluster.token_capacity, 2, _round_robin)
+    devices_of = {sid: [dev for dev, _ in pieces] for sid, pieces in placed.items()}
+    return IntraNodeAssignment(devices_of=devices_of, s0=s0, restarts=restarts)
 
 
 def build_plan(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
@@ -446,6 +352,10 @@ def even_zigzag_plan(batch: SequenceBatch, cluster: ClusterSpec, strategy: str) 
     return plan_from_fragments(strategy, batch, cluster, fragments, rings, meta={})
 
 
+def _ring_kind(members: tuple[int, ...], gpus_per_node: int) -> str:
+    return INTER_NODE if len({r // gpus_per_node for r in members}) >= 2 else INTRA_NODE
+
+
 def _assemble_plan(
     batch: SequenceBatch,
     cluster: ClusterSpec,
@@ -456,54 +366,40 @@ def _assemble_plan(
     p = cluster.gpus_per_node
     fragments: list[list[Fragment]] = [[] for _ in range(cluster.num_ranks)]
 
-    chunk_nodes: dict[int, list[int]] = {}
+    # a chunked sequence spans every rank of its nodes; a node's own sequence
+    # spans the devices level two put it on
+    ranks_of: dict[int, list[int]] = {}
     for n, bucket in enumerate(inter.buckets):
-        for chunk in bucket.chunks:
-            chunk_nodes.setdefault(chunk.sequence_id, []).append(n)
+        for sid, _ in bucket.chunks:
+            ranks_of.setdefault(sid, []).extend(cluster.ranks_of_node(n))
+    for n, assignment in enumerate(intra):
+        for sid, devs in assignment.devices_of.items():
+            ranks_of[sid] = [n * p + d for d in devs]
 
     # fixed single-rank placements first, then ring layouts so their leftover
     # tokens can chase the lightest ranks
-    ring_jobs: list[tuple[str, tuple[int, ...], int, int]] = []
-    for sid, nodes in sorted(chunk_nodes.items()):
-        length = lengths[sid]
-        spanned = sorted(set(nodes))
-        if len(spanned) >= 2:
-            members = tuple(r for node in spanned for r in cluster.ranks_of_node(node))
-            ring_jobs.append((INTER_NODE, members, sid, length))
-        elif p >= 2:
-            ring_jobs.append((INTRA_NODE, tuple(cluster.ranks_of_node(spanned[0])), sid, length))
+    ring_jobs: list[tuple[tuple[int, ...], int]] = []
+    for sid, ranks in ranks_of.items():
+        if len(ranks) >= 2:
+            ring_jobs.append((tuple(sorted(ranks)), sid))
         else:
-            rank = spanned[0] * p
-            fragments[rank].append(Fragment(sid, 0, length, rank))
-
-    for n, assignment in enumerate(intra):
-        by_seq: dict[int, list[int]] = {}
-        for dev, entries in enumerate(assignment.devices):
-            for entry in entries:
-                if entry.kind == "chunk_part":
-                    continue  # covered by the chunk handling above
-                by_seq.setdefault(entry.sequence_id, []).append(dev)
-        for sid, devs in sorted(by_seq.items()):
-            length = lengths[sid]
-            devs = sorted(set(devs))
-            if len(devs) >= 2:
-                ring_jobs.append((INTRA_NODE, tuple(n * p + d for d in devs), sid, length))
-            else:
-                rank = n * p + devs[0]
-                fragments[rank].append(Fragment(sid, 0, length, rank))
+            fragments[ranks[0]].append(Fragment(sid, 0, lengths[sid], ranks[0]))
 
     running = [sum(f.tokens for f in frags) for frags in fragments]
-    ring_map: dict[tuple[str, tuple[int, ...]], list[int]] = {}
+    ring_map: dict[tuple[int, ...], list[int]] = {}
     # lay out the narrowest rings first: sequences confined to few ranks have
     # the least placement freedom, while wide rings spread within +/- 1 token
     # anywhere and so plug the remaining gaps best
-    ring_jobs.sort(key=lambda job: (len(job[1]), job[1], job[2]))
-    for kind, members, sid, length in ring_jobs:
-        _add_ring_sequence(ring_map, kind, members, sid, length, fragments, running, p)
+    ring_jobs.sort(key=lambda job: (len(job[0]), job))
+    for members, sid in ring_jobs:
+        _add_ring_sequence(ring_map, members, sid, lengths[sid], fragments, running, p)
     if max(running) > cluster.token_capacity:
         raise InfeasibleBatch("zigzag re-chunking leaves a rank over capacity")
 
-    rings = tuple(RingGroup(kind, members, tuple(sorted(sids))) for (kind, members), sids in sorted(ring_map.items()))
+    rings = tuple(sorted(
+        (RingGroup(_ring_kind(members, p), members, tuple(sorted(sids))) for members, sids in ring_map.items()),
+        key=lambda ring: (ring.kind, ring.members),
+    ))
     return plan_from_fragments(
         "zeppelin", batch, cluster, fragments, rings,
         meta={
@@ -517,8 +413,7 @@ def _assemble_plan(
 
 
 def _add_ring_sequence(
-    ring_map: dict,
-    kind: str,
+    ring_map: dict[tuple[int, ...], list[int]],
     members: tuple[int, ...],
     sid: int,
     length: int,
@@ -526,27 +421,24 @@ def _add_ring_sequence(
     running: list[int],
     gpus_per_node: int,
 ) -> None:
-    g = len(members)
-    sizes = balanced_zigzag_sizes(length, g, [running[r] for r in members])
-    ranges = ranges_from_sizes(sizes)
-    spanned = [i for i, rs in enumerate(ranges) if rs]
-    spanned_ranks = {members[i] for i in spanned}
-    if len(spanned_ranks) < 2:
+    ranges = ranges_from_sizes(balanced_zigzag_sizes(length, len(members), [running[r] for r in members]))
+    spanned = [rank for rank, rs in zip(members, ranges) if rs]
+    if len(spanned) < 2:
         # too short to actually occupy several ranks: keep it local
-        rank = members[spanned[0]] if spanned else members[0]
+        rank = spanned[0] if spanned else members[0]
         fragments[rank].append(Fragment(sid, 0, length, rank))
         running[rank] += length
         return
-    spanned_nodes = {r // gpus_per_node for r in spanned_ranks}
-    if kind == INTER_NODE and len(spanned_nodes) == 1:
+    spanned_nodes = {r // gpus_per_node for r in spanned}
+    if len(spanned_nodes) == 1 and _ring_kind(members, gpus_per_node) == INTER_NODE:
         # too short to genuinely cross nodes: run it on a node-local ring
         node = spanned_nodes.pop()
         node_members = tuple(r for r in members if r // gpus_per_node == node)
-        _add_ring_sequence(ring_map, INTRA_NODE, node_members, sid, length, fragments, running, gpus_per_node)
+        _add_ring_sequence(ring_map, node_members, sid, length, fragments, running, gpus_per_node)
         return
-    ring_map.setdefault((kind, members), []).append(sid)
-    for position, rank in enumerate(members):
-        for start, end in ranges[position]:
+    ring_map.setdefault(members, []).append(sid)
+    for rank, rank_ranges in zip(members, ranges):
+        for start, end in rank_ranges:
             fragments[rank].append(Fragment(sid, start, end, rank))
             running[rank] += end - start
 
@@ -668,6 +560,10 @@ def plan_from_json(text: str) -> PlacementPlan:
         )
         if len(fragments) != plan.num_ranks:
             raise ValueError(f"plan file lists {len(fragments)} ranks for {plan.num_ranks} in its topology")
+        for ring in rings:
+            # a negative member would read another rank's fragments
+            if not all(m in range(len(fragments)) for m in ring.members):
+                raise ValueError(f"plan file's ring members {list(ring.members)} are not ranks 0..{len(fragments) - 1}")
         # written for readers of the file; the plan derives them from its fragments
         stored = {
             "zones": ({int(k): v for k, v in payload["zones"].items()}, plan.zone_of),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import check_plan
 from varlenplan import partitioner as pt
-from varlenplan.attention_engine import INTRA_NODE, RingGroup
+from varlenplan.attention_engine import INTRA_NODE, RingGroup, split_even
 from varlenplan.baselines import plan_te_cp
 from varlenplan.topology import ClusterSpec, cluster_a
 from varlenplan.workload import SequenceBatch, preset, sample_batch
@@ -20,7 +21,22 @@ def make_cluster(n=2, p=2, cap=10):
 
 
 def bucket_tokens(bucket):
-    return sum(c.tokens for c in bucket.chunks) + sum(ln for _, ln in bucket.own)
+    return sum(tokens for _, tokens in bucket.chunks) + sum(ln for _, ln in bucket.own)
+
+
+def device_loads(bucket, result, p):
+    """Per device: its even share of the bucket's chunks plus the pieces of
+    the own sequences level two put on it (piece i of k holds
+    split_even(length, k)[i] tokens)."""
+    loads = [0] * p
+    for _, tokens in bucket.chunks:
+        for dev, size in enumerate(split_even(tokens, p)):
+            loads[dev] += size
+    lengths = dict(bucket.own)
+    for sid, devs in result.devices_of.items():
+        for dev, size in zip(devs, split_even(lengths[sid], len(devs))):
+            loads[dev] += size
+    return loads
 
 
 class TestInterNodePartitioning:
@@ -34,8 +50,8 @@ class TestInterNodePartitioning:
         assert result.restarts == 0
         loads = [bucket_tokens(b) for b in result.buckets]
         assert loads == [18, 20]
-        assert [(c.sequence_id, c.tokens) for c in result.buckets[0].chunks] == [(0, 12)]
-        assert [(c.sequence_id, c.tokens) for c in result.buckets[1].chunks] == [(0, 12)]
+        assert result.buckets[0].chunks == [(0, 12)]
+        assert result.buckets[1].chunks == [(0, 12)]
         assert result.buckets[0].own == [(1, 6)]
         assert result.buckets[1].own == [(2, 5), (3, 3)]
 
@@ -52,7 +68,8 @@ class TestInterNodePartitioning:
         # one piece on a single node
         cluster = make_cluster(n=1, p=4, cap=10)
         result = pt.partition_inter_node(SequenceBatch(((0, 40),)), cluster)
-        assert [(c.start, c.end) for c in result.buckets[0].chunks] == [(0, 40)]
+        assert result.buckets[0].chunks == [(0, 40)]
+        assert result.buckets[0].own == []
         assert result.s1 == 40
 
     def test_empty_batch(self):
@@ -69,6 +86,7 @@ class TestInterNodePartitioning:
         result = pt.partition_inter_node(batch, cluster)
         assert result.restarts >= 1
         assert result.s1 == 9
+        assert all(b.own == [] for b in result.buckets)
         loads = [bucket_tokens(b) for b in result.buckets]
         assert all(load <= 20 for load in loads)
         assert sum(loads) == 39
@@ -78,17 +96,13 @@ class TestInterNodePartitioning:
         with pytest.raises(pt.InfeasibleBatch):
             pt.partition_inter_node(SequenceBatch(((0, 41),)), cluster)
 
-    def test_chunk_ranges_are_contiguous(self):
+    def test_chunks_sum_to_length_on_distinct_nodes(self):
         cluster = make_cluster(n=4, p=2, cap=100)
         batch = SequenceBatch(((0, 700),))
         result = pt.partition_inter_node(batch, cluster)
-        chunks = sorted(
-            (c for b in result.buckets for c in b.chunks), key=lambda c: c.start
-        )
-        assert chunks[0].start == 0
-        for prev, cur in zip(chunks, chunks[1:]):
-            assert prev.end == cur.start
-        assert chunks[-1].end == 700
+        chunks = [(node, tokens) for node, b in enumerate(result.buckets) for sid, tokens in b.chunks if sid == 0]
+        assert sum(tokens for _, tokens in chunks) == 700
+        assert sorted(node for node, _ in chunks) == [0, 1, 2, 3]
 
 
 class TestIntraNodePartitioning:
@@ -96,33 +110,27 @@ class TestIntraNodePartitioning:
         # P=2, L=16: an 8-token chunk splits 4+4, then 10 -> dev0, 4 -> dev1,
         # 3 -> dev1; loads 14 and 11
         cluster = make_cluster(p=2, cap=16)
-        bucket = pt.NodeBucket(
-            chunks=[pt.NodeChunk(sequence_id=9, start=0, end=8)],
-            own=[(0, 10), (1, 4), (2, 3)],
-        )
+        bucket = pt.NodeBucket(chunks=[(9, 8)], own=[(0, 10), (1, 4), (2, 3)])
         result = pt.partition_intra_node(bucket, cluster)
         assert result.s0 == 16
-        loads = [sum(e.tokens for e in dev) for dev in result.devices]
-        assert loads == [14, 11]
-        whole = {(e.sequence_id, dev) for dev, entries in enumerate(result.devices)
-                 for e in entries if e.kind == "whole"}
-        assert whole == {(0, 0), (1, 1), (2, 1)}
+        assert device_loads(bucket, result, 2) == [14, 11]
+        assert result.devices_of == {0: [0], 1: [1], 2: [1]}
 
     def test_tie_breaks_choose_lowest_device(self):
         cluster = make_cluster(p=2, cap=32)
         bucket = pt.NodeBucket(own=[(0, 20), (1, 20)])
         result = pt.partition_intra_node(bucket, cluster)
         assert result.s0 == 32
-        loads = [sum(e.tokens for e in dev) for dev in result.devices]
-        assert loads == [20, 20]
-        assert result.devices[0][0].sequence_id == 0
+        assert device_loads(bucket, result, 2) == [20, 20]
+        assert result.devices_of[0] == [0]
 
     def test_sequence_filling_single_device_node_stays_local(self):
+        # length == s0 puts it in the split tier, where one device takes all
         cluster = make_cluster(p=1, cap=16)
         bucket = pt.NodeBucket(own=[(0, 16)])
         result = pt.partition_intra_node(bucket, cluster)
         assert result.s0 == 16
-        assert result.devices[0] == [pt.DeviceEntry(0, 0, 16, "split")]
+        assert result.devices_of == {0: [0]}
 
     def test_sequence_at_threshold_splits_across_devices(self):
         # length == s0 lands in the split tier: its quadratic work spreads
@@ -131,10 +139,8 @@ class TestIntraNodePartitioning:
         bucket = pt.NodeBucket(own=[(0, 16)])
         result = pt.partition_intra_node(bucket, cluster)
         assert result.s0 == 16
-        kinds = {e.kind for dev in result.devices for e in dev}
-        assert kinds == {"split"}
-        loads = [sum(e.tokens for e in dev) for dev in result.devices]
-        assert loads == [8, 8]
+        assert result.devices_of == {0: [0, 1]}
+        assert device_loads(bucket, result, 2) == [8, 8]
 
     def test_threshold_iteration_splits_oversized_locals(self):
         # 12 + 10 + 10 on two 16-token devices: whole placement overflows,
@@ -143,7 +149,8 @@ class TestIntraNodePartitioning:
         bucket = pt.NodeBucket(own=[(0, 12), (1, 10), (2, 10)])
         result = pt.partition_intra_node(bucket, cluster)
         assert result.restarts >= 1
-        loads = [sum(e.tokens for e in dev) for dev in result.devices]
+        assert any(len(devs) == 2 for devs in result.devices_of.values())
+        loads = device_loads(bucket, result, 2)
         assert max(loads) <= 16
         assert sum(loads) == 32
 
@@ -243,6 +250,18 @@ class TestBuildPlan:
             edit(edited)
             with pytest.raises(ValueError, match=f"plan file's {key} disagree with its fragments"):
                 pt.plan_from_json(json.dumps(edited))
+        for member in (-3, 16):
+            off_plan = json.loads(text)
+            off_plan["rings"][0]["members"][1] = member
+            with pytest.raises(ValueError, match=r"ring members \[.*\] are not ranks 0..15"):
+                pt.plan_from_json(json.dumps(off_plan))
+        # on one 16-token sequence over 4 ranks, member -3 indexes rank 1's
+        # fragments from the end, so the stored ring ranges still agree
+        small = json.loads(pt.plan_to_json(pt.build_plan(SequenceBatch(((0, 16),)), make_cluster(cap=4))))
+        assert small["rings"][0]["members"] == [0, 1, 2, 3]
+        small["rings"][0]["members"][1] = -3
+        with pytest.raises(ValueError, match=r"ring members \[0, -3, 2, 3\] are not ranks 0..3"):
+            pt.plan_from_json(json.dumps(small))
         extra_rank = json.loads(text)
         extra_rank["ranks"].append([])
         with pytest.raises(ValueError, match="lists 17 ranks for 16"):
@@ -304,6 +323,77 @@ def small_clusters_and_batches(draw):
     cuts = draw(st.lists(st.integers(1, max(total - 1, 1)), max_size=min(7, total - 1), unique=True))
     bounds = [0, *sorted(cuts), total]
     return cluster, SequenceBatch(tuple(enumerate(b - a for a, b in zip(bounds, bounds[1:]))))
+
+
+def pinned_plan_cases():
+    """cluster_a at 1-8 nodes with 32k tokens per node, then 500 seeded random
+    small clusters with batches up to their capacity (half of them within
+    3 tokens of it, where the levels restart and fall back)."""
+    for n in (1, 2, 4, 8):
+        cluster, _ = cluster_a(num_nodes=n)
+        for name in ("arxiv", "github", "prolong64k"):
+            for seed in range(5):
+                yield sample_batch(preset(name), 32768 * n, seed=seed), cluster
+    rng = random.Random(2024)
+    for _ in range(500):
+        cluster = make_cluster(n=rng.randint(1, 4), p=rng.randint(1, 8), cap=rng.randint(1, 16))
+        room = cluster.num_ranks * cluster.token_capacity
+        total = rng.randint(max(room - 3, 1), room) if rng.random() < 0.5 else rng.randint(1, room)
+        cuts = sorted(rng.sample(range(1, total), min(rng.randint(0, 7), total - 1)))
+        bounds = [0, *cuts, total]
+        yield SequenceBatch(tuple(enumerate(b - a for a, b in zip(bounds, bounds[1:])))), cluster
+
+
+class TestPinnedPlans:
+    # sha256 over the plan files of `pinned_plan_cases`; a change that means
+    # to move a greedy plan updates it and says so
+    DIGEST = "b473d05467e2efb89b39a242d42b94eb60722b00ea739eb2b7add70cafb3f619"
+
+    def test_greedy_plans_are_byte_identical(self):
+        digest = hashlib.sha256()
+        for batch, cluster in pinned_plan_cases():
+            digest.update(pt.plan_to_json(pt.build_plan(batch, cluster)).encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestLevelInvariants:
+    @settings(max_examples=300)
+    @given(small_clusters_and_batches())
+    def test_levels_fill_within_capacity_or_raise(self, case):
+        cluster, batch = case
+        p, cap = cluster.gpus_per_node, cluster.token_capacity
+        try:
+            inter = pt.partition_inter_node(batch, cluster)
+        except pt.InfeasibleBatch:
+            return
+        assert inter.restarts <= len(batch)
+        nodes_of, tokens_of = {}, {}
+        for node, bucket in enumerate(inter.buckets):
+            assert bucket_tokens(bucket) <= p * cap
+            assert all(tokens >= 1 for _, tokens in bucket.chunks + bucket.own)
+            assert all(ln < inter.s1 for _, ln in bucket.own)
+            for sid, tokens in bucket.chunks + bucket.own:
+                nodes_of.setdefault(sid, []).append(node)
+                tokens_of[sid] = tokens_of.get(sid, 0) + tokens
+        assert tokens_of == batch.lengths
+        assert all(len(set(nodes)) == len(nodes) for nodes in nodes_of.values())
+        for bucket in inter.buckets:
+            try:
+                intra = pt.partition_intra_node(bucket, cluster)
+            except pt.InfeasibleBatch:
+                continue
+            assert intra.restarts <= len(bucket.own)
+            # each own sequence lands on 1..length distinct devices, each
+            # piece nonempty, so its tokens are all placed
+            assert sorted(intra.devices_of) == sorted(sid for sid, _ in bucket.own)
+            for sid, ln in bucket.own:
+                devs = intra.devices_of[sid]
+                assert 1 <= len(devs) <= ln and len(set(devs)) == len(devs)
+            # the fill puts a piece only where it fits; the chunks' even
+            # shares are the starting loads, which it does not check
+            loads = device_loads(bucket, intra, p)
+            assert all(loads[d] <= cap for devs in intra.devices_of.values() for d in devs)
 
 
 class TestEvenSplitFallback:
