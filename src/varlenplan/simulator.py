@@ -9,8 +9,9 @@ dispatch overlaps the round's compute and the transfer overlaps intra-node
 traffic, but the three steps of one payload stay causally ordered.
 
 Ring round ends are evaluated in closed form over (position, round) arrays,
-and events are kept in compact records: `Timeline.events` builds the Event
-objects on first read, so a comparison that only needs reports builds none.
+and events are kept in compact records. `export_trace` writes its lines
+straight from them, and `Timeline.events` builds the Event objects only when
+read, so neither a comparison nor a trace builds any.
 
 After the attention phase the remapping, linear-module, and inverse-remapping
 phases run barrier-synchronized; backward is modeled as a scalar multiplier
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,8 @@ from .workload import SequenceBatch
 COMPUTE = "compute"
 INTRA_COMM = "intra-comm"
 INTER_COMM = "inter-comm"
-_STREAM_ORDER = {COMPUTE: 0, INTRA_COMM: 1, INTER_COMM: 2}
+_STREAMS = (COMPUTE, INTRA_COMM, INTER_COMM)
+_STREAM_ORDER = {stream: s for s, stream in enumerate(_STREAMS)}
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,9 @@ class Event:
 @dataclass(eq=False)
 class Timeline:
     """One simulated forward step. `records` holds its events in compact
-    form, in emission order: an Event's fields as a tuple, or a callable
-    that returns a ring's events. `events` builds them on first read."""
+    form, in emission order: an Event's fields as a tuple, or a ring's
+    `_RingRecord`. `export_trace` writes them as they are; `events` builds
+    the Event objects on first read."""
 
     num_nodes: int
     gpus_per_node: int
@@ -74,14 +77,8 @@ class Timeline:
             if isinstance(record, tuple):
                 events.append(Event(*record))
             else:
-                events.extend(record())
+                events.extend(_ring_events(record))
         return events
-
-    def sorted_events(self) -> list[Event]:
-        return sorted(
-            self.events,
-            key=lambda e: (e.start, e.rank, _STREAM_ORDER.get(e.stream, 9), e.kind, e.duration),
-        )
 
 
 @dataclass
@@ -279,8 +276,8 @@ def _run_ring(
         busy = np.concatenate(([engine.nic_busy[node][nic]], send[rows].T.ravel()))
         engine.nic_busy[node][nic] = float(np.cumsum(busy)[-1])
 
-    engine.records.append(partial(_ring_events, ring_idx, ring, crossing, pairs, tokens, compute, send, direct,
-                                  compute_start, send_start, chains))
+    engine.records.append(_RingRecord(ring_idx, ring, crossing, pairs, tokens, compute, send, direct,
+                                      compute_start, send_start, chains))
     return t
 
 
@@ -332,34 +329,48 @@ def _run_route(engine: _Engine, route: RoutePlan, t: float, lane_tail, seen: dic
     return combine_end
 
 
-def _ring_events(ring_idx: int, ring: RingGroup, crossing: list[bool], pairs: np.ndarray, tokens: np.ndarray,
-                 compute: np.ndarray, send: np.ndarray, direct: np.ndarray, compute_start: np.ndarray,
-                 send_start: np.ndarray, chains: list[list[tuple]]) -> list[Event]:
-    """One ring's events from its compact record ([position, round] matrices
-    and each round's routed steps), in emission order: per round the
-    computes, the direct sends, then the routed steps, each in position
-    order."""
-    members = ring.members
+@dataclass(eq=False)
+class _RingRecord:
+    """One ring's events in compact form: [position, round] matrices of its
+    computes and direct sends, and each round's routed step chains."""
+
+    ring_idx: int
+    ring: RingGroup
+    crossing: list[bool]
+    pairs: np.ndarray
+    tokens: np.ndarray
+    compute: np.ndarray
+    send: np.ndarray
+    direct: np.ndarray
+    compute_start: np.ndarray
+    send_start: np.ndarray
+    chains: list[list[tuple]]
+
+
+def _ring_events(rec: _RingRecord) -> list[Event]:
+    """One ring's events in emission order: per round the computes, the
+    direct sends, then the routed steps, each in position order."""
+    members = rec.ring.members
     g = len(members)
-    compute_start, send_start = compute_start.tolist(), send_start.tolist()
-    pairs, tokens = pairs.tolist(), tokens.tolist()
-    compute, send, direct = compute.tolist(), send.tolist(), direct.tolist()
-    streams = [INTER_COMM if c else INTRA_COMM for c in crossing]
-    kind = f"{ring.kind}.attn"
+    compute_start, send_start = rec.compute_start.tolist(), rec.send_start.tolist()
+    pairs, tokens = rec.pairs.tolist(), rec.tokens.tolist()
+    compute, send, direct = rec.compute.tolist(), rec.send.tolist(), rec.direct.tolist()
+    streams = [INTER_COMM if c else INTRA_COMM for c in rec.crossing]
+    kind = f"{rec.ring.kind}.attn"
     events = []
     for r in range(g):
         for i in range(g):
             if pairs[i][r] > 0:
                 events.append(Event(members[i], COMPUTE, compute_start[i][r], compute[i][r], kind,
-                                    {"ring": ring_idx, "round": r, "pairs": pairs[i][r]}))
+                                    {"ring": rec.ring_idx, "round": r, "pairs": pairs[i][r]}))
         for i in range(g):
             if direct[i][r]:
                 events.append(Event(members[i], streams[i], send_start[i][r], send[i][r], "kv.send",
-                                    {"ring": ring_idx, "round": r, "tokens": tokens[i][r],
+                                    {"ring": rec.ring_idx, "round": r, "tokens": tokens[i][r],
                                      "dst": members[(i + 1) % g]}))
-        for rank, stream, start, dur, step_kind, route, proxy, n in (chains[r] if chains else ()):
+        for rank, stream, start, dur, step_kind, route, proxy, n in (rec.chains[r] if rec.chains else ()):
             events.append(Event(rank, stream, start, dur, step_kind,
-                                {"ring": ring_idx, "round": r, "src": route.source_rank,
+                                {"ring": rec.ring_idx, "round": r, "src": route.source_rank,
                                  "dst": route.dest_rank, "proxy": proxy, "tokens": n}))
     return events
 
@@ -510,24 +521,106 @@ def _peak_kv(plan: PlacementPlan, schedule: AttentionSchedule | None) -> int:
     )
 
 
+def _texts(values: np.ndarray, text) -> list[str]:
+    """`text(value)` for each value, called once per distinct value."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return np.array([text(v) for v in distinct.tolist()], dtype=object)[index].tolist()
+
+
+class _TraceColumns:
+    """A timeline's events as columns in emission order: start, lane
+    (3 * rank + stream order), kind, duration and the text of the args."""
+
+    def __init__(self) -> None:
+        self.start: list[float] = []
+        self.lane: list[int] = []
+        self.kind: list[str] = []
+        self.duration: list[float] = []
+        self.args: list[str] = []
+
+    def add(self, rank: int, stream: str, start: float, duration: float, kind: str, payload: dict) -> None:
+        self.start.append(start)
+        self.lane.append(3 * rank + _STREAM_ORDER[stream])
+        self.kind.append(kind)
+        self.duration.append(duration)
+        self.args.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+
+    def add_ring(self, rec: _RingRecord) -> None:
+        """A ring's computes, direct sends and routed steps. Each block
+        keeps emission order within its kinds, which is all the stable
+        sort needs: events of different kinds never tie."""
+        members = np.array(rec.ring.members)
+        send_lane = 3 * members + np.where(rec.crossing, _STREAM_ORDER[INTER_COMM], _STREAM_ORDER[INTRA_COMM])
+        ring = f'"ring":{rec.ring_idx},"round":'
+        # the transposed masks enumerate (round, position) in emission order
+        r, i = np.nonzero(rec.pairs.T > 0)
+        self._extend(rec.compute_start[i, r], 3 * members[i], f"{rec.ring.kind}.attn", rec.compute[i, r],
+                     [f'{{"pairs":{p},{ring}{rr}}}' for p, rr in zip(rec.pairs[i, r].tolist(), r.tolist())])
+        r, i = np.nonzero(rec.direct.T)
+        dst = np.roll(members, -1)[i]
+        self._extend(rec.send_start[i, r], send_lane[i], "kv.send", rec.send[i, r],
+                     [f'{{"dst":{d},{ring}{rr},"tokens":{n}}}'
+                      for d, rr, n in zip(dst.tolist(), r.tolist(), rec.tokens[i, r].tolist())])
+        steps = [(rr, *step) for rr, chain in enumerate(rec.chains) for step in chain]
+        if steps:
+            r, rank, stream, start, duration, kind, route, proxy, n = zip(*steps)
+            self.start += start
+            self.lane += [3 * m + _STREAM_ORDER[s] for m, s in zip(rank, stream)]
+            self.kind += kind
+            self.duration += duration
+            self.args += [f'{{"dst":{rt.dest_rank},"proxy":{x},{ring}{rr},"src":{rt.source_rank},"tokens":{nn}}}'
+                          for rr, rt, x, nn in zip(r, route, proxy, n)]
+
+    def _extend(self, start: np.ndarray, lane: np.ndarray, kind: str, duration: np.ndarray,
+                args: list[str]) -> None:
+        self.start += start.tolist()
+        self.lane += lane.tolist()
+        self.kind += [kind] * len(args)
+        self.duration += duration.tolist()
+        self.args += args
+
+    def lines(self, gpus_per_node: int) -> list[str]:
+        """One 'X' record per event, keys in sorted order, sorted by (start,
+        rank, stream order, kind, duration); the stable sort keeps emission
+        order on full ties. Numbers are written as json writes them."""
+        start = np.array(self.start, dtype=float)
+        duration = np.array(self.duration, dtype=float)
+        lane = np.array(self.lane, dtype=np.int64)
+        names = sorted(set(self.kind))
+        code = {name: c for c, name in enumerate(names)}
+        kind = np.array([code[k] for k in self.kind], dtype=np.int64)
+        # (rank, stream order) sorts as the lane does
+        order = np.lexsort((duration, kind, lane, start))
+
+        def lane_text(n: int) -> str:
+            return f'"pid":{n // 3 // gpus_per_node},"tid":"{n // 3}.{_STREAMS[n % 3]}"'
+
+        return [
+            f'{{"args":{a},"dur":{d},"name":"{k}","ph":"X",{pt},"ts":{t}}}'
+            for a, d, k, pt, t in zip(
+                np.array(self.args, dtype=object)[order].tolist(),
+                _texts(duration[order] * 1e6, repr),
+                np.array(names, dtype=object)[kind[order]].tolist(),
+                _texts(lane[order], lane_text),
+                _texts(start[order] * 1e6, repr),
+            )
+        ]
+
+
 def export_trace(timeline: Timeline, path: str) -> None:
     """Write the timeline as Chrome Trace Event JSON: complete ('X') events
-    with microsecond timestamps, process id = node, thread id = rank.stream."""
-    records = []
-    for event in timeline.sorted_events():
-        records.append({
-            "name": event.kind,
-            "ph": "X",
-            "ts": event.start * 1e6,
-            "dur": event.duration * 1e6,
-            "pid": event.rank // timeline.gpus_per_node,
-            "tid": f"{event.rank}.{event.stream}",
-            "args": {k: v for k, v in sorted(event.payload.items())},
-        })
-    payload = {"displayTimeUnit": "ms", "traceEvents": records}
-    # one dumps call takes json's C encoder, which json.dump never uses
+    with microsecond timestamps, process id = node, thread id = rank.stream.
+    The lines are written straight from the compact records, with no Event
+    built, in the bytes `json.dumps(..., sort_keys=True)` gives."""
+    columns = _TraceColumns()
+    for record in timeline.records:
+        if isinstance(record, tuple):
+            columns.add(*record)
+        else:
+            columns.add_ring(record)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write('{"displayTimeUnit":"ms","traceEvents":[' + ",".join(columns.lines(timeline.gpus_per_node))
+                 + "]}\n")
 
 
 CSV_HEADER = (

@@ -131,7 +131,11 @@ def load_batch(path: str) -> SequenceBatch:
     sequences = []
     for entry in payload:
         try:
-            sequences.append((int(entry["id"]), int(entry["len"])))
+            sequence = (entry["id"], entry["len"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed batch entry {entry!r}: expected keys 'id' and 'len'") from exc
+        # json gives int for integers only; bool is not one
+        if any(type(value) is not int for value in sequence):
+            raise ValueError(f"malformed batch entry {entry!r}: 'id' and 'len' must be integers")
+        sequences.append(sequence)
     return SequenceBatch(tuple(sequences))

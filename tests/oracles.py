@@ -7,6 +7,7 @@ brute force) without reusing the code paths under test.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from varlenplan.attention_engine import INTER_NODE, build_schedule, causal_pairs
 from varlenplan.partitioner import PlacementPlan
 from varlenplan.remapping import cost_matrix, solve_remap, target_distribution
 from varlenplan.routing import build_route
-from varlenplan.simulator import COMPUTE, INTER_COMM, INTRA_COMM, Event, StepReport
+from varlenplan.simulator import COMPUTE, INTER_COMM, INTRA_COMM, Event, StepReport, Timeline
 from varlenplan.topology import ClusterSpec, CostCoefficients
 
 
@@ -448,3 +449,33 @@ def reference_timeline(plan: PlacementPlan, cluster: ClusterSpec,
         max_micro_batches=max(plan.micro_batch_counts, default=1),
     )
     return engine.events, report
+
+
+_STREAM_ORDER = {COMPUTE: 0, INTRA_COMM: 1, INTER_COMM: 2}
+
+
+def sorted_events(timeline: Timeline) -> list[Event]:
+    """The timeline's events in trace order: by start, rank, stream, kind
+    and duration, emission order breaking full ties."""
+    return sorted(
+        timeline.events,
+        key=lambda e: (e.start, e.rank, _STREAM_ORDER.get(e.stream, 9), e.kind, e.duration),
+    )
+
+
+def reference_trace(timeline: Timeline) -> str:
+    """The Chrome trace text of a timeline, built from its Event objects:
+    one dict per event in trace order, written by json with sorted keys."""
+    records = []
+    for event in sorted_events(timeline):
+        records.append({
+            "name": event.kind,
+            "ph": "X",
+            "ts": event.start * 1e6,
+            "dur": event.duration * 1e6,
+            "pid": event.rank // timeline.gpus_per_node,
+            "tid": f"{event.rank}.{event.stream}",
+            "args": {k: v for k, v in sorted(event.payload.items())},
+        })
+    payload = {"displayTimeUnit": "ms", "traceEvents": records}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

@@ -167,6 +167,32 @@ def test_malformed_json_gives_io_exit(tmp_path, capsys):
     assert rc == 4
 
 
+def test_non_integer_batch_length_gives_usage_exit(tmp_path, capsys):
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([{"id": 0, "len": 10.7}]))
+    out = tmp_path / "p.json"
+    rc = run(["plan", "--config", "cluster_a", "--batch", str(batch), "--out", str(out)])
+    assert rc == 2
+    assert "malformed batch entry" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_trace_matches_compare_trace(tmp_path):
+    # one sequence longer than a node: zeppelin routes its inter-node ring
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([{"id": 0, "len": 131072}]))
+    plan_path = tmp_path / "plan.json"
+    assert run(["plan", "--config", "cluster_a", "--batch", str(batch),
+                "--strategy", "zeppelin", "--out", str(plan_path)]) == 0
+    trace = tmp_path / "t.json"
+    assert run(["simulate", "--config", "cluster_a", "--plan", str(plan_path), "--trace", str(trace)]) == 0
+    trace_dir = tmp_path / "traces"
+    assert run(["compare", "--config", "cluster_a", "--batch", str(batch),
+                "--out", str(tmp_path / "cmp.csv"), "--trace-dir", str(trace_dir)]) == 0
+    assert b'"name":"route.transfer"' in trace.read_bytes()
+    assert trace.read_bytes() == (trace_dir / "zeppelin.trace.json").read_bytes()
+
+
 def test_bad_config_value_gives_usage_exit(tmp_path, capsys):
     cfg = tmp_path / "cluster.cfg"
     cfg.write_text("nodes = some\n")

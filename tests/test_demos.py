@@ -1,7 +1,8 @@
 """Every demo script runs to completion.
 
 Each demo runs in a subprocess from a copy under tmp_path, so files a demo
-writes next to itself (demo_08's traces) land there, not in demos/.
+writes next to itself (demo_08's traces) land there, not in demos/. The
+traces demo_08 writes must match the committed ones byte for byte.
 """
 
 import os
@@ -29,3 +30,8 @@ def test_demo_runs(demo, tmp_path):
     result = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    if demo.stem == "demo_08_timeline_case_study":
+        written = {p.name: p.read_bytes() for p in (tmp_path / "traces").glob("*.json")}
+        committed = {p.name: p.read_bytes() for p in (ROOT / "demos" / "traces").glob("*.json")}
+        assert len(committed) == 4
+        assert written == committed

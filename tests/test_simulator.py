@@ -1,10 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_timeline
+from oracles import reference_timeline, reference_trace, sorted_events
 from varlenplan import simulator
 from varlenplan.attention_engine import (
     INTER_NODE,
@@ -132,7 +134,7 @@ class TestSimulateRings:
         plan = build_plan(batch, cluster)
         a = simulator.simulate(plan, cluster, coeffs)[0]
         b = simulator.simulate(plan, cluster, coeffs)[0]
-        assert a.sorted_events() == b.sorted_events()
+        assert sorted_events(a) == sorted_events(b)
 
     def test_backward_multiplier_scales_total(self):
         cluster, coeffs = cluster_a()
@@ -263,6 +265,16 @@ def assert_matches_reference(plan, cluster, coeffs):
     return events
 
 
+def assert_trace_matches_reference(plan, cluster, coeffs):
+    """`export_trace` writes the bytes of the Event-based reference exporter."""
+    timeline, _ = simulator.simulate(plan, cluster, coeffs)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.json"
+        simulator.export_trace(timeline, str(path))
+        assert "events" not in timeline.__dict__
+        assert path.read_text(encoding="utf-8") == reference_trace(timeline)
+
+
 @st.composite
 def clusters_and_batches(draw):
     intra = draw(st.floats(1e-9, 1e-6))
@@ -294,6 +306,20 @@ def test_simulate_matches_scalar_reference(case):
         assert_matches_reference(plan, cluster, coeffs)
         text = plan_to_json(plan)
         assert plan_to_json(plan_from_json(text)) == text
+
+
+@settings(max_examples=100)
+@given(clusters_and_batches())
+def test_export_trace_matches_reference_trace(case):
+    # the draws of test_simulate_matches_scalar_reference: routed rings,
+    # llama_cp's float pairs payload and empty timelines
+    cluster, coeffs, batch = case
+    for strategy in STRATEGIES:
+        try:
+            plan = plan_with(strategy, batch, cluster)
+        except InfeasibleBatch:
+            continue
+        assert_trace_matches_reference(plan, cluster, coeffs)
 
 
 def hand_built_plan(strategy, cluster, rings, fragments):
@@ -330,6 +356,7 @@ def test_late_lane_matches_scalar_reference(later_kind):
     ]
     plan = hand_built_plan("zeppelin", cluster, rings, fragments)
     events = assert_matches_reference(plan, cluster, coeffs)
+    assert_trace_matches_reference(plan, cluster, coeffs)
     lane = [e for e in events if e.rank == 1 and e.stream == "inter-comm"]
     proxy_tail = max(e.end for e in lane if e.payload["ring"] == 0)
     later_start = min(e.start for e in events if e.payload.get("ring") == 1)
@@ -349,12 +376,13 @@ def test_shared_nic_busy_time_adds_in_event_order():
     fragments = [[Fragment(0, s, e, rank) for s, e in ranges[members.index(rank)]] for rank in range(4)]
     plan = hand_built_plan("te_cp", cluster, (ring,), fragments)
     events = assert_matches_reference(plan, cluster, coeffs)
+    assert_trace_matches_reference(plan, cluster, coeffs)
     assert {e.rank for e in events if e.stream == "inter-comm"} == {0, 1, 2, 3}
 
 
-def test_compare_builds_no_events(monkeypatch):
-    cluster, coeffs = cluster_a(num_nodes=8)
-    batch = sample_batch(preset("arxiv"), 262144, seed=3)
+@pytest.fixture
+def built_events(monkeypatch):
+    """Every Event constructed while the test runs."""
     built = []
     init = simulator.Event.__init__
 
@@ -363,11 +391,30 @@ def test_compare_builds_no_events(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(simulator.Event, "__init__", counting_init)
+    return built
+
+
+def test_compare_builds_no_events(built_events):
+    cluster, coeffs = cluster_a(num_nodes=8)
+    batch = sample_batch(preset("arxiv"), 262144, seed=3)
     reports = simulator.compare(batch, cluster, coeffs, list(STRATEGIES))
     assert all(r.feasible for r in reports)
-    assert built == []
+    assert built_events == []
     timeline, _ = simulator.simulate(plan_te_cp(batch, cluster), cluster, coeffs)
-    assert built == []
+    assert built_events == []
     events = timeline.events
     assert timeline.events is events
-    assert len(built) == len(events) > 4096  # one 64-rank ring: 64 x 64 computes alone
+    assert len(built_events) == len(events) > 4096  # one 64-rank ring: 64 x 64 computes alone
+
+
+def test_export_builds_no_events(built_events, tmp_path):
+    cluster, coeffs = cluster_a(num_nodes=8)
+    batch = sample_batch(preset("github"), 262144, seed=1)
+    _, timelines = simulator.compare_with_timelines(batch, cluster, coeffs, list(STRATEGIES))
+    assert sorted(timelines) == sorted(STRATEGIES)
+    for name, timeline in timelines.items():
+        simulator.export_trace(timeline, str(tmp_path / f"{name}.json"))
+    assert built_events == []
+    assert all("events" not in timeline.__dict__ for timeline in timelines.values())
+    routed = json.loads((tmp_path / "zeppelin.json").read_text())["traceEvents"]
+    assert sum(r["name"] == "route.transfer" for r in routed) > 0

@@ -103,3 +103,29 @@ def test_batch_json_rejects_garbage(tmp_path):
     path.write_text('{"not": "a list"}')
     with pytest.raises(ValueError):
         load_batch(str(path))
+
+
+@pytest.mark.parametrize("entry", [
+    '{"id": 0, "len": 10.7}',
+    '{"id": 0, "len": 12.0}',
+    '{"id": true, "len": 10}',
+    '{"id": 0, "len": false}',
+    '{"id": 0, "len": "12"}',
+    '{"id": "0", "len": 12}',
+    '{"id": null, "len": 12}',
+    '{"id": 0, "len": [12]}',
+], ids=["float_len", "integral_float_len", "bool_id", "bool_len", "string_len", "string_id", "null_id",
+        "list_len"])
+def test_batch_json_rejects_non_integer_values(tmp_path, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(f"[{entry}]")
+    with pytest.raises(ValueError, match="malformed batch entry .* must be integers"):
+        load_batch(str(path))
+
+
+def test_batch_json_rejects_entries_that_are_not_objects(tmp_path):
+    path = tmp_path / "bad.json"
+    for text in ("[[0, 12]]", '["ab"]', "[7]"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="malformed batch entry"):
+            load_batch(str(path))
