@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -251,6 +252,29 @@ class TestCompare:
         assert hybrid.feasible  # micro-batching absorbs the overflow
         line = simulator.reports_to_csv(reports).splitlines()[1]
         assert line.startswith("te_cp,") and line.endswith(",,")
+
+
+class TestPinnedCompare:
+    # sha256 over the compare CSV and every strategy's trace file for
+    # cluster_a at 2, 4 and 8 nodes, 32k tokens per node, three presets and
+    # seeds 0-2 (routed github batches among them); a change that means to
+    # move a simulated step updates it and says so
+    DIGEST = "de350375d965e97189e54a4175667ba35fb8bc013f9635af9521461d9c7a1aa2"
+
+    def test_compare_outputs_are_byte_identical(self, tmp_path):
+        digest = hashlib.sha256()
+        for n in (2, 4, 8):
+            cluster, coeffs = cluster_a(num_nodes=n)
+            for name in PRESET_NAMES:
+                for seed in range(3):
+                    batch = sample_batch(preset(name), 32768 * n, seed=seed)
+                    reports, timelines = simulator.compare_with_timelines(batch, cluster, coeffs, list(STRATEGIES))
+                    digest.update(simulator.reports_to_csv(reports).encode())
+                    for strategy, timeline in timelines.items():
+                        path = tmp_path / f"{strategy}.trace.json"
+                        simulator.export_trace(timeline, str(path))
+                        digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.DIGEST
 
 
 def assert_matches_reference(plan, cluster, coeffs):
