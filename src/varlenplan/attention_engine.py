@@ -95,34 +95,6 @@ def ranges_from_sizes(sizes: list[int]) -> list[list[tuple[int, int]]]:
     return out
 
 
-def visible_pair_counts(q_start, q_end, kv_start, kv_end) -> np.ndarray:
-    """Causal (q, k) pairs with q in [q_start, q_end), k in [kv_start, kv_end)
-    and k <= q, elementwise over the broadcast int64 arrays.
-
-    Ranges are half-open in one sequence's global coordinates; empty or
-    reversed ranges count 0, and overlapping ranges count once per range
-    pair.
-    """
-    a, b, c, d = (np.asarray(x, dtype=np.int64) for x in (q_start, q_end, kv_start, kv_end))
-    # per-q contribution: clamp(q + 1 - c, 0, m), summed over q in [a, b):
-    # a ramp over the queries inside the key range, then a flat m after it
-    ramp_lo = np.maximum(a, c)
-    ramp_hi = np.minimum(b - 1, d - 2)
-    ramp = (ramp_lo + ramp_hi + 2 - 2 * c) * np.maximum(ramp_hi - ramp_lo + 1, 0) // 2
-    flat = np.maximum(d - c, 0) * np.maximum(b - np.maximum(a, d - 1), 0)
-    return ramp + flat
-
-
-def visible_pairs(q_range: tuple[int, int], kv_ranges: list[tuple[int, int]] | tuple) -> int:
-    """Count causal (q, k) pairs with q in q_range, k in any kv range, k <= q.
-
-    Ranges are half-open [start, end) in one sequence's global coordinates;
-    this is the one-query-range case of visible_pair_counts.
-    """
-    kv = np.array(kv_ranges, dtype=np.int64).reshape(-1, 2)
-    return int(visible_pair_counts(q_range[0], q_range[1], kv[:, 0], kv[:, 1]).sum())
-
-
 def causal_pairs(seq_len: int) -> int:
     """Pairs of a full lower-triangular mask: n*(n+1)/2."""
     return seq_len * (seq_len + 1) // 2
@@ -204,32 +176,97 @@ class AttentionSchedule:
         return self.inter_rings + self.intra_rings
 
 
-def _ring_pair_matrix(layout: list[list[list[tuple[int, int]]]], g: int) -> np.ndarray:
-    """M[i, j]: causal pairs between the queries held at ring position i and
-    the KV resident at position j, summed over the ring's sequences. Each
-    sequence is one (n x n) block over its n ranges, added into M by the
-    positions holding them."""
-    matrix = np.zeros((g, g), dtype=np.int64)
-    for by_position in layout:
-        pos = [p for p, ranges in enumerate(by_position) for _ in ranges]
-        if not pos:
-            continue
-        bounds = np.array([r for ranges in by_position for r in ranges], dtype=np.int64)
-        start, end = bounds[:, 0], bounds[:, 1]
-        block = visible_pair_counts(start[:, None], end[:, None], start, end)
-        np.add.at(matrix, np.ix_(pos, pos), block)
-    return matrix
+# elements of one (pieces x positions) prefix-sum block of _ring_pair_counts
+_BLOCK = 1 << 17
 
 
-def _ring_schedule(ring: RingGroup, fragments: "list[list[Fragment]]") -> RingSchedule:
-    layout = ring_ranges(ring, fragments)
-    pairs = _ring_pair_matrix(layout, ring.group_size)
-    pairs.setflags(write=False)
-    kv_sizes = tuple(
-        sum(end - start for by_position in layout for start, end in by_position[p])
-        for p in range(ring.group_size)
-    )
-    return RingSchedule(ring=ring, pairs=pairs, kv_sizes=kv_sizes)
+def _expand(first: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each i, counts[i] entries: (i, first[i] + k) for k < counts[i]."""
+    owner = np.arange(len(first)).repeat(counts)
+    return owner, first[owner] + np.arange(len(owner)) - (counts.cumsum() - counts).repeat(counts)
+
+
+def _ring_pair_counts(matrix: np.ndarray, seg, row, col, start, end) -> None:
+    """Add into matrix[row, col] the causal pairs between every two ranges
+    of one segment (a sequence on one ring), once per range pair.
+
+    Ranges are cut at every boundary of their segment, so two pieces of a
+    segment are either identical or disjoint, and sorted by start. A query
+    piece of length n sees the ramp n * (n + 1) / 2 of each identical piece
+    (itself included) and n * m pairs of each earlier key piece of length
+    m. The products are the exclusive prefix sum, per segment, of the
+    pieces' lengths by column, scaled by n and summed per row. Empty and
+    reversed ranges add nothing.
+    """
+    end = np.maximum(start, end)
+    if not (end > start).any():
+        return
+    # one sorted key per (segment, coordinate): segments never interleave
+    span = int(end.max()) - int(start.min()) + 1
+    key_start, key_end = seg * span + start, seg * span + end
+    bounds = np.concatenate((key_start, key_end))
+    bounds.sort()
+    bounds = bounds[np.concatenate(([True], bounds[1:] != bounds[:-1]))]
+    first = bounds.searchsorted(key_start)
+    of, interval = _expand(first, bounds.searchsorted(key_end) - first)
+    order = interval.argsort(kind="stable")
+    of, interval = of[order], interval[order]
+    length = bounds[interval + 1] - bounds[interval]
+    row, col, seg = row[of], col[of], seg[of]
+    same_first = interval.searchsorted(interval)
+    p, q = _expand(same_first, interval.searchsorted(interval, side="right") - same_first)
+    np.add.at(matrix, (row[p], col[q]), length[p] * (length[p] + 1) // 2)
+    totals = np.zeros((int(seg[-1]) + 1, matrix.shape[1]), dtype=np.int64)
+    np.add.at(totals, (seg, col), length)
+    heads = np.flatnonzero(seg[1:] != seg[:-1]) + 1
+    # blocks of whole segments, about _BLOCK elements each
+    block = np.concatenate(([0], heads)) * matrix.shape[1] // _BLOCK
+    cuts = heads[block[1:] != block[:-1]].tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(of)]):
+        prefix = np.zeros((hi - lo + 1, matrix.shape[1]), dtype=np.int64)
+        prefix[np.arange(1, hi - lo + 1), col[lo:hi]] = length[lo:hi]
+        # each later segment's row takes back the total of the one before,
+        # so the sums restart at every segment
+        restart = heads[(heads > lo) & (heads < hi)]
+        prefix[restart - lo] -= totals[seg[restart - 1]]
+        prefix.cumsum(axis=0, out=prefix)
+        by_row = lo + row[lo:hi].argsort(kind="stable")
+        earlier = prefix[same_first[by_row] - lo]
+        earlier *= length[by_row, None]
+        owner = row[by_row]
+        owners = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+        matrix[owner[owners]] += np.add.reduceat(earlier, owners, axis=0)
+
+
+def _ring_schedules(rings: "tuple[RingGroup, ...]", fragments: "list[list[Fragment]]") -> list[RingSchedule]:
+    """Every ring's pair matrix and KV sizes in one pass over all of their
+    ranges: ring k's positions are rows offset_k .. offset_k + G_k - 1 of one
+    matrix, and its block is M[query position, KV position]. KV sizes add
+    every range's end - start."""
+    segments: dict[tuple[int, int], int] = {}
+    picked: list[tuple[int, int, int, int, int]] = []
+    offset = 0
+    for k, ring in enumerate(rings):
+        index = {sid: segments.setdefault((k, sid), len(segments)) for sid in ring.sequence_ids}
+        picked += [(s, offset + position, position, frag.start, frag.end)
+                   for position, rank in enumerate(ring.members) for frag in fragments[rank]
+                   if (s := index.get(frag.sequence_id)) is not None and frag.micro_batch == 0]
+        offset += ring.group_size
+    seg, row, col, start, end = np.array(picked, dtype=np.int64).reshape(-1, 5).T
+    kv_sizes = np.zeros(offset, dtype=np.int64)
+    np.add.at(kv_sizes, row, end - start)
+    kv_sizes = kv_sizes.tolist()
+    matrix = np.zeros((offset, max((ring.group_size for ring in rings), default=0)), dtype=np.int64)
+    _ring_pair_counts(matrix, seg, row, col, start, end)
+    matrix.setflags(write=False)
+    out = []
+    offset = 0
+    for ring in rings:
+        g = ring.group_size
+        out.append(RingSchedule(ring=ring, pairs=matrix[offset:offset + g, :g],
+                                kv_sizes=tuple(kv_sizes[offset:offset + g])))
+        offset += g
+    return out
 
 
 def build_schedule(plan: "PlacementPlan") -> AttentionSchedule:
@@ -237,14 +274,9 @@ def build_schedule(plan: "PlacementPlan") -> AttentionSchedule:
     kernels. KV rotates one position per round (position i sends to i+1 and
     receives from i-1), for G rounds per ring so every position sees every
     KV set and the layout returns home for the backward pass."""
-    inter = []
-    intra = []
-    for ring in plan.ring_groups:
-        sched = _ring_schedule(ring, plan.fragments)
-        if ring.kind == INTER_NODE:
-            inter.append(sched)
-        else:
-            intra.append(sched)
+    scheds = _ring_schedules(plan.ring_groups, plan.fragments)
+    inter = [sched for sched in scheds if sched.ring.kind == INTER_NODE]
+    intra = [sched for sched in scheds if sched.ring.kind != INTER_NODE]
     # a sequence a ring carries is computed in its rounds, even when all of
     # its tokens sit on one rank (a one-token sequence on te_cp's global ring)
     ringed = {sid for ring in plan.ring_groups for sid in ring.sequence_ids}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import ring_pair_totals_bruteforce, ring_round_pairs_bruteforce, visible_pairs_bruteforce
 from varlenplan import attention_engine as ae
 from varlenplan.baselines import STRATEGIES, plan_with
-from varlenplan.partitioner import Fragment, build_plan
+from varlenplan.partitioner import Fragment, PlacementPlan, build_plan
 from varlenplan.topology import ClusterSpec, cluster_a
 from varlenplan.workload import SequenceBatch
 
@@ -31,8 +31,7 @@ def test_zigzag_two_rank_example():
     totals = ring_pair_totals_bruteforce(8, ranges)
     assert totals == [18, 18]
     full = [(0, 8)]
-    assert ae.visible_pairs((0, 2), full) + ae.visible_pairs((6, 8), full) == 18
-    assert ae.visible_pairs((2, 4), full) + ae.visible_pairs((4, 6), full) == 18
+    assert ring_pairs(ranges[0], full) == ring_pairs(ranges[1], full) == 18
 
 
 def test_zigzag_degenerate_single_rank():
@@ -66,13 +65,21 @@ def test_zigzag_balance_bound_when_not_divisible():
         assert sum(totals) == ae.causal_pairs(s)
 
 
+def ring_pairs(q_ranges, kv_ranges):
+    """Causal pairs of one sequence between the query ranges at ring
+    position 0 and the key ranges at position 1, off the ring's pair matrix."""
+    fragments = [[Fragment(0, s, e, 0) for s, e in q_ranges], [Fragment(0, s, e, 1) for s, e in kv_ranges]]
+    ring = ae.RingGroup(kind=ae.INTRA_NODE, members=(0, 1), sequence_ids=(0,))
+    return int(ae._ring_schedules((ring,), fragments)[0].pairs[0, 1])
+
+
 def test_visible_pairs_examples():
-    assert ae.visible_pairs((0, 4), [(0, 4)]) == 10
-    assert ae.visible_pairs((4, 8), [(0, 4)]) == 16
-    assert ae.visible_pairs((4, 8), [(0, 8)]) == 26
+    assert ring_pairs([(0, 4)], [(0, 4)]) == 10
+    assert ring_pairs([(4, 8)], [(0, 4)]) == 16
+    assert ring_pairs([(4, 8)], [(0, 8)]) == 26
     # reversed ranges count as empty
-    assert ae.visible_pairs((4, 8), [(6, 2), (0, 4)]) == 16
-    assert ae.visible_pairs((8, 4), [(0, 8)]) == 0
+    assert ring_pairs([(4, 8)], [(6, 2), (0, 4)]) == 16
+    assert ring_pairs([(8, 4)], [(0, 8)]) == 0
 
 
 def test_visible_pairs_matches_enumeration():
@@ -87,7 +94,7 @@ def test_visible_pairs_matches_enumeration():
             hi = lo + rng.randint(0, 10)
             kv.append((lo, hi))
             pos = hi
-        assert ae.visible_pairs((a, b), kv) == visible_pairs_bruteforce((a, b), kv)
+        assert ring_pairs([(a, b)], kv) == visible_pairs_bruteforce((a, b), kv)
 
 
 def _tiny_cluster():
@@ -122,7 +129,7 @@ def test_fused_intra_ring_balances_two_sequences():
     ranges = ae.ranges_from_sizes(ae.split_even(8, 4))
     fragments = [[Fragment(sid, s, e, rank) for sid in (0, 1) for s, e in ranges[rank]] for rank in (0, 1)]
     ring = ae.RingGroup(kind=ae.INTRA_NODE, members=(0, 1), sequence_ids=(0, 1))
-    sched = ae._ring_schedule(ring, fragments)
+    sched = ae._ring_schedules((ring,), fragments)[0]
     assert sched.pairs.sum(axis=1).tolist() == [2 * 18, 2 * 18]
 
 
@@ -155,6 +162,17 @@ def test_ring_per_rank_totals_equal_for_exact_split():
     assert len(set(rs.pairs.sum(axis=1).tolist())) == 1
 
 
+def draw_ranges(draw, g):
+    """One sequence's ranges per ring position: balanced zigzag chunks, or
+    arbitrary (possibly empty or overlapping) ranges in any order."""
+    if draw(st.booleans()):
+        seq_len = draw(st.integers(0, 8 * g))
+        loads = draw(st.lists(st.integers(0, 50), min_size=g, max_size=g))
+        return ae.ranges_from_sizes(ae.balanced_zigzag_sizes(seq_len, g, loads))
+    span = st.tuples(st.integers(0, 40), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1]))
+    return draw(st.lists(st.lists(span, max_size=3), min_size=g, max_size=g))
+
+
 @st.composite
 def rings(draw):
     """Rings of 2-12 members, in any order over ranks 0..G-1, carrying 1-4
@@ -167,13 +185,7 @@ def rings(draw):
     fragments: list[list[Fragment]] = [[] for _ in range(g)]
     n_seqs = draw(st.integers(1, 4))
     for sid in range(n_seqs):
-        if draw(st.booleans()):
-            seq_len = draw(st.integers(0, 8 * g))
-            loads = draw(st.lists(st.integers(0, 50), min_size=g, max_size=g))
-            ranges = ae.ranges_from_sizes(ae.balanced_zigzag_sizes(seq_len, g, loads))
-        else:
-            span = st.tuples(st.integers(0, 40), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1]))
-            ranges = draw(st.lists(st.lists(span, max_size=3), min_size=g, max_size=g))
+        ranges = draw_ranges(draw, g)
         for rank, pos_ranges in zip(members, ranges):
             fragments[rank] += [Fragment(sid, s, e, rank) for s, e in pos_ranges]
     if draw(st.booleans()):
@@ -185,10 +197,54 @@ def rings(draw):
 @given(rings())
 def test_ring_rounds_match_token_enumeration(case):
     ring, fragments = case
-    sched = ae._ring_schedule(ring, fragments)
-    g = ring.group_size
-    # in round r, position i computes against and sends on the KV of position (i - r) mod g
-    got = [[(int(sched.pairs[i, (i - r) % g]), sched.kv_sizes[(i - r) % g]) for r in range(g)] for i in range(g)]
-    assert got == ring_round_pairs_bruteforce(ring, fragments)
+    sched = ae._ring_schedules((ring,), fragments)[0]
+    assert round_pairs(sched) == ring_round_pairs_bruteforce(ring, fragments)
     assert sched.pairs.dtype == np.int64 and not sched.pairs.flags.writeable
     assert all(type(n) is int for n in sched.kv_sizes)
+
+
+def round_pairs(sched):
+    """(pairs, KV tokens) of every round, indexed [position][round]: in round
+    r, position i computes against and sends on the KV of position (i - r) mod g."""
+    g = sched.ring.group_size
+    return [[(int(sched.pairs[i, (i - r) % g]), sched.kv_sizes[(i - r) % g]) for r in range(g)] for i in range(g)]
+
+
+@st.composite
+def multi_ring_plans(draw):
+    """Unvalidated plans of 2-4 rings over 2-10 ranks. Rings carry disjoint
+    sequences, and their members may share ranks. Each
+    sequence is laid out as in `rings`, and each rank lists its fragments
+    in any order."""
+    n_ranks = draw(st.integers(2, 10))
+    fragments: list[list[Fragment]] = [[] for _ in range(n_ranks)]
+    ring_groups = []
+    sid = 0
+    for _ in range(draw(st.integers(2, 4))):
+        g = draw(st.integers(2, n_ranks))
+        members = tuple(draw(st.permutations(range(n_ranks)))[:g])
+        sids = []
+        for _ in range(draw(st.integers(1, 3))):
+            for rank, pos_ranges in zip(members, draw_ranges(draw, g)):
+                fragments[rank] += [Fragment(sid, s, e, rank) for s, e in pos_ranges]
+            sids.append(sid)
+            sid += 1
+        kind = draw(st.sampled_from([ae.INTER_NODE, ae.INTRA_NODE]))
+        ring_groups.append(ae.RingGroup(kind=kind, members=members, sequence_ids=tuple(sids)))
+    fragments = [draw(st.permutations(frags)) for frags in fragments]
+    lengths = dict.fromkeys(range(sid), 0)
+    for frag in (f for frags in fragments for f in frags):
+        lengths[frag.sequence_id] = max(lengths[frag.sequence_id], frag.end)
+    return PlacementPlan(strategy="te_cp", num_nodes=1, gpus_per_node=n_ranks, s1=0, s0_per_node=[0],
+                         sequence_lengths=lengths, fragments=fragments, ring_groups=tuple(ring_groups), meta={})
+
+
+@given(multi_ring_plans())
+def test_every_ring_of_a_plan_matches_token_enumeration(plan):
+    # one pass over all rings builds their matrices: no pairs may leak
+    # from one ring's rows or sequences into another's
+    schedule = ae.build_schedule(plan)
+    assert sorted(s.ring.sequence_ids for s in schedule.rings()) == sorted(r.sequence_ids for r in plan.ring_groups)
+    for sched in schedule.rings():
+        assert round_pairs(sched) == ring_round_pairs_bruteforce(sched.ring, plan.fragments)
+        assert all(type(n) is int for n in sched.kv_sizes)
