@@ -156,13 +156,11 @@ def route_schedule(
         if ring.kind != INTER_NODE:
             continue
         g = ring.group_size
+        hops = [(pos, ring.members[pos], ring.members[(pos + 1) % g]) for pos in range(g)]
+        crossing = [(pos, src, dst) for pos, src, dst in hops if cluster.node_of(src) != cluster.node_of(dst)]
         built: dict[tuple[int, int, int], RoutePlan] = {}
         for r in range(g):
-            for pos in range(g):
-                src = ring.members[pos]
-                dst = ring.members[(pos + 1) % g]
-                if cluster.node_of(src) == cluster.node_of(dst):
-                    continue
+            for pos, src, dst in crossing:
                 tokens = ring_sched.kv_sizes[(pos - r) % g]
                 if tokens == 0:
                     continue

@@ -9,7 +9,7 @@ dispatch overlaps the round's compute and the transfer overlaps intra-node
 traffic, but the three steps of one payload stay causally ordered.
 
 Ring round ends are evaluated in closed form over (position, round) arrays,
-and events are kept in compact records. `export_trace` writes its lines
+routed sends by per-route chains, and events are kept in compact records. `export_trace` writes its lines
 straight from them, and `Timeline.events` builds the Event objects only when
 read, so neither a comparison nor a trace builds any.
 
@@ -31,7 +31,7 @@ from . import baselines
 from .attention_engine import INTER_NODE, AttentionSchedule, RingGroup, RingSchedule, build_schedule, causal_pairs
 from .partitioner import InfeasibleBatch, PlacementPlan
 from .remapping import cost_matrix, solve_remap, target_distribution
-from .routing import COMBINE, DISPATCH, INTER_TRANSFER, RoutePlan, route_schedule
+from .routing import COMBINE, DISPATCH, INTER_TRANSFER, RoutePlan, RouteStep, route_schedule
 from .topology import ClusterSpec, CostCoefficients
 from .workload import SequenceBatch
 
@@ -136,11 +136,20 @@ class _Engine:
         local = rank % self.cluster.gpus_per_node
         return local * self.cluster.nics_per_node // self.cluster.gpus_per_node
 
-    def next_nic(self, node: int) -> int:
-        """Routed transfers spread round-robin over the node's NICs."""
-        nic = self._nic_cursor[node] % self.cluster.nics_per_node
-        self._nic_cursor[node] += 1
-        return nic
+    def bill_transfers(self, node: int, durations: list[float]) -> None:
+        """Routed transfers spread round-robin over the node's NICs: the
+        j-th from here goes to NIC (cursor + j) mod nics, and each NIC's busy
+        time adds its transfers in order."""
+        nics = self.cluster.nics_per_node
+        cursor = self._nic_cursor[node]
+        busy = self.nic_busy[node]
+        for k in range(min(nics, len(durations))):
+            nic = (cursor + k) % nics
+            total = busy[nic]
+            for dur in durations[k::nics]:
+                total += dur
+            busy[nic] = total
+        self._nic_cursor[node] = cursor + len(durations)
 
 
 def _run_rings(
@@ -187,9 +196,9 @@ def _run_ring(
     when the ring began: a lane the ring used before ended by t_r. Float
     addition rounds monotonically, so a round whose legs all start at t_r
     ends at t_r + (its longest leg); lanes whose tail lies past t0 (a rank
-    that proxied an earlier routed ring) and routed step chains are added
-    per round on top. Sends of positions in `routes` are routed; the rest
-    go direct.
+    that proxied an earlier routed ring) and routed sends are added per
+    round on top. Sends of positions in `routes` are routed, each timed by
+    its route's `_RouteLegs`; the rest go direct.
     """
     ring = ring_sched.ring
     g = ring.group_size
@@ -214,22 +223,24 @@ def _run_ring(
     late = [(compute_tail[i], compute[i], pairs[i] > 0) for i in range(g) if compute_tail[i] > t0]
     late += [(send_tail[i], send[i], direct[i]) for i in range(g) if send_tail[i] > t0 and not via_route[i]]
 
-    routed_pos = [i for i in range(g) if via_route[i]]
-    chains: list[list[tuple]] = []
-    chain_tails: dict[int, float] = {}
-    if routed_pos:
+    # the routed sends of each round, as their routes' legs
+    round_legs: list[list[_RouteLegs]] = [[] for _ in range(g)]
+    built: dict[int, _RouteLegs] = {}
+    if routes is not None:
         token_rows = tokens.tolist()
-        direct_lane = {send_lanes[j]: j for j in range(g) if not via_route[j]}
-
-    def lane_tail(lane: int) -> float:
-        # the lane's tail so far in round r: its own earlier step of the
-        # round, else a direct send of the round on it, else its tail at t
-        if lane in seen:
-            return seen[lane]
-        j = direct_lane.get(lane)
-        if j is not None and token_rows[j][r] > 0:
-            return max(t, send_tail[j]) + float(send[j, r])
-        return max(t, tails[lane])
+        routed = [i for i in range(g) if via_route[i]]
+        for r in range(g):
+            for i in routed:
+                if token_rows[i][r] > 0:
+                    route = routes[(ring_idx, r, members[i])]
+                    legs = built.get(id(route))
+                    if legs is None:
+                        legs = built[id(route)] = _RouteLegs.of(route, cluster)
+                    round_legs[r].append(legs)
+    route_lanes = {lane for legs in built.values() for lane in legs.lanes}
+    # direct sends on lanes that routed steps use too
+    shared = [j for j in range(g) if not via_route[j] and send_lanes[j] in route_lanes]
+    sends: list[tuple] = []
 
     starts = []
     t = t0
@@ -239,18 +250,17 @@ def _run_ring(
         for tail, dur, used in late:
             if tail > t and used[r]:
                 end = max(end, tail + float(dur[r]))
-        if routed_pos:
-            chain: list[tuple] = []
-            seen = {}
-            for i in routed_pos:
-                if token_rows[i][r] == 0:
-                    continue
-                route = routes[(ring_idx, r, members[i])]
-                end = max(end, _run_route(engine, route, t, lane_tail, seen, chain))
-            chains.append(chain)
-            chain_tails.update(seen)
+        if round_legs[r]:
+            # routed steps move the lane tails as they go: a lane's tail is
+            # then its latest end, and ends of earlier rounds lie before t
+            for j in shared:
+                if direct[j, r]:
+                    tails[send_lanes[j]] = max(t, send_tail[j]) + float(send[j, r])
+            for legs in round_legs[r]:
+                *starts_of_send, send_end = legs.run(tails, t)
+                end = max(end, send_end)
+                sends.append((r, legs, *starts_of_send))
         t = end
-
     round_start = np.array(starts)
     compute_start = np.maximum(round_start, np.array(compute_tail)[:, None])
     send_start = np.maximum(round_start, np.array(send_tail)[:, None])
@@ -260,8 +270,7 @@ def _run_ring(
     for i in range(g):
         tails[compute_lanes[i]] = max(tails[compute_lanes[i]], compute_end[i])
         tails[send_lanes[i]] = max(tails[send_lanes[i]], send_end[i])
-    for lane, end in chain_tails.items():
-        tails[lane] = max(tails[lane], end)
+    _tally_sends(engine, sends)
 
     kv_total = sum(ring_sched.kv_sizes)
     node_nics: dict[tuple[int, int], list[int]] = {}
@@ -277,62 +286,131 @@ def _run_ring(
         engine.nic_busy[node][nic] = float(np.cumsum(busy)[-1])
 
     engine.records.append(_RingRecord(ring_idx, ring, crossing, pairs, tokens, compute, send, direct,
-                                      compute_start, send_start, chains))
+                                      compute_start, send_start, sends))
     return t
 
 
-def _run_route(engine: _Engine, route: RoutePlan, t: float, lane_tail, seen: dict, chain: list) -> float:
-    """Place one routed transfer's steps from round start t: dispatch scatter
-    serialized on the source's intra stream, per-proxy transfers in parallel
-    once dispatch completes, gather serialized on the destination's intra
-    stream. `lane_tail` gives a lane's tail so far in the round and `seen`
-    takes the new ones. Appends (rank, stream, start, duration, kind, route,
-    proxy, tokens) records to `chain` and returns the gather's end."""
-    cluster = engine.cluster
-    src, dst = route.source_rank, route.dest_rank
-    dispatch_end = t
-    for step in route.steps:
-        if step.kind != DISPATCH:
-            continue
-        dur = cluster.inv_bw_intra * step.tokens
-        lane = 3 * src + 1
-        start = max(t, lane_tail(lane))
-        seen[lane] = end = start + dur
-        chain.append((src, INTRA_COMM, start, dur, "route.dispatch", route, step.dest_rank, step.tokens))
-        engine.count(src, "intra", step.tokens)
-        dispatch_end = max(dispatch_end, end)
-    transfer_end = dispatch_end
-    for step in route.steps:
-        if step.kind != INTER_TRANSFER:
-            continue
-        dur = cluster.inv_bw_inter * step.tokens
-        lane = 3 * step.source_rank + 2
-        start = max(dispatch_end, lane_tail(lane))
-        seen[lane] = end = start + dur
-        chain.append((step.source_rank, INTER_COMM, start, dur, "route.transfer", route, step.dest_rank,
-                      step.tokens))
-        node = cluster.node_of(step.source_rank)
-        engine.nic_busy[node][engine.next_nic(node)] += dur
-        transfer_end = max(transfer_end, end)
-    engine.count(src, "inter", route.tokens)
-    combine_end = transfer_end
-    for step in route.steps:
-        if step.kind != COMBINE:
-            continue
-        dur = cluster.inv_bw_intra * step.tokens
-        lane = 3 * dst + 1
-        start = max(transfer_end, lane_tail(lane))
-        seen[lane] = end = start + dur
-        chain.append((dst, INTRA_COMM, start, dur, "route.combine", route, step.source_rank, step.tokens))
-        engine.count(step.source_rank, "intra", step.tokens)
-        combine_end = max(combine_end, end)
-    return combine_end
+@dataclass(frozen=True, eq=False)
+class _RouteLegs:
+    """A RoutePlan's steps as lanes and durations, built once per ring: the
+    dispatch scatter is one chain on the source's intra lane, the transfers
+    run in parallel on the send proxies' inter lanes once it ends, and the
+    gather is one chain on the destination's intra lane after them."""
+
+    route: RoutePlan
+    dispatches: tuple[RouteStep, ...]
+    transfers: tuple[RouteStep, ...]
+    combines: tuple[RouteStep, ...]
+    dispatch: tuple[float, ...]
+    transfer: tuple[float, ...]
+    combine: tuple[float, ...]
+    source_lane: int
+    transfer_lanes: tuple[int, ...]
+    dest_lane: int
+
+    @classmethod
+    def of(cls, route: RoutePlan, cluster: ClusterSpec) -> "_RouteLegs":
+        steps = {kind: tuple(s for s in route.steps if s.kind == kind) for kind in (DISPATCH, INTER_TRANSFER, COMBINE)}
+        intra, inter = cluster.inv_bw_intra, cluster.inv_bw_inter
+        return cls(
+            route, steps[DISPATCH], steps[INTER_TRANSFER], steps[COMBINE],
+            tuple(intra * s.tokens for s in steps[DISPATCH]),
+            tuple(inter * s.tokens for s in steps[INTER_TRANSFER]),
+            tuple(intra * s.tokens for s in steps[COMBINE]),
+            3 * route.source_rank + 1,
+            tuple(3 * s.source_rank + 2 for s in steps[INTER_TRANSFER]),
+            3 * route.dest_rank + 1,
+        )
+
+    @property
+    def lanes(self) -> tuple[int, ...]:
+        return (self.source_lane, *self.transfer_lanes, self.dest_lane)
+
+    def run(self, tails: list[float], t: float) -> tuple[float, list[float], float, float]:
+        """Time one send from round start t on lanes whose latest ends are
+        `tails`, and move those ends. Returns the dispatch chain's start,
+        each transfer's start, the gather chain's start and the send's end.
+        Each chain's ends are sequential sums from its start."""
+        dispatch_start = end = max(t, tails[self.source_lane])
+        if self.dispatch:
+            for dur in self.dispatch:
+                end += dur
+            tails[self.source_lane] = end
+        else:
+            end = t
+        transfer_starts = []
+        transfer_end = end
+        for lane, dur in zip(self.transfer_lanes, self.transfer):
+            start = tails[lane]
+            if start < end:
+                start = end
+            transfer_starts.append(start)
+            tails[lane] = done = start + dur
+            if done > transfer_end:
+                transfer_end = done
+        combine_start = end = max(transfer_end, tails[self.dest_lane])
+        if self.combine:
+            for dur in self.combine:
+                end += dur
+            tails[self.dest_lane] = end
+        else:
+            end = transfer_end
+        return dispatch_start, transfer_starts, combine_start, end
+
+    def steps(self, dispatch_start: float, transfer_starts: list[float],
+              combine_start: float) -> list[tuple]:
+        """The send's steps as (rank, stream, start, duration, kind, proxy,
+        tokens), in emission order."""
+        out = []
+        start = dispatch_start
+        for step, dur in zip(self.dispatches, self.dispatch):
+            out.append((step.source_rank, INTRA_COMM, start, dur, "route.dispatch", step.dest_rank, step.tokens))
+            start += dur
+        for step, dur, start in zip(self.transfers, self.transfer, transfer_starts):
+            out.append((step.source_rank, INTER_COMM, start, dur, "route.transfer", step.dest_rank, step.tokens))
+        start = combine_start
+        for step, dur in zip(self.combines, self.combine):
+            out.append((step.dest_rank, INTRA_COMM, start, dur, "route.combine", step.source_rank, step.tokens))
+            start += dur
+        return out
+
+    def texts(self) -> tuple[list[tuple[str, str]], ...]:
+        """Each step's trace args as the text before and after its ring and
+        round: the dispatches', the transfers' and the gathers'."""
+        src, dst = self.route.source_rank, self.route.dest_rank
+
+        def text(proxy: int, tokens: int) -> tuple[str, str]:
+            return f'{{"dst":{dst},"proxy":{proxy},', f',"src":{src},"tokens":{tokens}}}'
+
+        return ([text(s.dest_rank, s.tokens) for s in self.dispatches],
+                [text(s.dest_rank, s.tokens) for s in self.transfers],
+                [text(s.source_rank, s.tokens) for s in self.combines])
+
+
+def _tally_sends(engine: _Engine, sends: list[tuple]) -> None:
+    """A ring's routed token counts, per route, and the NIC busy time of its
+    transfers in event order."""
+    uses: dict[int, list] = {}
+    transfers: dict[int, list[float]] = {}
+    p = engine.cluster.gpus_per_node
+    for _, legs, *_ in sends:
+        uses.setdefault(id(legs), [legs, 0])[1] += 1
+        transfers.setdefault(legs.route.source_rank // p, []).extend(legs.transfer)
+    for legs, n in uses.values():
+        route = legs.route
+        engine.inter_tokens[route.source_rank] += n * route.tokens
+        engine.intra_tokens[route.source_rank] += n * sum(s.tokens for s in legs.dispatches)
+        for step in legs.combines:
+            engine.intra_tokens[step.source_rank] += n * step.tokens
+    for node, durations in transfers.items():
+        engine.bill_transfers(node, durations)
 
 
 @dataclass(eq=False)
 class _RingRecord:
     """One ring's events in compact form: [position, round] matrices of its
-    computes and direct sends, and each round's routed step chains."""
+    computes and direct sends, and its routed sends in emission order as
+    (round, legs, dispatch start, transfer starts, gather start)."""
 
     ring_idx: int
     ring: RingGroup
@@ -344,7 +422,7 @@ class _RingRecord:
     direct: np.ndarray
     compute_start: np.ndarray
     send_start: np.ndarray
-    chains: list[list[tuple]]
+    sends: list[tuple]
 
 
 def _ring_events(rec: _RingRecord) -> list[Event]:
@@ -357,6 +435,9 @@ def _ring_events(rec: _RingRecord) -> list[Event]:
     compute, send, direct = rec.compute.tolist(), rec.send.tolist(), rec.direct.tolist()
     streams = [INTER_COMM if c else INTRA_COMM for c in rec.crossing]
     kind = f"{rec.ring.kind}.attn"
+    sends: list[list[tuple]] = [[] for _ in range(g)]
+    for send_record in rec.sends:
+        sends[send_record[0]].append(send_record)
     events = []
     for r in range(g):
         for i in range(g):
@@ -368,10 +449,12 @@ def _ring_events(rec: _RingRecord) -> list[Event]:
                 events.append(Event(members[i], streams[i], send_start[i][r], send[i][r], "kv.send",
                                     {"ring": rec.ring_idx, "round": r, "tokens": tokens[i][r],
                                      "dst": members[(i + 1) % g]}))
-        for rank, stream, start, dur, step_kind, route, proxy, n in (rec.chains[r] if rec.chains else ()):
-            events.append(Event(rank, stream, start, dur, step_kind,
-                                {"ring": rec.ring_idx, "round": r, "src": route.source_rank,
-                                 "dst": route.dest_rank, "proxy": proxy, "tokens": n}))
+        for _, legs, *starts in sends[r]:
+            route = legs.route
+            for rank, stream, start, dur, step_kind, proxy, n in legs.steps(*starts):
+                events.append(Event(rank, stream, start, dur, step_kind,
+                                    {"ring": rec.ring_idx, "round": r, "src": route.source_rank,
+                                     "dst": route.dest_rank, "proxy": proxy, "tokens": n}))
     return events
 
 
@@ -493,16 +576,14 @@ def simulate(
 
 def _emit_remap(engine: _Engine, cluster: ClusterSpec, result, start: float, kind: str) -> None:
     matrix = result.matrix
-    for rank in range(cluster.num_ranks):
-        cost = float(result.row_costs[rank])
+    node = np.arange(cluster.num_ranks) // cluster.gpus_per_node
+    crosses = ((matrix > 0) & (node[:, None] != node)).any(axis=1).tolist()
+    sent = matrix.sum(axis=1).tolist()
+    for rank, cost in enumerate(result.row_costs.tolist()):
         if cost <= 0:
             continue
-        crosses = any(
-            matrix[rank][j] > 0 and cluster.node_of(j) != cluster.node_of(rank)
-            for j in range(cluster.num_ranks)
-        )
-        stream = INTER_COMM if crosses else INTRA_COMM
-        engine.emit(rank, stream, start, cost, kind, {"tokens": int(matrix[rank].sum())})
+        stream = INTER_COMM if crosses[rank] else INTRA_COMM
+        engine.emit(rank, stream, start, cost, kind, {"tokens": int(sent[rank])})
 
 
 def _peak_kv(plan: PlacementPlan, schedule: AttentionSchedule | None) -> int:
@@ -561,15 +642,38 @@ class _TraceColumns:
         self._extend(rec.send_start[i, r], send_lane[i], "kv.send", rec.send[i, r],
                      [f'{{"dst":{d},{ring}{rr},"tokens":{n}}}'
                       for d, rr, n in zip(dst.tolist(), r.tolist(), rec.tokens[i, r].tolist())])
-        steps = [(rr, *step) for rr, chain in enumerate(rec.chains) for step in chain]
-        if steps:
-            r, rank, stream, start, duration, kind, route, proxy, n = zip(*steps)
-            self.start += start
-            self.lane += [3 * m + _STREAM_ORDER[s] for m, s in zip(rank, stream)]
-            self.kind += kind
-            self.duration += duration
-            self.args += [f'{{"dst":{rt.dest_rank},"proxy":{x},{ring}{rr},"src":{rt.source_rank},"tokens":{nn}}}'
-                          for rr, rt, x, nn in zip(r, route, proxy, n)]
+        if rec.sends:
+            self._add_sends(rec)
+
+    def _add_sends(self, rec: _RingRecord) -> None:
+        """A ring's routed steps, kind by kind in emission order. A chain's
+        starts are the sequential sums of its durations from its start, as
+        a cumulative sum along each row gives them."""
+        rounds, legs, dispatch_start, transfer_starts, combine_start = zip(*rec.sends)
+        texts: dict[int, tuple] = {}
+        for leg in legs:
+            if id(leg) not in texts:
+                texts[id(leg)] = leg.texts()
+        middle = [f'"ring":{rec.ring_idx},"round":{r}' for r in rounds]
+
+        def args(kind: int) -> list[str]:
+            return [head + m + tail for leg, m in zip(legs, middle) for head, tail in texts[id(leg)][kind]]
+
+        def chain(starts: tuple, durations: np.ndarray) -> np.ndarray:
+            return np.cumsum(np.column_stack((starts, durations)), axis=1)[:, :-1]
+
+        duration = np.array([leg.dispatch for leg in legs], dtype=float)
+        self._extend(chain(dispatch_start, duration).ravel(),
+                     np.repeat([leg.source_lane for leg in legs], duration.shape[1]),
+                     "route.dispatch", duration.ravel(), args(0))
+        duration = np.array([leg.transfer for leg in legs], dtype=float)
+        self._extend(np.array(transfer_starts, dtype=float).ravel(),
+                     np.array([leg.transfer_lanes for leg in legs], dtype=np.int64).ravel(),
+                     "route.transfer", duration.ravel(), args(1))
+        duration = np.array([leg.combine for leg in legs], dtype=float)
+        self._extend(chain(combine_start, duration).ravel(),
+                     np.repeat([leg.dest_lane for leg in legs], duration.shape[1]),
+                     "route.combine", duration.ravel(), args(2))
 
     def _extend(self, start: np.ndarray, lane: np.ndarray, kind: str, duration: np.ndarray,
                 args: list[str]) -> None:
@@ -637,9 +741,14 @@ def _simulate_each(
 ) -> Iterator[tuple[StepReport, Timeline | None]]:
     """Plan and simulate each strategy in turn. A strategy that cannot place
     the batch yields an infeasible report and no timeline."""
+    if not strategies:
+        raise ValueError("no strategies given")
     unknown = [s for s in strategies if s not in baselines.PLANNERS]
     if unknown:
         raise ValueError(f"unknown strategies: {', '.join(unknown)}")
+    repeated = list(dict.fromkeys(s for s in strategies if strategies.count(s) > 1))
+    if repeated:
+        raise ValueError(f"repeated strategies: {', '.join(repeated)}")
     for strategy in strategies:
         try:
             timeline, report = simulate(baselines.plan_with(strategy, batch, cluster), cluster, coeffs)

@@ -451,6 +451,82 @@ def reference_timeline(plan: PlacementPlan, cluster: ClusterSpec,
     return engine.events, report
 
 
+def _reference_comm_tokens(plan: PlacementPlan, cluster: ClusterSpec) -> tuple[list[int], list[int]]:
+    """Per-rank (inter, intra) tokens sent in the attention phase, from the
+    fragments: each ring member sends every KV set of its ring on to the
+    next member once, over a route when zeppelin's inter-node ring crosses
+    nodes (the source sends the inter-node tokens and the dispatch shares,
+    each receive proxy its gather share); llama_cp's all-gather sends
+    (G - 1) / G of all tokens from every rank, across nodes from each
+    node's last rank."""
+    inter = [0] * cluster.num_ranks
+    intra = [0] * cluster.num_ranks
+    if plan.strategy == "llama_cp":
+        g, total = cluster.num_ranks, plan.total_tokens()
+        if g > 1 and total > 0:
+            sent = round(total * (g - 1) / g)
+            for rank in range(g):
+                boundary = cluster.num_nodes > 1 and (rank + 1) % cluster.gpus_per_node == 0
+                (inter if boundary else intra)[rank] += sent
+        return inter, intra
+    for ring in plan.ring_groups:
+        g = ring.group_size
+        kv = [sum(f.end - f.start for f in plan.fragments[m] if f.sequence_id in ring.sequence_ids
+                  and f.micro_batch == 0) for m in ring.members]
+        routed = plan.strategy == "zeppelin" and ring.kind == INTER_NODE
+        for pos, src in enumerate(ring.members):
+            dst = ring.members[(pos + 1) % g]
+            if src // cluster.gpus_per_node == dst // cluster.gpus_per_node:
+                intra[src] += sum(kv)
+            elif not routed:
+                inter[src] += sum(kv)
+            else:
+                for n in kv:
+                    if n == 0:
+                        continue
+                    inter[src] += n
+                    for step in build_route(cluster, ring, src, dst, n).steps:
+                        if step.kind != "inter_transfer":
+                            intra[step.source_rank] += step.tokens
+    return inter, intra
+
+
+def check_timeline(plan: PlacementPlan, cluster: ClusterSpec, timeline: Timeline, report: StepReport) -> list[str]:
+    """Re-derive from a simulated step's events that no two events of one
+    (rank, stream) lane overlap, that each routed send's transfers start
+    after all of its dispatches end and its gathers after all of its
+    transfers, and that the report's per-rank comm tokens are the plan's
+    ring and route volumes; returns a list of violations."""
+    problems = []
+    lanes: dict[tuple[int, str], list[Event]] = {}
+    sends: dict[tuple, dict[str, list[Event]]] = {}
+    for event in timeline.events:
+        lanes.setdefault((event.rank, event.stream), []).append(event)
+        if event.kind.startswith("route."):
+            key = (event.payload["ring"], event.payload["round"], event.payload["src"])
+            sends.setdefault(key, {}).setdefault(event.kind, []).append(event)
+    for lane, events in lanes.items():
+        events.sort(key=lambda e: (e.start, e.end))
+        for a, b in zip(events, events[1:]):
+            if a.end > b.start:
+                problems.append(f"lane {lane}: {a.kind} ends at {a.end} after {b.kind} starts at {b.start}")
+    for key, steps in sends.items():
+        for before, after in (("route.dispatch", "route.transfer"), ("route.transfer", "route.combine")):
+            if before in steps and after in steps:
+                end = max(e.end for e in steps[before])
+                start = min(e.start for e in steps[after])
+                if start < end:
+                    problems.append(f"send {key}: {after} starts at {start} before {before} ends at {end}")
+    inter, intra = _reference_comm_tokens(plan, cluster)
+    if report.inter_tokens_per_rank != inter:
+        problems.append(f"inter-node tokens per rank {report.inter_tokens_per_rank} != {inter}")
+    if report.intra_tokens_per_rank != intra:
+        problems.append(f"intra-node tokens per rank {report.intra_tokens_per_rank} != {intra}")
+    if (report.inter_comm_tokens, report.intra_comm_tokens) != (sum(inter), sum(intra)):
+        problems.append("comm token totals disagree with the per-rank counts")
+    return problems
+
+
 _STREAM_ORDER = {COMPUTE: 0, INTRA_COMM: 1, INTER_COMM: 2}
 
 

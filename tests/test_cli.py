@@ -134,6 +134,16 @@ def test_compare_writes_requested_rows(tmp_path, batch_file):
     assert [l.split(",")[0] for l in lines[1:]] == ["zeppelin", "te_cp", "llama_cp", "hybrid_dp"]
 
 
+@pytest.mark.parametrize("strategies", ["zeppelin,zeppelin,te_cp", " , "])
+def test_compare_rejects_repeated_or_empty_strategies(tmp_path, batch_file, capsys, strategies):
+    out = tmp_path / "cmp.csv"
+    traces = tmp_path / "traces"
+    assert run(["compare", "--config", "cluster_a", "--batch", batch_file, "--strategies", strategies,
+                "--out", str(out), "--trace-dir", str(traces)]) == 2
+    assert "strategies" in capsys.readouterr().err
+    assert not out.exists() and not traces.exists()
+
+
 def test_compare_sampled_batch_is_deterministic(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_timeline, reference_trace, sorted_events
+from oracles import check_timeline, reference_timeline, reference_trace, sorted_events
 from varlenplan import simulator
 from varlenplan.attention_engine import (
     INTER_NODE,
@@ -241,6 +241,14 @@ class TestCompare:
         with pytest.raises(ValueError):
             simulator.compare(SequenceBatch(()), cluster, coeffs, ["zeppelin", "dream_dp"])
 
+    @pytest.mark.parametrize("strategies", [[], ["zeppelin", "zeppelin", "te_cp"], ["te_cp", "zeppelin", "te_cp"]])
+    def test_empty_or_repeated_strategies_rejected(self, strategies):
+        cluster, coeffs = cluster_a()
+        batch = SequenceBatch(((0, 100),))
+        for run in (simulator.compare, simulator.compare_with_timelines):
+            with pytest.raises(ValueError, match="no strategies|repeated strategies"):
+                run(batch, cluster, coeffs, strategies)
+
     def test_infeasible_strategy_becomes_error_row(self):
         cluster = ClusterSpec(num_nodes=1, gpus_per_node=2, token_capacity=50,
                               inv_bw_intra=1.0, inv_bw_inter=1.0)
@@ -286,6 +294,7 @@ def assert_matches_reference(plan, cluster, coeffs):
         == [(type(e.start), type(e.duration), [type(v) for v in e.payload.values()]) for e in events]
     assert report == expected
     assert timeline.attention_makespan == expected.attention_makespan
+    assert check_timeline(plan, cluster, timeline, report) == []
     return events
 
 
@@ -344,6 +353,17 @@ def test_export_trace_matches_reference_trace(case):
         except InfeasibleBatch:
             continue
         assert_trace_matches_reference(plan, cluster, coeffs)
+
+
+def test_timeline_oracle_on_routed_8_node_batch():
+    cluster, coeffs = cluster_a(num_nodes=8)
+    batch = sample_batch(preset("github"), 262144, seed=1)
+    for strategy in STRATEGIES:
+        plan = plan_with(strategy, batch, cluster)
+        timeline, report = simulator.simulate(plan, cluster, coeffs)
+        assert check_timeline(plan, cluster, timeline, report) == []
+        if strategy == "zeppelin":
+            assert sum(e.kind == "route.transfer" for e in timeline.events) > 100
 
 
 def hand_built_plan(strategy, cluster, rings, fragments):
