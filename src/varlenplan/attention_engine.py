@@ -182,8 +182,8 @@ _BLOCK = 1 << 17
 
 def _expand(first: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each i, counts[i] entries: (i, first[i] + k) for k < counts[i]."""
-    owner = np.arange(len(first)).repeat(counts)
-    return owner, first[owner] + np.arange(len(owner)) - (counts.cumsum() - counts).repeat(counts)
+    index = np.arange(len(first)).repeat(counts)
+    return index, first[index] + np.arange(len(index)) - (counts.cumsum() - counts).repeat(counts)
 
 
 def _ring_pair_counts(matrix: np.ndarray, seg, row, col, start, end) -> None:
@@ -208,11 +208,12 @@ def _ring_pair_counts(matrix: np.ndarray, seg, row, col, start, end) -> None:
     bounds.sort()
     bounds = bounds[np.concatenate(([True], bounds[1:] != bounds[:-1]))]
     first = bounds.searchsorted(key_start)
-    of, interval = _expand(first, bounds.searchsorted(key_end) - first)
+    # each piece: the range it comes from and its elementary interval
+    origin, interval = _expand(first, bounds.searchsorted(key_end) - first)
     order = interval.argsort(kind="stable")
-    of, interval = of[order], interval[order]
+    origin, interval = origin[order], interval[order]
     length = bounds[interval + 1] - bounds[interval]
-    row, col, seg = row[of], col[of], seg[of]
+    row, col, seg = row[origin], col[origin], seg[origin]
     same_first = interval.searchsorted(interval)
     p, q = _expand(same_first, interval.searchsorted(interval, side="right") - same_first)
     np.add.at(matrix, (row[p], col[q]), length[p] * (length[p] + 1) // 2)
@@ -222,7 +223,7 @@ def _ring_pair_counts(matrix: np.ndarray, seg, row, col, start, end) -> None:
     # blocks of whole segments, about _BLOCK elements each
     block = np.concatenate(([0], heads)) * matrix.shape[1] // _BLOCK
     cuts = heads[block[1:] != block[:-1]].tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, len(of)]):
+    for lo, hi in zip([0, *cuts], [*cuts, len(origin)]):
         prefix = np.zeros((hi - lo + 1, matrix.shape[1]), dtype=np.int64)
         prefix[np.arange(1, hi - lo + 1), col[lo:hi]] = length[lo:hi]
         # each later segment's row takes back the total of the one before,
@@ -233,9 +234,9 @@ def _ring_pair_counts(matrix: np.ndarray, seg, row, col, start, end) -> None:
         by_row = lo + row[lo:hi].argsort(kind="stable")
         earlier = prefix[same_first[by_row] - lo]
         earlier *= length[by_row, None]
-        owner = row[by_row]
-        owners = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
-        matrix[owner[owners]] += np.add.reduceat(earlier, owners, axis=0)
+        query = row[by_row]
+        first_of_row = np.flatnonzero(np.concatenate(([True], query[1:] != query[:-1])))
+        matrix[query[first_of_row]] += np.add.reduceat(earlier, first_of_row, axis=0)
 
 
 def _ring_schedules(rings: "tuple[RingGroup, ...]", fragments: "list[list[Fragment]]") -> list[RingSchedule]:

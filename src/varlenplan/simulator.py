@@ -21,6 +21,7 @@ on the whole forward step, so the exported timeline covers forward only.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -301,9 +302,9 @@ class _RouteLegs:
     dispatches: tuple[RouteStep, ...]
     transfers: tuple[RouteStep, ...]
     combines: tuple[RouteStep, ...]
-    dispatch: tuple[float, ...]
-    transfer: tuple[float, ...]
-    combine: tuple[float, ...]
+    dispatch_times: tuple[float, ...]
+    transfer_times: tuple[float, ...]
+    combine_times: tuple[float, ...]
     source_lane: int
     transfer_lanes: tuple[int, ...]
     dest_lane: int
@@ -332,15 +333,15 @@ class _RouteLegs:
         each transfer's start, the gather chain's start and the send's end.
         Each chain's ends are sequential sums from its start."""
         dispatch_start = end = max(t, tails[self.source_lane])
-        if self.dispatch:
-            for dur in self.dispatch:
+        if self.dispatch_times:
+            for dur in self.dispatch_times:
                 end += dur
             tails[self.source_lane] = end
         else:
             end = t
         transfer_starts = []
         transfer_end = end
-        for lane, dur in zip(self.transfer_lanes, self.transfer):
+        for lane, dur in zip(self.transfer_lanes, self.transfer_times):
             start = tails[lane]
             if start < end:
                 start = end
@@ -349,8 +350,8 @@ class _RouteLegs:
             if done > transfer_end:
                 transfer_end = done
         combine_start = end = max(transfer_end, tails[self.dest_lane])
-        if self.combine:
-            for dur in self.combine:
+        if self.combine_times:
+            for dur in self.combine_times:
                 end += dur
             tails[self.dest_lane] = end
         else:
@@ -363,13 +364,13 @@ class _RouteLegs:
         tokens), in emission order."""
         out = []
         start = dispatch_start
-        for step, dur in zip(self.dispatches, self.dispatch):
+        for step, dur in zip(self.dispatches, self.dispatch_times):
             out.append((step.source_rank, INTRA_COMM, start, dur, "route.dispatch", step.dest_rank, step.tokens))
             start += dur
-        for step, dur, start in zip(self.transfers, self.transfer, transfer_starts):
+        for step, dur, start in zip(self.transfers, self.transfer_times, transfer_starts):
             out.append((step.source_rank, INTER_COMM, start, dur, "route.transfer", step.dest_rank, step.tokens))
         start = combine_start
-        for step, dur in zip(self.combines, self.combine):
+        for step, dur in zip(self.combines, self.combine_times):
             out.append((step.dest_rank, INTRA_COMM, start, dur, "route.combine", step.source_rank, step.tokens))
             start += dur
         return out
@@ -390,13 +391,11 @@ class _RouteLegs:
 def _tally_sends(engine: _Engine, sends: list[tuple]) -> None:
     """A ring's routed token counts, per route, and the NIC busy time of its
     transfers in event order."""
-    uses: dict[int, list] = {}
     transfers: dict[int, list[float]] = {}
     p = engine.cluster.gpus_per_node
     for _, legs, *_ in sends:
-        uses.setdefault(id(legs), [legs, 0])[1] += 1
-        transfers.setdefault(legs.route.source_rank // p, []).extend(legs.transfer)
-    for legs, n in uses.values():
+        transfers.setdefault(legs.route.source_rank // p, []).extend(legs.transfer_times)
+    for legs, n in Counter(legs for _, legs, *_ in sends).items():
         route = legs.route
         engine.inter_tokens[route.source_rank] += n * route.tokens
         engine.intra_tokens[route.source_rank] += n * sum(s.tokens for s in legs.dispatches)
@@ -650,27 +649,24 @@ class _TraceColumns:
         starts are the sequential sums of its durations from its start, as
         a cumulative sum along each row gives them."""
         rounds, legs, dispatch_start, transfer_starts, combine_start = zip(*rec.sends)
-        texts: dict[int, tuple] = {}
-        for leg in legs:
-            if id(leg) not in texts:
-                texts[id(leg)] = leg.texts()
+        texts = {leg: leg.texts() for leg in dict.fromkeys(legs)}
         middle = [f'"ring":{rec.ring_idx},"round":{r}' for r in rounds]
 
         def args(kind: int) -> list[str]:
-            return [head + m + tail for leg, m in zip(legs, middle) for head, tail in texts[id(leg)][kind]]
+            return [head + m + tail for leg, m in zip(legs, middle) for head, tail in texts[leg][kind]]
 
         def chain(starts: tuple, durations: np.ndarray) -> np.ndarray:
             return np.cumsum(np.column_stack((starts, durations)), axis=1)[:, :-1]
 
-        duration = np.array([leg.dispatch for leg in legs], dtype=float)
+        duration = np.array([leg.dispatch_times for leg in legs], dtype=float)
         self._extend(chain(dispatch_start, duration).ravel(),
                      np.repeat([leg.source_lane for leg in legs], duration.shape[1]),
                      "route.dispatch", duration.ravel(), args(0))
-        duration = np.array([leg.transfer for leg in legs], dtype=float)
+        duration = np.array([leg.transfer_times for leg in legs], dtype=float)
         self._extend(np.array(transfer_starts, dtype=float).ravel(),
                      np.array([leg.transfer_lanes for leg in legs], dtype=np.int64).ravel(),
                      "route.transfer", duration.ravel(), args(1))
-        duration = np.array([leg.combine for leg in legs], dtype=float)
+        duration = np.array([leg.combine_times for leg in legs], dtype=float)
         self._extend(chain(combine_start, duration).ravel(),
                      np.repeat([leg.dest_lane for leg in legs], duration.shape[1]),
                      "route.combine", duration.ravel(), args(2))
