@@ -213,9 +213,8 @@ def round_pairs(sched):
 @st.composite
 def multi_ring_plans(draw):
     """Unvalidated plans of 2-4 rings over 2-10 ranks. Rings carry disjoint
-    sequences, and their members may share ranks. Each
-    sequence is laid out as in `rings`, and each rank lists its fragments
-    in any order."""
+    sequences, and their members may share ranks. Each sequence is laid out
+    as in `rings`, and each rank lists its fragments in any order."""
     n_ranks = draw(st.integers(2, 10))
     fragments: list[list[Fragment]] = [[] for _ in range(n_ranks)]
     ring_groups = []
