@@ -6,6 +6,7 @@ and communication in KV tokens; no tensor math happens here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -176,97 +177,65 @@ class AttentionSchedule:
         return self.inter_rings + self.intra_rings
 
 
-# elements of one (pieces x positions) prefix-sum block of _ring_pair_counts
-_BLOCK = 1 << 17
-
-
-def _expand(first: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each i, counts[i] entries: (i, first[i] + k) for k < counts[i]."""
-    index = np.arange(len(first)).repeat(counts)
-    return index, first[index] + np.arange(len(index)) - (counts.cumsum() - counts).repeat(counts)
-
-
-def _ring_pair_counts(matrix: np.ndarray, seg, row, col, start, end) -> None:
-    """Add into matrix[row, col] the causal pairs between every two ranges
-    of one segment (a sequence on one ring), once per range pair.
-
-    Ranges are cut at every boundary of their segment, so two pieces of a
-    segment are either identical or disjoint, and sorted by start. A query
-    piece of length n sees the ramp n * (n + 1) / 2 of each identical piece
-    (itself included) and n * m pairs of each earlier key piece of length
-    m. The products are the exclusive prefix sum, per segment, of the
-    pieces' lengths by column, scaled by n and summed per row. Empty and
-    reversed ranges add nothing.
-    """
-    end = np.maximum(start, end)
-    if not (end > start).any():
-        return
-    # one sorted key per (segment, coordinate): segments never interleave
-    span = int(end.max()) - int(start.min()) + 1
-    key_start, key_end = seg * span + start, seg * span + end
-    bounds = np.concatenate((key_start, key_end))
-    bounds.sort()
-    bounds = bounds[np.concatenate(([True], bounds[1:] != bounds[:-1]))]
-    first = bounds.searchsorted(key_start)
-    # each piece: the range it comes from and its elementary interval
-    origin, interval = _expand(first, bounds.searchsorted(key_end) - first)
-    order = interval.argsort(kind="stable")
-    origin, interval = origin[order], interval[order]
-    length = bounds[interval + 1] - bounds[interval]
-    row, col, seg = row[origin], col[origin], seg[origin]
-    same_first = interval.searchsorted(interval)
-    p, q = _expand(same_first, interval.searchsorted(interval, side="right") - same_first)
-    np.add.at(matrix, (row[p], col[q]), length[p] * (length[p] + 1) // 2)
-    totals = np.zeros((int(seg[-1]) + 1, matrix.shape[1]), dtype=np.int64)
-    np.add.at(totals, (seg, col), length)
-    heads = np.flatnonzero(seg[1:] != seg[:-1]) + 1
-    # blocks of whole segments, about _BLOCK elements each
-    block = np.concatenate(([0], heads)) * matrix.shape[1] // _BLOCK
-    cuts = heads[block[1:] != block[:-1]].tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, len(origin)]):
-        prefix = np.zeros((hi - lo + 1, matrix.shape[1]), dtype=np.int64)
-        prefix[np.arange(1, hi - lo + 1), col[lo:hi]] = length[lo:hi]
-        # each later segment's row takes back the total of the one before,
-        # so the sums restart at every segment
-        restart = heads[(heads > lo) & (heads < hi)]
-        prefix[restart - lo] -= totals[seg[restart - 1]]
-        prefix.cumsum(axis=0, out=prefix)
-        by_row = lo + row[lo:hi].argsort(kind="stable")
-        earlier = prefix[same_first[by_row] - lo]
-        earlier *= length[by_row, None]
-        query = row[by_row]
-        first_of_row = np.flatnonzero(np.concatenate(([True], query[1:] != query[:-1])))
-        matrix[query[first_of_row]] += np.add.reduceat(earlier, first_of_row, axis=0)
-
-
 def _ring_schedules(rings: "tuple[RingGroup, ...]", fragments: "list[list[Fragment]]") -> list[RingSchedule]:
-    """Every ring's pair matrix and KV sizes in one pass over all of their
-    ranges: ring k's positions are rows offset_k .. offset_k + G_k - 1 of one
-    matrix, and its block is M[query position, KV position]. KV sizes add
-    every range's end - start."""
-    segments: dict[tuple[int, int], int] = {}
+    """Every ring's pair matrix and KV sizes from its zigzag chunk sizes,
+    in order of ring size.
+
+    Sorted by start, a ring sequence's micro-batch-0 ranges are its first
+    chunks a_i while their positions i rise, and its second chunks b_i from
+    the first step where they do not, so its tokens run a_0 .. a_(G-1),
+    b_(G-1) .. b_0. (A second chunk after an empty first one may be read
+    as a first chunk: the count depends only on the chunks' order.) With A
+    and B the ring's (sequences x G) chunk sizes, queries at position i see
+    KV at position j in M = tril(AᵀA, -1) + BᵀA + triu(BᵀB, 1), plus the
+    ramps sum a(a+1)/2 + b(b+1)/2 on the diagonal; kv_sizes are the column
+    sums of A + B. Rings of one size are stacked, padded on the sequence
+    axis. A sequence whose ranges overlap, or whose second chunks'
+    positions do not strictly fall, raises ValueError naming the ring's
+    members.
+    """
+    rings = tuple(sorted(rings, key=lambda ring: ring.group_size))
+    # ring k's positions are columns at[k] .. at[k] + G_k - 1 of the chunk sizes
+    at = list(itertools.accumulate((ring.group_size for ring in rings), initial=0))
     picked: list[tuple[int, int, int, int, int]] = []
-    offset = 0
     for k, ring in enumerate(rings):
-        index = {sid: segments.setdefault((k, sid), len(segments)) for sid in ring.sequence_ids}
-        picked += [(s, offset + position, position, frag.start, frag.end)
+        index = {sid: s for s, sid in enumerate(ring.sequence_ids)}
+        picked += [(k, s, at[k] + position, frag.start, frag.end)
                    for position, rank in enumerate(ring.members) for frag in fragments[rank]
                    if (s := index.get(frag.sequence_id)) is not None and frag.micro_batch == 0]
-        offset += ring.group_size
-    seg, row, col, start, end = np.array(picked, dtype=np.int64).reshape(-1, 5).T
-    kv_sizes = np.zeros(offset, dtype=np.int64)
-    np.add.at(kv_sizes, row, end - start)
-    kv_sizes = kv_sizes.tolist()
-    matrix = np.zeros((offset, max((ring.group_size for ring in rings), default=0)), dtype=np.int64)
-    _ring_pair_counts(matrix, seg, row, col, start, end)
-    matrix.setflags(write=False)
+    rows = np.array(picked, dtype=np.int64).reshape(-1, 5)
+    # empty ranges hold no tokens; the rest by (ring, sequence, start)
+    rows = rows[rows[:, 3] != rows[:, 4]]
+    ring_of, seq, column, start, end = rows[np.lexsort(rows.T[[3, 1, 0]])].T
+    same = (ring_of[1:] == ring_of[:-1]) & (seq[1:] == seq[:-1])
+    head = np.concatenate(([True], ~same))
+    turn = np.concatenate(([False], same & (column[1:] <= column[:-1])))
+    # a row is a second chunk when its sequence has turned since its head:
+    # the last head-or-turn mark at or before it is a turn (odd)
+    second = np.maximum.accumulate(np.where(head | turn, 2 * np.arange(len(column)) + turn, 0)) & 1
+    bad = end < start
+    bad[1:] |= same & ((start[1:] < end[:-1]) | (((second[1:] & second[:-1]) == 1) & (column[1:] >= column[:-1])))
+    if bad.any():
+        ring = rings[ring_of[bad.argmax()]]
+        raise ValueError(f"ring {list(ring.members)}: sequence {ring.sequence_ids[seq[bad.argmax()]]} is not laid "
+                         "out in zigzag chunks (ranges overlap, or second chunks' positions do not strictly fall)")
+    chunks = np.zeros((max((len(ring.sequence_ids) for ring in rings), default=0), 2, at[-1]), dtype=np.int64)
+    chunks[seq, second, column] = end - start
+    kv_sizes = chunks.sum(axis=(0, 1)).tolist()
+    ramps = (chunks * (chunks + 1) // 2).sum(axis=(0, 1))
     out = []
-    offset = 0
-    for ring in rings:
-        g = ring.group_size
-        out.append(RingSchedule(ring=ring, pairs=matrix[offset:offset + g, :g],
-                                kv_sizes=tuple(kv_sizes[offset:offset + g])))
-        offset += g
+    for g, group in itertools.groupby(range(len(rings)), key=lambda k: rings[k].group_size):
+        ks = list(group)
+        lo, n = at[ks[0]], len(ks)
+        c = chunks[:, :, lo:lo + n * g].reshape(len(chunks), 2, n, g)
+        p = np.einsum("suni,svnj->nuivj", c, c)
+        below = np.arange(g)[:, None] > np.arange(g)
+        # BᵀA, plus AᵀA below the diagonal and BᵀB above it
+        pairs = p[:, 1, :, 0] + below * p[:, 0, :, 0] + below.T * p[:, 1, :, 1]
+        pairs.reshape(n, g * g)[:, ::g + 1] += ramps[lo:lo + n * g].reshape(n, g)
+        pairs.setflags(write=False)
+        out += [RingSchedule(ring=rings[k], pairs=m, kv_sizes=tuple(kv_sizes[at[k]:at[k] + g]))
+                for k, m in zip(ks, pairs)]
     return out
 
 

@@ -558,6 +558,11 @@ def plan_from_json(text: str) -> PlacementPlan:
             ring_groups=rings,
             meta=dict(payload.get("meta", {})),
         )
+        # json gives int for integers only; bool is not one
+        integers = [v for frags in fragments for f in frags for v in (f.sequence_id, f.start, f.end, f.micro_batch)]
+        integers += [v for ring in rings for v in ring.members + ring.sequence_ids]
+        if any(type(v) is not int for v in integers + list(plan.sequence_lengths.values())):
+            raise ValueError("plan file's sequence ids, lengths, ranges, micro-batches and ring members must be integers")
         if len(fragments) != plan.num_ranks:
             raise ValueError(f"plan file lists {len(fragments)} ranks for {plan.num_ranks} in its topology")
         for ring in rings:

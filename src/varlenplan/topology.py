@@ -165,8 +165,8 @@ _REQUIRED_KEYS = ("nodes", "gpus_per_node", "token_capacity", "inv_bw_intra", "i
 def parse_cluster_config(text: str) -> tuple[ClusterSpec, CostCoefficients]:
     """Parse a `key = value` cluster config (see save_cluster_config for keys).
 
-    Lines starting with '#' and blank lines are ignored. Unknown keys and
-    unparseable values raise ConfigError naming the offending key.
+    Lines starting with '#' and blank lines are ignored. Unknown or repeated
+    keys and unparseable values raise ConfigError naming the offending key.
     """
     values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -178,6 +178,8 @@ def parse_cluster_config(text: str) -> tuple[ClusterSpec, CostCoefficients]:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
+        if key in values:
+            raise ConfigError(f"line {lineno}: key '{key}' is set twice")
         if key in _INT_KEYS:
             try:
                 values[key] = int(val)

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import find, given
 from hypothesis import strategies as st
 
 from oracles import ring_pair_totals_bruteforce, ring_round_pairs_bruteforce, visible_pairs_bruteforce
@@ -30,8 +30,9 @@ def test_zigzag_two_rank_example():
     # pair totals against a full context: 3 + 15 and 7 + 11
     totals = ring_pair_totals_bruteforce(8, ranges)
     assert totals == [18, 18]
-    full = [(0, 8)]
-    assert ring_pairs(ranges[0], full) == ring_pairs(ranges[1], full) == 18
+    # a full-context KV range overlaps the query chunks: not a zigzag layout
+    with pytest.raises(ValueError):
+        ring_pairs(ranges[0], [(0, 8)])
 
 
 def test_zigzag_degenerate_single_rank():
@@ -74,16 +75,22 @@ def ring_pairs(q_ranges, kv_ranges):
 
 
 def test_visible_pairs_examples():
-    assert ring_pairs([(0, 4)], [(0, 4)]) == 10
     assert ring_pairs([(4, 8)], [(0, 4)]) == 16
-    assert ring_pairs([(4, 8)], [(0, 8)]) == 26
-    # reversed ranges count as empty
-    assert ring_pairs([(4, 8)], [(6, 2), (0, 4)]) == 16
-    assert ring_pairs([(8, 4)], [(0, 8)]) == 0
+    assert ring_pairs([(0, 4)], [(4, 8)]) == 0
+    assert ring_pairs([(4, 8)], [(0, 2), (2, 4)]) == 16
+    # empty ranges hold no tokens
+    assert ring_pairs([(4, 8), (6, 6)], [(0, 4), (9, 9)]) == 16
+    # overlapping and reversed ranges are not a zigzag layout
+    for q_ranges, kv_ranges in [([(0, 4)], [(0, 4)]), ([(4, 8)], [(0, 8)]),
+                                ([(4, 8)], [(6, 2), (0, 4)]), ([(8, 4)], [(0, 8)])]:
+        with pytest.raises(ValueError, match=r"ring \[0, 1\]: sequence 0 is not laid out in zigzag chunks"):
+            ring_pairs(q_ranges, kv_ranges)
 
 
 def test_visible_pairs_matches_enumeration():
+    # accepted layouts count exactly; overlapping ones are always rejected
     rng = random.Random(5)
+    outcomes = set()
     for _ in range(200):
         a = rng.randint(0, 30)
         b = a + rng.randint(0, 20)
@@ -94,7 +101,16 @@ def test_visible_pairs_matches_enumeration():
             hi = lo + rng.randint(0, 10)
             kv.append((lo, hi))
             pos = hi
-        assert ring_pairs([(a, b)], kv) == visible_pairs_bruteforce((a, b), kv)
+        overlap = any(max(a, lo) < min(b, hi) for lo, hi in kv)
+        try:
+            pairs = ring_pairs([(a, b)], kv)
+        except ValueError:
+            outcomes.add("rejected")
+            continue
+        outcomes.add("accepted")
+        assert not overlap
+        assert pairs == visible_pairs_bruteforce((a, b), kv)
+    assert outcomes == {"accepted", "rejected"}
 
 
 def _tiny_cluster():
@@ -163,44 +179,80 @@ def test_ring_per_rank_totals_equal_for_exact_split():
 
 
 def draw_ranges(draw, g):
-    """One sequence's ranges per ring position: balanced zigzag chunks, or
-    arbitrary (possibly empty or overlapping) ranges in any order."""
-    if draw(st.booleans()):
+    """One sequence's ranges per ring position and whether they are zigzag
+    chunks: balanced zigzag chunks, zigzag chunks of any sizes (zeros
+    included), or arbitrary (possibly empty or overlapping) ranges in any
+    order."""
+    layout = draw(st.sampled_from(["balanced", "sizes", "arbitrary"]))
+    if layout == "balanced":
         seq_len = draw(st.integers(0, 8 * g))
         loads = draw(st.lists(st.integers(0, 50), min_size=g, max_size=g))
-        return ae.ranges_from_sizes(ae.balanced_zigzag_sizes(seq_len, g, loads))
+        return ae.ranges_from_sizes(ae.balanced_zigzag_sizes(seq_len, g, loads)), True
+    if layout == "sizes":
+        return ae.ranges_from_sizes(draw(st.lists(st.integers(0, 12), min_size=2 * g, max_size=2 * g))), True
     span = st.tuples(st.integers(0, 40), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1]))
-    return draw(st.lists(st.lists(span, max_size=3), min_size=g, max_size=g))
+    return draw(st.lists(st.lists(span, max_size=3), min_size=g, max_size=g)), False
 
 
 @st.composite
 def rings(draw):
     """Rings of 2-12 members, in any order over ranks 0..G-1, carrying 1-4
-    sequences, and the per-rank fragments that hold them. Each sequence is
-    laid out either as balanced zigzag chunks or as arbitrary (possibly
-    empty or overlapping) ranges per position. A sequence the ring does not
-    carry, at micro-batch 0 or 1, may sit on one rank beside them."""
+    sequences, the per-rank fragments that hold them, and whether every
+    sequence is laid out in zigzag chunks (`draw_ranges`). A sequence the
+    ring does not carry, at micro-batch 0 or 1, may sit on one rank beside
+    them."""
     g = draw(st.integers(2, 12))
     members = tuple(draw(st.permutations(range(g))))
     fragments: list[list[Fragment]] = [[] for _ in range(g)]
     n_seqs = draw(st.integers(1, 4))
+    zigzag = True
     for sid in range(n_seqs):
-        ranges = draw_ranges(draw, g)
+        ranges, chunked = draw_ranges(draw, g)
+        zigzag &= chunked
         for rank, pos_ranges in zip(members, ranges):
             fragments[rank] += [Fragment(sid, s, e, rank) for s, e in pos_ranges]
     if draw(st.booleans()):
         rank = draw(st.integers(0, g - 1))
         fragments[rank].append(Fragment(n_seqs, 0, draw(st.integers(1, 40)), rank, draw(st.integers(0, 1))))
-    return ae.RingGroup(kind=ae.INTRA_NODE, members=members, sequence_ids=tuple(range(n_seqs))), fragments
+    return ae.RingGroup(kind=ae.INTRA_NODE, members=members, sequence_ids=tuple(range(n_seqs))), fragments, zigzag
+
+
+def ring_schedule_or_none(case):
+    ring, fragments, _ = case
+    try:
+        return ae._ring_schedules((ring,), fragments)[0]
+    except ValueError:
+        return None
 
 
 @given(rings())
 def test_ring_rounds_match_token_enumeration(case):
-    ring, fragments = case
-    sched = ae._ring_schedules((ring,), fragments)[0]
+    # zigzag layouts are always accepted, and whatever is accepted counts
+    # exactly what token enumeration counts
+    ring, fragments, zigzag = case
+    sched = ring_schedule_or_none(case)
+    if sched is None:
+        assert not zigzag
+        return
     assert round_pairs(sched) == ring_round_pairs_bruteforce(ring, fragments)
     assert sched.pairs.dtype == np.int64 and not sched.pairs.flags.writeable
     assert all(type(n) is int for n in sched.kv_sizes)
+
+
+def test_ring_layouts_draw_both_outcomes():
+    # the property above sees accepted non-zigzag layouts and rejected ones
+    find(rings(), lambda case: not case[2] and ring_schedule_or_none(case) is not None)
+    find(rings(), lambda case: ring_schedule_or_none(case) is None)
+
+
+def test_rejects_positions_that_rise_twice():
+    # sorted by start, the chunks sit at positions 0, 1, 0, 1
+    fragments = [[Fragment(0, 0, 2, 0), Fragment(0, 4, 6, 0)], [Fragment(0, 2, 4, 1), Fragment(0, 6, 8, 1)]]
+    ring = ae.RingGroup(kind=ae.INTRA_NODE, members=(0, 1), sequence_ids=(0,))
+    plan = PlacementPlan(strategy="te_cp", num_nodes=1, gpus_per_node=2, s1=0, s0_per_node=[0],
+                         sequence_lengths={0: 8}, fragments=fragments, ring_groups=(ring,), meta={})
+    with pytest.raises(ValueError, match=r"ring \[0, 1\]: sequence 0 is not laid out in zigzag chunks"):
+        ae.build_schedule(plan)
 
 
 def round_pairs(sched):
@@ -212,19 +264,23 @@ def round_pairs(sched):
 
 @st.composite
 def multi_ring_plans(draw):
-    """Unvalidated plans of 2-4 rings over 2-10 ranks. Rings carry disjoint
-    sequences, and their members may share ranks. Each sequence is laid out
-    as in `rings`, and each rank lists its fragments in any order."""
+    """Unvalidated plans of 2-4 rings over 2-10 ranks, and whether every
+    sequence is laid out in zigzag chunks. Rings carry disjoint sequences,
+    and their members may share ranks. Each sequence is laid out as in
+    `rings`, and each rank lists its fragments in any order."""
     n_ranks = draw(st.integers(2, 10))
     fragments: list[list[Fragment]] = [[] for _ in range(n_ranks)]
     ring_groups = []
     sid = 0
+    zigzag = True
     for _ in range(draw(st.integers(2, 4))):
         g = draw(st.integers(2, n_ranks))
         members = tuple(draw(st.permutations(range(n_ranks)))[:g])
         sids = []
         for _ in range(draw(st.integers(1, 3))):
-            for rank, pos_ranges in zip(members, draw_ranges(draw, g)):
+            ranges, chunked = draw_ranges(draw, g)
+            zigzag &= chunked
+            for rank, pos_ranges in zip(members, ranges):
                 fragments[rank] += [Fragment(sid, s, e, rank) for s, e in pos_ranges]
             sids.append(sid)
             sid += 1
@@ -234,15 +290,21 @@ def multi_ring_plans(draw):
     lengths = dict.fromkeys(range(sid), 0)
     for frag in (f for frags in fragments for f in frags):
         lengths[frag.sequence_id] = max(lengths[frag.sequence_id], frag.end)
-    return PlacementPlan(strategy="te_cp", num_nodes=1, gpus_per_node=n_ranks, s1=0, s0_per_node=[0],
+    plan = PlacementPlan(strategy="te_cp", num_nodes=1, gpus_per_node=n_ranks, s1=0, s0_per_node=[0],
                          sequence_lengths=lengths, fragments=fragments, ring_groups=tuple(ring_groups), meta={})
+    return plan, zigzag
 
 
 @given(multi_ring_plans())
-def test_every_ring_of_a_plan_matches_token_enumeration(plan):
+def test_every_ring_of_a_plan_matches_token_enumeration(case):
     # one pass over all rings builds their matrices: no pairs may leak
     # from one ring's rows or sequences into another's
-    schedule = ae.build_schedule(plan)
+    plan, zigzag = case
+    try:
+        schedule = ae.build_schedule(plan)
+    except ValueError:
+        assert not zigzag
+        return
     assert sorted(s.ring.sequence_ids for s in schedule.rings()) == sorted(r.sequence_ids for r in plan.ring_groups)
     for sched in schedule.rings():
         assert round_pairs(sched) == ring_round_pairs_bruteforce(sched.ring, plan.fragments)

@@ -4,7 +4,9 @@ import json
 import pytest
 
 from varlenplan import cli, partitioner
-from varlenplan.topology import cluster_a, save_cluster_config
+from varlenplan.attention_engine import INTRA_NODE, RingGroup
+from varlenplan.partitioner import Fragment
+from varlenplan.topology import ClusterSpec, CostCoefficients, cluster_a, save_cluster_config
 from varlenplan.workload import load_batch
 
 
@@ -76,11 +78,39 @@ def _overfill_rank_0(path):
     partitioner.save_plan(str(path), dataclasses.replace(plan, fragments=fragments))
 
 
+def _half_token_boundary(path):
+    # move a boundary two fragments of one sequence share by half a token
+    # and write the file afresh, so its ring ranges match its fragments
+    plan = partitioner.load_plan(str(path))
+    frags = [f for fs in plan.fragments for f in fs]
+    a, b = next((a, b) for a in frags for b in frags if b.sequence_id == a.sequence_id and b.start == a.end)
+    moved = {a: dataclasses.replace(a, end=a.end - 0.5), b: dataclasses.replace(b, start=a.end - 0.5)}
+    fragments = [[moved.get(f, f) for f in fs] for fs in plan.fragments]
+    partitioner.save_plan(str(path), dataclasses.replace(plan, fragments=fragments))
+
+
+def _float_length(path):
+    payload = json.loads(path.read_text())
+    lengths = payload["sequence_lengths"]
+    sid = next(iter(lengths))
+    lengths[sid] = float(lengths[sid])
+    path.write_text(json.dumps(payload))
+
+
+def _bool_micro_batch(path):
+    payload = json.loads(path.read_text())
+    payload["ranks"][0][0]["micro_batch"] = False
+    path.write_text(json.dumps(payload))
+
+
 @pytest.mark.parametrize("edit, error", [
     (_edit_zone, "zones disagree with its fragments"),
     (_delete_ring_range, "ring ranges disagree with its fragments"),
     (_overfill_rank_0, "invalid plan: rank 0 exceeds token capacity"),
-], ids=["zone", "ring_range", "over_capacity"])
+    (_half_token_boundary, "must be integers"),
+    (_float_length, "must be integers"),
+    (_bool_micro_batch, "must be integers"),
+], ids=["zone", "ring_range", "over_capacity", "half_token", "float_length", "bool_micro_batch"])
 def test_simulate_rejects_a_plan_file_with_an_edited_zone(tmp_path, batch_file, capsys, edit, error):
     plan_path = tmp_path / "plan.json"
     assert run(["plan", "--config", "cluster_a", "--batch", batch_file,
@@ -101,6 +131,23 @@ def test_simulate_checks_topology_before_validating(tmp_path, batch_file, capsys
     rc = run(["simulate", "--config", str(cfg), "--plan", str(plan_path)])
     assert rc == 2
     assert "error: plan topology does not match this cluster" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_ring_that_is_not_zigzag(tmp_path, capsys):
+    # the plan tiles its one sequence, but sorted by start its chunks sit at
+    # ring positions 0, 1, 0, 1
+    cluster = ClusterSpec(num_nodes=1, gpus_per_node=2, token_capacity=64, inv_bw_intra=1.0, inv_bw_inter=2.0)
+    cfg = tmp_path / "cluster.cfg"
+    save_cluster_config(str(cfg), cluster, CostCoefficients(attn_quadratic=1e-9))
+    fragments = [[Fragment(0, 0, 2, 0), Fragment(0, 4, 6, 0)], [Fragment(0, 2, 4, 1), Fragment(0, 6, 8, 1)]]
+    ring = RingGroup(kind=INTRA_NODE, members=(0, 1), sequence_ids=(0,))
+    plan_path = tmp_path / "plan.json"
+    partitioner.save_plan(str(plan_path), partitioner.PlacementPlan(
+        strategy="te_cp", num_nodes=1, gpus_per_node=2, s1=0, s0_per_node=[0], sequence_lengths={0: 8},
+        fragments=fragments, ring_groups=(ring,), meta={}))
+    rc = run(["simulate", "--config", str(cfg), "--plan", str(plan_path)])
+    assert rc == 2
+    assert "error: ring [0, 1]: sequence 0 is not laid out in zigzag chunks" in capsys.readouterr().err
 
 
 def test_simulate_report_speedup_matches_compare(tmp_path, batch_file):

@@ -276,6 +276,24 @@ class TestBuildPlan:
         with pytest.raises(ValueError, match="malformed plan file"):
             pt.plan_from_json(json.dumps(missing))
 
+    def test_plan_from_json_rejects_values_that_are_not_integers(self):
+        cluster, _ = cluster_a()
+        text = pt.plan_to_json(pt.build_plan(SequenceBatch(((0, 40000), (1, 512), (2, 3000))), cluster))
+        edits = {
+            "sequence id": lambda p: p["ranks"][0][0].update(sequence_id=float(p["ranks"][0][0]["sequence_id"])),
+            "length": lambda p: p["sequence_lengths"].update({"1": 512.0}),
+            "start": lambda p: p["ranks"][0][0].update(start=0.5),
+            "end": lambda p: p["ranks"][0][0].update(end=p["ranks"][0][0]["end"] - 0.5),
+            "micro_batch": lambda p: p["ranks"][0][0].update(micro_batch=False),
+            "ring member": lambda p: p["rings"][0]["members"].__setitem__(0, float(p["rings"][0]["members"][0])),
+            "ring sequence id": lambda p: p["rings"][0]["sequences"][0].update(sequence_id=True),
+        }
+        for name, edit in edits.items():
+            edited = json.loads(text)
+            edit(edited)
+            with pytest.raises(ValueError, match="must be integers"):
+                pt.plan_from_json(json.dumps(edited))
+
     @pytest.mark.parametrize("edit, error", [
         (lambda plan, ring: {"fragments": [[dataclasses.replace(f, micro_batch=int(f.sequence_id == 1))
                                             for f in frags] for frags in plan.fragments]},

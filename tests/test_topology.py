@@ -154,6 +154,11 @@ def test_config_errors_name_offending_key():
                              "inv_bw_inter = 1.0\nattn_quadratic = 1e-9")
 
 
+def test_config_rejects_a_repeated_key():
+    with pytest.raises(ConfigError, match="line 2: key 'nodes' is set twice"):
+        parse_cluster_config("nodes = 2\nnodes = 4\n")
+
+
 def test_config_comments_and_defaults():
     cluster, coeffs = parse_cluster_config(
         "# test cluster\n"
