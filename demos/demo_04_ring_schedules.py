@@ -6,13 +6,12 @@ visible (query, key) pair count once all KV sets have rotated past. The
 schedule runs each ring for G rounds, KV moving one position per round.
 """
 
-from varlenplan import build_plan, build_schedule, causal_pairs, cluster_a, zigzag_chunks
+from varlenplan import build_plan, build_schedule, causal_pairs, cluster_a, split_even
+from varlenplan.attention_engine import ranges_from_sizes
 from varlenplan.workload import SequenceBatch
 
 print("zigzag layout of a 16-token sequence on a 4-rank ring:")
-chunks = zigzag_chunks(16, 4)
-for pos in range(4):
-    a, b = chunks[pos], chunks[2 * 4 - 1 - pos]
+for pos, (a, b) in enumerate(ranges_from_sizes(split_even(16, 8))):
     print(f"  position {pos}: chunks {a} and {b}")
 
 cluster, _ = cluster_a()

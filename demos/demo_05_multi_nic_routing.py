@@ -23,21 +23,24 @@ for x in (1, 2, 4, 8):
 
 plan = build_plan(SequenceBatch(((0, 65536),)), cluster)
 ring = plan.ring_groups[0]
-x1, x2, send, recv = select_proxies(cluster, ring, 7, 8)
-print(f"\nproxy selection for the ring crossing 7 -> 8: x1={x1}, x2={x2}")
+send, recv = select_proxies(cluster, ring, 7, 8)
+print(f"\nproxy selection for the ring crossing 7 -> 8: {len(send)} send, {len(recv)} receive proxies")
 print(f"  send proxies {send}")
 print(f"  recv proxies {recv}")
 
-route = build_route(cluster, ring, 7, 8, n)
-print(f"\nstep breakdown for one {n}-token round "
-      f"(total {route.routed_time * 1e3:.3f} ms):")
-print(f"  dispatch {route.dispatch_time * 1e3:.3f} ms, "
-      f"transfer {route.transfer_time * 1e3:.3f} ms, "
-      f"combine {route.combine_time * 1e3:.3f} ms")
-for step in route.steps[:6]:
-    print(f"  {step.kind:<14} {step.source_rank:>2} -> {step.dest_rank:>2}  "
-          f"{step.tokens} tokens ({step.scope})")
-print(f"  ... {len(route.steps)} steps total")
+# the simulator bills each step its integer share of the tokens, within
+# one token per leg of the formula (exactly it when the proxies divide n)
+for tokens in (n, n + 5):
+    route = build_route(cluster, ring, 7, 8, tokens)
+    dispatch, transfer, combine = sum(route.dispatch_times), max(route.transfer_times), sum(route.combine_times)
+    print(f"\nbilled steps for one {tokens}-token round: dispatch {dispatch * 1e3:.4f} ms, "
+          f"transfer {transfer * 1e3:.4f} ms, combine {combine * 1e3:.4f} ms")
+    print(f"  total {(dispatch + transfer + combine) * 1e3:.4f} ms, formula "
+          f"{routed_time(cluster, tokens, len(send), len(recv)) * 1e3:.4f} ms")
+print(f"  some steps of the {route.tokens}-token send:")
+for step in (route.dispatches[0], route.transfers[0], route.transfers[-1], route.combines[-1]):
+    print(f"    {step.kind:<14} {step.source_rank:>2} -> {step.dest_rank:>2}  {step.tokens} tokens")
+print(f"    ... {len(route.steps)} steps total")
 
 routes = route_schedule(build_schedule(plan), plan, cluster)
 print(f"\nthe full schedule routes {len(routes)} cross-node sends "

@@ -38,7 +38,8 @@ for i in senders:
     print(f"  rank {i} sends {targets}")
 
 print("\nreceiver-side row costs (diagnostic, not part of the objective):")
-print(" ", [f"{c * 1e6:.1f}us" for c in result.col_costs if c > 0] or ["none"])
+col_costs = (cost_matrix(cluster) * result.matrix).sum(axis=0)
+print(" ", [f"{c * 1e6:.1f}us" for c in col_costs if c > 0] or ["none"])
 
 print("\ntransfer matrix:")
 print(result.matrix)

@@ -6,7 +6,6 @@ from .attention_engine import (
     build_schedule,
     causal_pairs,
     split_even,
-    zigzag_chunks,
 )
 from .baselines import STRATEGIES, plan_hybrid_dp, plan_llama_cp, plan_te_cp
 from .partitioner import (

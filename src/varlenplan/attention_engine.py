@@ -31,32 +31,13 @@ def split_even(total: int, parts: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(parts)]
 
 
-def contiguous_ranges(sizes: list[int], offset: int = 0) -> list[tuple[int, int]]:
+def contiguous_ranges(sizes: list[int]) -> list[tuple[int, int]]:
     ranges = []
-    pos = offset
+    pos = 0
     for size in sizes:
         ranges.append((pos, pos + size))
         pos += size
     return ranges
-
-
-def zigzag_chunks(seq_len: int, group_size: int) -> list[tuple[int, int]]:
-    """Split a sequence into 2*G equal-length contiguous chunks for a ring of
-    size G; ring position i holds chunks i and 2G-1-i, which equalizes causal
-    pair counts across positions.
-
-    Raises ValueError when seq_len < 2*G (too short for this ring size).
-    """
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
-    if seq_len < 2 * group_size:
-        raise ValueError(f"sequence of {seq_len} tokens is too short for a ring of size {group_size}")
-    return contiguous_ranges(split_even(seq_len, 2 * group_size))
-
-
-def zigzag_positions(group_size: int) -> list[tuple[int, int]]:
-    """Chunk indices (i, 2G-1-i) held by each ring position i."""
-    return [(i, 2 * group_size - 1 - i) for i in range(group_size)]
 
 
 def balanced_zigzag_sizes(seq_len: int, group_size: int, position_loads: list[int]) -> list[int]:
@@ -84,11 +65,14 @@ def balanced_zigzag_sizes(seq_len: int, group_size: int, position_loads: list[in
 
 
 def ranges_from_sizes(sizes: list[int]) -> list[list[tuple[int, int]]]:
-    """Per-position nonempty token ranges for explicit zigzag chunk sizes."""
+    """Per-position nonempty token ranges for explicit zigzag chunk sizes:
+    of 2G contiguous chunks, ring position i holds chunks i and 2G-1-i,
+    which equalizes causal pair counts across positions."""
     g = len(sizes) // 2
     chunks = contiguous_ranges(sizes)
     out: list[list[tuple[int, int]]] = []
-    for i, j in zigzag_positions(g):
+    for i in range(g):
+        j = 2 * g - 1 - i
         ranges = [chunks[i]]
         if j != i:
             ranges.append(chunks[j])

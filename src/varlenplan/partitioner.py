@@ -580,7 +580,7 @@ def plan_from_json(text: str) -> PlacementPlan:
                 [ring_ranges(ring, fragments) for ring in rings],
             ),
         }
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ValueError(f"malformed plan file: missing or invalid key ({exc})") from exc
     for key, (value, derived) in stored.items():
         if value != derived:

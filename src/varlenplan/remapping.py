@@ -58,7 +58,6 @@ class RemapResult:
     matrix: np.ndarray  # integer token transfers, d x d
     objective: float  # continuous minimax optimum
     row_costs: np.ndarray  # per-sender cost of the integer matrix
-    col_costs: np.ndarray  # per-receiver cost (diagnostic)
 
 
 def _node_blocks(t: np.ndarray) -> tuple[list[np.ndarray], float, float]:
@@ -129,8 +128,7 @@ def solve_remap(counts: list[int], cost: np.ndarray) -> RemapResult:
     v = np.maximum(b - a, 0)
     matrix = np.zeros((d, d), dtype=np.int64)
     if u.sum() == 0:
-        zero = np.zeros(d)
-        return RemapResult(matrix=matrix, objective=0.0, row_costs=zero, col_costs=zero)
+        return RemapResult(matrix=matrix, objective=0.0, row_costs=np.zeros(d))
 
     objective = c * float(u.max())
     cross = np.zeros(d, dtype=np.int64)  # tokens each sender pushes off its node
@@ -150,6 +148,4 @@ def solve_remap(counts: list[int], cost: np.ndarray) -> RemapResult:
         matrix[np.ix_(members, members)] = _northwest(u[members] - cross[members], v[members])
     # only nodes that push nothing off keep deficits, so these fills all cross nodes
     matrix += _northwest(cross, v - matrix.sum(axis=0))
-    row_costs = (t * matrix).sum(axis=1)
-    col_costs = (t * matrix).sum(axis=0)
-    return RemapResult(matrix=matrix, objective=objective, row_costs=row_costs, col_costs=col_costs)
+    return RemapResult(matrix=matrix, objective=objective, row_costs=(t * matrix).sum(axis=1))

@@ -32,28 +32,26 @@ class RouteStep:
     source_rank: int
     dest_rank: int
     tokens: int
-    scope: str  # intra | inter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoutePlan:
-    """One ring round's cross-node transfer, decomposed over proxy ranks."""
+    """One cross-node ring send over proxy ranks: its dispatch, transfer and
+    combine steps and the time billed for each (link coefficient x tokens)."""
 
     source_rank: int
     dest_rank: int
     tokens: int
-    x1: int
-    x2: int
-    send_proxies: tuple[int, ...]
-    recv_proxies: tuple[int, ...]
-    steps: tuple[RouteStep, ...]
-    dispatch_time: float
-    transfer_time: float
-    combine_time: float
+    dispatches: tuple[RouteStep, ...]
+    transfers: tuple[RouteStep, ...]
+    combines: tuple[RouteStep, ...]
+    dispatch_times: tuple[float, ...]
+    transfer_times: tuple[float, ...]
+    combine_times: tuple[float, ...]
 
     @property
-    def routed_time(self) -> float:
-        return self.dispatch_time + self.transfer_time + self.combine_time
+    def steps(self) -> tuple[RouteStep, ...]:
+        return self.dispatches + self.transfers + self.combines
 
 
 def routed_time(cluster: ClusterSpec, n: int | float, x1: int, x2: int) -> float:
@@ -72,31 +70,28 @@ def select_proxies(
     ring: RingGroup,
     source_rank: int,
     dest_rank: int,
-) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Pick send/receive proxy ranks for one cross-node ring transfer.
 
     Every GPU of the source node proxies the send and every GPU of the
-    destination node the receive, so x1 = x2 = gpus_per_node and proxies
-    pair one-to-one. Each endpoint comes first, then its node's other ring
+    destination node the receive, so both tuples hold gpus_per_node ranks
+    and pair one-to-one. Each endpoint comes first, then its node's other ring
     members, then ranks busy with local or intra-node sequences.
     """
     src_node = cluster.node_of(source_rank)
     dst_node = cluster.node_of(dest_rank)
     if src_node == dst_node:
         raise ValueError("proxy selection applies to cross-node transfers only")
-    p = cluster.gpus_per_node
-    send_proxies = _proxy_order(cluster, ring, src_node, source_rank)
-    recv_proxies = _proxy_order(cluster, ring, dst_node, dest_rank)
-    return p, p, tuple(send_proxies), tuple(recv_proxies)
+    return _proxy_order(cluster, ring, src_node, source_rank), _proxy_order(cluster, ring, dst_node, dest_rank)
 
 
-def _proxy_order(cluster: ClusterSpec, ring: RingGroup, node: int, endpoint: int) -> list[int]:
+def _proxy_order(cluster: ClusterSpec, ring: RingGroup, node: int, endpoint: int) -> tuple[int, ...]:
     ranks = list(cluster.ranks_of_node(node))
     members = [r for r in ranks if r in ring.members]
     others = [r for r in ranks if r not in ring.members]
     ordered = members + others
     ordered.remove(endpoint)
-    return [endpoint] + ordered
+    return (endpoint, *ordered)
 
 
 def build_route(
@@ -108,31 +103,23 @@ def build_route(
 ) -> RoutePlan:
     """Expand one cross-node send into dispatch/transfer/combine steps.
 
-    Durations use the continuous division of the cost formula; the emitted
-    steps split tokens with the maximally even integer rule. The endpoint
-    ranks keep their own shares, so dispatch moves n*(x1-1)/x1 tokens and
-    combine n*(x2-1)/x2.
+    Tokens split evenly in integers over the x = gpus_per_node proxies, the
+    endpoints keeping their own shares. Each step takes its share's time on
+    its link, within one token per leg of `routed_time(n, x, x)`.
     """
-    x1, x2, send_proxies, recv_proxies = select_proxies(cluster, ring, source_rank, dest_rank)
-    # x1 == x2: send proxy i hands its share straight to receive proxy i
-    shares = split_even(tokens, x1)
-    steps = [RouteStep(DISPATCH, source_rank, proxy, n, "intra") for proxy, n in zip(send_proxies[1:], shares[1:])]
-    steps += [RouteStep(INTER_TRANSFER, s, r, n, "inter") for s, r, n in zip(send_proxies, recv_proxies, shares)]
-    steps += [RouteStep(COMBINE, proxy, dest_rank, n, "intra") for proxy, n in zip(recv_proxies[1:], shares[1:])]
+    send_proxies, recv_proxies = select_proxies(cluster, ring, source_rank, dest_rank)
+    # as many send as receive proxies: send proxy i hands its share to receive proxy i
+    shares = split_even(tokens, len(send_proxies))
+    dispatches = tuple(RouteStep(DISPATCH, source_rank, proxy, n) for proxy, n in zip(send_proxies[1:], shares[1:]))
+    transfers = tuple(RouteStep(INTER_TRANSFER, s, r, n) for s, r, n in zip(send_proxies, recv_proxies, shares))
+    combines = tuple(RouteStep(COMBINE, proxy, dest_rank, n) for proxy, n in zip(recv_proxies[1:], shares[1:]))
     bi = cluster.inv_bw_intra
     be = cluster.inv_bw_inter
     return RoutePlan(
-        source_rank=source_rank,
-        dest_rank=dest_rank,
-        tokens=tokens,
-        x1=x1,
-        x2=x2,
-        send_proxies=send_proxies,
-        recv_proxies=recv_proxies,
-        steps=tuple(steps),
-        dispatch_time=bi * tokens * (x1 - 1) / x1,
-        transfer_time=be * max(tokens / x1, tokens / x2),
-        combine_time=bi * tokens * (x2 - 1) / x2,
+        source_rank, dest_rank, tokens, dispatches, transfers, combines,
+        tuple(bi * s.tokens for s in dispatches),
+        tuple(be * s.tokens for s in transfers),
+        tuple(bi * s.tokens for s in combines),
     )
 
 

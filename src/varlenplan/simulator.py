@@ -32,7 +32,7 @@ from . import baselines
 from .attention_engine import INTER_NODE, AttentionSchedule, RingGroup, RingSchedule, build_schedule, causal_pairs
 from .partitioner import InfeasibleBatch, PlacementPlan
 from .remapping import cost_matrix, solve_remap, target_distribution
-from .routing import COMBINE, DISPATCH, INTER_TRANSFER, RoutePlan, RouteStep, route_schedule
+from .routing import RoutePlan, route_schedule
 from .topology import ClusterSpec, CostCoefficients
 from .workload import SequenceBatch
 
@@ -199,7 +199,7 @@ def _run_ring(
     ends at t_r + (its longest leg); lanes whose tail lies past t0 (a rank
     that proxied an earlier routed ring) and routed sends are added per
     round on top. Sends of positions in `routes` are routed, each timed by
-    its route's `_RouteLegs`; the rest go direct.
+    `_run_route`; the rest go direct.
     """
     ring = ring_sched.ring
     g = ring.group_size
@@ -224,9 +224,9 @@ def _run_ring(
     late = [(compute_tail[i], compute[i], pairs[i] > 0) for i in range(g) if compute_tail[i] > t0]
     late += [(send_tail[i], send[i], direct[i]) for i in range(g) if send_tail[i] > t0 and not via_route[i]]
 
-    # the routed sends of each round, as their routes' legs
-    round_legs: list[list[_RouteLegs]] = [[] for _ in range(g)]
-    built: dict[int, _RouteLegs] = {}
+    # the routed sends of each round, and each distinct route's lanes
+    round_routes: list[list[RoutePlan]] = [[] for _ in range(g)]
+    lanes: dict[RoutePlan, tuple[int, ...]] = {}
     if routes is not None:
         token_rows = tokens.tolist()
         routed = [i for i in range(g) if via_route[i]]
@@ -234,11 +234,10 @@ def _run_ring(
             for i in routed:
                 if token_rows[i][r] > 0:
                     route = routes[(ring_idx, r, members[i])]
-                    legs = built.get(id(route))
-                    if legs is None:
-                        legs = built[id(route)] = _RouteLegs.of(route, cluster)
-                    round_legs[r].append(legs)
-    route_lanes = {lane for legs in built.values() for lane in legs.lanes}
+                    if route not in lanes:
+                        lanes[route] = _route_lanes(route)
+                    round_routes[r].append(route)
+    route_lanes = {lane for used in lanes.values() for lane in used}
     # direct sends on lanes that routed steps use too
     shared = [j for j in range(g) if not via_route[j] and send_lanes[j] in route_lanes]
     sends: list[tuple] = []
@@ -251,16 +250,16 @@ def _run_ring(
         for tail, dur, used in late:
             if tail > t and used[r]:
                 end = max(end, tail + float(dur[r]))
-        if round_legs[r]:
+        if round_routes[r]:
             # routed steps move the lane tails as they go: a lane's tail is
             # then its latest end, and ends of earlier rounds lie before t
             for j in shared:
                 if direct[j, r]:
                     tails[send_lanes[j]] = max(t, send_tail[j]) + float(send[j, r])
-            for legs in round_legs[r]:
-                *starts_of_send, send_end = legs.run(tails, t)
+            for route in round_routes[r]:
+                *starts_of_send, send_end = _run_route(route, lanes[route], tails, t)
                 end = max(end, send_end)
-                sends.append((r, legs, *starts_of_send))
+                sends.append((r, route, *starts_of_send))
         t = end
     round_start = np.array(starts)
     compute_start = np.maximum(round_start, np.array(compute_tail)[:, None])
@@ -291,101 +290,78 @@ def _run_ring(
     return t
 
 
-@dataclass(frozen=True, eq=False)
-class _RouteLegs:
-    """A RoutePlan's steps as lanes and durations, built once per ring: the
-    dispatch scatter is one chain on the source's intra lane, the transfers
-    run in parallel on the send proxies' inter lanes once it ends, and the
-    gather is one chain on the destination's intra lane after them."""
+def _route_lanes(route: RoutePlan) -> tuple[int, ...]:
+    """A route's lanes: the source's intra lane, the destination's intra
+    lane, then each transfer's send-proxy inter lane."""
+    return 3 * route.source_rank + 1, 3 * route.dest_rank + 1, *[3 * s.source_rank + 2 for s in route.transfers]
 
-    route: RoutePlan
-    dispatches: tuple[RouteStep, ...]
-    transfers: tuple[RouteStep, ...]
-    combines: tuple[RouteStep, ...]
-    dispatch_times: tuple[float, ...]
-    transfer_times: tuple[float, ...]
-    combine_times: tuple[float, ...]
-    source_lane: int
-    transfer_lanes: tuple[int, ...]
-    dest_lane: int
 
-    @classmethod
-    def of(cls, route: RoutePlan, cluster: ClusterSpec) -> "_RouteLegs":
-        steps = {kind: tuple(s for s in route.steps if s.kind == kind) for kind in (DISPATCH, INTER_TRANSFER, COMBINE)}
-        intra, inter = cluster.inv_bw_intra, cluster.inv_bw_inter
-        return cls(
-            route, steps[DISPATCH], steps[INTER_TRANSFER], steps[COMBINE],
-            tuple(intra * s.tokens for s in steps[DISPATCH]),
-            tuple(inter * s.tokens for s in steps[INTER_TRANSFER]),
-            tuple(intra * s.tokens for s in steps[COMBINE]),
-            3 * route.source_rank + 1,
-            tuple(3 * s.source_rank + 2 for s in steps[INTER_TRANSFER]),
-            3 * route.dest_rank + 1,
-        )
+def _run_route(route: RoutePlan, lanes: tuple[int, ...], tails: list[float],
+               t: float) -> tuple[float, list[float], float, float]:
+    """Time one routed send from round start t on its `_route_lanes`,
+    whose latest ends are `tails`, and move those ends: the dispatch scatter
+    is one chain on the source's intra lane, the transfers run in parallel
+    on the send proxies' inter lanes once it ends, and the gather is one
+    chain on the destination's intra lane after them. Returns the dispatch
+    chain's start, each transfer's start, the gather chain's start and the
+    send's end. Each chain's ends are sequential sums from its start."""
+    source_lane, dest_lane = lanes[0], lanes[1]
+    dispatch_start = end = max(t, tails[source_lane])
+    if route.dispatch_times:
+        for dur in route.dispatch_times:
+            end += dur
+        tails[source_lane] = end
+    else:
+        end = t
+    transfer_starts = []
+    transfer_end = end
+    for lane, dur in zip(lanes[2:], route.transfer_times):
+        start = tails[lane]
+        if start < end:
+            start = end
+        transfer_starts.append(start)
+        tails[lane] = done = start + dur
+        if done > transfer_end:
+            transfer_end = done
+    combine_start = end = max(transfer_end, tails[dest_lane])
+    if route.combine_times:
+        for dur in route.combine_times:
+            end += dur
+        tails[dest_lane] = end
+    else:
+        end = transfer_end
+    return dispatch_start, transfer_starts, combine_start, end
 
-    @property
-    def lanes(self) -> tuple[int, ...]:
-        return (self.source_lane, *self.transfer_lanes, self.dest_lane)
 
-    def run(self, tails: list[float], t: float) -> tuple[float, list[float], float, float]:
-        """Time one send from round start t on lanes whose latest ends are
-        `tails`, and move those ends. Returns the dispatch chain's start,
-        each transfer's start, the gather chain's start and the send's end.
-        Each chain's ends are sequential sums from its start."""
-        dispatch_start = end = max(t, tails[self.source_lane])
-        if self.dispatch_times:
-            for dur in self.dispatch_times:
-                end += dur
-            tails[self.source_lane] = end
-        else:
-            end = t
-        transfer_starts = []
-        transfer_end = end
-        for lane, dur in zip(self.transfer_lanes, self.transfer_times):
-            start = tails[lane]
-            if start < end:
-                start = end
-            transfer_starts.append(start)
-            tails[lane] = done = start + dur
-            if done > transfer_end:
-                transfer_end = done
-        combine_start = end = max(transfer_end, tails[self.dest_lane])
-        if self.combine_times:
-            for dur in self.combine_times:
-                end += dur
-            tails[self.dest_lane] = end
-        else:
-            end = transfer_end
-        return dispatch_start, transfer_starts, combine_start, end
+def _route_steps(route: RoutePlan, dispatch_start: float, transfer_starts: list[float],
+                 combine_start: float) -> list[tuple]:
+    """A routed send's steps as (rank, stream, start, duration, kind, proxy,
+    tokens), in emission order."""
+    out = []
+    start = dispatch_start
+    for step, dur in zip(route.dispatches, route.dispatch_times):
+        out.append((step.source_rank, INTRA_COMM, start, dur, "route.dispatch", step.dest_rank, step.tokens))
+        start += dur
+    for step, dur, start in zip(route.transfers, route.transfer_times, transfer_starts):
+        out.append((step.source_rank, INTER_COMM, start, dur, "route.transfer", step.dest_rank, step.tokens))
+    start = combine_start
+    for step, dur in zip(route.combines, route.combine_times):
+        out.append((step.dest_rank, INTRA_COMM, start, dur, "route.combine", step.source_rank, step.tokens))
+        start += dur
+    return out
 
-    def steps(self, dispatch_start: float, transfer_starts: list[float],
-              combine_start: float) -> list[tuple]:
-        """The send's steps as (rank, stream, start, duration, kind, proxy,
-        tokens), in emission order."""
-        out = []
-        start = dispatch_start
-        for step, dur in zip(self.dispatches, self.dispatch_times):
-            out.append((step.source_rank, INTRA_COMM, start, dur, "route.dispatch", step.dest_rank, step.tokens))
-            start += dur
-        for step, dur, start in zip(self.transfers, self.transfer_times, transfer_starts):
-            out.append((step.source_rank, INTER_COMM, start, dur, "route.transfer", step.dest_rank, step.tokens))
-        start = combine_start
-        for step, dur in zip(self.combines, self.combine_times):
-            out.append((step.dest_rank, INTRA_COMM, start, dur, "route.combine", step.source_rank, step.tokens))
-            start += dur
-        return out
 
-    def texts(self) -> tuple[list[tuple[str, str]], ...]:
-        """Each step's trace args as the text before and after its ring and
-        round: the dispatches', the transfers' and the gathers'."""
-        src, dst = self.route.source_rank, self.route.dest_rank
+def _route_texts(route: RoutePlan) -> tuple[list[tuple[str, str]], ...]:
+    """Each step's trace args as the text before and after its ring and
+    round: the dispatches', the transfers' and the gathers'."""
+    src, dst = route.source_rank, route.dest_rank
 
-        def text(proxy: int, tokens: int) -> tuple[str, str]:
-            return f'{{"dst":{dst},"proxy":{proxy},', f',"src":{src},"tokens":{tokens}}}'
+    def text(proxy: int, tokens: int) -> tuple[str, str]:
+        return f'{{"dst":{dst},"proxy":{proxy},', f',"src":{src},"tokens":{tokens}}}'
 
-        return ([text(s.dest_rank, s.tokens) for s in self.dispatches],
-                [text(s.dest_rank, s.tokens) for s in self.transfers],
-                [text(s.source_rank, s.tokens) for s in self.combines])
+    return ([text(s.dest_rank, s.tokens) for s in route.dispatches],
+            [text(s.dest_rank, s.tokens) for s in route.transfers],
+            [text(s.source_rank, s.tokens) for s in route.combines])
 
 
 def _tally_sends(engine: _Engine, sends: list[tuple]) -> None:
@@ -393,13 +369,12 @@ def _tally_sends(engine: _Engine, sends: list[tuple]) -> None:
     transfers in event order."""
     transfers: dict[int, list[float]] = {}
     p = engine.cluster.gpus_per_node
-    for _, legs, *_ in sends:
-        transfers.setdefault(legs.route.source_rank // p, []).extend(legs.transfer_times)
-    for legs, n in Counter(legs for _, legs, *_ in sends).items():
-        route = legs.route
+    for _, route, *_ in sends:
+        transfers.setdefault(route.source_rank // p, []).extend(route.transfer_times)
+    for route, n in Counter(route for _, route, *_ in sends).items():
         engine.inter_tokens[route.source_rank] += n * route.tokens
-        engine.intra_tokens[route.source_rank] += n * sum(s.tokens for s in legs.dispatches)
-        for step in legs.combines:
+        engine.intra_tokens[route.source_rank] += n * sum(s.tokens for s in route.dispatches)
+        for step in route.combines:
             engine.intra_tokens[step.source_rank] += n * step.tokens
     for node, durations in transfers.items():
         engine.bill_transfers(node, durations)
@@ -409,7 +384,7 @@ def _tally_sends(engine: _Engine, sends: list[tuple]) -> None:
 class _RingRecord:
     """One ring's events in compact form: [position, round] matrices of its
     computes and direct sends, and its routed sends in emission order as
-    (round, legs, dispatch start, transfer starts, gather start)."""
+    (round, route, dispatch start, transfer starts, gather start)."""
 
     ring_idx: int
     ring: RingGroup
@@ -448,9 +423,8 @@ def _ring_events(rec: _RingRecord) -> list[Event]:
                 events.append(Event(members[i], streams[i], send_start[i][r], send[i][r], "kv.send",
                                     {"ring": rec.ring_idx, "round": r, "tokens": tokens[i][r],
                                      "dst": members[(i + 1) % g]}))
-        for _, legs, *starts in sends[r]:
-            route = legs.route
-            for rank, stream, start, dur, step_kind, proxy, n in legs.steps(*starts):
+        for _, route, *starts in sends[r]:
+            for rank, stream, start, dur, step_kind, proxy, n in _route_steps(route, *starts):
                 events.append(Event(rank, stream, start, dur, step_kind,
                                     {"ring": rec.ring_idx, "round": r, "src": route.source_rank,
                                      "dst": route.dest_rank, "proxy": proxy, "tokens": n}))
@@ -648,27 +622,26 @@ class _TraceColumns:
         """A ring's routed steps, kind by kind in emission order. A chain's
         starts are the sequential sums of its durations from its start, as
         a cumulative sum along each row gives them."""
-        rounds, legs, dispatch_start, transfer_starts, combine_start = zip(*rec.sends)
-        texts = {leg: leg.texts() for leg in dict.fromkeys(legs)}
+        rounds, routes, dispatch_start, transfer_starts, combine_start = zip(*rec.sends)
+        texts = {route: _route_texts(route) for route in dict.fromkeys(routes)}
         middle = [f'"ring":{rec.ring_idx},"round":{r}' for r in rounds]
+        route_lanes = {route: _route_lanes(route) for route in texts}
+        lanes = np.array([route_lanes[route] for route in routes], dtype=np.int64)
 
         def args(kind: int) -> list[str]:
-            return [head + m + tail for leg, m in zip(legs, middle) for head, tail in texts[leg][kind]]
+            return [head + m + tail for route, m in zip(routes, middle) for head, tail in texts[route][kind]]
 
         def chain(starts: tuple, durations: np.ndarray) -> np.ndarray:
             return np.cumsum(np.column_stack((starts, durations)), axis=1)[:, :-1]
 
-        duration = np.array([leg.dispatch_times for leg in legs], dtype=float)
-        self._extend(chain(dispatch_start, duration).ravel(),
-                     np.repeat([leg.source_lane for leg in legs], duration.shape[1]),
+        duration = np.array([route.dispatch_times for route in routes], dtype=float)
+        self._extend(chain(dispatch_start, duration).ravel(), np.repeat(lanes[:, 0], duration.shape[1]),
                      "route.dispatch", duration.ravel(), args(0))
-        duration = np.array([leg.transfer_times for leg in legs], dtype=float)
-        self._extend(np.array(transfer_starts, dtype=float).ravel(),
-                     np.array([leg.transfer_lanes for leg in legs], dtype=np.int64).ravel(),
+        duration = np.array([route.transfer_times for route in routes], dtype=float)
+        self._extend(np.array(transfer_starts, dtype=float).ravel(), lanes[:, 2:].ravel(),
                      "route.transfer", duration.ravel(), args(1))
-        duration = np.array([leg.combine_times for leg in legs], dtype=float)
-        self._extend(chain(combine_start, duration).ravel(),
-                     np.repeat([leg.dest_lane for leg in legs], duration.shape[1]),
+        duration = np.array([route.combine_times for route in routes], dtype=float)
+        self._extend(chain(combine_start, duration).ravel(), np.repeat(lanes[:, 1], duration.shape[1]),
                      "route.combine", duration.ravel(), args(2))
 
     def _extend(self, start: np.ndarray, lane: np.ndarray, kind: str, duration: np.ndarray,

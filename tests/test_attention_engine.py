@@ -21,9 +21,6 @@ def test_split_even_rule():
 
 
 def test_zigzag_two_rank_example():
-    chunks = ae.zigzag_chunks(8, 2)
-    assert chunks == [(0, 2), (2, 4), (4, 6), (6, 8)]
-    assert ae.zigzag_positions(2) == [(0, 3), (1, 2)]
     ranges = ae.ranges_from_sizes(ae.split_even(8, 4))
     assert ranges[0] == [(0, 2), (6, 8)]
     assert ranges[1] == [(2, 4), (4, 6)]
@@ -38,12 +35,6 @@ def test_zigzag_two_rank_example():
 def test_zigzag_degenerate_single_rank():
     ranges = ae.ranges_from_sizes(ae.split_even(10, 2))
     assert ranges == [[(0, 5), (5, 10)]]
-
-
-def test_zigzag_rejects_short_sequences():
-    with pytest.raises(ValueError):
-        ae.zigzag_chunks(7, 4)
-    ae.zigzag_chunks(8, 4)  # boundary is fine
 
 
 def test_zigzag_balance_when_divisible():

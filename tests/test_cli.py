@@ -103,6 +103,14 @@ def _bool_micro_batch(path):
     path.write_text(json.dumps(payload))
 
 
+def _as_array(key):
+    def edit(path):
+        payload = json.loads(path.read_text())
+        payload[key] = list(payload[key].values())
+        path.write_text(json.dumps(payload))
+    return edit
+
+
 @pytest.mark.parametrize("edit, error", [
     (_edit_zone, "zones disagree with its fragments"),
     (_delete_ring_range, "ring ranges disagree with its fragments"),
@@ -110,7 +118,10 @@ def _bool_micro_batch(path):
     (_half_token_boundary, "must be integers"),
     (_float_length, "must be integers"),
     (_bool_micro_batch, "must be integers"),
-], ids=["zone", "ring_range", "over_capacity", "half_token", "float_length", "bool_micro_batch"])
+    (_as_array("zones"), "malformed plan file"),
+    (_as_array("sequence_lengths"), "malformed plan file"),
+], ids=["zone", "ring_range", "over_capacity", "half_token", "float_length", "bool_micro_batch",
+        "zones_array", "lengths_array"])
 def test_simulate_rejects_a_plan_file_with_an_edited_zone(tmp_path, batch_file, capsys, edit, error):
     plan_path = tmp_path / "plan.json"
     assert run(["plan", "--config", "cluster_a", "--batch", batch_file,

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from varlenplan import routing
-from varlenplan.attention_engine import build_schedule
+from varlenplan.attention_engine import INTER_NODE, RingGroup, build_schedule
 from varlenplan.partitioner import build_plan
 from varlenplan.topology import ClusterSpec, cluster_a, direct_transfer_time
 from varlenplan.workload import SequenceBatch
@@ -12,6 +14,12 @@ from varlenplan.workload import SequenceBatch
 def make_cluster(bi=1.0, be=10.0, n=2, p=8, nics=4, cap=100000):
     return ClusterSpec(num_nodes=n, gpus_per_node=p, token_capacity=cap,
                        inv_bw_intra=bi, inv_bw_inter=be, nics_per_node=nics)
+
+
+def billed_time(route):
+    """A routed send's time as the simulator bills it on idle lanes: the
+    dispatch chain, the slowest parallel transfer, then the gather chain."""
+    return sum(route.dispatch_times) + max(route.transfer_times) + sum(route.combine_times)
 
 
 class TestRoutedTime:
@@ -63,8 +71,8 @@ class TestProxySelection:
         cluster, _ = cluster_a()
         plan = build_plan(SequenceBatch(((0, 65536),)), cluster)
         ring = plan.ring_groups[0]
-        x1, x2, send, recv = routing.select_proxies(cluster, ring, 7, 8)
-        assert x1 == x2 == 8
+        send, recv = routing.select_proxies(cluster, ring, 7, 8)
+        assert len(send) == len(recv) == 8
         assert send[0] == 7 and set(send) == set(range(0, 8))
         assert recv[0] == 8 and set(recv) == set(range(8, 16))
 
@@ -86,9 +94,23 @@ class TestBuildRoute:
         combine = sum(s.tokens for s in route.steps if s.kind == routing.COMBINE)
         assert transfer == 4096
         # the endpoints keep their own shares
-        assert dispatch == 4096 - 4096 // route.x1
-        assert combine == 4096 - 4096 // route.x2
-        assert route.routed_time == routing.routed_time(cluster, 4096, route.x1, route.x2)
+        assert dispatch == 4096 - 4096 // 8
+        assert combine == 4096 - 4096 // 8
+
+    @given(p=st.integers(1, 16), bi=st.floats(1e-9, 1.0), gap=st.floats(1.0, 50.0), n=st.integers(0, 10**6))
+    def test_billed_time_within_a_token_per_leg_of_the_formula(self, p, bi, gap, n):
+        # integer shares bill dispatch and combine up to one intra token
+        # under the formula each, and the largest transfer up to one inter
+        # token over it
+        cluster = make_cluster(bi=bi, be=bi * gap, p=p)
+        ring = RingGroup(INTER_NODE, (p - 1, p), (0,))
+        route = routing.build_route(cluster, ring, p - 1, p, n)
+        formula = routing.routed_time(cluster, n, p, p)
+        diff = billed_time(route) - formula
+        tol = 1e-9 * formula
+        assert -2 * cluster.inv_bw_intra - tol <= diff <= cluster.inv_bw_inter + tol
+        if n % p == 0:
+            assert diff == pytest.approx(0.0, abs=tol)
 
     def test_step_scopes(self):
         cluster, _ = cluster_a()
@@ -97,10 +119,8 @@ class TestBuildRoute:
         for step in route.steps:
             if step.kind == routing.INTER_TRANSFER:
                 assert cluster.node_of(step.source_rank) != cluster.node_of(step.dest_rank)
-                assert step.scope == "inter"
             else:
                 assert cluster.node_of(step.source_rank) == cluster.node_of(step.dest_rank)
-                assert step.scope == "intra"
 
 
 class TestRouteSchedule:
@@ -121,11 +141,10 @@ class TestRouteSchedule:
         assert len(routes) == 32
         for (ring_idx, r, src), route in routes.items():
             assert src in (7, 15)
-            assert route.x1 == route.x2 == 8
             # the workload splits into eight per-proxy transfer pieces
             transfers = [s for s in route.steps if s.kind == routing.INTER_TRANSFER]
             assert len(transfers) == 8
-        ratio = routes[(0, 0, 7)].routed_time / direct_transfer_time(cluster, 4096, "inter")
+        ratio = billed_time(routes[(0, 0, 7)]) / direct_transfer_time(cluster, 4096, "inter")
         assert 1 / 8 <= ratio <= 1 / 4
 
     def test_local_hosting_ranks_serve_as_proxies(self):
