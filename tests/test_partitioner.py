@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import check_plan
 from varlenplan import partitioner as pt
 from varlenplan.attention_engine import INTRA_NODE, RingGroup, split_even
-from varlenplan.baselines import plan_te_cp
+from varlenplan.baselines import plan_te_cp, plan_with
 from varlenplan.topology import ClusterSpec, cluster_a
 from varlenplan.workload import SequenceBatch, preset, sample_batch
 
@@ -362,17 +362,43 @@ def pinned_plan_cases():
         yield SequenceBatch(tuple(enumerate(b - a for a, b in zip(bounds, bounds[1:])))), cluster
 
 
+def plans_digest(plans) -> str:
+    digest = hashlib.sha256()
+    for plan in plans:
+        digest.update(pt.plan_to_json(plan).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 class TestPinnedPlans:
-    # sha256 over the plan files of `pinned_plan_cases`; a change that means
-    # to move a greedy plan updates it and says so
+    # sha256 over plan files; a change that means to move a plan updates the
+    # digest and says so
     DIGEST = "b473d05467e2efb89b39a242d42b94eb60722b00ea739eb2b7add70cafb3f619"
+    BASELINES_DIGEST = "58f0fa0c950a7f8c22dd9d530dc51e38d6f678961639b2dd06fecf9427dc1c33"
+    FALLBACK_DIGEST = "4fcc16e173719d1b6b0390ac2f3f0009f8c4b21f3dece0b6be9b3bbf7a667a87"
 
     def test_greedy_plans_are_byte_identical(self):
-        digest = hashlib.sha256()
-        for batch, cluster in pinned_plan_cases():
-            digest.update(pt.plan_to_json(pt.build_plan(batch, cluster)).encode())
-            digest.update(b"\n")
-        assert digest.hexdigest() == self.DIGEST
+        plans = (pt.build_plan(batch, cluster) for batch, cluster in pinned_plan_cases())
+        assert plans_digest(plans) == self.DIGEST
+
+    def test_baseline_plans_are_byte_identical(self):
+        plans = (plan_with(strategy, batch, cluster) for batch, cluster in pinned_plan_cases()
+                 for strategy in ("te_cp", "llama_cp", "hybrid_dp"))
+        assert plans_digest(plans) == self.BASELINES_DIGEST
+
+    def test_fallback_plans_at_scale_are_byte_identical(self):
+        # cluster_a at 57,344 tokens per node: the greedy levels give up on
+        # 19 of these 225 batches, which take the even split
+        fallbacks = []
+        for n in (2, 4, 8):
+            cluster, _ = cluster_a(num_nodes=n)
+            for name in ("arxiv", "github", "prolong64k"):
+                for seed in range(25):
+                    plan = pt.build_plan(sample_batch(preset(name), 57344 * n, seed=seed), cluster)
+                    if plan.meta["reconcile_attempts"]:
+                        fallbacks.append(plan)
+        assert len(fallbacks) == 19
+        assert plans_digest(fallbacks) == self.FALLBACK_DIGEST
 
 
 class TestLevelInvariants:
