@@ -4,7 +4,7 @@ Level one buckets sequences per node (chunking anything above the running
 threshold s1), level two spreads each bucket over the node's devices
 (splitting medium sequences to balance quadratic work). The resulting plan
 labels every sequence local / intra-node / inter-node based on where its
-fragments actually landed.
+fragments actually landed, read off the plan's placement table.
 """
 
 from varlenplan import build_plan, cluster_a, preset, sample_batch
@@ -38,6 +38,8 @@ print("\nring groups:")
 for ring in plan.ring_groups:
     print(f"  {ring.kind:<10} over ranks {ring.members}: sequences {list(ring.sequence_ids)}")
 
+# the plan keeps one (rank, micro_batch, sequence_id, start, end) row per fragment
 print("\nfragments on rank 0:")
-for frag in plan.fragments[0]:
-    print(f"  seq {frag.sequence_id} tokens [{frag.start}, {frag.end})")
+for rank, _, sid, start, end in plan.placement.tolist():
+    if rank == 0:
+        print(f"  seq {sid} tokens [{start}, {end})")

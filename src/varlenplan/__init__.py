@@ -9,7 +9,6 @@ from .attention_engine import (
 )
 from .baselines import STRATEGIES, plan_hybrid_dp, plan_llama_cp, plan_te_cp
 from .partitioner import (
-    Fragment,
     InfeasibleBatch,
     PlacementPlan,
     PlanValidationError,

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .partitioner import Fragment, PlacementPlan
+    from .partitioner import PlacementPlan
 
 INTER_NODE = "inter_node"
 INTRA_NODE = "intra_node"
@@ -40,9 +40,10 @@ def contiguous_ranges(sizes: list[int]) -> list[tuple[int, int]]:
     return ranges
 
 
-def balanced_zigzag_sizes(seq_len: int, group_size: int, position_loads: list[int]) -> list[int]:
+def balanced_zigzag_sizes(seq_len: int, group_size: int, position_loads) -> np.ndarray:
     """Zigzag chunk sizes whose leftover tokens (seq_len mod 2G) go to the
-    ring positions carrying the lightest current loads.
+    ring positions carrying the lightest current loads, ties to the lowest
+    position.
 
     Every chunk stays within one token of seq_len/(2G), so the causal balance
     bound of the uniform rule is preserved, while stacking of leftovers from
@@ -51,16 +52,10 @@ def balanced_zigzag_sizes(seq_len: int, group_size: int, position_loads: list[in
     """
     g = group_size
     base, extra = divmod(seq_len, 2 * g)
-    sizes = [base] * (2 * g)
-    order = sorted(range(g), key=lambda p: (position_loads[p], p))
-    if extra <= g:
-        for p in order[:extra]:
-            sizes[p] += 1
-    else:
-        for p in range(g):
-            sizes[p] += 1
-        for p in order[:extra - g]:
-            sizes[2 * g - 1 - p] += 1
+    order = np.argsort(position_loads, kind="stable")
+    # leftovers fill the lightest positions' first chunks, then their second ones
+    sizes = np.full(2 * g, base, dtype=np.int64)
+    sizes[np.concatenate((order, 2 * g - 1 - order))[:extra]] += 1
     return sizes
 
 
@@ -107,18 +102,20 @@ class RingGroup:
         return len(self.members)
 
 
-def ring_ranges(ring: RingGroup, fragments: "list[list[Fragment]]") -> list[list[list[tuple[int, int]]]]:
-    """The ring's layout read off per-rank fragments: for each of
+def ring_ranges(ring: RingGroup, placement: np.ndarray) -> list[list[list[tuple[int, int]]]]:
+    """The ring's layout read off a plan's placement table: for each of
     ring.sequence_ids in order, per ring position i, the (start, end) ranges
-    of that sequence's micro-batch-0 fragments on rank members[i], in the
-    rank's fragment order."""
+    of that sequence's micro-batch-0 rows on rank members[i], by start."""
     index = {sid: k for k, sid in enumerate(ring.sequence_ids)}
     layout: list[list[list[tuple[int, int]]]] = [[[] for _ in ring.members] for _ in ring.sequence_ids]
-    for position, rank in enumerate(ring.members):
-        for frag in fragments[rank]:
-            k = index.get(frag.sequence_id)
-            if k is not None and frag.micro_batch == 0:
-                layout[k][position].append((frag.start, frag.end))
+    rows = placement[placement[:, 1] == 0]
+    # the table runs by rank, so each member's rows are one slice
+    bounds = rows[:, 0].searchsorted([ring.members, np.add(ring.members, 1)]).T.tolist()
+    rows = rows[:, 2:].tolist()
+    for position, (lo, hi) in enumerate(bounds):
+        for sid, start, end in rows[lo:hi]:
+            if (k := index.get(sid)) is not None:
+                layout[k][position].append((start, end))
     return layout
 
 
@@ -161,9 +158,11 @@ class AttentionSchedule:
         return self.inter_rings + self.intra_rings
 
 
-def _ring_schedules(rings: "tuple[RingGroup, ...]", fragments: "list[list[Fragment]]") -> list[RingSchedule]:
+def _ring_schedules(rings: "tuple[RingGroup, ...]", placement: np.ndarray) -> tuple[list[RingSchedule], np.ndarray]:
     """Every ring's pair matrix and KV sizes from its zigzag chunk sizes,
-    in order of ring size.
+    in order of ring size, and per row of the placement table whether its
+    sequence rides one of the rings. Each sequence rides at most one ring,
+    of distinct ranks, as `validate_plan` proves.
 
     Sorted by start, a ring sequence's micro-batch-0 ranges are its first
     chunks a_i while their positions i rise, and its second chunks b_i from
@@ -178,22 +177,35 @@ def _ring_schedules(rings: "tuple[RingGroup, ...]", fragments: "list[list[Fragme
     positions do not strictly fall, raises ValueError naming the ring's
     members.
     """
+    if not rings:
+        return [], np.zeros(len(placement), dtype=bool)
     rings = tuple(sorted(rings, key=lambda ring: ring.group_size))
     # ring k's positions are columns at[k] .. at[k] + G_k - 1 of the chunk sizes
     at = list(itertools.accumulate((ring.group_size for ring in rings), initial=0))
-    picked: list[tuple[int, int, int, int, int]] = []
-    for k, ring in enumerate(rings):
-        index = {sid: s for s, sid in enumerate(ring.sequence_ids)}
-        picked += [(k, s, at[k] + position, frag.start, frag.end)
-                   for position, rank in enumerate(ring.members) for frag in fragments[rank]
-                   if (s := index.get(frag.sequence_id)) is not None and frag.micro_batch == 0]
-    rows = np.array(picked, dtype=np.int64).reshape(-1, 5)
+    # one (sequence id, ring, index in the ring) row per ring sequence, by
+    # id, then a pad row that only ids beyond the last one are sent to
+    keys = np.array([*sorted((sid, k, s) for k, ring in enumerate(rings) for s, sid in enumerate(ring.sequence_ids)),
+                     (0, 0, 0)], dtype=np.int64)
+    # each (ring k, rank) pair's column at k * width + rank, -1 off the ring;
+    # the table runs by rank, so its last row holds the highest
+    members = [m for ring in rings for m in ring.members]
+    width = max(*members, int(placement[-1, 0]) if len(placement) else 0) + 1
+    column = np.full(len(rings) * width, -1)
+    column[[k * width + m for k, ring in enumerate(rings) for m in ring.members]] = np.arange(at[-1])
+    rank, mb, sid, start, end = placement.T
+    hit = keys[:-1, 0].searchsorted(sid)
+    ringed = (hit < len(keys) - 1) & (keys[hit, 0] == sid)
+    ring_of, seq = keys[hit, 1], keys[hit, 2]
+    column = column[ring_of * width + rank]
     # empty ranges hold no tokens; the rest by (ring, sequence, start)
-    rows = rows[rows[:, 3] != rows[:, 4]]
-    ring_of, seq, column, start, end = rows[np.lexsort(rows.T[[3, 1, 0]])].T
+    keep = (ringed & (mb == 0) & (column >= 0) & (start != end)).nonzero()[0]
+    keep = keep[np.lexsort((start[keep], seq[keep], ring_of[keep]))]
+    ring_of, seq, column, start, end = ring_of[keep], seq[keep], column[keep], start[keep], end[keep]
     same = (ring_of[1:] == ring_of[:-1]) & (seq[1:] == seq[:-1])
-    head = np.concatenate(([True], ~same))
-    turn = np.concatenate(([False], same & (column[1:] <= column[:-1])))
+    head = np.ones(len(column), dtype=bool)
+    head[1:] = ~same
+    turn = np.zeros(len(column), dtype=bool)
+    turn[1:] = same & (column[1:] <= column[:-1])
     # a row is a second chunk when its sequence has turned since its head:
     # the last head-or-turn mark at or before it is a turn (odd)
     second = np.maximum.accumulate(np.where(head | turn, 2 * np.arange(len(column)) + turn, 0)) & 1
@@ -220,7 +232,7 @@ def _ring_schedules(rings: "tuple[RingGroup, ...]", fragments: "list[list[Fragme
         pairs.setflags(write=False)
         out += [RingSchedule(ring=rings[k], pairs=m, kv_sizes=tuple(kv_sizes[at[k]:at[k] + g]))
                 for k, m in zip(ks, pairs)]
-    return out
+    return out, ringed
 
 
 def build_schedule(plan: "PlacementPlan") -> AttentionSchedule:
@@ -228,21 +240,19 @@ def build_schedule(plan: "PlacementPlan") -> AttentionSchedule:
     kernels. KV rotates one position per round (position i sends to i+1 and
     receives from i-1), for G rounds per ring so every position sees every
     KV set and the layout returns home for the backward pass."""
-    scheds = _ring_schedules(plan.ring_groups, plan.fragments)
+    scheds, ringed = _ring_schedules(plan.ring_groups, plan.placement)
     inter = [sched for sched in scheds if sched.ring.kind == INTER_NODE]
     intra = [sched for sched in scheds if sched.ring.kind != INTER_NODE]
     # a sequence a ring carries is computed in its rounds, even when all of
     # its tokens sit on one rank (a one-token sequence on te_cp's global ring)
-    ringed = {sid for ring in plan.ring_groups for sid in ring.sequence_ids}
-    local = []
-    for rank, frags in enumerate(plan.fragments):
-        for frag in frags:
-            if frag.micro_batch > 0 or frag.sequence_id not in ringed:
-                local.append(LocalTask(rank=rank, sequence_id=frag.sequence_id,
-                                       compute_pairs=causal_pairs(frag.end - frag.start)))
+    rows = plan.placement[(plan.placement[:, 1] > 0) | ~ringed]
+    rows = rows[np.lexsort((rows[:, 2], rows[:, 0]))]
+    pairs = causal_pairs(rows[:, 4] - rows[:, 3]).tolist()
+    local = [LocalTask(rank=rank, sequence_id=sid, compute_pairs=n)
+             for rank, sid, n in zip(rows[:, 0].tolist(), rows[:, 2].tolist(), pairs)]
     key = lambda s: s.ring.members
     return AttentionSchedule(
         inter_rings=tuple(sorted(inter, key=key)),
         intra_rings=tuple(sorted(intra, key=key)),
-        local_tasks=tuple(sorted(local, key=lambda t: (t.rank, t.sequence_id))),
+        local_tasks=tuple(local),
     )

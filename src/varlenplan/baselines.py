@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
+
 from . import partitioner
 from .partitioner import (
-    Fragment,
     InfeasibleBatch,
     PlacementPlan,
     even_zigzag_plan,
     lay_out_global_ring,
-    plan_from_fragments,
+    plan_from_rows,
     validate_plan,
 )
 from .topology import ClusterSpec
@@ -74,7 +75,7 @@ def plan_hybrid_dp(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
     if sum(ln for _, ln in cp_seqs) > n_ranks * cap:
         raise InfeasibleBatch("ring-phase sequences exceed the cluster's token capacity")
 
-    fragments, rings = lay_out_global_ring(cp_seqs, cluster)
+    ring_rows, rings = lay_out_global_ring(cp_seqs, cluster)
 
     # LPT on squared length balances the quadratic attention work
     sq_loads = [0] * n_ranks
@@ -83,6 +84,7 @@ def plan_hybrid_dp(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
         idx = min(range(n_ranks), key=lambda i: (sq_loads[i], i))
         sq_loads[idx] += length * length
         per_rank_dp[idx].append((sid, length))
+    dp_rows: list[int] = []  # placement rows, flattened
     for rank, seqs in enumerate(per_rank_dp):
         mb = 1
         mb_tokens = 0
@@ -91,10 +93,11 @@ def plan_hybrid_dp(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
                 mb += 1
                 mb_tokens = 0
             mb_tokens += length
-            fragments[rank].append(Fragment(sid, 0, length, rank, micro_batch=mb))
+            dp_rows += (rank, mb, sid, 0, length)
 
-    plan = plan_from_fragments(
-        "hybrid_dp", batch, cluster, fragments, rings,
+    plan = plan_from_rows(
+        "hybrid_dp", batch, cluster, np.concatenate([ring_rows, np.array(dp_rows, dtype=np.int64).reshape(-1, 5)]),
+        rings,
         meta={"cp_sequences": [sid for sid, _ in cp_seqs]},
     )
     validate_plan(plan, batch, cluster)

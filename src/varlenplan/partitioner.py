@@ -23,6 +23,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .attention_engine import (
     INTER_NODE,
     INTRA_NODE,
@@ -43,25 +45,6 @@ class InfeasibleBatch(RuntimeError):
 
 class PlanValidationError(RuntimeError):
     """Internal consistency check failed while assembling a plan (bug guard)."""
-
-
-@dataclass(frozen=True)
-class Fragment:
-    """A contiguous token range of one sequence resident on one rank.
-
-    micro_batch 0 is the (single) attention phase; hybrid data-parallel plans
-    use indices >= 1 for sequentially executed short-sequence micro-batches.
-    """
-
-    sequence_id: int
-    start: int
-    end: int
-    rank: int
-    micro_batch: int = 0
-
-    @property
-    def tokens(self) -> int:
-        return self.end - self.start
 
 
 @dataclass
@@ -91,12 +74,30 @@ class IntraNodeAssignment:
     restarts: int
 
 
-@dataclass
+def _group_starts(*columns: np.ndarray) -> np.ndarray:
+    """Indices of the rows where any of `columns` differs from the row
+    before, the first row included: the heads of sorted groups."""
+    change = np.ones(len(columns[0]), dtype=bool)
+    np.not_equal(columns[0][1:], columns[0][:-1], out=change[1:])
+    for col in columns[1:]:
+        change[1:] |= col[1:] != col[:-1]
+    return change.nonzero()[0]
+
+
+@dataclass(eq=False)
 class PlacementPlan:
     """What a planner decided: where each fragment lands and which rings
-    carry them. Zones, per-node buckets, per-rank token totals and
-    micro-batch counts follow from the fragments; they are derived on first
-    read and cached, so a plan's fragments must not change once it is built."""
+    carry them. A fragment is a contiguous token range of one sequence
+    resident on one rank; `placement` holds one row (rank, micro_batch,
+    sequence_id, start, end) per fragment. Micro-batch 0 is the attention
+    phase; hybrid data-parallel plans run short sequences in micro-batches
+    1, 2, ... after it.
+
+    The constructor turns the rows it is given, in any order and as a nested
+    or a flat sequence, into a read-only (n, 5) int64 table in execution
+    order (by rank, micro_batch, sequence_id, start). Zones,
+    per-node buckets, per-rank token totals and micro-batch counts follow
+    from the table; they are derived on first read and cached."""
 
     strategy: str
     num_nodes: int
@@ -104,9 +105,17 @@ class PlacementPlan:
     s1: int
     s0_per_node: list[int]
     sequence_lengths: dict[int, int]
-    fragments: list[list[Fragment]]  # per rank, the device buckets
+    placement: np.ndarray
     ring_groups: tuple[RingGroup, ...]
     meta: dict
+
+    def __post_init__(self) -> None:
+        rows = np.asarray(self.placement, dtype=np.int64).reshape(-1, 5)
+        rows = rows[np.lexsort(rows.T[3::-1])]  # by rank, micro_batch, sequence_id, start
+        if len(rows) and not 0 <= rows[0, 0] <= rows[-1, 0] < self.num_ranks:
+            raise ValueError(f"placement rows name ranks outside 0..{self.num_ranks - 1}")
+        rows.setflags(write=False)
+        self.placement = rows
 
     @property
     def num_ranks(self) -> int:
@@ -117,37 +126,47 @@ class PlacementPlan:
 
     @cached_property
     def tokens_per_rank(self) -> list[int]:
-        return [sum(f.tokens for f in frags) for frags in self.fragments]
+        rows = self.placement
+        tokens = np.bincount(rows[:, 0], weights=rows[:, 4] - rows[:, 3], minlength=self.num_ranks)
+        return tokens.astype(np.int64).tolist()
 
     @cached_property
     def micro_batch_counts(self) -> list[int]:
         """Per rank, its largest micro-batch index, and at least 1."""
-        return [max([1, *(f.micro_batch for f in frags)]) for frags in self.fragments]
+        rank, mb = self.placement[:, 0], self.placement[:, 1]
+        heads = _group_starts(rank)
+        counts = np.ones(self.num_ranks, dtype=np.int64)
+        counts[rank[heads]] = np.maximum(np.maximum.reduceat(mb, heads), 1)
+        return counts.tolist()
 
     @cached_property
     def zone_of(self) -> dict[int, str]:
-        """Each placed sequence's zone: inter-node when its fragments span two
-        or more nodes, intra-node when they span two or more ranks of one
-        node, local otherwise."""
-        ranks_of: dict[int, set[int]] = {}
-        for rank, frags in enumerate(self.fragments):
-            for frag in frags:
-                ranks_of.setdefault(frag.sequence_id, set()).add(rank)
+        """Each placed sequence's zone, in order of first appearance:
+        inter-node when its fragments span two or more nodes, intra-node
+        when they span two or more ranks of one node, local otherwise."""
+        rank, sid = self.placement[:, 0], self.placement[:, 2]
+        # rows run by rank, so a sequence's first row is on its lowest rank and its last on its highest
+        ids, first = np.unique(sid, return_index=True)
+        lo, hi = rank[first], rank[len(sid) - 1 - np.unique(sid[::-1], return_index=True)[1]]
         p = self.gpus_per_node
-        return {
-            sid: INTER_NODE if len({r // p for r in ranks}) >= 2 else INTRA_NODE if len(ranks) >= 2 else LOCAL
-            for sid, ranks in ranks_of.items()
-        }
+        zone = np.where(lo // p != hi // p, 2, lo != hi)
+        order = np.argsort(first)
+        names = (LOCAL, INTRA_NODE, INTER_NODE)
+        return {s: names[z] for s, z in zip(ids[order].tolist(), zone[order].tolist())}
 
     @cached_property
     def node_buckets(self) -> list[list[tuple[int, int]]]:
         """Per node, the (sequence_id, tokens) its ranks hold, by sequence id."""
-        totals: list[dict[int, int]] = [{} for _ in range(self.num_nodes)]
-        for rank, frags in enumerate(self.fragments):
-            node = totals[rank // self.gpus_per_node]
-            for frag in frags:
-                node[frag.sequence_id] = node.get(frag.sequence_id, 0) + frag.tokens
-        return [sorted(node.items()) for node in totals]
+        rows = self.placement
+        node = rows[:, 0] // self.gpus_per_node
+        order = np.lexsort((rows[:, 2], node))
+        node, sid = node[order], rows[order, 2]
+        heads = _group_starts(node, sid)
+        totals = np.add.reduceat((rows[:, 4] - rows[:, 3])[order], heads)
+        buckets: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
+        for n, s, tokens in zip(node[heads].tolist(), sid[heads].tolist(), totals.tolist()):
+            buckets[n].append((s, tokens))
+        return buckets
 
 
 # a fill's candidate bins for the next piece, from the loads and the previous piece's bin
@@ -290,19 +309,19 @@ def build_plan(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
     return plan
 
 
-def plan_from_fragments(
+def plan_from_rows(
     strategy: str,
     batch: SequenceBatch,
     cluster: ClusterSpec,
-    fragments: list[list[Fragment]],
+    rows,
     ring_groups: tuple[RingGroup, ...],
     meta: dict,
     s1: int = 0,
     s0_per_node: list[int] | None = None,
 ) -> PlacementPlan:
-    """Sort each rank's fragments into execution order and wrap them in a plan."""
-    for frags in fragments:
-        frags.sort(key=lambda f: (f.micro_batch, f.sequence_id, f.start))
+    """A planner's plan of `batch` on `cluster`, from placement rows
+    (rank, micro_batch, sequence_id, start, end) in any order, as an (n, 5)
+    array or a flat list of 5n integers."""
     return PlacementPlan(
         strategy=strategy,
         num_nodes=cluster.num_nodes,
@@ -310,7 +329,7 @@ def plan_from_fragments(
         s1=s1,
         s0_per_node=[0] * cluster.num_nodes if s0_per_node is None else s0_per_node,
         sequence_lengths=batch.lengths,
-        fragments=fragments,
+        placement=rows,
         ring_groups=ring_groups,
         meta=meta,
     )
@@ -319,26 +338,28 @@ def plan_from_fragments(
 def lay_out_global_ring(
     sequences: list[tuple[int, int]],
     cluster: ClusterSpec,
-) -> tuple[list[list[Fragment]], tuple[RingGroup, ...]]:
+) -> tuple[np.ndarray, tuple[RingGroup, ...]]:
     """Zigzag-split each (sequence_id, length), in order, over all ranks,
-    leftover tokens to the lightest ranks. Returns the per-rank fragments and
+    leftover tokens to the lightest ranks. Returns the placement rows and
     the one global ring that carries them all."""
     n_ranks = cluster.num_ranks
-    if n_ranks == 1:
-        return [[Fragment(sid, 0, length, 0) for sid, length in sequences]], ()
-    fragments: list[list[Fragment]] = [[] for _ in range(n_ranks)]
-    running = [0] * n_ranks
-    for sid, length in sequences:
-        for position, pos_ranges in enumerate(ranges_from_sizes(balanced_zigzag_sizes(length, n_ranks, running))):
-            for start, end in pos_ranges:
-                fragments[position].append(Fragment(sid, start, end, position))
-                running[position] += end - start
-    if not sequences:
-        return fragments, ()
+    if n_ranks == 1 or not sequences:
+        return np.array([(0, 0, sid, 0, length) for sid, length in sequences], dtype=np.int64).reshape(-1, 5), ()
+    sizes = np.empty((len(sequences), 2 * n_ranks), dtype=np.int64)
+    running = np.zeros(n_ranks, dtype=np.int64)
+    for i, (_, length) in enumerate(sequences):
+        sizes[i] = balanced_zigzag_sizes(length, n_ranks, running)
+        # rank p holds chunks p and 2R-1-p
+        running += sizes[i, :n_ranks] + sizes[i, :n_ranks - 1:-1]
+    ends = np.cumsum(sizes, axis=1)
+    chunk = np.arange(2 * n_ranks)
+    sids = np.array([sid for sid, _ in sequences], dtype=np.int64)
+    rows = np.stack(np.broadcast_arrays(np.minimum(chunk, 2 * n_ranks - 1 - chunk), 0, sids[:, None],
+                                        ends - sizes, ends), axis=-1).reshape(-1, 5)
     # every sequence's KV rides the global ring, even the ones whose queries
     # fit on a single rank: that is the even split's overhead
     kind = INTER_NODE if cluster.num_nodes > 1 else INTRA_NODE
-    return fragments, (RingGroup(kind, tuple(range(n_ranks)), tuple(sid for sid, _ in sequences)),)
+    return rows[rows[:, 4] > rows[:, 3]], (RingGroup(kind, tuple(range(n_ranks)), tuple(sids.tolist())),)
 
 
 def even_zigzag_plan(batch: SequenceBatch, cluster: ClusterSpec, strategy: str) -> PlacementPlan:
@@ -348,8 +369,8 @@ def even_zigzag_plan(batch: SequenceBatch, cluster: ClusterSpec, strategy: str) 
     cap = cluster.num_ranks * cluster.token_capacity
     if batch.total_tokens > cap:
         raise InfeasibleBatch(f"batch of {batch.total_tokens} tokens exceeds cluster capacity {cap}")
-    fragments, rings = lay_out_global_ring(sorted(batch.sequences), cluster)
-    return plan_from_fragments(strategy, batch, cluster, fragments, rings, meta={})
+    rows, rings = lay_out_global_ring(sorted(batch.sequences), cluster)
+    return plan_from_rows(strategy, batch, cluster, rows, rings, meta={})
 
 
 def _ring_kind(members: tuple[int, ...], gpus_per_node: int) -> str:
@@ -364,7 +385,8 @@ def _assemble_plan(
 ) -> PlacementPlan:
     lengths = batch.lengths
     p = cluster.gpus_per_node
-    fragments: list[list[Fragment]] = [[] for _ in range(cluster.num_ranks)]
+    rows: list[int] = []  # placement rows, flattened
+    running = [0] * cluster.num_ranks
 
     # a chunked sequence spans every rank of its nodes; a node's own sequence
     # spans the devices level two put it on
@@ -383,16 +405,16 @@ def _assemble_plan(
         if len(ranks) >= 2:
             ring_jobs.append((tuple(sorted(ranks)), sid))
         else:
-            fragments[ranks[0]].append(Fragment(sid, 0, lengths[sid], ranks[0]))
+            rows += (ranks[0], 0, sid, 0, lengths[sid])
+            running[ranks[0]] += lengths[sid]
 
-    running = [sum(f.tokens for f in frags) for frags in fragments]
     ring_map: dict[tuple[int, ...], list[int]] = {}
     # lay out the narrowest rings first: sequences confined to few ranks have
     # the least placement freedom, while wide rings spread within +/- 1 token
     # anywhere and so plug the remaining gaps best
     ring_jobs.sort(key=lambda job: (len(job[0]), job))
     for members, sid in ring_jobs:
-        _add_ring_sequence(ring_map, members, sid, lengths[sid], fragments, running, p)
+        _add_ring_sequence(ring_map, members, sid, lengths[sid], rows, running, p)
     if max(running) > cluster.token_capacity:
         raise InfeasibleBatch("zigzag re-chunking leaves a rank over capacity")
 
@@ -400,8 +422,8 @@ def _assemble_plan(
         (RingGroup(_ring_kind(members, p), members, tuple(sorted(sids))) for members, sids in ring_map.items()),
         key=lambda ring: (ring.kind, ring.members),
     ))
-    return plan_from_fragments(
-        "zeppelin", batch, cluster, fragments, rings,
+    return plan_from_rows(
+        "zeppelin", batch, cluster, rows, rings,
         meta={
             "s1_restarts": inter.restarts,
             "s0_restarts": [a.restarts for a in intra],
@@ -417,16 +439,16 @@ def _add_ring_sequence(
     members: tuple[int, ...],
     sid: int,
     length: int,
-    fragments: list[list[Fragment]],
+    rows: list[int],
     running: list[int],
     gpus_per_node: int,
 ) -> None:
-    ranges = ranges_from_sizes(balanced_zigzag_sizes(length, len(members), [running[r] for r in members]))
+    ranges = ranges_from_sizes(balanced_zigzag_sizes(length, len(members), [running[r] for r in members]).tolist())
     spanned = [rank for rank, rs in zip(members, ranges) if rs]
     if len(spanned) < 2:
         # too short to actually occupy several ranks: keep it local
         rank = spanned[0] if spanned else members[0]
-        fragments[rank].append(Fragment(sid, 0, length, rank))
+        rows += (rank, 0, sid, 0, length)
         running[rank] += length
         return
     spanned_nodes = {r // gpus_per_node for r in spanned}
@@ -434,12 +456,12 @@ def _add_ring_sequence(
         # too short to genuinely cross nodes: run it on a node-local ring
         node = spanned_nodes.pop()
         node_members = tuple(r for r in members if r // gpus_per_node == node)
-        _add_ring_sequence(ring_map, node_members, sid, length, fragments, running, gpus_per_node)
+        _add_ring_sequence(ring_map, node_members, sid, length, rows, running, gpus_per_node)
         return
     ring_map.setdefault(members, []).append(sid)
     for rank, rank_ranges in zip(members, ranges):
         for start, end in rank_ranges:
-            fragments[rank].append(Fragment(sid, start, end, rank))
+            rows += (rank, 0, sid, start, end)
             running[rank] += end - start
 
 
@@ -455,8 +477,8 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
         raise PlanValidationError("plan covers a different sequence id set than the batch")
     if plan.total_tokens() != batch.total_tokens:
         raise PlanValidationError("token conservation violated")
-    members_of: dict[int, set[int]] = {}
-    for ring in plan.ring_groups:
+    ring_of: dict[int, int] = {}
+    for k, ring in enumerate(plan.ring_groups):
         members = set(ring.members)
         if len(members) != ring.group_size or min(members) < 0 or max(members) >= plan.num_ranks:
             raise PlanValidationError("ring members are not distinct ranks of the plan")
@@ -468,42 +490,67 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
         for sid in ring.sequence_ids:
             if sid not in lengths:
                 raise PlanValidationError(f"a ring carries sequence {sid}, which the batch lacks")
-            if sid in members_of:
+            if sid in ring_of:
                 raise PlanValidationError(f"sequence {sid} rides two rings")
-            members_of[sid] = members
-    cap = cluster.token_capacity
-    per_seq: dict[int, list[tuple[int, int]]] = {sid: [] for sid in lengths}
-    for rank, frags in enumerate(plan.fragments):
-        per_mb: dict[int, int] = {}
-        for frag in frags:
-            if frag.rank != rank:
-                raise PlanValidationError("fragment filed under the wrong rank")
-            sid, mb = frag.sequence_id, frag.micro_batch
-            members = members_of.get(sid)
-            if members is not None and (mb or rank not in members):
-                raise PlanValidationError(f"sequence {sid} has a fragment off its ring's micro-batch 0")
-            try:
-                per_seq[sid].append((frag.start, frag.end))
-            except KeyError:
-                raise PlanValidationError(f"a fragment holds sequence {sid}, which the batch lacks") from None
-            per_mb[mb] = per_mb.get(mb, 0) + frag.end - frag.start
-        if any(v > cap for v in per_mb.values()):
-            raise PlanValidationError(f"rank {rank} exceeds token capacity")
-    for sid, ranges in per_seq.items():
-        ranges.sort()
-        pos = 0
-        for start, end in ranges:
-            if start != pos or end <= start:
-                raise PlanValidationError(f"sequence {sid} fragments do not tile [0, {lengths[sid]})")
-            pos = end
-        if pos != lengths[sid]:
-            raise PlanValidationError(f"sequence {sid} fragments do not cover its length")
-        if len(ranges) > 1 and sid not in members_of:
-            # local kernels compute each fragment alone
-            raise PlanValidationError(f"sequence {sid} is split but rides no ring")
+            ring_of[sid] = k
+    table = plan.placement
+    # a phase is one micro-batch of one rank: rows run by phase, so each is one group
+    phases = _group_starts(table[:, 0], table[:, 1])
+    over = phases[np.add.reduceat(table[:, 4] - table[:, 3], phases) > cluster.token_capacity]
+    # rows by (sequence, start): each sequence's rows are one group
+    order = np.lexsort((table[:, 3], table[:, 2]))
+    rows = table[order]
+    rank, mb, sid, start, end = rows.T
+    head = np.ones(len(rows), dtype=bool)
+    np.not_equal(sid[1:], sid[:-1], out=head[1:])
+    # each row's sequence as an index into the batch's sorted ids, n when
+    # the batch lacks it; per-sequence arrays get an entry n to match
+    ids = sorted(lengths)
+    n = len(ids)
+    keys = np.array([*ids, 0])
+    firsts = sid[head]
+    at = keys[:n].searchsorted(firsts)
+    at[keys[at] != firsts] = n
+    seq = at[head.cumsum() - 1]
+    ring = np.array([*map(ring_of.get, ids, [-1] * n), -1])[seq]
+    # a ringed sequence sits at micro-batch 0 on its ring's members; row k
+    # of `member` holds ring k's, and the last row, all False, is for no ring
+    n_ranks = plan.num_ranks
+    member = np.zeros((len(plan.ring_groups) + 1) * n_ranks, dtype=bool)
+    member[[k * n_ranks + m for k, r in enumerate(plan.ring_groups) for m in r.members]] = True
+    bad_rows = (seq == n) | ((ring >= 0) & ((mb != 0) | ~member[ring * n_ranks + rank]))
+    if np.count_nonzero(bad_rows):
+        i = order[bad_rows].min()
+        if not (len(over) and table[over[0], 0] < table[i, 0]):
+            if table[i, 2] in lengths:
+                raise PlanValidationError(f"sequence {table[i, 2]} has a fragment off its ring's micro-batch 0")
+            raise PlanValidationError(f"a fragment holds sequence {table[i, 2]}, which the batch lacks")
+    if len(over):
+        raise PlanValidationError(f"rank {table[over[0], 0]} exceeds token capacity")
+    # a sequence's ranges by start tile [0, length); once they do, their
+    # tokens add up to its length exactly when they cover it. Only a ringed
+    # sequence may hold more than one: local kernels compute each alone
+    reached = np.empty_like(end)
+    reached[1:] = end[:-1]
+    reached[head] = 0
+    untiled = (start != reached) | (end <= start)
+    covered = np.bincount(seq, weights=end - start, minlength=n + 1)[:n]
+    uncovered = covered != np.fromiter(map(lengths.get, ids), dtype=np.int64, count=n)
+    split = ~head & (ring < 0)
+    if np.count_nonzero(untiled | split) or np.count_nonzero(uncovered):
+        faults = [set(sid[untiled].tolist()), {ids[k] for k in uncovered.nonzero()[0]}, set(sid[split].tolist())]
+        first = next(s for s in lengths if any(s in f for f in faults))
+        if first in faults[0]:
+            raise PlanValidationError(f"sequence {first} fragments do not tile [0, {lengths[first]})")
+        if first in faults[1]:
+            raise PlanValidationError(f"sequence {first} fragments do not cover its length")
+        raise PlanValidationError(f"sequence {first} is split but rides no ring")
 
 
 def plan_to_json(plan: PlacementPlan) -> str:
+    ranks: list[list[dict]] = [[] for _ in range(plan.num_ranks)]
+    for rank, mb, sid, start, end in plan.placement.tolist():
+        ranks[rank].append({"sequence_id": sid, "start": start, "end": end, "micro_batch": mb})
     payload = {
         "strategy": plan.strategy,
         "num_nodes": plan.num_nodes,
@@ -513,19 +560,15 @@ def plan_to_json(plan: PlacementPlan) -> str:
         "zones": {str(sid): zone for sid, zone in sorted(plan.zone_of.items())},
         "sequence_lengths": {str(sid): ln for sid, ln in sorted(plan.sequence_lengths.items())},
         "node_buckets": [[[sid, tok] for sid, tok in bucket] for bucket in plan.node_buckets],
-        "ranks": [
-            [{"sequence_id": f.sequence_id, "start": f.start, "end": f.end, "micro_batch": f.micro_batch}
-             for f in frags]
-            for frags in plan.fragments
-        ],
+        "ranks": ranks,
         "rings": [
             {
                 "kind": ring.kind,
                 "members": list(ring.members),
-                # written for readers of the file; the plan reads them off its fragments
+                # written for readers of the file; the plan reads them off its placement
                 "sequences": [
                     {"sequence_id": sid, "ranges": [[list(r) for r in pos] for pos in by_position]}
-                    for sid, by_position in zip(ring.sequence_ids, ring_ranges(ring, plan.fragments))
+                    for sid, by_position in zip(ring.sequence_ids, ring_ranges(ring, plan.placement))
                 ],
             }
             for ring in plan.ring_groups
@@ -539,37 +582,39 @@ def plan_to_json(plan: PlacementPlan) -> str:
 def plan_from_json(text: str) -> PlacementPlan:
     payload = json.loads(text)
     try:
-        fragments = [
-            [Fragment(e["sequence_id"], e["start"], e["end"], rank, e.get("micro_batch", 0)) for e in frags]
-            for rank, frags in enumerate(payload["ranks"])
-        ]
+        rows = [(rank, e["sequence_id"], e["start"], e["end"], e.get("micro_batch", 0))
+                for rank, frags in enumerate(payload["ranks"]) for e in frags]
         rings = tuple(
             RingGroup(r["kind"], tuple(r["members"]), tuple(s["sequence_id"] for s in r["sequences"]))
             for r in payload["rings"]
         )
-        plan = PlacementPlan(
+        fields = dict(
             strategy=payload["strategy"],
             num_nodes=payload["num_nodes"],
             gpus_per_node=payload["gpus_per_node"],
             s1=payload["s1"],
             s0_per_node=list(payload["s0_per_node"]),
             sequence_lengths={int(k): v for k, v in payload["sequence_lengths"].items()},
-            fragments=fragments,
-            ring_groups=rings,
-            meta=dict(payload.get("meta", {})),
         )
-        # json gives int for integers only; bool is not one
-        integers = [v for frags in fragments for f in frags for v in (f.sequence_id, f.start, f.end, f.micro_batch)]
+        meta = dict(payload.get("meta", {}))
+        # json gives int for integers only; bool is not one. Checked before
+        # numpy, which would quietly turn 0.5 and False into 0
+        integers = [v for row in rows for v in row[1:]]
         integers += [v for ring in rings for v in ring.members + ring.sequence_ids]
-        if any(type(v) is not int for v in integers + list(plan.sequence_lengths.values())):
+        if any(type(v) is not int for v in integers + list(fields["sequence_lengths"].values())):
             raise ValueError("plan file's sequence ids, lengths, ranges, micro-batches and ring members must be integers")
-        if len(fragments) != plan.num_ranks:
-            raise ValueError(f"plan file lists {len(fragments)} ranks for {plan.num_ranks} in its topology")
+        n_ranks, expected = len(payload["ranks"]), fields["num_nodes"] * fields["gpus_per_node"]
+        if n_ranks != expected:
+            raise ValueError(f"plan file lists {n_ranks} ranks for {expected} in its topology")
         for ring in rings:
-            # a negative member would read another rank's fragments
-            if not all(m in range(len(fragments)) for m in ring.members):
-                raise ValueError(f"plan file's ring members {list(ring.members)} are not ranks 0..{len(fragments) - 1}")
-        # written for readers of the file; the plan derives them from its fragments
+            if not all(m in range(n_ranks) for m in ring.members):
+                raise ValueError(f"plan file's ring members {list(ring.members)} are not ranks 0..{n_ranks - 1}")
+        try:
+            placement = np.array(rows, dtype=np.int64).reshape(-1, 5)[:, [0, 4, 1, 2, 3]]
+        except OverflowError:
+            raise ValueError("plan file's integers must fit in 64 bits") from None
+        plan = PlacementPlan(**fields, placement=placement, ring_groups=rings, meta=meta)
+        # written for readers of the file; the plan derives them from its placement
         stored = {
             "zones": ({int(k): v for k, v in payload["zones"].items()}, plan.zone_of),
             "node_buckets": ([[tuple(e) for e in bucket] for bucket in payload["node_buckets"]], plan.node_buckets),
@@ -577,7 +622,7 @@ def plan_from_json(text: str) -> PlacementPlan:
             "ring ranges": (
                 [[[[tuple(x) for x in pos] for pos in s["ranges"]] for s in ring["sequences"]]
                  for ring in payload["rings"]],
-                [ring_ranges(ring, fragments) for ring in rings],
+                [ring_ranges(ring, plan.placement) for ring in rings],
             ),
         }
     except (KeyError, TypeError, IndexError, AttributeError) as exc:

@@ -481,6 +481,8 @@ def simulate(
 ) -> tuple[Timeline, StepReport]:
     """Evaluate one plan: attention phase, remapping and linear phases, and a
     report with the backward-inclusive step time."""
+    if plan.strategy not in baselines.STRATEGIES:
+        raise ValueError(f"unknown strategy {plan.strategy!r}")
     check_topology(plan, cluster)
     engine = _Engine(cluster)
     if plan.strategy == "llama_cp":

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import defaultdict, namedtuple
 
 import numpy as np
 
@@ -19,12 +20,24 @@ from varlenplan.simulator import COMPUTE, INTER_COMM, INTRA_COMM, Event, StepRep
 from varlenplan.topology import ClusterSpec, CostCoefficients
 
 
+Fragment = namedtuple("Fragment", "rank micro_batch sequence_id start end")
+
+
+def fragments_by_rank(placement) -> dict[int, list[Fragment]]:
+    """A placement table's rows by rank, each rank's in table order."""
+    by_rank: dict[int, list[Fragment]] = defaultdict(list)
+    for row in np.asarray(placement).tolist():
+        by_rank[row[0]].append(Fragment(*row))
+    return by_rank
+
+
 def check_plan(plan: PlacementPlan, lengths: dict[int, int], cluster: ClusterSpec) -> list[str]:
     """Re-derive conservation, coverage, per-phase capacity, zone labels and
-    ring membership directly from the fragment lists; returns a list of
+    ring membership directly from the placement rows; returns a list of
     violations."""
     problems = []
-    frags = [f for rank_frags in plan.fragments for f in rank_frags]
+    by_rank = fragments_by_rank(plan.placement)
+    frags = [f for rank_frags in by_rank.values() for f in rank_frags]
     total = sum(f.end - f.start for f in frags)
     if total != sum(lengths.values()):
         problems.append(f"token total {total} != batch total {sum(lengths.values())}")
@@ -35,15 +48,15 @@ def check_plan(plan: PlacementPlan, lengths: dict[int, int], cluster: ClusterSpe
         ranges = sorted((f.start, f.end) for f in by_seq.get(sid, []))
         covered = 0
         for start, end in ranges:
-            if start != covered:
-                problems.append(f"seq {sid}: gap or overlap at {start}")
+            if start != covered or end <= start:
+                problems.append(f"seq {sid}: gap, overlap or empty range at {start}")
                 break
             covered = end
         if covered != length:
             problems.append(f"seq {sid}: covered {covered} of {length} tokens")
     for rank in range(plan.num_ranks):
         loads: dict[int, int] = {}
-        for f in plan.fragments[rank]:
+        for f in by_rank[rank]:
             loads[f.micro_batch] = loads.get(f.micro_batch, 0) + (f.end - f.start)
         for mb, load in loads.items():
             if load > cluster.token_capacity:
@@ -103,9 +116,10 @@ def ring_pair_totals_bruteforce(seq_len: int, ranges_by_position) -> list[int]:
     return np.bincount(owner, weights=weights, minlength=len(ranges_by_position)).astype(np.int64).tolist()
 
 
-def ring_round_pairs_bruteforce(ring, fragments) -> list[list[tuple[int, int]]]:
+def ring_round_pairs_bruteforce(ring, placement) -> list[list[tuple[int, int]]]:
     """(compute_pairs, comm_tokens) of every ring round, indexed
-    [position][round], by token enumeration: each micro-batch-0 fragment of
+    [position][round], by token enumeration over a placement table's rows:
+    each micro-batch-0 fragment of
     a ring sequence on member rank members[pos] lists its tokens with
     position pos, and every (query, key) token pair of one sequence with
     key <= query is tallied under (query position, key position). Round r
@@ -113,6 +127,7 @@ def ring_round_pairs_bruteforce(ring, fragments) -> list[list[tuple[int, int]]]:
     g = ring.group_size
     pairs = np.zeros((g, g), dtype=np.int64)
     held = np.zeros(g, dtype=np.int64)
+    fragments = fragments_by_rank(placement)
     for sid in ring.sequence_ids:
         mine = [(pos, f) for pos, rank in enumerate(ring.members) for f in fragments[rank]
                 if f.sequence_id == sid and f.micro_batch == 0]
@@ -388,12 +403,13 @@ def _reference_peak_kv(plan: PlacementPlan) -> int:
     """Each rank's own tokens plus the largest KV set any ring it is on
     holds at one position, summed from the fragments; all tokens under
     llama_cp's all-gather."""
-    tokens = [sum(f.end - f.start for f in frags) for frags in plan.fragments]
+    fragments = fragments_by_rank(plan.placement)
+    tokens = [sum(f.end - f.start for f in fragments[rank]) for rank in range(plan.num_ranks)]
     if plan.strategy == "llama_cp":
         return sum(tokens)
     extra = [0] * plan.num_ranks
     for ring in plan.ring_groups:
-        held = max(sum(f.end - f.start for f in plan.fragments[m]
+        held = max(sum(f.end - f.start for f in fragments[m]
                        if f.sequence_id in ring.sequence_ids and f.micro_batch == 0) for m in ring.members)
         for m in ring.members:
             extra[m] = max(extra[m], held)
@@ -469,9 +485,10 @@ def _reference_comm_tokens(plan: PlacementPlan, cluster: ClusterSpec) -> tuple[l
                 boundary = cluster.num_nodes > 1 and (rank + 1) % cluster.gpus_per_node == 0
                 (inter if boundary else intra)[rank] += sent
         return inter, intra
+    fragments = fragments_by_rank(plan.placement)
     for ring in plan.ring_groups:
         g = ring.group_size
-        kv = [sum(f.end - f.start for f in plan.fragments[m] if f.sequence_id in ring.sequence_ids
+        kv = [sum(f.end - f.start for f in fragments[m] if f.sequence_id in ring.sequence_ids
                   and f.micro_batch == 0) for m in ring.members]
         routed = plan.strategy == "zeppelin" and ring.kind == INTER_NODE
         for pos, src in enumerate(ring.members):

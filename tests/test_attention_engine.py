@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import ring_pair_totals_bruteforce, ring_round_pairs_bruteforce, visible_pairs_bruteforce
 from varlenplan import attention_engine as ae
 from varlenplan.baselines import STRATEGIES, plan_with
-from varlenplan.partitioner import Fragment, PlacementPlan, build_plan
+from varlenplan.partitioner import PlacementPlan, build_plan
 from varlenplan.topology import ClusterSpec, cluster_a
 from varlenplan.workload import SequenceBatch
 
@@ -60,9 +60,16 @@ def test_zigzag_balance_bound_when_not_divisible():
 def ring_pairs(q_ranges, kv_ranges):
     """Causal pairs of one sequence between the query ranges at ring
     position 0 and the key ranges at position 1, off the ring's pair matrix."""
-    fragments = [[Fragment(0, s, e, 0) for s, e in q_ranges], [Fragment(0, s, e, 1) for s, e in kv_ranges]]
+    placement = table([(0, 0, 0, s, e) for s, e in q_ranges] + [(1, 0, 0, s, e) for s, e in kv_ranges])
     ring = ae.RingGroup(kind=ae.INTRA_NODE, members=(0, 1), sequence_ids=(0,))
-    return int(ae._ring_schedules((ring,), fragments)[0].pairs[0, 1])
+    return int(ae._ring_schedules((ring,), placement)[0][0].pairs[0, 1])
+
+
+def table(rows):
+    """Placement rows (rank, micro_batch, sequence_id, start, end), in the
+    execution order a plan keeps them in."""
+    return PlacementPlan(strategy="te_cp", num_nodes=1, gpus_per_node=1 + max((r[0] for r in rows), default=0), s1=0,
+                         s0_per_node=[0], sequence_lengths={}, placement=rows, ring_groups=(), meta={}).placement
 
 
 def test_visible_pairs_examples():
@@ -134,9 +141,9 @@ def test_single_long_sequence_ring_structure():
 
 def test_fused_intra_ring_balances_two_sequences():
     ranges = ae.ranges_from_sizes(ae.split_even(8, 4))
-    fragments = [[Fragment(sid, s, e, rank) for sid in (0, 1) for s, e in ranges[rank]] for rank in (0, 1)]
+    placement = table([(rank, 0, sid, s, e) for rank in (0, 1) for sid in (0, 1) for s, e in ranges[rank]])
     ring = ae.RingGroup(kind=ae.INTRA_NODE, members=(0, 1), sequence_ids=(0, 1))
-    sched = ae._ring_schedules((ring,), fragments)[0]
+    sched = ae._ring_schedules((ring,), placement)[0][0]
     assert sched.pairs.sum(axis=1).tolist() == [2 * 18, 2 * 18]
 
 
@@ -188,30 +195,30 @@ def draw_ranges(draw, g):
 @st.composite
 def rings(draw):
     """Rings of 2-12 members, in any order over ranks 0..G-1, carrying 1-4
-    sequences, the per-rank fragments that hold them, and whether every
+    sequences, the placement table that holds them, and whether every
     sequence is laid out in zigzag chunks (`draw_ranges`). A sequence the
     ring does not carry, at micro-batch 0 or 1, may sit on one rank beside
     them."""
     g = draw(st.integers(2, 12))
     members = tuple(draw(st.permutations(range(g))))
-    fragments: list[list[Fragment]] = [[] for _ in range(g)]
+    rows = []
     n_seqs = draw(st.integers(1, 4))
     zigzag = True
     for sid in range(n_seqs):
         ranges, chunked = draw_ranges(draw, g)
         zigzag &= chunked
         for rank, pos_ranges in zip(members, ranges):
-            fragments[rank] += [Fragment(sid, s, e, rank) for s, e in pos_ranges]
+            rows += [(rank, 0, sid, s, e) for s, e in pos_ranges]
     if draw(st.booleans()):
         rank = draw(st.integers(0, g - 1))
-        fragments[rank].append(Fragment(n_seqs, 0, draw(st.integers(1, 40)), rank, draw(st.integers(0, 1))))
-    return ae.RingGroup(kind=ae.INTRA_NODE, members=members, sequence_ids=tuple(range(n_seqs))), fragments, zigzag
+        rows.append((rank, draw(st.integers(0, 1)), n_seqs, 0, draw(st.integers(1, 40))))
+    return ae.RingGroup(kind=ae.INTRA_NODE, members=members, sequence_ids=tuple(range(n_seqs))), table(rows), zigzag
 
 
 def ring_schedule_or_none(case):
-    ring, fragments, _ = case
+    ring, placement, _ = case
     try:
-        return ae._ring_schedules((ring,), fragments)[0]
+        return ae._ring_schedules((ring,), placement)[0][0]
     except ValueError:
         return None
 
@@ -220,12 +227,12 @@ def ring_schedule_or_none(case):
 def test_ring_rounds_match_token_enumeration(case):
     # zigzag layouts are always accepted, and whatever is accepted counts
     # exactly what token enumeration counts
-    ring, fragments, zigzag = case
+    ring, placement, zigzag = case
     sched = ring_schedule_or_none(case)
     if sched is None:
         assert not zigzag
         return
-    assert round_pairs(sched) == ring_round_pairs_bruteforce(ring, fragments)
+    assert round_pairs(sched) == ring_round_pairs_bruteforce(ring, placement)
     assert sched.pairs.dtype == np.int64 and not sched.pairs.flags.writeable
     assert all(type(n) is int for n in sched.kv_sizes)
 
@@ -238,10 +245,10 @@ def test_ring_layouts_draw_both_outcomes():
 
 def test_rejects_positions_that_rise_twice():
     # sorted by start, the chunks sit at positions 0, 1, 0, 1
-    fragments = [[Fragment(0, 0, 2, 0), Fragment(0, 4, 6, 0)], [Fragment(0, 2, 4, 1), Fragment(0, 6, 8, 1)]]
+    placement = [(0, 0, 0, 0, 2), (0, 0, 0, 4, 6), (1, 0, 0, 2, 4), (1, 0, 0, 6, 8)]
     ring = ae.RingGroup(kind=ae.INTRA_NODE, members=(0, 1), sequence_ids=(0,))
     plan = PlacementPlan(strategy="te_cp", num_nodes=1, gpus_per_node=2, s1=0, s0_per_node=[0],
-                         sequence_lengths={0: 8}, fragments=fragments, ring_groups=(ring,), meta={})
+                         sequence_lengths={0: 8}, placement=placement, ring_groups=(ring,), meta={})
     with pytest.raises(ValueError, match=r"ring \[0, 1\]: sequence 0 is not laid out in zigzag chunks"):
         ae.build_schedule(plan)
 
@@ -258,9 +265,9 @@ def multi_ring_plans(draw):
     """Unvalidated plans of 2-4 rings over 2-10 ranks, and whether every
     sequence is laid out in zigzag chunks. Rings carry disjoint sequences,
     and their members may share ranks. Each sequence is laid out as in
-    `rings`, and each rank lists its fragments in any order."""
+    `rings`, and the rows come in any order."""
     n_ranks = draw(st.integers(2, 10))
-    fragments: list[list[Fragment]] = [[] for _ in range(n_ranks)]
+    rows = []
     ring_groups = []
     sid = 0
     zigzag = True
@@ -272,17 +279,17 @@ def multi_ring_plans(draw):
             ranges, chunked = draw_ranges(draw, g)
             zigzag &= chunked
             for rank, pos_ranges in zip(members, ranges):
-                fragments[rank] += [Fragment(sid, s, e, rank) for s, e in pos_ranges]
+                rows += [(rank, 0, sid, s, e) for s, e in pos_ranges]
             sids.append(sid)
             sid += 1
         kind = draw(st.sampled_from([ae.INTER_NODE, ae.INTRA_NODE]))
         ring_groups.append(ae.RingGroup(kind=kind, members=members, sequence_ids=tuple(sids)))
-    fragments = [draw(st.permutations(frags)) for frags in fragments]
+    rows = draw(st.permutations(rows))
     lengths = dict.fromkeys(range(sid), 0)
-    for frag in (f for frags in fragments for f in frags):
-        lengths[frag.sequence_id] = max(lengths[frag.sequence_id], frag.end)
+    for _, _, seq, _, end in rows:
+        lengths[seq] = max(lengths[seq], end)
     plan = PlacementPlan(strategy="te_cp", num_nodes=1, gpus_per_node=n_ranks, s1=0, s0_per_node=[0],
-                         sequence_lengths=lengths, fragments=fragments, ring_groups=tuple(ring_groups), meta={})
+                         sequence_lengths=lengths, placement=rows, ring_groups=tuple(ring_groups), meta={})
     return plan, zigzag
 
 
@@ -298,5 +305,5 @@ def test_every_ring_of_a_plan_matches_token_enumeration(case):
         return
     assert sorted(s.ring.sequence_ids for s in schedule.rings()) == sorted(r.sequence_ids for r in plan.ring_groups)
     for sched in schedule.rings():
-        assert round_pairs(sched) == ring_round_pairs_bruteforce(sched.ring, plan.fragments)
+        assert round_pairs(sched) == ring_round_pairs_bruteforce(sched.ring, plan.placement)
         assert all(type(n) is int for n in sched.kv_sizes)

@@ -116,8 +116,7 @@ class TestHybridDp:
         assert plan.meta["cp_sequences"] == [0]
         assert plan.zone_of[0] == "inter_node"
         assert plan.zone_of[1] == plan.zone_of[2] == "local"
-        dp_frags = [f for frags in plan.fragments for f in frags if f.micro_batch > 0]
-        assert {f.sequence_id for f in dp_frags} == {1, 2}
+        assert {sid for _, mb, sid, _, _ in plan.placement.tolist() if mb > 0} == {1, 2}
 
     def test_overflowing_shorts_split_into_micro_batches(self):
         cluster = small_cluster(n=1, p=2, cap=100)

@@ -5,7 +5,6 @@ import pytest
 
 from varlenplan import cli, partitioner
 from varlenplan.attention_engine import INTRA_NODE, RingGroup
-from varlenplan.partitioner import Fragment
 from varlenplan.topology import ClusterSpec, CostCoefficients, cluster_a, save_cluster_config
 from varlenplan.workload import load_batch
 
@@ -64,29 +63,38 @@ def _delete_ring_range(path):
 
 def _overfill_rank_0(path):
     # move whole local sequences onto rank 0 and write the file afresh, so
-    # its zones, node buckets, counts and ring ranges match its fragments
+    # its zones, node buckets, counts and ring ranges match its placement
     plan = partitioner.load_plan(str(path))
     load = plan.tokens_per_rank[0]
-    moved = []
-    for frag in (f for frags in plan.fragments[1:] for f in frags):
-        if load <= 8192 and plan.zone_of[frag.sequence_id] == "local":
-            moved.append(frag)
-            load += frag.tokens
+    rows = plan.placement.tolist()
+    for row in rows:
+        rank, _, sid, start, end = row
+        if rank > 0 and load <= 8192 and plan.zone_of[sid] == "local":
+            row[0] = 0
+            load += end - start
     assert load > 8192
-    fragments = [[f for f in frags if f not in moved] for frags in plan.fragments]
-    fragments[0] += [dataclasses.replace(f, rank=0) for f in moved]
-    partitioner.save_plan(str(path), dataclasses.replace(plan, fragments=fragments))
+    partitioner.save_plan(str(path), dataclasses.replace(plan, placement=rows))
 
 
 def _half_token_boundary(path):
-    # move a boundary two fragments of one sequence share by half a token
-    # and write the file afresh, so its ring ranges match its fragments
-    plan = partitioner.load_plan(str(path))
-    frags = [f for fs in plan.fragments for f in fs]
-    a, b = next((a, b) for a in frags for b in frags if b.sequence_id == a.sequence_id and b.start == a.end)
-    moved = {a: dataclasses.replace(a, end=a.end - 0.5), b: dataclasses.replace(b, start=a.end - 0.5)}
-    fragments = [[moved.get(f, f) for f in fs] for fs in plan.fragments]
-    partitioner.save_plan(str(path), dataclasses.replace(plan, fragments=fragments))
+    # move a boundary two fragments of one sequence share by half a token,
+    # in its fragment lists and its ring ranges alike
+    payload = json.loads(path.read_text())
+    frags = [e for entries in payload["ranks"] for e in entries]
+    a, b = next((a, b) for a in frags for b in frags if b["sequence_id"] == a["sequence_id"] and b["start"] == a["end"])
+    for ring in payload["rings"]:
+        for seq in ring["sequences"]:
+            for pos in seq["ranges"] if seq["sequence_id"] == a["sequence_id"] else []:
+                for r in pos:
+                    r[:] = [x - 0.5 if x == a["end"] else x for x in r]
+    a["end"] = b["start"] = a["end"] - 0.5
+    path.write_text(json.dumps(payload))
+
+
+def _unknown_strategy(path):
+    payload = json.loads(path.read_text())
+    payload["strategy"] = "foo"
+    path.write_text(json.dumps(payload))
 
 
 def _float_length(path):
@@ -120,8 +128,9 @@ def _as_array(key):
     (_bool_micro_batch, "must be integers"),
     (_as_array("zones"), "malformed plan file"),
     (_as_array("sequence_lengths"), "malformed plan file"),
+    (_unknown_strategy, "unknown strategy 'foo'"),
 ], ids=["zone", "ring_range", "over_capacity", "half_token", "float_length", "bool_micro_batch",
-        "zones_array", "lengths_array"])
+        "zones_array", "lengths_array", "unknown_strategy"])
 def test_simulate_rejects_a_plan_file_with_an_edited_zone(tmp_path, batch_file, capsys, edit, error):
     plan_path = tmp_path / "plan.json"
     assert run(["plan", "--config", "cluster_a", "--batch", batch_file,
@@ -150,12 +159,12 @@ def test_simulate_rejects_a_ring_that_is_not_zigzag(tmp_path, capsys):
     cluster = ClusterSpec(num_nodes=1, gpus_per_node=2, token_capacity=64, inv_bw_intra=1.0, inv_bw_inter=2.0)
     cfg = tmp_path / "cluster.cfg"
     save_cluster_config(str(cfg), cluster, CostCoefficients(attn_quadratic=1e-9))
-    fragments = [[Fragment(0, 0, 2, 0), Fragment(0, 4, 6, 0)], [Fragment(0, 2, 4, 1), Fragment(0, 6, 8, 1)]]
+    placement = [(0, 0, 0, 0, 2), (0, 0, 0, 4, 6), (1, 0, 0, 2, 4), (1, 0, 0, 6, 8)]
     ring = RingGroup(kind=INTRA_NODE, members=(0, 1), sequence_ids=(0,))
     plan_path = tmp_path / "plan.json"
     partitioner.save_plan(str(plan_path), partitioner.PlacementPlan(
         strategy="te_cp", num_nodes=1, gpus_per_node=2, s1=0, s0_per_node=[0], sequence_lengths={0: 8},
-        fragments=fragments, ring_groups=(ring,), meta={}))
+        placement=placement, ring_groups=(ring,), meta={}))
     rc = run(["simulate", "--config", str(cfg), "--plan", str(plan_path)])
     assert rc == 2
     assert "error: ring [0, 1]: sequence 0 is not laid out in zigzag chunks" in capsys.readouterr().err

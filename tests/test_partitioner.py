@@ -3,14 +3,15 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
 from oracles import check_plan
 from varlenplan import partitioner as pt
 from varlenplan.attention_engine import INTRA_NODE, RingGroup, split_even
-from varlenplan.baselines import plan_te_cp, plan_with
+from varlenplan.baselines import STRATEGIES, plan_te_cp, plan_with
 from varlenplan.topology import ClusterSpec, cluster_a
 from varlenplan.workload import SequenceBatch, preset, sample_batch
 
@@ -161,7 +162,7 @@ class TestBuildPlan:
         plan = pt.build_plan(SequenceBatch(((0, 1),)), cluster)
         assert plan.zone_of == {0: "local"}
         assert plan.ring_groups == ()
-        assert plan.fragments[0] == [pt.Fragment(0, 0, 1, 0)]
+        assert plan.placement.tolist() == [[0, 0, 0, 0, 1]]
         assert plan.tokens_per_rank == [1, 0, 0, 0]
 
     def test_composed_hand_trace_covers_everything(self):
@@ -228,7 +229,7 @@ class TestBuildPlan:
         path = tmp_path / "plan.json"
         pt.save_plan(str(path), plan)
         loaded = pt.load_plan(str(path))
-        assert loaded.fragments == plan.fragments
+        assert loaded.placement.tolist() == plan.placement.tolist()
         assert loaded.ring_groups == plan.ring_groups
         assert loaded.zone_of == plan.zone_of
         assert loaded.tokens_per_rank == plan.tokens_per_rank
@@ -255,8 +256,8 @@ class TestBuildPlan:
             off_plan["rings"][0]["members"][1] = member
             with pytest.raises(ValueError, match=r"ring members \[.*\] are not ranks 0..15"):
                 pt.plan_from_json(json.dumps(off_plan))
-        # on one 16-token sequence over 4 ranks, member -3 indexes rank 1's
-        # fragments from the end, so the stored ring ranges still agree
+        # on one 16-token sequence over 4 ranks, member -3 is rejected by
+        # name before the stored ring ranges are compared
         small = json.loads(pt.plan_to_json(pt.build_plan(SequenceBatch(((0, 16),)), make_cluster(cap=4))))
         assert small["rings"][0]["members"] == [0, 1, 2, 3]
         small["rings"][0]["members"][1] = -3
@@ -293,10 +294,14 @@ class TestBuildPlan:
             edit(edited)
             with pytest.raises(ValueError, match="must be integers"):
                 pt.plan_from_json(json.dumps(edited))
+        # the placement table holds int64
+        edited = json.loads(text)
+        edited["ranks"][0][0]["end"] = 2**64
+        with pytest.raises(ValueError, match="plan file's integers must fit in 64 bits"):
+            pt.plan_from_json(json.dumps(edited))
 
     @pytest.mark.parametrize("edit, error", [
-        (lambda plan, ring: {"fragments": [[dataclasses.replace(f, micro_batch=int(f.sequence_id == 1))
-                                            for f in frags] for frags in plan.fragments]},
+        (lambda plan, ring: {"placement": [(r, int(s == 1), s, a, b) for r, _, s, a, b in plan.placement.tolist()]},
          "sequence 1 has a fragment off its ring's micro-batch 0"),
         (lambda plan, ring: {"ring_groups": (dataclasses.replace(ring, members=(0, 1, 2)),)},
          "has a fragment off its ring's micro-batch 0"),
@@ -308,8 +313,7 @@ class TestBuildPlan:
          "ring members are not distinct ranks"),
         (lambda plan, ring: {"ring_groups": (dataclasses.replace(ring, sequence_ids=(0, 1, 9)),)},
          "a ring carries sequence 9, which the batch lacks"),
-        (lambda plan, ring: {"fragments": [[f if f.sequence_id == 0 else dataclasses.replace(f, sequence_id=9)
-                                            for f in frags] for frags in plan.fragments]},
+        (lambda plan, ring: {"placement": [(r, m, s if s == 0 else 9, a, b) for r, m, s, a, b in plan.placement.tolist()]},
          "a fragment holds sequence 9, which the batch lacks"),
     ], ids=["micro_batch", "off_member", "two_rings", "split_unringed", "repeated_member", "unknown_ringed",
             "unknown_fragment"])
@@ -481,12 +485,92 @@ class TestEvenSplitFallback:
 
         def dropping(*args):
             plan = assemble(*args)
-            rank = next(r for r, frags in enumerate(plan.fragments) if frags)
-            plan.fragments[rank].pop()  # lose one fragment's tokens
-            return plan
+            return dataclasses.replace(plan, placement=plan.placement[:-1])  # lose one fragment's tokens
 
         monkeypatch.setattr(pt, "_assemble_plan", dropping)
         # the even split would place this batch and validate, so the error
         # also shows that the batch did not fall back
         with pytest.raises(pt.PlanValidationError, match="token conservation"):
             pt.build_plan(SequenceBatch(((0, 24), (1, 6))), make_cluster())
+
+
+@st.composite
+def corrupted_plans(draw):
+    """A planner's plan of a small batch, with one corruption applied to its
+    placement table: a boundary two rows of one sequence share (or a
+    sequence's last end) shifted, a row dropped or duplicated, a row moved
+    to another rank or to micro-batch 1, or a row's sequence relabelled."""
+    cluster, batch = draw(small_clusters_and_batches())
+    strategy = draw(st.sampled_from(STRATEGIES))
+    try:
+        plan = plan_with(strategy, batch, cluster)
+    except pt.InfeasibleBatch:
+        assume(False)
+    rows = plan.placement.tolist()
+    i = draw(st.integers(0, len(rows) - 1))
+    row = rows[i]
+    corruption = draw(st.sampled_from(["shift", "drop", "duplicate", "rank", "micro_batch", "relabel"]))
+    if corruption == "shift":
+        delta = draw(st.sampled_from([-2, -1, 1, 2]))
+        for other in rows:
+            if other[2] == row[2] and other[3] == row[4]:
+                other[3] += delta
+        row[4] += delta
+    elif corruption == "drop":
+        del rows[i]
+    elif corruption == "duplicate":
+        rows.append(list(row))
+    elif corruption == "rank":
+        row[0] = draw(st.integers(0, cluster.num_ranks - 1))
+    elif corruption == "micro_batch":
+        row[1] = 1
+    else:
+        row[2] = draw(st.sampled_from(sorted(batch.lengths) + [len(batch.lengths)]))
+    return dataclasses.replace(plan, placement=rows), batch, cluster
+
+
+class TestValidatePlanAgainstOracle:
+    @settings(max_examples=400)
+    @given(corrupted_plans())
+    def test_rejects_exactly_what_the_oracle_rejects(self, case):
+        plan, batch, cluster = case
+        problems = check_plan(plan, batch.lengths, cluster)
+        try:
+            pt.validate_plan(plan, batch, cluster)
+        except pt.PlanValidationError as exc:
+            assert problems, f"validate_plan rejects a plan the oracle accepts: {exc}"
+        else:
+            assert problems == []
+
+    def test_corruptions_draw_both_outcomes(self):
+        # the property above sees plans validate_plan accepts and ones whose
+        # tiling it rejects, not only token-count mismatches
+        def outcome(case):
+            try:
+                pt.validate_plan(*case)
+            except pt.PlanValidationError as exc:
+                return str(exc)
+            return "accepted"
+
+        find(corrupted_plans(), lambda case: outcome(case) == "accepted")
+        find(corrupted_plans(), lambda case: "do not tile" in outcome(case))
+
+    def test_planners_tables_are_read_only(self):
+        cluster = make_cluster(n=2, p=2, cap=40)
+        batch = SequenceBatch(((0, 24), (1, 6), (2, 5)))
+        for strategy in STRATEGIES:
+            plan = plan_with(strategy, batch, cluster)
+            assert plan.placement.dtype == np.int64 and plan.placement.shape[1] == 5
+            assert not plan.placement.flags.writeable
+            with pytest.raises(ValueError):
+                plan.placement[0, 4] += 1
+        rows = np.array([[1, 0, 0, 0, 3], [0, 0, 1, 0, 2]])
+        plan = dataclasses.replace(plan, placement=rows, ring_groups=())
+        assert plan.placement.tolist() == [[0, 0, 1, 0, 2], [1, 0, 0, 0, 3]]
+        assert rows.flags.writeable  # the caller's array is left alone
+
+    def test_rows_must_name_ranks_of_the_plan(self):
+        plan = plan_te_cp(SequenceBatch(((0, 8),)), make_cluster(n=1, p=2, cap=8))
+        for rank in (-1, 2):
+            with pytest.raises(ValueError, match=r"placement rows name ranks outside 0..1"):
+                dataclasses.replace(plan, placement=[(rank, 0, 0, 0, 8)])

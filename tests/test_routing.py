@@ -152,7 +152,7 @@ class TestRouteSchedule:
         # one node-spanning sequence plus a local sequence on node 0
         batch = SequenceBatch(((0, 65536), (1, 512)))
         plan = build_plan(batch, cluster)
-        local_rank = next(f.rank for frags in plan.fragments for f in frags if f.sequence_id == 1)
+        local_rank = next(rank for rank, _, sid, _, _ in plan.placement.tolist() if sid == 1)
         assert plan.zone_of[1] == "local"
         schedule = build_schedule(plan)
         routes = routing.route_schedule(schedule, plan, cluster)

@@ -17,7 +17,7 @@ from varlenplan.attention_engine import (
     ranges_from_sizes,
 )
 from varlenplan.baselines import STRATEGIES, plan_te_cp, plan_with
-from varlenplan.partitioner import Fragment, InfeasibleBatch, PlacementPlan, build_plan, plan_from_json, plan_to_json
+from varlenplan.partitioner import InfeasibleBatch, PlacementPlan, build_plan, plan_from_json, plan_to_json
 from varlenplan.routing import routed_time
 from varlenplan.topology import ClusterSpec, CostCoefficients, cluster_a, direct_transfer_time
 from varlenplan.workload import PRESET_NAMES, SequenceBatch, preset, sample_batch
@@ -366,14 +366,14 @@ def test_timeline_oracle_on_routed_8_node_batch():
             assert sum(e.kind == "route.transfer" for e in timeline.events) > 100
 
 
-def hand_built_plan(strategy, cluster, rings, fragments):
+def hand_built_plan(strategy, cluster, rings, placement):
     """A plan as a stored JSON file may carry it, never validated."""
     lengths = {}
-    for frag in (f for frags in fragments for f in frags):
-        lengths[frag.sequence_id] = max(lengths.get(frag.sequence_id, 0), frag.end)
+    for _, _, sid, _, end in placement:
+        lengths[sid] = max(lengths.get(sid, 0), end)
     return PlacementPlan(
         strategy=strategy, num_nodes=cluster.num_nodes, gpus_per_node=cluster.gpus_per_node, s1=0,
-        s0_per_node=[0] * cluster.num_nodes, sequence_lengths=lengths, fragments=fragments,
+        s0_per_node=[0] * cluster.num_nodes, sequence_lengths=lengths, placement=placement,
         ring_groups=rings, meta={},
     )
 
@@ -392,13 +392,13 @@ def test_late_lane_matches_scalar_reference(later_kind):
         RingGroup(INTER_NODE, (0, 2), (0,)),
         RingGroup(later_kind, (1, 3), (1,)),
     )
-    fragments = [
-        [Fragment(0, 0, 100, 0), Fragment(0, 300, 400, 0)],
-        [Fragment(1, 0, 20, 1)],
-        [Fragment(0, 100, 300, 2)],
-        [Fragment(1, 20, 40, 3)],
+    placement = [
+        (0, 0, 0, 0, 100), (0, 0, 0, 300, 400),
+        (1, 0, 1, 0, 20),
+        (2, 0, 0, 100, 300),
+        (3, 0, 1, 20, 40),
     ]
-    plan = hand_built_plan("zeppelin", cluster, rings, fragments)
+    plan = hand_built_plan("zeppelin", cluster, rings, placement)
     events = assert_matches_reference(plan, cluster, coeffs)
     assert_trace_matches_reference(plan, cluster, coeffs)
     lane = [e for e in events if e.rank == 1 and e.stream == "inter-comm"]
@@ -417,8 +417,8 @@ def test_shared_nic_busy_time_adds_in_event_order():
     members = (0, 2, 1, 3)
     ranges = ranges_from_sizes([7, 11, 13, 17, 19, 23, 29, 31])
     ring = RingGroup(INTER_NODE, members, (0,))
-    fragments = [[Fragment(0, s, e, rank) for s, e in ranges[members.index(rank)]] for rank in range(4)]
-    plan = hand_built_plan("te_cp", cluster, (ring,), fragments)
+    placement = [(rank, 0, 0, s, e) for rank in range(4) for s, e in ranges[members.index(rank)]]
+    plan = hand_built_plan("te_cp", cluster, (ring,), placement)
     events = assert_matches_reference(plan, cluster, coeffs)
     assert_trace_matches_reference(plan, cluster, coeffs)
     assert {e.rank for e in events if e.stream == "inter-comm"} == {0, 1, 2, 3}
