@@ -103,9 +103,10 @@ class RingGroup:
 
 
 def ring_ranges(ring: RingGroup, placement: np.ndarray) -> list[list[list[tuple[int, int]]]]:
-    """The ring's layout read off a plan's placement table: for each of
-    ring.sequence_ids in order, per ring position i, the (start, end) ranges
-    of that sequence's micro-batch-0 rows on rank members[i], by start."""
+    """The ring's layout read off placement rows that run by rank: for each
+    of ring.sequence_ids in order, per ring position i, the (start, end)
+    ranges of that sequence's micro-batch-0 rows on rank members[i], in row
+    order (by start, in a plan's table)."""
     index = {sid: k for k, sid in enumerate(ring.sequence_ids)}
     layout: list[list[list[tuple[int, int]]]] = [[[] for _ in ring.members] for _ in ring.sequence_ids]
     rows = placement[placement[:, 1] == 0]

@@ -610,10 +610,11 @@ def plan_from_json(text: str) -> PlacementPlan:
             if not all(m in range(n_ranks) for m in ring.members):
                 raise ValueError(f"plan file's ring members {list(ring.members)} are not ranks 0..{n_ranks - 1}")
         try:
-            placement = np.array(rows, dtype=np.int64).reshape(-1, 5)[:, [0, 4, 1, 2, 3]]
+            # in file order, which runs by rank as the ring ranges need
+            listed = np.array(rows, dtype=np.int64).reshape(-1, 5)[:, [0, 4, 1, 2, 3]]
         except OverflowError:
             raise ValueError("plan file's integers must fit in 64 bits") from None
-        plan = PlacementPlan(**fields, placement=placement, ring_groups=rings, meta=meta)
+        plan = PlacementPlan(**fields, placement=listed, ring_groups=rings, meta=meta)
         # written for readers of the file; the plan derives them from its placement
         stored = {
             "zones": ({int(k): v for k, v in payload["zones"].items()}, plan.zone_of),
@@ -622,7 +623,7 @@ def plan_from_json(text: str) -> PlacementPlan:
             "ring ranges": (
                 [[[[tuple(x) for x in pos] for pos in s["ranges"]] for s in ring["sequences"]]
                  for ring in payload["rings"]],
-                [ring_ranges(ring, plan.placement) for ring in rings],
+                [ring_ranges(ring, listed) for ring in rings],
             ),
         }
     except (KeyError, TypeError, IndexError, AttributeError) as exc:

@@ -277,6 +277,23 @@ class TestBuildPlan:
         with pytest.raises(ValueError, match="malformed plan file"):
             pt.plan_from_json(json.dumps(missing))
 
+    def test_plan_from_json_reads_fragments_in_any_order(self):
+        # a file may list a rank's fragments out of execution order, with its
+        # ring ranges in that order; the loaded table is sorted all the same
+        cluster, _ = cluster_a()
+        plan = pt.build_plan(SequenceBatch(((0, 40000), (1, 512), (2, 3000))), cluster)
+        payload = json.loads(pt.plan_to_json(plan))
+        for entries in payload["ranks"]:
+            entries.reverse()
+        for ring in payload["rings"]:
+            for seq in ring["sequences"]:
+                for pos in seq["ranges"]:
+                    pos.reverse()
+        assert any(len(pos) > 1 for ring in payload["rings"] for seq in ring["sequences"] for pos in seq["ranges"])
+        loaded = pt.plan_from_json(json.dumps(payload))
+        assert loaded.placement.tolist() == plan.placement.tolist()
+        assert pt.plan_to_json(loaded) == pt.plan_to_json(plan)
+
     def test_plan_from_json_rejects_values_that_are_not_integers(self):
         cluster, _ = cluster_a()
         text = pt.plan_to_json(pt.build_plan(SequenceBatch(((0, 40000), (1, 512), (2, 3000))), cluster))
