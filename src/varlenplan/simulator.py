@@ -9,9 +9,10 @@ dispatch overlaps the round's compute and the transfer overlaps intra-node
 traffic, but the three steps of one payload stay causally ordered.
 
 Ring round ends are evaluated in closed form over (position, round) arrays,
-routed sends by per-route chains, and events are kept in compact records. `export_trace` writes its lines
-straight from them, and `Timeline.events` builds the Event objects only when
-read, so neither a comparison nor a trace builds any.
+routed sends by per-route chains, and events are kept in compact records.
+One expansion turns them into trace-ordered columns: `export_trace` writes
+its lines from them and `Timeline.events` reads them back as Event objects,
+so neither a comparison nor a trace builds any.
 
 After the attention phase the remapping, linear-module, and inverse-remapping
 phases run barrier-synchronized; backward is modeled as a scalar multiplier
@@ -61,8 +62,9 @@ class Event:
 class Timeline:
     """One simulated forward step. `records` holds its events in compact
     form, in emission order: an Event's fields as a tuple, or a ring's
-    `_RingRecord`. `export_trace` writes them as they are; `events` builds
-    the Event objects on first read."""
+    `_RingRecord`. `events`, built on first read, is the exported trace read
+    back: in trace order (start, rank, stream, kind, duration, emission
+    order on full ties), each payload with its keys sorted."""
 
     num_nodes: int
     gpus_per_node: int
@@ -73,13 +75,11 @@ class Timeline:
 
     @cached_property
     def events(self) -> list[Event]:
-        events: list[Event] = []
-        for record in self.records:
-            if isinstance(record, tuple):
-                events.append(Event(*record))
-            else:
-                events.extend(_ring_events(record))
-        return events
+        start, duration, lane, kind, args = _TraceColumns(self.records).in_trace_order()
+        # each args text is json's text of its payload, floats by repr
+        payloads = json.loads("[" + ",".join(args) + "]")
+        streams = np.array(_STREAMS, dtype=object)[lane % 3].tolist()
+        return list(map(Event, (lane // 3).tolist(), streams, start.tolist(), duration.tolist(), kind, payloads))
 
 
 @dataclass
@@ -333,24 +333,6 @@ def _run_route(route: RoutePlan, lanes: tuple[int, ...], tails: list[float],
     return dispatch_start, transfer_starts, combine_start, end
 
 
-def _route_steps(route: RoutePlan, dispatch_start: float, transfer_starts: list[float],
-                 combine_start: float) -> list[tuple]:
-    """A routed send's steps as (rank, stream, start, duration, kind, proxy,
-    tokens), in emission order."""
-    out = []
-    start = dispatch_start
-    for step, dur in zip(route.dispatches, route.dispatch_times):
-        out.append((step.source_rank, INTRA_COMM, start, dur, "route.dispatch", step.dest_rank, step.tokens))
-        start += dur
-    for step, dur, start in zip(route.transfers, route.transfer_times, transfer_starts):
-        out.append((step.source_rank, INTER_COMM, start, dur, "route.transfer", step.dest_rank, step.tokens))
-    start = combine_start
-    for step, dur in zip(route.combines, route.combine_times):
-        out.append((step.dest_rank, INTRA_COMM, start, dur, "route.combine", step.source_rank, step.tokens))
-        start += dur
-    return out
-
-
 def _route_texts(route: RoutePlan) -> tuple[list[tuple[str, str]], ...]:
     """Each step's trace args as the text before and after its ring and
     round: the dispatches', the transfers' and the gathers'."""
@@ -397,38 +379,6 @@ class _RingRecord:
     compute_start: np.ndarray
     send_start: np.ndarray
     sends: list[tuple]
-
-
-def _ring_events(rec: _RingRecord) -> list[Event]:
-    """One ring's events in emission order: per round the computes, the
-    direct sends, then the routed steps, each in position order."""
-    members = rec.ring.members
-    g = len(members)
-    compute_start, send_start = rec.compute_start.tolist(), rec.send_start.tolist()
-    pairs, tokens = rec.pairs.tolist(), rec.tokens.tolist()
-    compute, send, direct = rec.compute.tolist(), rec.send.tolist(), rec.direct.tolist()
-    streams = [INTER_COMM if c else INTRA_COMM for c in rec.crossing]
-    kind = f"{rec.ring.kind}.attn"
-    sends: list[list[tuple]] = [[] for _ in range(g)]
-    for send_record in rec.sends:
-        sends[send_record[0]].append(send_record)
-    events = []
-    for r in range(g):
-        for i in range(g):
-            if pairs[i][r] > 0:
-                events.append(Event(members[i], COMPUTE, compute_start[i][r], compute[i][r], kind,
-                                    {"ring": rec.ring_idx, "round": r, "pairs": pairs[i][r]}))
-        for i in range(g):
-            if direct[i][r]:
-                events.append(Event(members[i], streams[i], send_start[i][r], send[i][r], "kv.send",
-                                    {"ring": rec.ring_idx, "round": r, "tokens": tokens[i][r],
-                                     "dst": members[(i + 1) % g]}))
-        for _, route, *starts in sends[r]:
-            for rank, stream, start, dur, step_kind, proxy, n in _route_steps(route, *starts):
-                events.append(Event(rank, stream, start, dur, step_kind,
-                                    {"ring": rec.ring_idx, "round": r, "src": route.source_rank,
-                                     "dst": route.dest_rank, "proxy": proxy, "tokens": n}))
-    return events
 
 
 def _run_allgather(
@@ -585,14 +535,22 @@ def _texts(values: np.ndarray, text) -> list[str]:
 
 class _TraceColumns:
     """A timeline's events as columns in emission order: start, lane
-    (3 * rank + stream order), kind, duration and the text of the args."""
+    (3 * rank + stream order), kind, duration and the args as the text
+    `json.dumps(payload, sort_keys=True)` gives. The one expansion of the
+    records: `lines` writes the trace from them, `Timeline.events` reads
+    them back."""
 
-    def __init__(self) -> None:
+    def __init__(self, records: list) -> None:
         self.start: list[float] = []
         self.lane: list[int] = []
         self.kind: list[str] = []
         self.duration: list[float] = []
         self.args: list[str] = []
+        for record in records:
+            if isinstance(record, tuple):
+                self.add(*record)
+            else:
+                self.add_ring(record)
 
     def add(self, rank: int, stream: str, start: float, duration: float, kind: str, payload: dict) -> None:
         self.start.append(start)
@@ -654,10 +612,10 @@ class _TraceColumns:
         self.duration += duration.tolist()
         self.args += args
 
-    def lines(self, gpus_per_node: int) -> list[str]:
-        """One 'X' record per event, keys in sorted order, sorted by (start,
-        rank, stream order, kind, duration); the stable sort keeps emission
-        order on full ties. Numbers are written as json writes them."""
+    def in_trace_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], list[str]]:
+        """Start, duration and lane arrays and the kind and args lists,
+        sorted by (start, rank, stream order, kind, duration); the stable
+        sort keeps emission order on full ties."""
         start = np.array(self.start, dtype=float)
         duration = np.array(self.duration, dtype=float)
         lane = np.array(self.lane, dtype=np.int64)
@@ -666,19 +624,21 @@ class _TraceColumns:
         kind = np.array([code[k] for k in self.kind], dtype=np.int64)
         # (rank, stream order) sorts as the lane does
         order = np.lexsort((duration, kind, lane, start))
+        return (start[order], duration[order], lane[order], np.array(names, dtype=object)[kind[order]].tolist(),
+                np.array(self.args, dtype=object)[order].tolist())
+
+    def lines(self, gpus_per_node: int) -> list[str]:
+        """One 'X' record per event in trace order, keys in sorted order and
+        numbers as json writes them."""
+        start, duration, lane, kind, args = self.in_trace_order()
 
         def lane_text(n: int) -> str:
             return f'"pid":{n // 3 // gpus_per_node},"tid":"{n // 3}.{_STREAMS[n % 3]}"'
 
         return [
             f'{{"args":{a},"dur":{d},"name":"{k}","ph":"X",{pt},"ts":{t}}}'
-            for a, d, k, pt, t in zip(
-                np.array(self.args, dtype=object)[order].tolist(),
-                _texts(duration[order] * 1e6, repr),
-                np.array(names, dtype=object)[kind[order]].tolist(),
-                _texts(lane[order], lane_text),
-                _texts(start[order] * 1e6, repr),
-            )
+            for a, d, k, pt, t in zip(args, _texts(duration * 1e6, repr), kind, _texts(lane, lane_text),
+                                      _texts(start * 1e6, repr))
         ]
 
 
@@ -687,12 +647,7 @@ def export_trace(timeline: Timeline, path: str) -> None:
     with microsecond timestamps, process id = node, thread id = rank.stream.
     The lines are written straight from the compact records, with no Event
     built, in the bytes `json.dumps(..., sort_keys=True)` gives."""
-    columns = _TraceColumns()
-    for record in timeline.records:
-        if isinstance(record, tuple):
-            columns.add(*record)
-        else:
-            columns.add_ring(record)
+    columns = _TraceColumns(timeline.records)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"displayTimeUnit":"ms","traceEvents":[' + ",".join(columns.lines(timeline.gpus_per_node))
                  + "]}\n")

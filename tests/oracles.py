@@ -547,26 +547,27 @@ def check_timeline(plan: PlacementPlan, cluster: ClusterSpec, timeline: Timeline
 _STREAM_ORDER = {COMPUTE: 0, INTRA_COMM: 1, INTER_COMM: 2}
 
 
-def sorted_events(timeline: Timeline) -> list[Event]:
-    """The timeline's events in trace order: by start, rank, stream, kind
-    and duration, emission order breaking full ties."""
+def sorted_events(events: list[Event]) -> list[Event]:
+    """Events in trace order: by start, rank, stream, kind and duration,
+    the given order breaking full ties."""
     return sorted(
-        timeline.events,
+        events,
         key=lambda e: (e.start, e.rank, _STREAM_ORDER.get(e.stream, 9), e.kind, e.duration),
     )
 
 
-def reference_trace(timeline: Timeline) -> str:
-    """The Chrome trace text of a timeline, built from its Event objects:
-    one dict per event in trace order, written by json with sorted keys."""
+def reference_trace(events: list[Event], gpus_per_node: int) -> str:
+    """The Chrome trace text of a step's events in emission order (as
+    `reference_timeline` gives them): one dict per event in trace order,
+    written by json with sorted keys."""
     records = []
-    for event in sorted_events(timeline):
+    for event in sorted_events(events):
         records.append({
             "name": event.kind,
             "ph": "X",
             "ts": event.start * 1e6,
             "dur": event.duration * 1e6,
-            "pid": event.rank // timeline.gpus_per_node,
+            "pid": event.rank // gpus_per_node,
             "tid": f"{event.rank}.{event.stream}",
             "args": {k: v for k, v in sorted(event.payload.items())},
         })

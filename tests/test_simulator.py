@@ -135,7 +135,7 @@ class TestSimulateRings:
         plan = build_plan(batch, cluster)
         a = simulator.simulate(plan, cluster, coeffs)[0]
         b = simulator.simulate(plan, cluster, coeffs)[0]
-        assert sorted_events(a) == sorted_events(b)
+        assert a.events == b.events
 
     def test_backward_multiplier_scales_total(self):
         cluster, coeffs = cluster_a()
@@ -286,12 +286,17 @@ class TestPinnedCompare:
 
 
 def assert_matches_reference(plan, cluster, coeffs):
+    """The engine's events are the reference engine's in trace order, and
+    its report is the reference's; returns the reference's events."""
     timeline, report = simulator.simulate(plan, cluster, coeffs)
     events, expected = reference_timeline(plan, cluster, coeffs)
-    assert timeline.events == events
-    # == takes 3 for 3.0; the trace prints them differently
-    assert [(type(e.start), type(e.duration), [type(v) for v in e.payload.values()]) for e in timeline.events] \
-        == [(type(e.start), type(e.duration), [type(v) for v in e.payload.values()]) for e in events]
+    assert timeline.events == sorted_events(events)
+    # == takes 3 for 3.0; the trace prints them differently. Payload keys
+    # come back sorted, and times always as float (the reference's may be
+    # numpy floats, which the trace prints alike)
+    assert all(type(e.start) is float and type(e.duration) is float for e in timeline.events)
+    assert [[(k, type(v)) for k, v in sorted(e.payload.items())] for e in timeline.events] \
+        == [[(k, type(v)) for k, v in sorted(e.payload.items())] for e in sorted_events(events)]
     assert report == expected
     assert timeline.attention_makespan == expected.attention_makespan
     assert check_timeline(plan, cluster, timeline, report) == []
@@ -299,13 +304,15 @@ def assert_matches_reference(plan, cluster, coeffs):
 
 
 def assert_trace_matches_reference(plan, cluster, coeffs):
-    """`export_trace` writes the bytes of the Event-based reference exporter."""
+    """`export_trace` writes the bytes of the reference exporter over the
+    reference engine's events."""
     timeline, _ = simulator.simulate(plan, cluster, coeffs)
+    events, _ = reference_timeline(plan, cluster, coeffs)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.json"
         simulator.export_trace(timeline, str(path))
         assert "events" not in timeline.__dict__
-        assert path.read_text(encoding="utf-8") == reference_trace(timeline)
+        assert path.read_text(encoding="utf-8") == reference_trace(events, cluster.gpus_per_node)
 
 
 @st.composite
@@ -353,6 +360,26 @@ def test_export_trace_matches_reference_trace(case):
         except InfeasibleBatch:
             continue
         assert_trace_matches_reference(plan, cluster, coeffs)
+
+
+@pytest.mark.parametrize("strategy", ["zeppelin", "te_cp"])
+def test_events_are_the_trace_read_back(strategy, tmp_path):
+    # a routed github batch on 8 nodes: ring computes, direct and routed
+    # sends, local kernels, remap and linear phases
+    cluster, coeffs = cluster_a(num_nodes=8)
+    batch = sample_batch(preset("github"), 262144, seed=1)
+    timeline, _ = simulator.simulate(plan_with(strategy, batch, cluster), cluster, coeffs)
+    path = tmp_path / "trace.json"
+    simulator.export_trace(timeline, str(path))
+    records = json.loads(path.read_text())["traceEvents"]
+    assert len(timeline.events) == len(records) > 1000
+    if strategy == "zeppelin":
+        assert {"route.dispatch", "route.transfer", "route.combine"} <= {r["name"] for r in records}
+    for event, record in zip(timeline.events, records):
+        assert (event.kind, event.start * 1e6, event.duration * 1e6) == (record["name"], record["ts"], record["dur"])
+        assert (event.rank // cluster.gpus_per_node, f"{event.rank}.{event.stream}") == (record["pid"], record["tid"])
+        assert [(k, v, type(v)) for k, v in event.payload.items()] \
+            == [(k, v, type(v)) for k, v in record["args"].items()]
 
 
 def test_timeline_oracle_on_routed_8_node_batch():
