@@ -102,22 +102,26 @@ class RingGroup:
         return len(self.members)
 
 
-def ring_ranges(ring: RingGroup, placement: np.ndarray) -> list[list[list[tuple[int, int]]]]:
-    """The ring's layout read off placement rows that run by rank: for each
-    of ring.sequence_ids in order, per ring position i, the (start, end)
-    ranges of that sequence's micro-batch-0 rows on rank members[i], in row
-    order (by start, in a plan's table)."""
-    index = {sid: k for k, sid in enumerate(ring.sequence_ids)}
-    layout: list[list[list[tuple[int, int]]]] = [[[] for _ in ring.members] for _ in ring.sequence_ids]
+def ring_ranges(rings: tuple[RingGroup, ...], placement: np.ndarray) -> list[list[list[list[tuple[int, int]]]]]:
+    """Each ring's layout read off placement rows that run by rank: per
+    ring, for each of ring.sequence_ids in order, per ring position i, the
+    (start, end) ranges of that sequence's micro-batch-0 rows on rank
+    members[i], in row order (by start, in a plan's table)."""
     rows = placement[placement[:, 1] == 0]
     # the table runs by rank, so each member's rows are one slice
-    bounds = rows[:, 0].searchsorted([ring.members, np.add(ring.members, 1)]).T.tolist()
+    members = [m for ring in rings for m in ring.members]
+    bounds = iter(rows[:, 0].searchsorted([members, np.add(members, 1)]).T.tolist())
     rows = rows[:, 2:].tolist()
-    for position, (lo, hi) in enumerate(bounds):
-        for sid, start, end in rows[lo:hi]:
-            if (k := index.get(sid)) is not None:
-                layout[k][position].append((start, end))
-    return layout
+    layouts = []
+    for ring in rings:
+        index = {sid: k for k, sid in enumerate(ring.sequence_ids)}
+        layout: list[list[list[tuple[int, int]]]] = [[[] for _ in ring.members] for _ in ring.sequence_ids]
+        for position, (lo, hi) in enumerate(itertools.islice(bounds, ring.group_size)):
+            for sid, start, end in rows[lo:hi]:
+                if (k := index.get(sid)) is not None:
+                    layout[k][position].append((start, end))
+        layouts.append(layout)
+    return layouts
 
 
 @dataclass(frozen=True, eq=False)

@@ -568,10 +568,10 @@ def plan_to_json(plan: PlacementPlan) -> str:
                 # written for readers of the file; the plan reads them off its placement
                 "sequences": [
                     {"sequence_id": sid, "ranges": [[list(r) for r in pos] for pos in by_position]}
-                    for sid, by_position in zip(ring.sequence_ids, ring_ranges(ring, plan.placement))
+                    for sid, by_position in zip(ring.sequence_ids, layout)
                 ],
             }
-            for ring in plan.ring_groups
+            for ring, layout in zip(plan.ring_groups, ring_ranges(plan.ring_groups, plan.placement))
         ],
         "micro_batch_counts": plan.micro_batch_counts,
         "meta": plan.meta,
@@ -623,7 +623,7 @@ def plan_from_json(text: str) -> PlacementPlan:
             "ring ranges": (
                 [[[[tuple(x) for x in pos] for pos in s["ranges"]] for s in ring["sequences"]]
                  for ring in payload["rings"]],
-                [ring_ranges(ring, listed) for ring in rings],
+                ring_ranges(rings, listed),
             ),
         }
     except (KeyError, TypeError, IndexError, AttributeError) as exc:

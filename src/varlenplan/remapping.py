@@ -23,22 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attention_engine import split_even
 from .topology import ClusterSpec
 
 
 def target_distribution(counts: list[int]) -> list[int]:
     """Even integer target with the same total: every entry is floor or ceil
     of the mean, extra tokens going to the largest remainders (ties by index)."""
-    d = len(counts)
-    if d < 1:
+    if len(counts) < 1:
         raise ValueError("need at least one rank")
     if any(c < 0 for c in counts):
         raise ValueError("token counts must be >= 0")
-    total = sum(counts)
-    base, extra = divmod(total, d)
     # the fractional part total/d is identical for every entry, so the
     # leftover tokens go to the lowest indices
-    return [base + 1 if i < extra else base for i in range(d)]
+    return split_even(sum(counts), len(counts))
 
 
 def cost_matrix(cluster: ClusterSpec) -> np.ndarray:
