@@ -290,13 +290,14 @@ def assert_matches_reference(plan, cluster, coeffs):
     its report is the reference's; returns the reference's events."""
     timeline, report = simulator.simulate(plan, cluster, coeffs)
     events, expected = reference_timeline(plan, cluster, coeffs)
-    assert timeline.events == sorted_events(events)
+    in_trace_order = sorted_events(events)
+    assert timeline.events == in_trace_order
     # == takes 3 for 3.0; the trace prints them differently. Payload keys
     # come back sorted, and times always as float (the reference's may be
     # numpy floats, which the trace prints alike)
     assert all(type(e.start) is float and type(e.duration) is float for e in timeline.events)
     assert [[(k, type(v)) for k, v in sorted(e.payload.items())] for e in timeline.events] \
-        == [[(k, type(v)) for k, v in sorted(e.payload.items())] for e in sorted_events(events)]
+        == [[(k, type(v)) for k, v in sorted(e.payload.items())] for e in in_trace_order]
     assert report == expected
     assert timeline.attention_makespan == expected.attention_makespan
     assert check_timeline(plan, cluster, timeline, report) == []
