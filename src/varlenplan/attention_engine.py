@@ -40,17 +40,17 @@ def contiguous_ranges(sizes: list[int]) -> list[tuple[int, int]]:
     return ranges
 
 
-def balanced_zigzag_sizes(seq_len: int, group_size: int, position_loads) -> np.ndarray:
-    """Zigzag chunk sizes whose leftover tokens (seq_len mod 2G) go to the
-    ring positions carrying the lightest current loads, ties to the lowest
-    position.
+def balanced_zigzag_sizes(seq_len: int, position_loads) -> np.ndarray:
+    """Zigzag chunk sizes over G = len(position_loads) ring positions whose
+    leftover tokens (seq_len mod 2G) go to the positions carrying the
+    lightest current loads, ties to the lowest position.
 
     Every chunk stays within one token of seq_len/(2G), so the causal balance
     bound of the uniform rule is preserved, while stacking of leftovers from
     different sequences onto the same rank is avoided; capacity-tight plans
     rely on this.
     """
-    g = group_size
+    g = len(position_loads)
     base, extra = divmod(seq_len, 2 * g)
     order = np.argsort(position_loads, kind="stable")
     # leftovers fill the lightest positions' first chunks, then their second ones

@@ -348,7 +348,7 @@ def lay_out_global_ring(
     sizes = np.empty((len(sequences), 2 * n_ranks), dtype=np.int64)
     running = np.zeros(n_ranks, dtype=np.int64)
     for i, (_, length) in enumerate(sequences):
-        sizes[i] = balanced_zigzag_sizes(length, n_ranks, running)
+        sizes[i] = balanced_zigzag_sizes(length, running)
         # rank p holds chunks p and 2R-1-p
         running += sizes[i, :n_ranks] + sizes[i, :n_ranks - 1:-1]
     ends = np.cumsum(sizes, axis=1)
@@ -443,7 +443,7 @@ def _add_ring_sequence(
     running: list[int],
     gpus_per_node: int,
 ) -> None:
-    ranges = ranges_from_sizes(balanced_zigzag_sizes(length, len(members), [running[r] for r in members]).tolist())
+    ranges = ranges_from_sizes(balanced_zigzag_sizes(length, [running[r] for r in members]).tolist())
     spanned = [rank for rank, rs in zip(members, ranges) if rs]
     if len(spanned) < 2:
         # too short to actually occupy several ranks: keep it local
@@ -593,7 +593,7 @@ def plan_from_json(text: str) -> PlacementPlan:
             num_nodes=payload["num_nodes"],
             gpus_per_node=payload["gpus_per_node"],
             s1=payload["s1"],
-            s0_per_node=list(payload["s0_per_node"]),
+            s0_per_node=payload["s0_per_node"],
             sequence_lengths={int(k): v for k, v in payload["sequence_lengths"].items()},
         )
         meta = dict(payload.get("meta", {}))
@@ -601,8 +601,15 @@ def plan_from_json(text: str) -> PlacementPlan:
         # numpy, which would quietly turn 0.5 and False into 0
         integers = [v for row in rows for v in row[1:]]
         integers += [v for ring in rings for v in ring.members + ring.sequence_ids]
+        s0 = fields["s0_per_node"]
+        if type(s0) is not list:
+            raise ValueError("plan file's s0_per_node must be a list")
+        integers += [fields[key] for key in ("num_nodes", "gpus_per_node", "s1")] + s0
         if any(type(v) is not int for v in integers + list(fields["sequence_lengths"].values())):
-            raise ValueError("plan file's sequence ids, lengths, ranges, micro-batches and ring members must be integers")
+            raise ValueError("plan file's topology, thresholds, sequence ids, lengths, ranges, micro-batches "
+                             "and ring members must be integers")
+        if len(s0) != fields["num_nodes"]:
+            raise ValueError(f"plan file lists {len(s0)} s0 thresholds for {fields['num_nodes']} nodes")
         n_ranks, expected = len(payload["ranks"]), fields["num_nodes"] * fields["gpus_per_node"]
         if n_ranks != expected:
             raise ValueError(f"plan file lists {n_ranks} ranks for {expected} in its topology")

@@ -134,7 +134,8 @@ def solve_remap(counts: list[int], cost: np.ndarray) -> RemapResult:
         excess = int(u[members].sum() - v[members].sum())
         if excess > 0:  # only with two or more nodes, so e > c
             senders = [int(i) for i in members if u[i] > 0]
-            level = _water_level([c * u[i] for i in senders], [e * u[i] for i in senders],
+            # Python ints keep the level, and so the objective, a Python float
+            level = _water_level([c * int(u[i]) for i in senders], [e * int(u[i]) for i in senders],
                                  (e - c) * excess)
             objective = max(objective, level)
             shares = {i: min(int(u[i]), max(0, math.floor((level - c * u[i]) / (e - c)))) for i in senders}

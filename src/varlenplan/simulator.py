@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,17 +59,14 @@ class Event:
 
 @dataclass(eq=False)
 class Timeline:
-    """One simulated forward step. `records` holds its events in compact
-    form, in emission order: an Event's fields as a tuple, or a ring's
-    `_RingRecord`. `events`, built on first read, is the exported trace read
-    back: in trace order (start, rank, stream, kind, duration, emission
-    order on full ties), each payload with its keys sorted."""
+    """One simulated forward step's events; its times are in the step's
+    `StepReport`. `records` holds the events in compact form, in emission
+    order: an Event's fields as a tuple, or a ring's `_RingRecord`.
+    `events`, built on first read, is the exported trace read back: in trace
+    order (start, rank, stream, kind, duration, emission order on full
+    ties), each payload with its keys sorted."""
 
-    num_nodes: int
     gpus_per_node: int
-    attention_makespan: float
-    forward_makespan: float
-    phase_bounds: dict[str, float]
     records: list = field(default_factory=list, repr=False)
 
     @cached_property
@@ -137,19 +133,20 @@ class _Engine:
         local = rank % self.cluster.gpus_per_node
         return local * self.cluster.nics_per_node // self.cluster.gpus_per_node
 
+    def bill_nic(self, node: int, nic: int, durations: list[float]) -> None:
+        """A NIC's busy time adds its transfers one by one, in event order."""
+        total = self.nic_busy[node][nic]
+        for dur in durations:
+            total += dur
+        self.nic_busy[node][nic] = total
+
     def bill_transfers(self, node: int, durations: list[float]) -> None:
         """Routed transfers spread round-robin over the node's NICs: the
-        j-th from here goes to NIC (cursor + j) mod nics, and each NIC's busy
-        time adds its transfers in order."""
+        j-th from here goes to NIC (cursor + j) mod nics."""
         nics = self.cluster.nics_per_node
         cursor = self._nic_cursor[node]
-        busy = self.nic_busy[node]
         for k in range(min(nics, len(durations))):
-            nic = (cursor + k) % nics
-            total = busy[nic]
-            for dur in durations[k::nics]:
-                total += dur
-            busy[nic] = total
+            self.bill_nic(node, (cursor + k) % nics, durations[k::nics])
         self._nic_cursor[node] = cursor + len(durations)
 
 
@@ -281,9 +278,8 @@ def _run_ring(
         if crossing[i]:
             node_nics.setdefault((m // p, engine.affine_nic(m)), []).append(i)
     for (node, nic), rows in node_nics.items():
-        # NIC busy time adds up in event order: round by round, then position
-        busy = np.concatenate(([engine.nic_busy[node][nic]], send[rows].T.ravel()))
-        engine.nic_busy[node][nic] = float(np.cumsum(busy)[-1])
+        # in event order: round by round, then position
+        engine.bill_nic(node, nic, send[rows].T.ravel().tolist())
 
     engine.records.append(_RingRecord(ring_idx, ring, crossing, pairs, tokens, compute, send, direct,
                                       compute_start, send_start, sends))
@@ -404,7 +400,7 @@ def _run_allgather(
             engine.emit(rank, stream, 0.0, ag_time, "kv.allgather", {"tokens": sent})
             engine.count(rank, "inter" if is_boundary else "intra", sent)
             if is_boundary:
-                engine.nic_busy[node][engine.affine_nic(rank)] += ag_time
+                engine.bill_nic(node, engine.affine_nic(rank), [ag_time])
         start = ag_time
     else:
         start = 0.0
@@ -465,22 +461,8 @@ def simulate(
     linear_end = linear_start + linear_time
     if remap_inv > 0:
         _emit_remap(engine, cluster, result, linear_end, "remap.inverse")
-    forward_makespan = linear_end + remap_inv
-
-    total_step = forward_makespan * (1.0 + cluster.backward_multiplier)
-    timeline = Timeline(
-        num_nodes=cluster.num_nodes,
-        gpus_per_node=cluster.gpus_per_node,
-        attention_makespan=attention_end,
-        forward_makespan=forward_makespan,
-        phase_bounds={
-            "attention_end": attention_end,
-            "remap_forward_end": linear_start,
-            "linear_end": linear_end,
-            "remap_inverse_end": forward_makespan,
-        },
-        records=engine.records,
-    )
+    total_step = (linear_end + remap_inv) * (1.0 + cluster.backward_multiplier)
+    timeline = Timeline(gpus_per_node=cluster.gpus_per_node, records=engine.records)
     report = StepReport(
         strategy=plan.strategy,
         attention_makespan=attention_end,
@@ -659,30 +641,6 @@ CSV_HEADER = (
 )
 
 
-def _simulate_each(
-    batch: SequenceBatch,
-    cluster: ClusterSpec,
-    coeffs: CostCoefficients,
-    strategies: list[str],
-) -> Iterator[tuple[StepReport, Timeline | None]]:
-    """Plan and simulate each strategy in turn. A strategy that cannot place
-    the batch yields an infeasible report and no timeline."""
-    if not strategies:
-        raise ValueError("no strategies given")
-    unknown = [s for s in strategies if s not in baselines.PLANNERS]
-    if unknown:
-        raise ValueError(f"unknown strategies: {', '.join(unknown)}")
-    repeated = list(dict.fromkeys(s for s in strategies if strategies.count(s) > 1))
-    if repeated:
-        raise ValueError(f"repeated strategies: {', '.join(repeated)}")
-    for strategy in strategies:
-        try:
-            timeline, report = simulate(baselines.plan_with(strategy, batch, cluster), cluster, coeffs)
-        except InfeasibleBatch as exc:
-            timeline, report = None, StepReport(strategy=strategy, feasible=False, error=str(exc))
-        yield report, timeline
-
-
 def set_speedups(
     reports: list[StepReport],
     batch: SequenceBatch,
@@ -692,27 +650,11 @@ def set_speedups(
     """Speedups relative to te_cp, simulated here when it is not a row."""
     te = next((r for r in reports if r.strategy == "te_cp"), None)
     if te is None:
-        te, _ = next(_simulate_each(batch, cluster, coeffs, ["te_cp"]))
+        te = compare(batch, cluster, coeffs, ["te_cp"])[0]
     te_total = te.total_step if te.feasible else None
     for report in reports:
         if report.feasible and te_total and report.total_step > 0:
             report.speedup_vs_te_cp = te_total / report.total_step
-
-
-def compare(
-    batch: SequenceBatch,
-    cluster: ClusterSpec,
-    coeffs: CostCoefficients,
-    strategies: list[str],
-) -> list[StepReport]:
-    """Plan and simulate every requested strategy; speedups are relative to
-    te_cp (computed internally when it is not among the requested rows).
-    A strategy that cannot place the batch yields an infeasible row instead
-    of failing the whole comparison.
-    """
-    reports = [report for report, _ in _simulate_each(batch, cluster, coeffs, strategies)]
-    set_speedups(reports, batch, cluster, coeffs)
-    return reports
 
 
 def compare_with_timelines(
@@ -721,12 +663,39 @@ def compare_with_timelines(
     coeffs: CostCoefficients,
     strategies: list[str],
 ) -> tuple[list[StepReport], dict[str, Timeline]]:
-    """`compare` plus the timeline of every feasible strategy, from the same
-    single simulation of each."""
-    runs = list(_simulate_each(batch, cluster, coeffs, strategies))
-    reports = [report for report, _ in runs]
+    """Plan and simulate every requested strategy once; returns the reports
+    and the timeline of every feasible strategy. Speedups are relative to
+    te_cp (computed internally when it is not among the requested rows).
+    A strategy that cannot place the batch yields an infeasible row instead
+    of failing the whole comparison.
+    """
+    if not strategies:
+        raise ValueError("no strategies given")
+    unknown = [s for s in strategies if s not in baselines.PLANNERS]
+    if unknown:
+        raise ValueError(f"unknown strategies: {', '.join(unknown)}")
+    repeated = list(dict.fromkeys(s for s in strategies if strategies.count(s) > 1))
+    if repeated:
+        raise ValueError(f"repeated strategies: {', '.join(repeated)}")
+    reports, timelines = [], {}
+    for strategy in strategies:
+        try:
+            timelines[strategy], report = simulate(baselines.plan_with(strategy, batch, cluster), cluster, coeffs)
+        except InfeasibleBatch as exc:
+            report = StepReport(strategy=strategy, feasible=False, error=str(exc))
+        reports.append(report)
     set_speedups(reports, batch, cluster, coeffs)
-    return reports, {report.strategy: timeline for report, timeline in runs if timeline is not None}
+    return reports, timelines
+
+
+def compare(
+    batch: SequenceBatch,
+    cluster: ClusterSpec,
+    coeffs: CostCoefficients,
+    strategies: list[str],
+) -> list[StepReport]:
+    """The reports of `compare_with_timelines`."""
+    return compare_with_timelines(batch, cluster, coeffs, strategies)[0]
 
 
 def simulate_timelines(
@@ -735,8 +704,8 @@ def simulate_timelines(
     coeffs: CostCoefficients,
     strategies: list[str],
 ) -> dict[str, Timeline]:
-    """Timelines per strategy for the feasible ones, without the reports."""
-    return {r.strategy: t for r, t in _simulate_each(batch, cluster, coeffs, strategies) if t is not None}
+    """The timelines of `compare_with_timelines`."""
+    return compare_with_timelines(batch, cluster, coeffs, strategies)[1]
 
 
 def _fmt(x: float | None) -> str:

@@ -185,7 +185,7 @@ def draw_ranges(draw, g):
     if layout == "balanced":
         seq_len = draw(st.integers(0, 8 * g))
         loads = draw(st.lists(st.integers(0, 50), min_size=g, max_size=g))
-        return ae.ranges_from_sizes(ae.balanced_zigzag_sizes(seq_len, g, loads)), True
+        return ae.ranges_from_sizes(ae.balanced_zigzag_sizes(seq_len, loads)), True
     if layout == "sizes":
         return ae.ranges_from_sizes(draw(st.lists(st.integers(0, 12), min_size=2 * g, max_size=2 * g))), True
     span = st.tuples(st.integers(0, 40), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1]))

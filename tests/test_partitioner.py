@@ -305,11 +305,23 @@ class TestBuildPlan:
             "micro_batch": lambda p: p["ranks"][0][0].update(micro_batch=False),
             "ring member": lambda p: p["rings"][0]["members"].__setitem__(0, float(p["rings"][0]["members"][0])),
             "ring sequence id": lambda p: p["rings"][0]["sequences"][0].update(sequence_id=True),
+            "s1": lambda p: p.update(s1="x"),
+            "s1 as bool": lambda p: p.update(s1=True),
+            "s0_per_node": lambda p: p.update(s0_per_node=["a", None]),
+            "num_nodes": lambda p: p.update(num_nodes=float(p["num_nodes"])),
+            "gpus_per_node": lambda p: p.update(gpus_per_node=True),
         }
         for name, edit in edits.items():
             edited = json.loads(text)
             edit(edited)
             with pytest.raises(ValueError, match="must be integers"):
+                pt.plan_from_json(json.dumps(edited))
+        # one s0 threshold per node, as a list
+        for s0, error in ((0, "s0_per_node must be a list"), ([0], "lists 1 s0 thresholds for 2 nodes"),
+                          ({"0": 0, "1": 0}, "s0_per_node must be a list")):
+            edited = json.loads(text)
+            edited["s0_per_node"] = s0
+            with pytest.raises(ValueError, match=error):
                 pt.plan_from_json(json.dumps(edited))
         # the placement table holds int64
         edited = json.loads(text)
