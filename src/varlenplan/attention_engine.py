@@ -31,15 +31,6 @@ def split_even(total: int, parts: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(parts)]
 
 
-def contiguous_ranges(sizes: list[int]) -> list[tuple[int, int]]:
-    ranges = []
-    pos = 0
-    for size in sizes:
-        ranges.append((pos, pos + size))
-        pos += size
-    return ranges
-
-
 def balanced_zigzag_sizes(seq_len: int, position_loads) -> np.ndarray:
     """Zigzag chunk sizes over G = len(position_loads) ring positions whose
     leftover tokens (seq_len mod 2G) go to the positions carrying the
@@ -64,7 +55,8 @@ def ranges_from_sizes(sizes: list[int]) -> list[list[tuple[int, int]]]:
     of 2G contiguous chunks, ring position i holds chunks i and 2G-1-i,
     which equalizes causal pair counts across positions."""
     g = len(sizes) // 2
-    chunks = contiguous_ranges(sizes)
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    chunks = list(zip(bounds, bounds[1:]))
     out: list[list[tuple[int, int]]] = []
     for i in range(g):
         j = 2 * g - 1 - i
@@ -84,8 +76,9 @@ def causal_pairs(seq_len: int) -> int:
 class RingGroup:
     """A KV-rotation group: ordered member ranks plus the ids of the
     sequences whose KV travels the ring. Position i holds those sequences'
-    micro-batch-0 fragments on rank members[i] (`ring_ranges`). Inter-node
-    rings span >= 2 nodes, intra-node rings stay within one."""
+    micro-batch-0 fragments on rank members[i], in zigzag chunks
+    (`build_schedule` rejects any other layout). Inter-node rings span >= 2
+    nodes, intra-node rings stay within one."""
 
     kind: str
     members: tuple[int, ...]
@@ -100,28 +93,6 @@ class RingGroup:
     @property
     def group_size(self) -> int:
         return len(self.members)
-
-
-def ring_ranges(rings: tuple[RingGroup, ...], placement: np.ndarray) -> list[list[list[list[tuple[int, int]]]]]:
-    """Each ring's layout read off placement rows that run by rank: per
-    ring, for each of ring.sequence_ids in order, per ring position i, the
-    (start, end) ranges of that sequence's micro-batch-0 rows on rank
-    members[i], in row order (by start, in a plan's table)."""
-    rows = placement[placement[:, 1] == 0]
-    # the table runs by rank, so each member's rows are one slice
-    members = [m for ring in rings for m in ring.members]
-    bounds = iter(rows[:, 0].searchsorted([members, np.add(members, 1)]).T.tolist())
-    rows = rows[:, 2:].tolist()
-    layouts = []
-    for ring in rings:
-        index = {sid: k for k, sid in enumerate(ring.sequence_ids)}
-        layout: list[list[list[tuple[int, int]]]] = [[[] for _ in ring.members] for _ in ring.sequence_ids]
-        for position, (lo, hi) in enumerate(itertools.islice(bounds, ring.group_size)):
-            for sid, start, end in rows[lo:hi]:
-                if (k := index.get(sid)) is not None:
-                    layout[k][position].append((start, end))
-        layouts.append(layout)
-    return layouts
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,6 @@ from .attention_engine import (
     RingGroup,
     balanced_zigzag_sizes,
     ranges_from_sizes,
-    ring_ranges,
     split_even,
 )
 from .topology import ClusterSpec
@@ -468,7 +467,7 @@ def _add_ring_sequence(
 def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpec) -> None:
     """Internal invariant guard: token conservation, disjoint full coverage of
     every sequence, per-phase capacity, ring kinds that match the nodes their
-    members sit on, and the layout `ring_ranges` reads: each ringed sequence
+    members sit on, and the layout `build_schedule` reads: each ringed sequence
     rides one ring of distinct ranks, with every fragment at micro-batch 0 on
     a member, and every other sequence is one fragment. Zones need no check:
     they are read off placement."""
@@ -547,98 +546,77 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
         raise PlanValidationError(f"sequence {first} is split but rides no ring")
 
 
+PLAN_FORMAT = 2
+
+
 def plan_to_json(plan: PlacementPlan) -> str:
-    ranks: list[list[dict]] = [[] for _ in range(plan.num_ranks)]
-    for rank, mb, sid, start, end in plan.placement.tolist():
-        ranks[rank].append({"sequence_id": sid, "start": start, "end": end, "micro_batch": mb})
+    """The plan file: the planner's decisions, its placement table and each
+    ring's members and sequences, beside the topology, thresholds, sequence
+    lengths and meta. Zones, buckets and ring layouts are read off the table
+    after loading."""
     payload = {
+        "format": PLAN_FORMAT,
         "strategy": plan.strategy,
         "num_nodes": plan.num_nodes,
         "gpus_per_node": plan.gpus_per_node,
         "s1": plan.s1,
         "s0_per_node": plan.s0_per_node,
-        "zones": {str(sid): zone for sid, zone in sorted(plan.zone_of.items())},
-        "sequence_lengths": {str(sid): ln for sid, ln in sorted(plan.sequence_lengths.items())},
-        "node_buckets": [[[sid, tok] for sid, tok in bucket] for bucket in plan.node_buckets],
-        "ranks": ranks,
-        "rings": [
-            {
-                "kind": ring.kind,
-                "members": list(ring.members),
-                # written for readers of the file; the plan reads them off its placement
-                "sequences": [
-                    {"sequence_id": sid, "ranges": [[list(r) for r in pos] for pos in by_position]}
-                    for sid, by_position in zip(ring.sequence_ids, layout)
-                ],
-            }
-            for ring, layout in zip(plan.ring_groups, ring_ranges(plan.ring_groups, plan.placement))
-        ],
-        "micro_batch_counts": plan.micro_batch_counts,
+        "sequence_lengths": sorted(plan.sequence_lengths.items()),
+        "placement": plan.placement.tolist(),
+        "rings": [{"kind": ring.kind, "members": ring.members, "sequence_ids": ring.sequence_ids}
+                  for ring in plan.ring_groups],
         "meta": plan.meta,
     }
-    return json.dumps(payload, indent=1, sort_keys=True)
+    # no indent: json then writes with its C encoder
+    return json.dumps(payload, sort_keys=True)
 
 
 def plan_from_json(text: str) -> PlacementPlan:
+    """Read a file plan_to_json wrote. Any other format, and any key that is
+    missing or holds the wrong type, raises ValueError."""
     payload = json.loads(text)
+    version = payload.get("format") if type(payload) is dict else None
+    if type(version) is not int or version != PLAN_FORMAT:
+        raise ValueError(f"not a format-{PLAN_FORMAT} plan file; write it afresh with `varlenplan plan`")
     try:
-        rows = [(rank, e["sequence_id"], e["start"], e["end"], e.get("micro_batch", 0))
-                for rank, frags in enumerate(payload["ranks"]) for e in frags]
-        rings = tuple(
-            RingGroup(r["kind"], tuple(r["members"]), tuple(s["sequence_id"] for s in r["sequences"]))
-            for r in payload["rings"]
-        )
-        fields = dict(
-            strategy=payload["strategy"],
-            num_nodes=payload["num_nodes"],
-            gpus_per_node=payload["gpus_per_node"],
-            s1=payload["s1"],
-            s0_per_node=payload["s0_per_node"],
-            sequence_lengths={int(k): v for k, v in payload["sequence_lengths"].items()},
-        )
-        meta = dict(payload.get("meta", {}))
-        # json gives int for integers only; bool is not one. Checked before
-        # numpy, which would quietly turn 0.5 and False into 0
-        integers = [v for row in rows for v in row[1:]]
-        integers += [v for ring in rings for v in ring.members + ring.sequence_ids]
-        s0 = fields["s0_per_node"]
+        rows, pairs, entries = payload["placement"], payload["sequence_lengths"], payload["rings"]
+        s0, meta = payload["s0_per_node"], payload["meta"]
         if type(s0) is not list:
             raise ValueError("plan file's s0_per_node must be a list")
+        lists = [rows, pairs, entries] + [entry[k] for entry in entries for k in ("members", "sequence_ids")]
+        if any(type(v) is not list for v in lists) or (type(meta), type(payload["strategy"])) != (dict, str):
+            raise ValueError("malformed plan file: placement, sequence_lengths, rings and their members and "
+                             "sequence_ids must be lists, meta an object and strategy a string")
+        if any(type(row) is not list or len(row) != 5 for row in rows):
+            raise ValueError("plan file's placement rows must be lists of 5 integers")
+        if any(type(pair) is not list or len(pair) != 2 for pair in pairs):
+            raise ValueError("plan file's sequence_lengths must be [id, length] pairs")
+        rings = tuple(RingGroup(r["kind"], tuple(r["members"]), tuple(r["sequence_ids"])) for r in entries)
+        fields = {key: payload[key] for key in ("strategy", "num_nodes", "gpus_per_node", "s1")}
+        # json gives int for integers only; bool is not one. Checked before
+        # numpy, which would quietly turn 0.5 and False into 0
+        integers = [v for row in rows for v in row] + [v for pair in pairs for v in pair]
+        integers += [v for ring in rings for v in ring.members + ring.sequence_ids]
         integers += [fields[key] for key in ("num_nodes", "gpus_per_node", "s1")] + s0
-        if any(type(v) is not int for v in integers + list(fields["sequence_lengths"].values())):
-            raise ValueError("plan file's topology, thresholds, sequence ids, lengths, ranges, micro-batches "
+        if any(type(v) is not int for v in integers):
+            raise ValueError("plan file's topology, thresholds, sequence ids, lengths, placement rows "
                              "and ring members must be integers")
+        lengths = dict(pairs)
+        if len(lengths) != len(pairs):
+            raise ValueError("plan file's sequence_lengths repeat a sequence id")
         if len(s0) != fields["num_nodes"]:
             raise ValueError(f"plan file lists {len(s0)} s0 thresholds for {fields['num_nodes']} nodes")
-        n_ranks, expected = len(payload["ranks"]), fields["num_nodes"] * fields["gpus_per_node"]
-        if n_ranks != expected:
-            raise ValueError(f"plan file lists {n_ranks} ranks for {expected} in its topology")
+        n_ranks = fields["num_nodes"] * fields["gpus_per_node"]
         for ring in rings:
             if not all(m in range(n_ranks) for m in ring.members):
                 raise ValueError(f"plan file's ring members {list(ring.members)} are not ranks 0..{n_ranks - 1}")
         try:
-            # in file order, which runs by rank as the ring ranges need
-            listed = np.array(rows, dtype=np.int64).reshape(-1, 5)[:, [0, 4, 1, 2, 3]]
+            return PlacementPlan(**fields, s0_per_node=s0, sequence_lengths=lengths, placement=rows,
+                                 ring_groups=rings, meta=meta)
         except OverflowError:
             raise ValueError("plan file's integers must fit in 64 bits") from None
-        plan = PlacementPlan(**fields, placement=listed, ring_groups=rings, meta=meta)
-        # written for readers of the file; the plan derives them from its placement
-        stored = {
-            "zones": ({int(k): v for k, v in payload["zones"].items()}, plan.zone_of),
-            "node_buckets": ([[tuple(e) for e in bucket] for bucket in payload["node_buckets"]], plan.node_buckets),
-            "micro_batch_counts": (list(payload["micro_batch_counts"]), plan.micro_batch_counts),
-            "ring ranges": (
-                [[[[tuple(x) for x in pos] for pos in s["ranges"]] for s in ring["sequences"]]
-                 for ring in payload["rings"]],
-                ring_ranges(rings, listed),
-            ),
-        }
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed plan file: missing or invalid key ({exc})") from exc
-    for key, (value, derived) in stored.items():
-        if value != derived:
-            raise ValueError(f"plan file's {key} disagree with its fragments")
-    return plan
 
 
 def save_plan(path: str, plan: PlacementPlan) -> None:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -47,23 +48,8 @@ def test_plan_and_simulate_round_trip(tmp_path, batch_file):
     assert lines[1].startswith("zeppelin,")
 
 
-def _edit_zone(path):
-    payload = json.loads(path.read_text())
-    sid, zone = next(iter(payload["zones"].items()))
-    payload["zones"][sid] = "inter_node" if zone != "inter_node" else "local"
-    path.write_text(json.dumps(payload))
-
-
-def _delete_ring_range(path):
-    payload = json.loads(path.read_text())
-    ranges = payload["rings"][0]["sequences"][0]["ranges"]
-    ranges[next(i for i, pos in enumerate(ranges) if pos)] = []
-    path.write_text(json.dumps(payload))
-
-
 def _overfill_rank_0(path):
-    # move whole local sequences onto rank 0 and write the file afresh, so
-    # its zones, node buckets, counts and ring ranges match its placement
+    # move whole local sequences onto rank 0 and write the file afresh
     plan = partitioner.load_plan(str(path))
     load = plan.tokens_per_rank[0]
     rows = plan.placement.tolist()
@@ -77,17 +63,11 @@ def _overfill_rank_0(path):
 
 
 def _half_token_boundary(path):
-    # move a boundary two fragments of one sequence share by half a token,
-    # in its fragment lists and its ring ranges alike
+    # move a boundary two placement rows of one sequence share by half a token
     payload = json.loads(path.read_text())
-    frags = [e for entries in payload["ranks"] for e in entries]
-    a, b = next((a, b) for a in frags for b in frags if b["sequence_id"] == a["sequence_id"] and b["start"] == a["end"])
-    for ring in payload["rings"]:
-        for seq in ring["sequences"]:
-            for pos in seq["ranges"] if seq["sequence_id"] == a["sequence_id"] else []:
-                for r in pos:
-                    r[:] = [x - 0.5 if x == a["end"] else x for x in r]
-    a["end"] = b["start"] = a["end"] - 0.5
+    rows = payload["placement"]
+    a, b = next((a, b) for a in rows for b in rows if b[2] == a[2] and b[3] == a[4])
+    a[4] = b[3] = a[4] - 0.5
     path.write_text(json.dumps(payload))
 
 
@@ -99,38 +79,32 @@ def _unknown_strategy(path):
 
 def _float_length(path):
     payload = json.loads(path.read_text())
-    lengths = payload["sequence_lengths"]
-    sid = next(iter(lengths))
-    lengths[sid] = float(lengths[sid])
+    pair = payload["sequence_lengths"][0]
+    pair[1] = float(pair[1])
     path.write_text(json.dumps(payload))
 
 
 def _bool_micro_batch(path):
     payload = json.loads(path.read_text())
-    payload["ranks"][0][0]["micro_batch"] = False
+    payload["placement"][0][1] = False
     path.write_text(json.dumps(payload))
 
 
-def _as_array(key):
-    def edit(path):
-        payload = json.loads(path.read_text())
-        payload[key] = list(payload[key].values())
-        path.write_text(json.dumps(payload))
-    return edit
+def _lengths_as_object(path):
+    # the shape an older plan file gave sequence_lengths: {"id": length}
+    payload = json.loads(path.read_text())
+    payload["sequence_lengths"] = {str(sid): length for sid, length in payload["sequence_lengths"]}
+    path.write_text(json.dumps(payload))
 
 
 @pytest.mark.parametrize("edit, error", [
-    (_edit_zone, "zones disagree with its fragments"),
-    (_delete_ring_range, "ring ranges disagree with its fragments"),
     (_overfill_rank_0, "invalid plan: rank 0 exceeds token capacity"),
     (_half_token_boundary, "must be integers"),
     (_float_length, "must be integers"),
     (_bool_micro_batch, "must be integers"),
-    (_as_array("zones"), "malformed plan file"),
-    (_as_array("sequence_lengths"), "malformed plan file"),
+    (_lengths_as_object, "malformed plan file"),
     (_unknown_strategy, "unknown strategy 'foo'"),
-], ids=["zone", "ring_range", "over_capacity", "half_token", "float_length", "bool_micro_batch",
-        "zones_array", "lengths_array", "unknown_strategy"])
+], ids=["over_capacity", "half_token", "float_length", "bool_micro_batch", "lengths_array", "unknown_strategy"])
 def test_simulate_rejects_a_plan_file_with_an_edited_zone(tmp_path, batch_file, capsys, edit, error):
     plan_path = tmp_path / "plan.json"
     assert run(["plan", "--config", "cluster_a", "--batch", batch_file,
@@ -139,6 +113,34 @@ def test_simulate_rejects_a_plan_file_with_an_edited_zone(tmp_path, batch_file, 
     rc = run(["simulate", "--config", "cluster_a", "--plan", str(plan_path)])
     assert rc == 2
     assert error in capsys.readouterr().err
+
+
+# te_cp's plan of sequences of 8 and 1 tokens on one node of two GPUs, as
+# the first plan format wrote it: fragment lists per rank, per-position ring
+# ranges, stored zones, node buckets and micro-batch counts, and no "format"
+FORMAT_1_PLAN = (
+    '{"gpus_per_node": 2, "meta": {}, "micro_batch_counts": [1, 1], "node_buckets": [[[0, 8], [1, 1]]], '
+    '"num_nodes": 1, "ranks": [[{"end": 2, "micro_batch": 0, "sequence_id": 0, "start": 0}, '
+    '{"end": 8, "micro_batch": 0, "sequence_id": 0, "start": 6}, '
+    '{"end": 1, "micro_batch": 0, "sequence_id": 1, "start": 0}], '
+    '[{"end": 4, "micro_batch": 0, "sequence_id": 0, "start": 2}, '
+    '{"end": 6, "micro_batch": 0, "sequence_id": 0, "start": 4}]], '
+    '"rings": [{"kind": "intra_node", "members": [0, 1], "sequences": ['
+    '{"ranges": [[[0, 2], [6, 8]], [[2, 4], [4, 6]]], "sequence_id": 0}, '
+    '{"ranges": [[[0, 1]], []], "sequence_id": 1}]}], "s0_per_node": [0], "s1": 0, '
+    '"sequence_lengths": {"0": 8, "1": 1}, "strategy": "te_cp", "zones": {"0": "intra_node", "1": "local"}}'
+)
+
+
+def test_simulate_rejects_a_format_1_plan_file(tmp_path, capsys):
+    message = "not a format-2 plan file; write it afresh with `varlenplan plan`"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        partitioner.plan_from_json(FORMAT_1_PLAN)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(FORMAT_1_PLAN)
+    rc = run(["simulate", "--config", "cluster_a", "--plan", str(plan_path)])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_simulate_checks_topology_before_validating(tmp_path, batch_file, capsys):

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import hashlib
 import json
+import operator
 import random
 
 import numpy as np
@@ -238,58 +240,53 @@ class TestBuildPlan:
         cluster, _ = cluster_a()
         batch = SequenceBatch(((0, 40000), (1, 512), (2, 3000)))
         text = pt.plan_to_json(pt.build_plan(batch, cluster))
-        payload = json.loads(text)
-        assert payload["zones"]["1"] == "local"
-        edits = {
-            "zones": lambda p: p["zones"].update({"1": "inter_node"}),
-            "node_buckets": lambda p: p["node_buckets"][0].pop(),
-            "micro_batch_counts": lambda p: p.update(micro_batch_counts=[2] * 16),
-            "ring ranges": lambda p: p["rings"][0]["sequences"][0]["ranges"][0].pop(),
-        }
-        for key, edit in edits.items():
-            edited = json.loads(text)
-            edit(edited)
-            with pytest.raises(ValueError, match=f"plan file's {key} disagree with its fragments"):
-                pt.plan_from_json(json.dumps(edited))
         for member in (-3, 16):
             off_plan = json.loads(text)
             off_plan["rings"][0]["members"][1] = member
             with pytest.raises(ValueError, match=r"ring members \[.*\] are not ranks 0..15"):
                 pt.plan_from_json(json.dumps(off_plan))
-        # on one 16-token sequence over 4 ranks, member -3 is rejected by
-        # name before the stored ring ranges are compared
-        small = json.loads(pt.plan_to_json(pt.build_plan(SequenceBatch(((0, 16),)), make_cluster(cap=4))))
-        assert small["rings"][0]["members"] == [0, 1, 2, 3]
-        small["rings"][0]["members"][1] = -3
-        with pytest.raises(ValueError, match=r"ring members \[0, -3, 2, 3\] are not ranks 0..3"):
-            pt.plan_from_json(json.dumps(small))
         extra_rank = json.loads(text)
-        extra_rank["ranks"].append([])
-        with pytest.raises(ValueError, match="lists 17 ranks for 16"):
+        extra_rank["placement"].append([16, 0, 1, 0, 1])
+        with pytest.raises(ValueError, match="placement rows name ranks outside 0..15"):
             pt.plan_from_json(json.dumps(extra_rank))
-        for key in ("zones", "node_buckets", "micro_batch_counts", "rings"):
+        for key in ("strategy", "num_nodes", "gpus_per_node", "s1", "s0_per_node", "sequence_lengths", "placement",
+                    "rings", "meta"):
             missing = json.loads(text)
             del missing[key]
             with pytest.raises(ValueError, match="malformed plan file"):
                 pt.plan_from_json(json.dumps(missing))
-        missing = json.loads(text)
-        del missing["rings"][0]["sequences"][0]["ranges"]
-        with pytest.raises(ValueError, match="malformed plan file"):
-            pt.plan_from_json(json.dumps(missing))
+        for key in ("kind", "members", "sequence_ids"):
+            missing = json.loads(text)
+            del missing["rings"][0][key]
+            with pytest.raises(ValueError, match="malformed plan file"):
+                pt.plan_from_json(json.dumps(missing))
+
+    def test_plan_from_json_rejects_short_rows_and_repeated_ids(self):
+        cluster, _ = cluster_a()
+        text = pt.plan_to_json(pt.build_plan(SequenceBatch(((0, 40000), (1, 512), (2, 3000))), cluster))
+        short = json.loads(text)
+        short["placement"][0].pop()
+        with pytest.raises(ValueError, match="placement rows must be lists of 5 integers"):
+            pt.plan_from_json(json.dumps(short))
+        # a repeated id is rejected, not folded into one entry
+        repeated = json.loads(text)
+        repeated["sequence_lengths"].append([1, 512])
+        with pytest.raises(ValueError, match="sequence_lengths repeat a sequence id"):
+            pt.plan_from_json(json.dumps(repeated))
+        for pairs in ([[0, 40000, 1]], [{"0": 40000}]):
+            edited = json.loads(text)
+            edited["sequence_lengths"] = pairs
+            with pytest.raises(ValueError, match=r"sequence_lengths must be \[id, length\] pairs"):
+                pt.plan_from_json(json.dumps(edited))
 
     def test_plan_from_json_reads_fragments_in_any_order(self):
-        # a file may list a rank's fragments out of execution order, with its
-        # ring ranges in that order; the loaded table is sorted all the same
+        # a file may list its placement rows out of execution order; the
+        # loaded table is sorted all the same
         cluster, _ = cluster_a()
         plan = pt.build_plan(SequenceBatch(((0, 40000), (1, 512), (2, 3000))), cluster)
         payload = json.loads(pt.plan_to_json(plan))
-        for entries in payload["ranks"]:
-            entries.reverse()
-        for ring in payload["rings"]:
-            for seq in ring["sequences"]:
-                for pos in seq["ranges"]:
-                    pos.reverse()
-        assert any(len(pos) > 1 for ring in payload["rings"] for seq in ring["sequences"] for pos in seq["ranges"])
+        payload["placement"].reverse()
+        payload["sequence_lengths"].reverse()
         loaded = pt.plan_from_json(json.dumps(payload))
         assert loaded.placement.tolist() == plan.placement.tolist()
         assert pt.plan_to_json(loaded) == pt.plan_to_json(plan)
@@ -298,13 +295,15 @@ class TestBuildPlan:
         cluster, _ = cluster_a()
         text = pt.plan_to_json(pt.build_plan(SequenceBatch(((0, 40000), (1, 512), (2, 3000))), cluster))
         edits = {
-            "sequence id": lambda p: p["ranks"][0][0].update(sequence_id=float(p["ranks"][0][0]["sequence_id"])),
-            "length": lambda p: p["sequence_lengths"].update({"1": 512.0}),
-            "start": lambda p: p["ranks"][0][0].update(start=0.5),
-            "end": lambda p: p["ranks"][0][0].update(end=p["ranks"][0][0]["end"] - 0.5),
-            "micro_batch": lambda p: p["ranks"][0][0].update(micro_batch=False),
+            "rank": lambda p: p["placement"][0].__setitem__(0, "0"),
+            "sequence id": lambda p: p["placement"][0].__setitem__(2, float(p["placement"][0][2])),
+            "length": lambda p: p["sequence_lengths"][1].__setitem__(1, 512.0),
+            "length's id": lambda p: p["sequence_lengths"][1].__setitem__(0, "1"),
+            "start": lambda p: p["placement"][0].__setitem__(3, 0.5),
+            "end": lambda p: p["placement"][0].__setitem__(4, p["placement"][0][4] - 0.5),
+            "micro_batch": lambda p: p["placement"][0].__setitem__(1, False),
             "ring member": lambda p: p["rings"][0]["members"].__setitem__(0, float(p["rings"][0]["members"][0])),
-            "ring sequence id": lambda p: p["rings"][0]["sequences"][0].update(sequence_id=True),
+            "ring sequence id": lambda p: p["rings"][0]["sequence_ids"].__setitem__(0, True),
             "s1": lambda p: p.update(s1="x"),
             "s1 as bool": lambda p: p.update(s1=True),
             "s0_per_node": lambda p: p.update(s0_per_node=["a", None]),
@@ -325,9 +324,26 @@ class TestBuildPlan:
                 pt.plan_from_json(json.dumps(edited))
         # the placement table holds int64
         edited = json.loads(text)
-        edited["ranks"][0][0]["end"] = 2**64
+        edited["placement"][0][4] = 2**64
         with pytest.raises(ValueError, match="plan file's integers must fit in 64 bits"):
             pt.plan_from_json(json.dumps(edited))
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_plan_from_json_raises_only_value_error_on_a_mutated_file(self, data):
+        # drop one key, or give one value another JSON type, anywhere in a
+        # plan file but inside meta, whose contents are free-form
+        payload = json.loads(_mutation_base())
+        paths = list(_json_paths(payload))
+        *where, key = data.draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, where, payload)
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[key]
+        else:
+            old = type(parent[key])
+            parent[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not old))
+        with pytest.raises(ValueError):
+            pt.plan_from_json(json.dumps(payload))
 
     @pytest.mark.parametrize("edit, error", [
         (lambda plan, ring: {"placement": [(r, int(s == 1), s, a, b) for r, _, s, a, b in plan.placement.tolist()]},
@@ -376,6 +392,29 @@ def small_clusters_and_batches(draw):
     return cluster, SequenceBatch(tuple(enumerate(b - a for a, b in zip(bounds, bounds[1:]))))
 
 
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
+    st.lists(st.integers(), max_size=3), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@functools.cache
+def _mutation_base() -> str:
+    """A zeppelin plan file with an inter-node ring, local rows and meta."""
+    cluster, _ = cluster_a(num_nodes=2)
+    return pt.plan_to_json(pt.build_plan(SequenceBatch(((0, 70000), (1, 512), (2, 3000), (3, 9))), cluster))
+
+
+def _json_paths(value, path=()):
+    """The key path of every value inside a JSON document, meta's contents
+    excluded."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield (*path, key)
+        if path or key != "meta":
+            yield from _json_paths(child, (*path, key))
+
+
 def pinned_plan_cases():
     """cluster_a at 1-8 nodes with 32k tokens per node, then 500 seeded random
     small clusters with batches up to their capacity (half of them within
@@ -404,11 +443,11 @@ def plans_digest(plans) -> str:
 
 
 class TestPinnedPlans:
-    # sha256 over plan files; a change that means to move a plan updates the
-    # digest and says so
-    DIGEST = "b473d05467e2efb89b39a242d42b94eb60722b00ea739eb2b7add70cafb3f619"
-    BASELINES_DIGEST = "58f0fa0c950a7f8c22dd9d530dc51e38d6f678961639b2dd06fecf9427dc1c33"
-    FALLBACK_DIGEST = "4fcc16e173719d1b6b0390ac2f3f0009f8c4b21f3dece0b6be9b3bbf7a667a87"
+    # sha256 over format-2 plan files; a change that means to move a plan, or
+    # to change the file format, updates the digest and says so
+    DIGEST = "be60c1f441d378891689ef4a54ee7dd2954ed4dd8313b13d3ae2b002f60839a9"
+    BASELINES_DIGEST = "1f7f15b58b38c3ea573ebe4a62b81405093960989e723e446e21b55d235e762b"
+    FALLBACK_DIGEST = "0e1d835229ec7513cbe5a59f78eee1a11076acbbe09a4d03b97d3676af19669b"
 
     def test_greedy_plans_are_byte_identical(self):
         plans = (pt.build_plan(batch, cluster) for batch, cluster in pinned_plan_cases())

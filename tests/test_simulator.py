@@ -379,7 +379,12 @@ def test_simulate_matches_scalar_reference(case):
             continue
         assert_matches_reference(plan, cluster, coeffs)
         text = plan_to_json(plan)
-        assert plan_to_json(plan_from_json(text)) == text
+        loaded = plan_from_json(text)
+        assert plan_to_json(loaded) == text
+        assert np.array_equal(loaded.placement, plan.placement)
+        assert loaded.ring_groups == plan.ring_groups
+        assert (loaded.s1, loaded.s0_per_node, loaded.sequence_lengths, loaded.meta) \
+            == (plan.s1, plan.s0_per_node, plan.sequence_lengths, plan.meta)
 
 
 @settings(max_examples=100)
