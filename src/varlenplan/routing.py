@@ -36,18 +36,37 @@ class RouteStep:
 
 @dataclass(frozen=True, eq=False)
 class RoutePlan:
-    """One cross-node ring send over proxy ranks: its dispatch, transfer and
-    combine steps and the time billed for each (link coefficient x tokens)."""
+    """One cross-node ring send over proxy ranks: the endpoint-first send and
+    receive proxies, the integer share send proxy i hands receive proxy i,
+    and the time billed for each dispatch, transfer and combine (link
+    coefficient x share). The steps are a view built when read."""
 
     source_rank: int
     dest_rank: int
     tokens: int
-    dispatches: tuple[RouteStep, ...]
-    transfers: tuple[RouteStep, ...]
-    combines: tuple[RouteStep, ...]
+    send_proxies: tuple[int, ...]
+    recv_proxies: tuple[int, ...]
+    shares: tuple[int, ...]
     dispatch_times: tuple[float, ...]
     transfer_times: tuple[float, ...]
     combine_times: tuple[float, ...]
+
+    @property
+    def dispatches(self) -> tuple[RouteStep, ...]:
+        """The source scatters every other send proxy its share."""
+        return tuple(RouteStep(DISPATCH, self.source_rank, proxy, n)
+                     for proxy, n in zip(self.send_proxies[1:], self.shares[1:]))
+
+    @property
+    def transfers(self) -> tuple[RouteStep, ...]:
+        return tuple(RouteStep(INTER_TRANSFER, s, r, n)
+                     for s, r, n in zip(self.send_proxies, self.recv_proxies, self.shares))
+
+    @property
+    def combines(self) -> tuple[RouteStep, ...]:
+        """Every other receive proxy gathers its share at the destination."""
+        return tuple(RouteStep(COMBINE, proxy, self.dest_rank, n)
+                     for proxy, n in zip(self.recv_proxies[1:], self.shares[1:]))
 
     @property
     def steps(self) -> tuple[RouteStep, ...]:
@@ -82,14 +101,13 @@ def select_proxies(
     dst_node = cluster.node_of(dest_rank)
     if src_node == dst_node:
         raise ValueError("proxy selection applies to cross-node transfers only")
-    return _proxy_order(cluster, ring, src_node, source_rank), _proxy_order(cluster, ring, dst_node, dest_rank)
+    members = set(ring.members)
+    return _proxy_order(cluster, members, src_node, source_rank), _proxy_order(cluster, members, dst_node, dest_rank)
 
 
-def _proxy_order(cluster: ClusterSpec, ring: RingGroup, node: int, endpoint: int) -> tuple[int, ...]:
-    ranks = list(cluster.ranks_of_node(node))
-    members = [r for r in ranks if r in ring.members]
-    others = [r for r in ranks if r not in ring.members]
-    ordered = members + others
+def _proxy_order(cluster: ClusterSpec, members: set[int], node: int, endpoint: int) -> tuple[int, ...]:
+    ranks = cluster.ranks_of_node(node)
+    ordered = [r for r in ranks if r in members] + [r for r in ranks if r not in members]
     ordered.remove(endpoint)
     return (endpoint, *ordered)
 
@@ -101,25 +119,25 @@ def build_route(
     dest_rank: int,
     tokens: int,
 ) -> RoutePlan:
-    """Expand one cross-node send into dispatch/transfer/combine steps.
+    """Route one cross-node send over dispatch/transfer/combine steps.
 
     Tokens split evenly in integers over the x = gpus_per_node proxies, the
     endpoints keeping their own shares. Each step takes its share's time on
     its link, within one token per leg of `routed_time(n, x, x)`.
     """
-    send_proxies, recv_proxies = select_proxies(cluster, ring, source_rank, dest_rank)
+    return _route(cluster, *select_proxies(cluster, ring, source_rank, dest_rank), tokens)
+
+
+def _route(cluster: ClusterSpec, send_proxies: tuple[int, ...], recv_proxies: tuple[int, ...],
+           tokens: int) -> RoutePlan:
     # as many send as receive proxies: send proxy i hands its share to receive proxy i
-    shares = split_even(tokens, len(send_proxies))
-    dispatches = tuple(RouteStep(DISPATCH, source_rank, proxy, n) for proxy, n in zip(send_proxies[1:], shares[1:]))
-    transfers = tuple(RouteStep(INTER_TRANSFER, s, r, n) for s, r, n in zip(send_proxies, recv_proxies, shares))
-    combines = tuple(RouteStep(COMBINE, proxy, dest_rank, n) for proxy, n in zip(recv_proxies[1:], shares[1:]))
+    shares = tuple(split_even(tokens, len(send_proxies)))
     bi = cluster.inv_bw_intra
-    be = cluster.inv_bw_inter
+    # the gather moves the dispatched shares back, so it bills the same times
+    gathered = tuple(bi * n for n in shares[1:])
     return RoutePlan(
-        source_rank, dest_rank, tokens, dispatches, transfers, combines,
-        tuple(bi * s.tokens for s in dispatches),
-        tuple(be * s.tokens for s in transfers),
-        tuple(bi * s.tokens for s in combines),
+        send_proxies[0], recv_proxies[0], tokens, send_proxies, recv_proxies, shares,
+        gathered, tuple(cluster.inv_bw_inter * n for n in shares), gathered,
     )
 
 
@@ -131,9 +149,9 @@ def route_schedule(
     """Build a RoutePlan for every cross-node send of every inter-node ring
     round, keyed by (ring index within schedule.rings(), round, source rank).
 
-    A ring sends each position's KV set once per hop, so its sends repeat a
-    few (source, destination, tokens) keys; each key is built once per ring
-    and the same RoutePlan serves every round that sends it.
+    A ring sends each position's KV set once per hop, so each crossing hop
+    picks its proxies once, and each of its distinct token counts is routed
+    once and the same RoutePlan serves every round that sends it.
 
     Schedules without inter-node rings come back unchanged (empty mapping).
     """
@@ -143,16 +161,21 @@ def route_schedule(
         if ring.kind != INTER_NODE:
             continue
         g = ring.group_size
-        hops = [(pos, ring.members[pos], ring.members[(pos + 1) % g]) for pos in range(g)]
-        crossing = [(pos, src, dst) for pos, src, dst in hops if cluster.node_of(src) != cluster.node_of(dst)]
-        built: dict[tuple[int, int, int], RoutePlan] = {}
+        members = set(ring.members)
+        # each crossing hop's position, source, proxies and routes by token count
+        hops = []
+        for pos, src in enumerate(ring.members):
+            dst = ring.members[(pos + 1) % g]
+            src_node, dst_node = cluster.node_of(src), cluster.node_of(dst)
+            if src_node != dst_node:
+                proxies = _proxy_order(cluster, members, src_node, src), _proxy_order(cluster, members, dst_node, dst)
+                hops.append((pos, src, proxies, {}))
         for r in range(g):
-            for pos, src, dst in crossing:
+            for pos, src, proxies, built in hops:
                 tokens = ring_sched.kv_sizes[(pos - r) % g]
                 if tokens == 0:
                     continue
-                key = (src, dst, tokens)
-                if key not in built:
-                    built[key] = build_route(cluster, ring, src, dst, tokens)
-                routes[(ring_idx, r, src)] = built[key]
+                if tokens not in built:
+                    built[tokens] = _route(cluster, *proxies, tokens)
+                routes[(ring_idx, r, src)] = built[tokens]
     return routes

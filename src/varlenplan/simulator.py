@@ -288,8 +288,8 @@ def _run_ring(
 
 def _route_lanes(route: RoutePlan) -> tuple[int, ...]:
     """A route's lanes: the source's intra lane, the destination's intra
-    lane, then each transfer's send-proxy inter lane."""
-    return 3 * route.source_rank + 1, 3 * route.dest_rank + 1, *[3 * s.source_rank + 2 for s in route.transfers]
+    lane, then each send proxy's inter lane, one per transfer."""
+    return 3 * route.source_rank + 1, 3 * route.dest_rank + 1, *[3 * s + 2 for s in route.send_proxies]
 
 
 def _run_route(route: RoutePlan, lanes: tuple[int, ...], tails: list[float],
@@ -337,9 +337,10 @@ def _route_texts(route: RoutePlan) -> tuple[list[tuple[str, str]], ...]:
     def text(proxy: int, tokens: int) -> tuple[str, str]:
         return f'{{"dst":{dst},"proxy":{proxy},', f',"src":{src},"tokens":{tokens}}}'
 
-    return ([text(s.dest_rank, s.tokens) for s in route.dispatches],
-            [text(s.dest_rank, s.tokens) for s in route.transfers],
-            [text(s.source_rank, s.tokens) for s in route.combines])
+    shares = route.shares
+    return ([text(proxy, n) for proxy, n in zip(route.send_proxies[1:], shares[1:])],
+            [text(proxy, n) for proxy, n in zip(route.recv_proxies, shares)],
+            [text(proxy, n) for proxy, n in zip(route.recv_proxies[1:], shares[1:])])
 
 
 def _tally_sends(engine: _Engine, sends: list[tuple]) -> None:
@@ -351,9 +352,9 @@ def _tally_sends(engine: _Engine, sends: list[tuple]) -> None:
         transfers.setdefault(route.source_rank // p, []).extend(route.transfer_times)
     for route, n in Counter(route for _, route, *_ in sends).items():
         engine.inter_tokens[route.source_rank] += n * route.tokens
-        engine.intra_tokens[route.source_rank] += n * sum(s.tokens for s in route.dispatches)
-        for step in route.combines:
-            engine.intra_tokens[step.source_rank] += n * step.tokens
+        engine.intra_tokens[route.source_rank] += n * sum(route.shares[1:])
+        for proxy, share in zip(route.recv_proxies[1:], route.shares[1:]):
+            engine.intra_tokens[proxy] += n * share
     for node, durations in transfers.items():
         engine.bill_transfers(node, durations)
 

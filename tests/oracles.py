@@ -15,7 +15,6 @@ import numpy as np
 from varlenplan.attention_engine import INTER_NODE, build_schedule, causal_pairs
 from varlenplan.partitioner import PlacementPlan
 from varlenplan.remapping import cost_matrix, solve_remap, target_distribution
-from varlenplan.routing import build_route
 from varlenplan.simulator import COMPUTE, INTER_COMM, INTRA_COMM, Event, StepReport, Timeline
 from varlenplan.topology import ClusterSpec, CostCoefficients
 
@@ -272,35 +271,49 @@ class _ScalarEngine:
         self.nic_busy[node][nic] += duration
 
 
+RefRoute = namedtuple("RefRoute", "source_rank dest_rank tokens send recv shares")
+
+
+def reference_route(cluster: ClusterSpec, ring, src: int, dst: int, tokens: int) -> RefRoute:
+    """A cross-node ring send from the routing spec: each node's proxies are
+    its endpoint, then the node's other ring members ascending, then its
+    remaining ranks ascending; the tokens split evenly in integers with the
+    remainder on the first proxies, and send proxy i hands its share to
+    receive proxy i."""
+    p = cluster.gpus_per_node
+
+    def proxies(endpoint):
+        ranks = range(endpoint // p * p, endpoint // p * p + p)
+        return ([endpoint] + sorted(r for r in ranks if r in ring.members and r != endpoint)
+                + sorted(r for r in ranks if r not in ring.members))
+
+    shares = [tokens // p + (1 if i < tokens % p else 0) for i in range(p)]
+    return RefRoute(src, dst, tokens, proxies(src), proxies(dst), shares)
+
+
 def _reference_route(engine, cluster, route, t, ring_idx, r) -> float:
     meta = {"ring": ring_idx, "round": r, "src": route.source_rank, "dst": route.dest_rank}
     dispatch_end = t
-    for step in route.steps:
-        if step.kind != "dispatch":
-            continue
-        dur = cluster.inv_bw_intra * step.tokens
-        end = engine.emit(step.source_rank, INTRA_COMM, t, dur, "route.dispatch",
-                          {**meta, "proxy": step.dest_rank, "tokens": step.tokens})
-        engine.count(step.source_rank, "intra", step.tokens)
+    for proxy, n in zip(route.send[1:], route.shares[1:]):
+        dur = cluster.inv_bw_intra * n
+        end = engine.emit(route.source_rank, INTRA_COMM, t, dur, "route.dispatch",
+                          {**meta, "proxy": proxy, "tokens": n})
+        engine.count(route.source_rank, "intra", n)
         dispatch_end = max(dispatch_end, end)
     transfer_end = dispatch_end
-    for step in route.steps:
-        if step.kind != "inter_transfer":
-            continue
-        dur = cluster.inv_bw_inter * step.tokens
-        end = engine.emit(step.source_rank, INTER_COMM, dispatch_end, dur, "route.transfer",
-                          {**meta, "proxy": step.dest_rank, "tokens": step.tokens})
-        engine.charge_nic(cluster.node_of(step.source_rank), dur)
+    for sender, receiver, n in zip(route.send, route.recv, route.shares):
+        dur = cluster.inv_bw_inter * n
+        end = engine.emit(sender, INTER_COMM, dispatch_end, dur, "route.transfer",
+                          {**meta, "proxy": receiver, "tokens": n})
+        engine.charge_nic(cluster.node_of(sender), dur)
         transfer_end = max(transfer_end, end)
     engine.count(route.source_rank, "inter", route.tokens)
     combine_end = transfer_end
-    for step in route.steps:
-        if step.kind != "combine":
-            continue
-        dur = cluster.inv_bw_intra * step.tokens
+    for proxy, n in zip(route.recv[1:], route.shares[1:]):
+        dur = cluster.inv_bw_intra * n
         end = engine.emit(route.dest_rank, INTRA_COMM, transfer_end, dur, "route.combine",
-                          {**meta, "proxy": step.source_rank, "tokens": step.tokens})
-        engine.count(step.source_rank, "intra", step.tokens)
+                          {**meta, "proxy": proxy, "tokens": n})
+        engine.count(proxy, "intra", n)
         combine_end = max(combine_end, end)
     return combine_end
 
@@ -335,7 +348,7 @@ def _reference_rings(engine, plan, cluster, coeffs) -> list[float]:
                 dst = ring.members[(pos + 1) % g]
                 crossing = cluster.node_of(member) != cluster.node_of(dst)
                 if crossing and routed:
-                    routed_legs.append(build_route(cluster, ring, member, dst, n))
+                    routed_legs.append(reference_route(cluster, ring, member, dst, n))
                 elif crossing:
                     dur = cluster.inv_bw_inter * n
                     end = engine.emit(member, INTER_COMM, t, dur, "kv.send",
@@ -501,10 +514,11 @@ def _reference_comm_tokens(plan: PlacementPlan, cluster: ClusterSpec) -> tuple[l
                 for n in kv:
                     if n == 0:
                         continue
+                    route = reference_route(cluster, ring, src, dst, n)
                     inter[src] += n
-                    for step in build_route(cluster, ring, src, dst, n).steps:
-                        if step.kind != "inter_transfer":
-                            intra[step.source_rank] += step.tokens
+                    intra[src] += sum(route.shares[1:])
+                    for proxy, share in zip(route.recv[1:], route.shares[1:]):
+                        intra[proxy] += share
     return inter, intra
 
 

@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from oracles import reference_route
 from varlenplan import routing
-from varlenplan.attention_engine import INTER_NODE, RingGroup, build_schedule
+from varlenplan.attention_engine import INTER_NODE, AttentionSchedule, RingGroup, RingSchedule, build_schedule
 from varlenplan.partitioner import build_plan
 from varlenplan.topology import ClusterSpec, cluster_a, direct_transfer_time
 from varlenplan.workload import SequenceBatch
@@ -163,3 +165,72 @@ class TestRouteSchedule:
             if s.kind == routing.INTER_TRANSFER
         }
         assert local_rank in proxy_ranks
+
+
+@st.composite
+def inter_ring_schedules(draw):
+    """A small cluster and a schedule of one or two random inter-node rings
+    whose KV sizes repeat, include zeros and fall below the proxy count."""
+    p = draw(st.integers(1, 16))
+    bi = draw(st.floats(1e-9, 1.0))
+    cluster = make_cluster(bi=bi, be=bi * draw(st.floats(1.0, 50.0)), n=draw(st.integers(2, 4)), p=p)
+    rings = []
+    for _ in range(draw(st.integers(1, 2))):
+        members = draw(st.lists(st.integers(0, cluster.num_ranks - 1), min_size=2, max_size=12, unique=True))
+        assume(len({m // p for m in members}) >= 2)
+        sizes = st.one_of(st.integers(0, 2 * p), st.integers(0, 10**6))
+        kv = draw(st.lists(sizes, min_size=len(members), max_size=len(members)))
+        g = len(members)
+        rings.append(RingSchedule(RingGroup(INTER_NODE, tuple(members), (0,)), np.zeros((g, g), dtype=np.int64),
+                                  tuple(kv)))
+    return cluster, AttentionSchedule(tuple(rings), (), ())
+
+
+class TestRouteProperties:
+    @given(inter_ring_schedules())
+    def test_routes_follow_their_proxies_and_shares(self, case):
+        cluster, schedule = case
+        routes = routing.route_schedule(schedule, None, cluster)
+        p = cluster.gpus_per_node
+        expected = set()
+        for ring_idx, ring_sched in enumerate(schedule.rings()):
+            members = ring_sched.ring.members
+            g = len(members)
+            for pos, src in enumerate(members):
+                for r in range(g):
+                    if src // p != members[(pos + 1) % g] // p and ring_sched.kv_sizes[(pos - r) % g] > 0:
+                        expected.add((ring_idx, r, src))
+        assert set(routes) == expected
+        hop_proxies = {}
+        for (ring_idx, r, src), route in routes.items():
+            ring_sched = schedule.rings()[ring_idx]
+            members = ring_sched.ring.members
+            pos = members.index(src)
+            dst = members[(pos + 1) % len(members)]
+            assert (route.source_rank, route.dest_rank) == (src, dst)
+            assert route.tokens == ring_sched.kv_sizes[(pos - r) % len(members)]
+            send, recv, shares = route.send_proxies, route.recv_proxies, route.shares
+            # every GPU of each node proxies, its endpoint first
+            assert send[0] == src and sorted(send) == list(cluster.ranks_of_node(src // p))
+            assert recv[0] == dst and sorted(recv) == list(cluster.ranks_of_node(dst // p))
+            assert len(shares) == p
+            assert sum(shares) == route.tokens
+            assert max(shares) - min(shares) <= 1
+            assert all(a >= b for a, b in zip(shares, shares[1:]))
+            # the derived steps, kind by kind
+            assert [(s.kind, s.source_rank, s.dest_rank, s.tokens) for s in route.dispatches] == \
+                [(routing.DISPATCH, src, proxy, n) for proxy, n in zip(send[1:], shares[1:])]
+            assert [(s.kind, s.source_rank, s.dest_rank, s.tokens) for s in route.transfers] == \
+                [(routing.INTER_TRANSFER, a, b, n) for a, b, n in zip(send, recv, shares)]
+            assert [(s.kind, s.source_rank, s.dest_rank, s.tokens) for s in route.combines] == \
+                [(routing.COMBINE, proxy, dst, n) for proxy, n in zip(recv[1:], shares[1:])]
+            # each time is its link coefficient x its share
+            assert route.dispatch_times == tuple(cluster.inv_bw_intra * n for n in shares[1:])
+            assert route.transfer_times == tuple(cluster.inv_bw_inter * n for n in shares)
+            assert route.combine_times == tuple(cluster.inv_bw_intra * n for n in shares[1:])
+            hop_proxies.setdefault((ring_idx, src), set()).add((send, recv))
+            # the proxies' order and the shares as the routing spec gives them
+            reference = reference_route(cluster, ring_sched.ring, src, dst, route.tokens)
+            assert (list(send), list(recv), list(shares)) == (reference.send, reference.recv, reference.shares)
+        # one proxy choice per (ring, crossing hop)
+        assert all(len(choices) == 1 for choices in hop_proxies.values())

@@ -15,13 +15,14 @@ from varlenplan.attention_engine import (
     INTER_NODE,
     INTRA_NODE,
     RingGroup,
+    build_schedule,
     causal_pairs,
     ranges_from_sizes,
 )
 from varlenplan.baselines import STRATEGIES, plan_te_cp, plan_with
 from varlenplan.partitioner import InfeasibleBatch, PlacementPlan, build_plan, plan_from_json, plan_to_json
 from varlenplan.remapping import cost_matrix, solve_remap
-from varlenplan.routing import routed_time
+from varlenplan.routing import RouteStep, route_schedule, routed_time
 from varlenplan.topology import ClusterSpec, CostCoefficients, cluster_a, direct_transfer_time
 from varlenplan.workload import PRESET_NAMES, SequenceBatch, preset, sample_batch
 
@@ -528,3 +529,21 @@ def test_export_builds_no_events(built_events, tmp_path):
     assert all("events" not in timeline.__dict__ for timeline in timelines.values())
     routed = json.loads((tmp_path / "zeppelin.json").read_text())["traceEvents"]
     assert sum(r["name"] == "route.transfer" for r in routed) > 0
+
+
+def test_plan_path_builds_no_route_steps(monkeypatch):
+    built = []
+    init = RouteStep.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RouteStep, "__init__", counting_init)
+    cluster, coeffs = cluster_a(num_nodes=8)
+    plan = build_plan(sample_batch(preset("github"), 262144, seed=1), cluster)
+    routes = route_schedule(build_schedule(plan), plan, cluster)
+    simulator.simulate(plan, cluster, coeffs)
+    assert routes and built == []
+    # the steps are a view, built when read: 7 dispatches, 8 transfers, 7 combines
+    assert len(next(iter(routes.values())).steps) == len(built) == 22
