@@ -10,9 +10,12 @@ traffic, but the three steps of one payload stay causally ordered.
 
 Ring round ends are evaluated in closed form over (position, round) arrays,
 routed sends by per-route chains, and events are kept in compact records.
-One expansion turns them into trace-ordered columns: `export_trace` writes
-its lines from them and `Timeline.events` reads them back as Event objects,
-so neither a comparison nor a trace builds any.
+One expansion turns them into blocks of columns, one block per run of one
+kind, payload fields kept as integers. One sort orders them: `export_trace`
+formats each line once from its kind's template and writes the lines in
+that order, and `Timeline.events` builds Event objects from the same
+columns, so neither a comparison nor a trace builds any Event, and no
+payload is printed before the sort or parsed back.
 
 After the attention phase the remapping, linear-module, and inverse-remapping
 phases run barrier-synchronized; backward is modeled as a scalar multiplier
@@ -21,10 +24,11 @@ on the whole forward step, so the exported timeline covers forward only.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -62,20 +66,17 @@ class Timeline:
     """One simulated forward step's events; its times are in the step's
     `StepReport`. `records` holds the events in compact form, in emission
     order: an Event's fields as a tuple, or a ring's `_RingRecord`.
-    `events`, built on first read, is the exported trace read back: in trace
-    order (start, rank, stream, kind, duration, emission order on full
-    ties), each payload with its keys sorted."""
+    `events`, built on first read from the columns `export_trace` prints,
+    holds what the trace holds: events in trace order (start, rank, stream,
+    kind, duration, emission order on full ties), each payload with its
+    keys sorted and its values as emitted."""
 
     gpus_per_node: int
     records: list = field(default_factory=list, repr=False)
 
     @cached_property
     def events(self) -> list[Event]:
-        start, duration, lane, kind, args = _TraceColumns(self.records).in_trace_order()
-        # each args text is json's text of its payload, floats by repr
-        payloads = json.loads("[" + ",".join(args) + "]")
-        streams = np.array(_STREAMS, dtype=object)[lane % 3].tolist()
-        return list(map(Event, (lane // 3).tolist(), streams, start.tolist(), duration.tolist(), kind, payloads))
+        return _TraceColumns(self.records).events()
 
 
 @dataclass
@@ -329,20 +330,6 @@ def _run_route(route: RoutePlan, lanes: tuple[int, ...], tails: list[float],
     return dispatch_start, transfer_starts, combine_start, end
 
 
-def _route_texts(route: RoutePlan) -> tuple[list[tuple[str, str]], ...]:
-    """Each step's trace args as the text before and after its ring and
-    round: the dispatches', the transfers' and the gathers'."""
-    src, dst = route.source_rank, route.dest_rank
-
-    def text(proxy: int, tokens: int) -> tuple[str, str]:
-        return f'{{"dst":{dst},"proxy":{proxy},', f',"src":{src},"tokens":{tokens}}}'
-
-    shares = route.shares
-    return ([text(proxy, n) for proxy, n in zip(route.send_proxies[1:], shares[1:])],
-            [text(proxy, n) for proxy, n in zip(route.recv_proxies, shares)],
-            [text(proxy, n) for proxy, n in zip(route.recv_proxies[1:], shares[1:])])
-
-
 def _tally_sends(engine: _Engine, sends: list[tuple]) -> None:
     """A ring's routed token counts, per route, and the NIC busy time of its
     transfers in event order."""
@@ -516,124 +503,209 @@ def _texts(values: np.ndarray, text) -> list[str]:
     return np.array([text(v) for v in distinct.tolist()], dtype=object)[index].tolist()
 
 
+@dataclass(eq=False)
+class _Block:
+    """A run of events of one kind in emission order: start, duration and
+    lane columns, the payload as `fields`, each key (in sorted order)
+    mapped to a column (an int64 array, or a list of the records' own
+    values) or to the one value all the run's events share, and the
+    `template` that prints the run's lines from them."""
+
+    kind: str
+    start: np.ndarray
+    duration: np.ndarray
+    lane: np.ndarray
+    fields: dict
+    template: Callable
+
+    def payloads(self) -> list[dict]:
+        keys = list(self.fields)
+        columns = [v.tolist() if isinstance(v, np.ndarray) else v if isinstance(v, list) else repeat(v)
+                   for v in self.fields.values()]
+        return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+# Each template takes the text between "dur" and "pid" (the kind's name),
+# the payload fields and each event's dur, pid/tid and ts texts; it bakes
+# in the fields all the run's events share, and numbers print as json
+# prints them.
+
+def _attn_lines(name: str, fields: dict, dur: list[str], pid_tid: list[str], ts: list[str]) -> list[str]:
+    ring = f',"ring":{fields["ring"]},"round":'
+    return [f'{{"args":{{"pairs":{p}{ring}{r}}},"dur":{d}{name}{pt},"ts":{t}}}'
+            for p, r, d, pt, t in zip(fields["pairs"].tolist(), fields["round"].tolist(), dur, pid_tid, ts)]
+
+
+def _send_lines(name: str, fields: dict, dur: list[str], pid_tid: list[str], ts: list[str]) -> list[str]:
+    ring = f',"ring":{fields["ring"]},"round":'
+    dst, rounds, tokens = fields["dst"].tolist(), fields["round"].tolist(), fields["tokens"].tolist()
+    return [f'{{"args":{{"dst":{a}{ring}{r},"tokens":{n}}},"dur":{d}{name}{pt},"ts":{t}}}'
+            for a, r, n, d, pt, t in zip(dst, rounds, tokens, dur, pid_tid, ts)]
+
+
+def _step_lines(name: str, fields: dict, dur: list[str], pid_tid: list[str], ts: list[str]) -> list[str]:
+    ring = f',"ring":{fields["ring"]},"round":'
+    columns = [fields[k].tolist() for k in ("dst", "proxy", "round", "src", "tokens")]
+    return [f'{{"args":{{"dst":{a},"proxy":{x}{ring}{r},"src":{s},"tokens":{n}}},"dur":{d}{name}{pt},"ts":{t}}}'
+            for a, x, r, s, n, d, pt, t in zip(*columns, dur, pid_tid, ts)]
+
+
+def _run_lines(name: str, fields: dict, dur: list[str], pid_tid: list[str], ts: list[str]) -> list[str]:
+    """A run of tuple records, every field a column: %s prints an int as
+    json does, and a float by its repr, as json does too."""
+    args = ",".join(f'"{k}":%s' for k in fields)
+    template = '{"args":{' + args + '},"dur":%s' + name + '%s,"ts":%s}'
+    return [template % row for row in zip(*fields.values(), dur, pid_tid, ts)]
+
+
 class _TraceColumns:
-    """A timeline's events as columns in emission order: start, lane
-    (3 * rank + stream order), kind, duration and the args as the text
-    `json.dumps(payload, sort_keys=True)` gives. The one expansion of the
-    records: `lines` writes the trace from them, `Timeline.events` reads
-    them back."""
+    """A timeline's events as `_Block`s of columns in emission order. A ring
+    record gives a block of computes (pairs, round), one of direct sends
+    (dst, round, tokens) and three of routed steps (dst, proxy, src and
+    tokens from each distinct route's proxies and shares); a run of tuple
+    records of one kind gives a block of the records' own values. Payload
+    integers stay int64 or Python int, never float. The one expansion of
+    the records: `lines` prints the trace from them and `events` reads them
+    back, both in the order of one stable sort."""
 
     def __init__(self, records: list) -> None:
-        self.start: list[float] = []
-        self.lane: list[int] = []
-        self.kind: list[str] = []
-        self.duration: list[float] = []
-        self.args: list[str] = []
-        for record in records:
-            if isinstance(record, tuple):
-                self.add(*record)
+        self.blocks: list[_Block] = []
+        for key, run in groupby(records, _run_key):
+            if key is None:
+                for record in run:
+                    self.add_ring(record)
             else:
-                self.add_ring(record)
+                self.add_run(list(run))
 
-    def add(self, rank: int, stream: str, start: float, duration: float, kind: str, payload: dict) -> None:
-        self.start.append(start)
-        self.lane.append(3 * rank + _STREAM_ORDER[stream])
-        self.kind.append(kind)
-        self.duration.append(duration)
-        self.args.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    def _add(self, kind: str, start, duration, lane, fields: dict, template: Callable) -> None:
+        if len(start):
+            self.blocks.append(_Block(kind, np.asarray(start, dtype=float), np.asarray(duration, dtype=float),
+                                      np.asarray(lane, dtype=np.int64), fields, template))
+
+    def add_run(self, run: list[tuple]) -> None:
+        """Tuple records of one kind and one payload key set."""
+        rank, stream, start, duration, kinds, payloads = zip(*run)
+        lane = [3 * r + _STREAM_ORDER[s] for r, s in zip(rank, stream)]
+        self._add(kinds[0], start, duration, lane, {k: [p[k] for p in payloads] for k in sorted(payloads[0])},
+                  _run_lines)
 
     def add_ring(self, rec: _RingRecord) -> None:
         """A ring's computes, direct sends and routed steps. Each block
         keeps emission order within its kinds, which is all the stable
         sort needs: events of different kinds never tie."""
-        members = np.array(rec.ring.members)
+        members = np.array(rec.ring.members, dtype=np.int64)
         send_lane = 3 * members + np.where(rec.crossing, _STREAM_ORDER[INTER_COMM], _STREAM_ORDER[INTRA_COMM])
-        ring = f'"ring":{rec.ring_idx},"round":'
         # the transposed masks enumerate (round, position) in emission order
         r, i = np.nonzero(rec.pairs.T > 0)
-        self._extend(rec.compute_start[i, r], 3 * members[i], f"{rec.ring.kind}.attn", rec.compute[i, r],
-                     [f'{{"pairs":{p},{ring}{rr}}}' for p, rr in zip(rec.pairs[i, r].tolist(), r.tolist())])
+        self._add(f"{rec.ring.kind}.attn", rec.compute_start[i, r], rec.compute[i, r], 3 * members[i],
+                  {"pairs": rec.pairs[i, r], "ring": rec.ring_idx, "round": r}, _attn_lines)
         r, i = np.nonzero(rec.direct.T)
-        dst = np.roll(members, -1)[i]
-        self._extend(rec.send_start[i, r], send_lane[i], "kv.send", rec.send[i, r],
-                     [f'{{"dst":{d},{ring}{rr},"tokens":{n}}}'
-                      for d, rr, n in zip(dst.tolist(), r.tolist(), rec.tokens[i, r].tolist())])
+        self._add("kv.send", rec.send_start[i, r], rec.send[i, r], send_lane[i],
+                  {"dst": members[(i + 1) % len(members)], "ring": rec.ring_idx, "round": r,
+                   "tokens": rec.tokens[i, r]}, _send_lines)
         if rec.sends:
             self._add_sends(rec)
 
     def _add_sends(self, rec: _RingRecord) -> None:
-        """A ring's routed steps, kind by kind in emission order. A chain's
-        starts are the sequential sums of its durations from its start, as
-        a cumulative sum along each row gives them."""
+        """A ring's routed steps, kind by kind in emission order, their
+        fields gathered from each distinct route's proxies and shares. A
+        chain's starts are the sequential sums of its durations from its
+        start, as a cumulative sum along each row gives them."""
         rounds, routes, dispatch_start, transfer_starts, combine_start = zip(*rec.sends)
-        texts = {route: _route_texts(route) for route in dict.fromkeys(routes)}
-        middle = [f'"ring":{rec.ring_idx},"round":{r}' for r in rounds]
-        route_lanes = {route: _route_lanes(route) for route in texts}
-        lanes = np.array([route_lanes[route] for route in routes], dtype=np.int64)
+        distinct = {route: u for u, route in enumerate(dict.fromkeys(routes))}
+        u = np.array([distinct[route] for route in routes], dtype=np.int64)
+        rounds = np.array(rounds, dtype=np.int64)
 
-        def args(kind: int) -> list[str]:
-            return [head + m + tail for route, m in zip(routes, middle) for head, tail in texts[route][kind]]
+        def table(name: str, dtype=np.int64) -> np.ndarray:
+            """Each send's route's field, a row of it per send."""
+            return np.array([getattr(route, name) for route in distinct], dtype=dtype)[u]
+
+        src, dst, shares = table("source_rank"), table("dest_rank"), table("shares")
+        lanes = np.array([_route_lanes(route) for route in distinct], dtype=np.int64)[u]
+
+        def add(kind: str, start: np.ndarray, duration: np.ndarray, lane: np.ndarray, proxy: np.ndarray,
+                tokens: np.ndarray) -> None:
+            k = proxy.shape[1]
+            self._add(kind, start.ravel(), duration.ravel(), lane.ravel(),
+                      {"dst": np.repeat(dst, k), "proxy": proxy.ravel(), "ring": rec.ring_idx,
+                       "round": np.repeat(rounds, k), "src": np.repeat(src, k),
+                       "tokens": tokens.ravel()}, _step_lines)
 
         def chain(starts: tuple, durations: np.ndarray) -> np.ndarray:
             return np.cumsum(np.column_stack((starts, durations)), axis=1)[:, :-1]
 
-        duration = np.array([route.dispatch_times for route in routes], dtype=float)
-        self._extend(chain(dispatch_start, duration).ravel(), np.repeat(lanes[:, 0], duration.shape[1]),
-                     "route.dispatch", duration.ravel(), args(0))
-        duration = np.array([route.transfer_times for route in routes], dtype=float)
-        self._extend(np.array(transfer_starts, dtype=float).ravel(), lanes[:, 2:].ravel(),
-                     "route.transfer", duration.ravel(), args(1))
-        duration = np.array([route.combine_times for route in routes], dtype=float)
-        self._extend(chain(combine_start, duration).ravel(), np.repeat(lanes[:, 1], duration.shape[1]),
-                     "route.combine", duration.ravel(), args(2))
+        duration = table("dispatch_times", float)
+        add("route.dispatch", chain(dispatch_start, duration), duration, np.repeat(lanes[:, 0], duration.shape[1]),
+            table("send_proxies")[:, 1:], shares[:, 1:])
+        recv_proxies = table("recv_proxies")
+        add("route.transfer", np.array(transfer_starts, dtype=float), table("transfer_times", float), lanes[:, 2:],
+            recv_proxies, shares)
+        duration = table("combine_times", float)
+        add("route.combine", chain(combine_start, duration), duration, np.repeat(lanes[:, 1], duration.shape[1]),
+            recv_proxies[:, 1:], shares[:, 1:])
 
-    def _extend(self, start: np.ndarray, lane: np.ndarray, kind: str, duration: np.ndarray,
-                args: list[str]) -> None:
-        self.start += start.tolist()
-        self.lane += lane.tolist()
-        self.kind += [kind] * len(args)
-        self.duration += duration.tolist()
-        self.args += args
-
-    def in_trace_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], list[str]]:
-        """Start, duration and lane arrays and the kind and args lists,
-        sorted by (start, rank, stream order, kind, duration); the stable
-        sort keeps emission order on full ties."""
-        start = np.array(self.start, dtype=float)
-        duration = np.array(self.duration, dtype=float)
-        lane = np.array(self.lane, dtype=np.int64)
-        names = sorted(set(self.kind))
-        code = {name: c for c, name in enumerate(names)}
-        kind = np.array([code[k] for k in self.kind], dtype=np.int64)
+    def in_trace_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The start, duration and lane columns of all blocks, and the
+        permutation that sorts them by (start, rank, stream order, kind,
+        duration); the stable sort keeps emission order on full ties."""
+        kinds = sorted({block.kind for block in self.blocks})
+        code = np.repeat([kinds.index(block.kind) for block in self.blocks],
+                         [len(block.start) for block in self.blocks])
+        start = np.concatenate([block.start for block in self.blocks])
+        duration = np.concatenate([block.duration for block in self.blocks])
+        lane = np.concatenate([block.lane for block in self.blocks])
         # (rank, stream order) sorts as the lane does
-        order = np.lexsort((duration, kind, lane, start))
-        return (start[order], duration[order], lane[order], np.array(names, dtype=object)[kind[order]].tolist(),
-                np.array(self.args, dtype=object)[order].tolist())
+        return start, duration, lane, np.lexsort((duration, code, lane, start))
 
     def lines(self, gpus_per_node: int) -> list[str]:
         """One 'X' record per event in trace order, keys in sorted order and
-        numbers as json writes them."""
-        start, duration, lane, kind, args = self.in_trace_order()
+        numbers as json writes them. Each block's lines come from its
+        template, then the sort's permutation puts them in trace order."""
+        if not self.blocks:
+            return []
+        start, duration, lane, order = self.in_trace_order()
+        ts, dur = _texts(start * 1e6, repr), _texts(duration * 1e6, repr)
+        lane_text = [f'"pid":{n // 3 // gpus_per_node},"tid":"{n // 3}.{_STREAMS[n % 3]}"'
+                     for n in range(int(lane.max()) + 1)]
+        pt = np.array(lane_text, dtype=object)[lane].tolist()
+        lines: list[str] = []
+        at = 0
+        for block in self.blocks:
+            n = at + len(block.start)
+            lines += block.template(f',"name":"{block.kind}","ph":"X",', block.fields, dur[at:n], pt[at:n], ts[at:n])
+            at = n
+        return np.array(lines, dtype=object)[order].tolist()
 
-        def lane_text(n: int) -> str:
-            return f'"pid":{n // 3 // gpus_per_node},"tid":"{n // 3}.{_STREAMS[n % 3]}"'
+    def events(self) -> list[Event]:
+        if not self.blocks:
+            return []
+        start, duration, lane, order = self.in_trace_order()
+        kinds = [block.kind for block in self.blocks for _ in range(len(block.start))]
+        payloads = [payload for block in self.blocks for payload in block.payloads()]
+        streams = np.array(_STREAMS, dtype=object)[lane % 3]
+        return list(map(Event, (lane[order] // 3).tolist(), streams[order].tolist(), start[order].tolist(),
+                        duration[order].tolist(), np.array(kinds, dtype=object)[order].tolist(),
+                        np.array(payloads, dtype=object)[order].tolist()))
 
-        return [
-            f'{{"args":{a},"dur":{d},"name":"{k}","ph":"X",{pt},"ts":{t}}}'
-            for a, d, k, pt, t in zip(args, _texts(duration * 1e6, repr), kind, _texts(lane, lane_text),
-                                      _texts(start * 1e6, repr))
-        ]
+
+def _run_key(record) -> tuple | None:
+    """Tuple records group into runs by kind and payload keys; a ring
+    record stands alone."""
+    return (record[4], *record[5]) if isinstance(record, tuple) else None
 
 
 def export_trace(timeline: Timeline, path: str) -> None:
     """Write the timeline as Chrome Trace Event JSON: complete ('X') events
     with microsecond timestamps, process id = node, thread id = rank.stream.
-    The lines are written straight from the compact records, with no Event
-    built, in the bytes `json.dumps(..., sort_keys=True)` gives."""
-    columns = _TraceColumns(timeline.records)
+    Each line is formatted once, after the sort, from the compact records'
+    columns, with no Event built, in the bytes `json.dumps(...,
+    sort_keys=True)` gives."""
+    # the columns and the lines are freed once joined, before the write
+    text = ",".join(_TraceColumns(timeline.records).lines(timeline.gpus_per_node))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"displayTimeUnit":"ms","traceEvents":[' + ",".join(columns.lines(timeline.gpus_per_node))
-                 + "]}\n")
+        fh.write('{"displayTimeUnit":"ms","traceEvents":[')
+        fh.write(text)
+        fh.write("]}\n")
 
 
 CSV_HEADER = (

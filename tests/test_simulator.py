@@ -209,6 +209,56 @@ class TestTraceExport:
         assert all("." in r["tid"] for r in payload["traceEvents"])
 
 
+class TestTraceLines:
+    """Edge cases of the line templates against the reference exporter; the
+    events read back must be the reference's in trace order, value types
+    included."""
+
+    def check(self, timeline, events, tmp_path):
+        path = tmp_path / "trace.json"
+        simulator.export_trace(timeline, str(path))
+        assert_same_trace(path.read_text(encoding="utf-8"), reference_trace(events, timeline.gpus_per_node))
+        expected = sorted_events(events)
+        assert timeline.events == expected
+        assert [[(k, type(v)) for k, v in e.payload.items()] for e in timeline.events] \
+            == [[(k, type(v)) for k, v in sorted(e.payload.items())] for e in expected]
+
+    def test_no_events(self, tmp_path):
+        self.check(simulator.Timeline(gpus_per_node=8), [], tmp_path)
+
+    def test_non_integral_float_pairs(self, tmp_path):
+        cluster = ClusterSpec(num_nodes=1, gpus_per_node=3, token_capacity=100,
+                              inv_bw_intra=1e-6, inv_bw_inter=1e-5)
+        coeffs = CostCoefficients(attn_quadratic=1e-9, linear_per_token=1e-7)
+        plan = plan_with("llama_cp", SequenceBatch(((0, 10),)), cluster)
+        timeline, _ = simulator.simulate(plan, cluster, coeffs)
+        events, _ = reference_timeline(plan, cluster, coeffs)
+        assert {e.payload["pairs"] for e in events if e.kind == "attn.parallel"} == {causal_pairs(10) / 3}
+        self.check(timeline, events, tmp_path)
+
+    def test_integers_beyond_float_precision(self, tmp_path):
+        # a float64 column would print 2**53 + 1 as 9007199254740992.0,
+        # an int64 one would overflow on 2**64 + 1
+        records = [
+            (0, "compute", 0.0, 1e-3, "local.attn", {"seq": 2**53 + 1, "pairs": 2**64 + 1}),
+            (1, "compute", 0.0, 1e-3, "local.attn", {"seq": 3, "pairs": 2**53 + 3}),
+            (1, "intra-comm", 1e-3, 2e-3, "remap.forward", {"tokens": 2**53 + 1}),
+        ]
+        self.check(simulator.Timeline(gpus_per_node=2, records=records),
+                   [simulator.Event(*record) for record in records], tmp_path)
+
+    def test_times_printed_with_an_exponent(self, tmp_path):
+        # ts and dur are in microseconds: 1e-13 s prints as 1e-07, 1e11 s as 1e+17
+        records = [
+            (0, "compute", 1e-13, 1e-13, "linear", {"tokens": 1}),
+            (0, "compute", 2e-13, 1e11, "linear", {"tokens": 2}),
+            (3, "inter-comm", 0.0, 3e-14, "kv.allgather", {"tokens": 5}),
+        ]
+        assert all("e" in repr(seconds * 1e6) for seconds in (1e-13, 1e11, 3e-14))
+        self.check(simulator.Timeline(gpus_per_node=2, records=records),
+                   [simulator.Event(*record) for record in records], tmp_path)
+
+
 class TestCompare:
     def test_four_strategy_rows(self):
         cluster, coeffs = cluster_a()
@@ -347,7 +397,24 @@ def assert_trace_matches_reference(plan, cluster, coeffs):
         path = Path(tmp) / "trace.json"
         simulator.export_trace(timeline, str(path))
         assert "events" not in timeline.__dict__
-        assert path.read_text(encoding="utf-8") == reference_trace(events, cluster.gpus_per_node)
+        text = path.read_text(encoding="utf-8")
+    assert_same_trace(text, reference_trace(events, cluster.gpus_per_node))
+
+
+def assert_same_trace(text, expected):
+    """Byte-for-byte equality of two trace texts. A mismatch reports the
+    first differing record and both record counts, not a diff of the whole
+    texts, which pytest would rebuild at every shrink step of a property
+    test."""
+    same = text == expected
+    if not same:
+        # split at each record's opening but the first's; the head stays on the first piece
+        got, want = text.split(',{"args":'), expected.split(',{"args":')
+        at = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        counts = [t.count('{"args":') for t in (text, expected)]
+        assert same, (f"trace differs at record {at} ({counts[0]} records, reference {counts[1]}):\n"
+                      f"  got:       {got[at] if at < len(got) else '<none>'}\n"
+                      f"  reference: {want[at] if at < len(want) else '<none>'}")
 
 
 @st.composite
