@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage, config-value or invalid-plan error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,9 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(prog="varlenplan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

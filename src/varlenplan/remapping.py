@@ -14,6 +14,12 @@ price. The continuous optimum is max(max_i c*u_i, max_n L_n), where the
 water level L_n solves sum_i clamp((L - c*u_i)/(e-c), 0, u_i) = E_n over the
 node's senders (the parametric-flow view of Gallo, Grigoriadis & Tarjan,
 SIAM J. Comput. 1989).
+
+The solve visits only the nodes with E_n > 0. The in-node fills of all
+nodes run as one d x d pass: each node's line of cumulative supply and
+demand slots restarts at its first rank, and the same-node mask drops the
+overlaps of slots on different nodes' lines. The cross-node shares then
+fill the deficits left over, north-west over all ranks.
 """
 
 from __future__ import annotations
@@ -42,11 +48,8 @@ def target_distribution(counts: list[int]) -> list[int]:
 def cost_matrix(cluster: ClusterSpec) -> np.ndarray:
     """Symmetric rank-to-rank cost: intra coefficient within a node, inter
     across nodes, zero diagonal."""
-    d = cluster.num_ranks
-    t = np.full((d, d), cluster.inv_bw_inter, dtype=float)
-    for node in range(cluster.num_nodes):
-        ranks = list(cluster.ranks_of_node(node))
-        t[np.ix_(ranks, ranks)] = cluster.inv_bw_intra
+    node = np.arange(cluster.num_ranks) // cluster.gpus_per_node
+    t = np.where(node[:, None] == node, float(cluster.inv_bw_intra), float(cluster.inv_bw_inter))
     np.fill_diagonal(t, 0.0)
     return t
 
@@ -58,24 +61,30 @@ class RemapResult:
     row_costs: np.ndarray  # per-sender cost of the integer matrix
 
 
-def _node_blocks(t: np.ndarray) -> tuple[list[np.ndarray], float, float]:
-    """Read the nodes off a cost matrix: (rank indices per node, intra cost c,
-    inter cost e). Ranks i and j share a node iff t[i][j] is the smallest
-    off-diagonal entry c; anything but a zero-diagonal block form raises."""
+def _node_blocks(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Read the nodes off a cost matrix: (node label per rank, same-node
+    mask, intra cost c, inter cost e). Ranks i and j share a node iff t[i][j]
+    is the smallest off-diagonal entry c, and each rank is labelled by the
+    first rank of its node; anything but a zero-diagonal block form raises."""
     d = len(t)
-    off = ~np.eye(d, dtype=bool)
     if d == 1:
         c = e = 0.0
         label = np.zeros(1, dtype=np.int64)
     else:
-        c, e = float(t[off].min()), float(t[off].max())
-        # each rank is labelled by the first rank of its node
-        label = ((t == c) | ~off).argmax(axis=1)
-    expected = np.where(off, np.where(label[:, None] == label[None, :], c, e), 0.0)
+        # the off-diagonal entries as a strided view: the flat matrix after
+        # t[0][0] is d-1 runs of d entries, each followed by a diagonal one
+        off = t.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d]
+        c, e = float(off.min()), float(off.max())
+        near = t == c
+        np.fill_diagonal(near, True)
+        label = near.argmax(axis=1)
+    same = label[:, None] == label
+    expected = np.where(same, c, e)
+    np.fill_diagonal(expected, 0.0)
     if not c >= 0 or not np.array_equal(t, expected):
         raise ValueError("cost matrix must be zero on the diagonal, one cost within each "
                          "node and one cost across nodes")
-    return [np.flatnonzero(label == n) for n in np.unique(label)], c, e
+    return label, same, c, e
 
 
 def _water_level(lo: list[float], hi: list[float], need: float) -> float:
@@ -95,12 +104,12 @@ def _water_level(lo: list[float], hi: list[float], need: float) -> float:
     return level
 
 
-def _northwest(supply: np.ndarray, demand: np.ndarray) -> np.ndarray:
-    """Fill each supply onto the demands in index order (north-west corner):
-    entry (i, j) is the overlap of supply i's and demand j's slots on the
-    line of cumulative tokens. Demand may exceed supply."""
-    s, t = np.cumsum(supply), np.cumsum(demand)
-    return np.maximum(np.minimum.outer(s, t) - np.maximum.outer(s - supply, t - demand), 0)
+def _overlap(supply_end: np.ndarray, supply: np.ndarray, demand_end: np.ndarray,
+             demand: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is the overlap of supply i's slots and demand j's slots
+    on the line of cumulative tokens, each given by its end and its size."""
+    return np.maximum(np.minimum.outer(supply_end, demand_end)
+                      - np.maximum.outer(supply_end - supply, demand_end - demand), 0)
 
 
 def solve_remap(counts: list[int], cost: np.ndarray) -> RemapResult:
@@ -121,30 +130,43 @@ def solve_remap(counts: list[int], cost: np.ndarray) -> RemapResult:
     if t.shape != (d, d):
         raise ValueError("cost matrix shape does not match the rank count")
     b = np.asarray(target_distribution(list(counts)), dtype=np.int64)
-    nodes, c, e = _node_blocks(t)
+    label, same, c, e = _node_blocks(t)
     u = np.maximum(a - b, 0)
     v = np.maximum(b - a, 0)
-    matrix = np.zeros((d, d), dtype=np.int64)
     if u.sum() == 0:
-        return RemapResult(matrix=matrix, objective=0.0, row_costs=np.zeros(d))
+        return RemapResult(matrix=np.zeros((d, d), dtype=np.int64), objective=0.0, row_costs=np.zeros(d))
 
     objective = c * float(u.max())
+    # ranks grouped by node, in index order within each; a node's first rank
+    # is its label, so it opens the node's run
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(order == label[order])
+    excess = np.add.reduceat((a - b)[order], starts)
     cross = np.zeros(d, dtype=np.int64)  # tokens each sender pushes off its node
-    for members in nodes:
-        excess = int(u[members].sum() - v[members].sum())
-        if excess > 0:  # only with two or more nodes, so e > c
-            senders = [int(i) for i in members if u[i] > 0]
-            # Python ints keep the level, and so the objective, a Python float
-            level = _water_level([c * int(u[i]) for i in senders], [e * int(u[i]) for i in senders],
-                                 (e - c) * excess)
+    pushing = np.flatnonzero(excess > 0).tolist()  # only with two or more nodes, so e > c
+    if pushing:
+        # Python ints keep the level, and so the objective, a Python float
+        ul, grouped, bounds = u.tolist(), order.tolist(), starts.tolist() + [d]
+        for n in pushing:
+            need = int(excess[n])
+            senders = [i for i in grouped[bounds[n]:bounds[n + 1]] if ul[i] > 0]
+            level = _water_level([c * ul[i] for i in senders], [e * ul[i] for i in senders], (e - c) * need)
             objective = max(objective, level)
-            shares = {i: min(int(u[i]), max(0, math.floor((level - c * u[i]) / (e - c)))) for i in senders}
-            for _ in range(excess - sum(shares.values())):
-                k = min((i for i in senders if shares[i] < u[i]),
-                        key=lambda i: (c * u[i] + (e - c) * (shares[i] + 1), i))
+            shares = {i: min(ul[i], max(0, math.floor((level - c * ul[i]) / (e - c)))) for i in senders}
+            for _ in range(need - sum(shares.values())):
+                k = min((i for i in senders if shares[i] < ul[i]),
+                        key=lambda i: (c * ul[i] + (e - c) * (shares[i] + 1), i))
                 shares[k] += 1
-            cross[senders] = [shares[i] for i in senders]
-        matrix[np.ix_(members, members)] = _northwest(u[members] - cross[members], v[members])
-    # only nodes that push nothing off keep deficits, so these fills all cross nodes
-    matrix += _northwest(cross, v - matrix.sum(axis=0))
+            cross[senders] = list(shares.values())
+    # every node's north-west fill at once: each line of slots restarts at
+    # its node's first rank, and the same-node mask drops the overlaps of
+    # slots on different nodes' lines
+    lines = np.array((u - cross, v))
+    ends = np.cumsum(lines[:, order], axis=1)[:, np.argsort(order)]
+    ends -= (ends - lines)[:, label]
+    matrix = np.where(same, _overlap(ends[0], lines[0], ends[1], lines[1]), 0)
+    if pushing:
+        # only nodes that push nothing off keep deficits, so these fills all cross nodes
+        left = v - matrix.sum(axis=0)
+        matrix += _overlap(np.cumsum(cross), cross, np.cumsum(left), left)
     return RemapResult(matrix=matrix, objective=objective, row_costs=(t * matrix).sum(axis=1))

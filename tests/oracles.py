@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import defaultdict, namedtuple
 
 import numpy as np
 
 from varlenplan.attention_engine import INTER_NODE, build_schedule, causal_pairs
 from varlenplan.partitioner import PlacementPlan
-from varlenplan.remapping import cost_matrix, solve_remap, target_distribution
 from varlenplan.simulator import COMPUTE, INTER_COMM, INTRA_COMM, Event, StepReport, Timeline
 from varlenplan.topology import ClusterSpec, CostCoefficients
 
@@ -146,14 +146,113 @@ def ring_round_pairs_bruteforce(ring, placement) -> list[list[tuple[int, int]]]:
     ]
 
 
+RefRemap = namedtuple("RefRemap", "matrix objective row_costs")
+
+
+def reference_target(counts: list[int]) -> list[int]:
+    """The even linear-layout target: floor or ceil of the mean, the extra
+    tokens on the lowest ranks."""
+    base, extra = divmod(sum(counts), len(counts))
+    return [base + 1 if i < extra else base for i in range(len(counts))]
+
+
+def reference_cost_matrix(cluster: ClusterSpec) -> np.ndarray:
+    """Rank-to-rank remap cost, entry by entry: zero on the diagonal, the
+    intra coefficient within a node, the inter one across nodes."""
+    d = cluster.num_ranks
+    t = np.zeros((d, d))
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                same_node = cluster.node_of(i) == cluster.node_of(j)
+                t[i][j] = cluster.inv_bw_intra if same_node else cluster.inv_bw_inter
+    return t
+
+
+def _reference_node_blocks(t: np.ndarray) -> tuple[list[np.ndarray], float, float]:
+    """(rank indices per node, intra cost c, inter cost e) of a block-form
+    cost matrix; ranks share a node iff their entry is the smallest
+    off-diagonal one."""
+    d = len(t)
+    off = ~np.eye(d, dtype=bool)
+    if d == 1:
+        c = e = 0.0
+        label = np.zeros(1, dtype=np.int64)
+    else:
+        c, e = float(t[off].min()), float(t[off].max())
+        label = ((t == c) | ~off).argmax(axis=1)
+    expected = np.where(off, np.where(label[:, None] == label[None, :], c, e), 0.0)
+    if not c >= 0 or not np.array_equal(t, expected):
+        raise ValueError("cost matrix must be zero on the diagonal, one cost within each "
+                         "node and one cost across nodes")
+    return [np.flatnonzero(label == n) for n in np.unique(label)], c, e
+
+
+def _reference_water_level(lo: list[float], hi: list[float], need: float) -> float:
+    """The level L at which sum_i clamp(L - lo_i, 0, hi_i - lo_i) reaches
+    `need`, by a walk over the sorted breakpoints."""
+    points = sorted([(x, 1) for x in lo] + [(x, -1) for x in hi])
+    level, filled, slope = points[0][0], 0.0, 0
+    for x, step in points:
+        gain = slope * (x - level)
+        if filled + gain >= need:
+            return level + (need - filled) / slope
+        filled += gain
+        level = x
+        slope += step
+    return level
+
+
+def _reference_northwest(supply: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """North-west corner fill of the supplies onto the demands in index order."""
+    s, t = np.cumsum(supply), np.cumsum(demand)
+    return np.maximum(np.minimum.outer(s, t) - np.maximum.outer(s - supply, t - demand), 0)
+
+
+def reference_remap(counts: list[int], cost: np.ndarray) -> RefRemap:
+    """The minimax remap solved one node at a time with scalar arithmetic:
+    each node with excess finds its water level and its senders' cross-node
+    shares (floors, then one token at a time to the cheapest sender, ties by
+    index); every node fills its own deficits north-west, then the
+    cross-node shares fill what is left north-west."""
+    a = np.asarray(counts, dtype=np.int64)
+    d = len(a)
+    t = np.asarray(cost, dtype=float)
+    if t.shape != (d, d):
+        raise ValueError("cost matrix shape does not match the rank count")
+    b = np.asarray(reference_target([int(x) for x in counts]), dtype=np.int64)
+    nodes, c, e = _reference_node_blocks(t)
+    u = np.maximum(a - b, 0)
+    v = np.maximum(b - a, 0)
+    matrix = np.zeros((d, d), dtype=np.int64)
+    if u.sum() == 0:
+        return RefRemap(matrix=matrix, objective=0.0, row_costs=np.zeros(d))
+    objective = c * float(u.max())
+    cross = np.zeros(d, dtype=np.int64)
+    for members in nodes:
+        excess = int(u[members].sum() - v[members].sum())
+        if excess > 0:
+            senders = [int(i) for i in members if u[i] > 0]
+            level = _reference_water_level([c * int(u[i]) for i in senders], [e * int(u[i]) for i in senders],
+                                           (e - c) * excess)
+            objective = max(objective, level)
+            shares = {i: min(int(u[i]), max(0, math.floor((level - c * u[i]) / (e - c)))) for i in senders}
+            for _ in range(excess - sum(shares.values())):
+                k = min((i for i in senders if shares[i] < u[i]),
+                        key=lambda i: (c * u[i] + (e - c) * (shares[i] + 1), i))
+                shares[k] += 1
+            cross[senders] = [shares[i] for i in senders]
+        matrix[np.ix_(members, members)] = _reference_northwest(u[members] - cross[members], v[members])
+    matrix += _reference_northwest(cross, v - matrix.sum(axis=0))
+    return RefRemap(matrix=matrix, objective=objective, row_costs=(t * matrix).sum(axis=1))
+
+
 def _remap_program(counts: list[int], cost: np.ndarray):
     """The minimax remapping program over M[i][j] flattened row-major, then
     the bound t: minimize t subject to row sums = surplus, column sums =
     deficit and every per-sender cost <= t. None when nothing moves."""
     d = len(counts)
-    total = sum(counts)
-    base, extra = divmod(total, d)
-    target = [base + 1 if i < extra else base for i in range(d)]
+    target = reference_target(counts)
     u = [max(counts[i] - target[i], 0) for i in range(d)]
     v = [max(target[i] - counts[i], 0) for i in range(d)]
     if sum(u) == 0:
@@ -443,10 +542,10 @@ def reference_timeline(plan: PlacementPlan, cluster: ClusterSpec,
     attention_end = max([0.0] + [e.end for e in engine.events] + ready)
     remap_fwd = remap_inv = 0.0
     if plan.strategy == "zeppelin" and plan.total_tokens() > 0:
-        result = solve_remap(plan.tokens_per_rank, cost_matrix(cluster))
+        result = reference_remap(plan.tokens_per_rank, reference_cost_matrix(cluster))
         worst_row = float(result.row_costs.max()) if result.row_costs.size else 0.0
         remap_fwd = remap_inv = max(result.objective, worst_row)
-        linear_tokens = target_distribution(plan.tokens_per_rank)
+        linear_tokens = reference_target(plan.tokens_per_rank)
         _reference_remap(engine, cluster, result, attention_end, "remap.forward")
     else:
         linear_tokens = list(plan.tokens_per_rank)

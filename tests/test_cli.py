@@ -318,3 +318,21 @@ def test_sampling_without_total_len_is_usage_error(tmp_path, capsys):
               "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert "total-len" in capsys.readouterr().err
+
+
+def test_main_calls_in_one_process_keep_their_own_arguments(tmp_path, batch_file, capsys):
+    # the parser is built once per process; no call may see another's options
+    first = tmp_path / "first.csv"
+    assert run(["compare", "--config", "cluster_a", "--batch", batch_file,
+                "--strategies", "te_cp", "--out", str(first)]) == 0
+    assert [line.split(",")[0] for line in first.read_text().splitlines()[1:]] == ["te_cp"]
+    assert run(["compare", "--config", "cluster_a", "--batch", batch_file,
+                "--dataset", "arxiv", "--out", str(tmp_path / "usage.csv")]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    plan_path = tmp_path / "plan.json"
+    assert run(["plan", "--config", "cluster_a", "--batch", batch_file, "--out", str(plan_path)]) == 0
+    assert partitioner.load_plan(str(plan_path)).strategy == "zeppelin"
+    second = tmp_path / "second.csv"
+    assert run(["compare", "--config", "cluster_a", "--batch", batch_file, "--out", str(second)]) == 0
+    assert [line.split(",")[0] for line in second.read_text().splitlines()[1:]] == list(cli.baselines.STRATEGIES)
+    assert cli._build_parser() is cli._build_parser()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lp_remap_oracle, milp_remap_oracle
+from oracles import lp_remap_oracle, milp_remap_oracle, reference_cost_matrix, reference_remap
 from varlenplan import remapping
 from varlenplan.topology import ClusterSpec
 
@@ -115,8 +115,10 @@ class TestSolveRemap:
                     remapping.solve_remap(counts, cost)
 
 
-def block_cost(nodes, gpus, c, e):
+def block_cost(nodes, gpus, c, e, perm=None):
     node = np.arange(nodes * gpus) // gpus
+    if perm is not None:
+        node = node[perm]
     t = np.where(node[:, None] == node[None, :], c, e).astype(float)
     np.fill_diagonal(t, 0.0)
     return t
@@ -143,3 +145,57 @@ def test_water_fill_matches_lp_and_milp_oracles(instance):
     check_marginals(counts, result.matrix)
     # the worst integer row is what the compare CSV reports as remap time
     assert result.row_costs.max() == pytest.approx(milp_remap_oracle(counts, cost), rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def block_form_instances(draw):
+    """Block-form costs up to 8 nodes x 8 GPUs, ranks possibly permuted,
+    with counts that mix zeros, repeated values and values above 2**20."""
+    nodes = draw(st.integers(1, 8))
+    gpus = draw(st.integers(1, 8))
+    d = nodes * gpus
+    c = draw(st.sampled_from([0.0, 1.0, 0.37, 2.5e-7]))
+    e = draw(st.sampled_from([c, c + 3.0, c * 1.7 + 0.11, c + 1e-9]))
+    perm = draw(st.none() | st.permutations(range(d)))
+    repeated = draw(st.lists(st.integers(0, 2**22), min_size=1, max_size=3))
+    count = st.integers(0, 40) | st.just(0) | st.integers(2**20, 2**22) | st.sampled_from(repeated)
+    counts = draw(st.lists(count, min_size=d, max_size=d))
+    return counts, block_cost(nodes, gpus, c, e, perm)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(block_form_instances())
+def test_solve_remap_is_bit_identical_to_the_per_node_reference(instance):
+    counts, cost = instance
+    result, reference = remapping.solve_remap(counts, cost), reference_remap(counts, cost)
+    assert result.matrix.dtype == np.int64
+    assert np.array_equal(result.matrix, reference.matrix)
+    assert type(result.objective) is float and result.objective == reference.objective
+    assert result.row_costs.dtype == reference.row_costs.dtype
+    assert np.array_equal(result.row_costs, reference.row_costs)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(block_form_instances(), st.data())
+def test_solve_remap_rejects_what_the_reference_rejects(instance, data):
+    counts, cost = instance
+    d = len(counts)
+    i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    # any one changed entry breaks the zero diagonal or the symmetry
+    cost[i][j] = data.draw(st.sampled_from([cost[i][j] + 0.5, cost[i][j] + 1e-9, -1.0, float("nan")]))
+    with pytest.raises(ValueError) as expected:
+        reference_remap(counts, cost)
+    with pytest.raises(ValueError) as raised:
+        remapping.solve_remap(counts, cost)
+    assert str(raised.value) == str(expected.value)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.sampled_from([1.0, 0.37, 2.5e-7]),
+       st.sampled_from([1.0, 1.7, 40.0]))
+def test_cost_matrix_matches_the_entrywise_reference(nodes, gpus, intra, ratio):
+    cluster = ClusterSpec(num_nodes=nodes, gpus_per_node=gpus, token_capacity=1000,
+                          inv_bw_intra=intra, inv_bw_inter=intra * ratio)
+    t = remapping.cost_matrix(cluster)
+    assert t.dtype == np.float64
+    assert np.array_equal(t, reference_cost_matrix(cluster))
