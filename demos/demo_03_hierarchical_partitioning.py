@@ -8,6 +8,7 @@ fragments actually landed, read off the plan's placement table.
 """
 
 from varlenplan import build_plan, cluster_a, preset, sample_batch
+from varlenplan.attention_engine import ring_kind
 
 cluster, _ = cluster_a()
 batch = sample_batch(preset("prolong64k"), 65536, seed=3)
@@ -36,7 +37,7 @@ print(f"  spread: min {min(plan.tokens_per_rank)}, max {max(plan.tokens_per_rank
 
 print("\nring groups:")
 for ring in plan.ring_groups:
-    print(f"  {ring.kind:<10} over ranks {ring.members}: sequences {list(ring.sequence_ids)}")
+    print(f"  {ring_kind(ring.members, cluster.gpus_per_node):<10} over ranks {ring.members}: sequences {list(ring.sequence_ids)}")
 
 # the plan keeps one (rank, micro_batch, sequence_id, start, end) row per fragment
 print("\nfragments on rank 0:")

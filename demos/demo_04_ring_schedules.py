@@ -7,7 +7,7 @@ schedule runs each ring for G rounds, KV moving one position per round.
 """
 
 from varlenplan import build_plan, build_schedule, causal_pairs, cluster_a, split_even
-from varlenplan.attention_engine import ranges_from_sizes
+from varlenplan.attention_engine import ranges_from_sizes, ring_kind
 from varlenplan.workload import SequenceBatch
 
 print("zigzag layout of a 16-token sequence on a 4-rank ring:")
@@ -21,7 +21,7 @@ schedule = build_schedule(plan)
 ring = schedule.inter_rings[0]
 g = ring.ring.group_size
 
-print(f"\nsingle 64k sequence -> one {ring.ring.kind} ring of {g} ranks, {g} rounds")
+print(f"\nsingle 64k sequence -> one {ring_kind(ring.ring.members, cluster.gpus_per_node)} ring of {g} ranks, {g} rounds")
 # in round r, position i computes against and sends on the KV of position (i - r) mod g
 print(f"KV tokens sent per rank per round: {ring.kv_sizes[0]}")
 

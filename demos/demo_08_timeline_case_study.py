@@ -12,6 +12,7 @@ Exported traces open in any Chrome-trace viewer (chrome://tracing, Perfetto).
 import os
 
 from varlenplan import build_plan, cluster_a, export_trace, simulate
+from varlenplan.attention_engine import ring_kind
 from varlenplan.baselines import plan_te_cp
 from varlenplan.workload import SequenceBatch
 
@@ -25,7 +26,7 @@ def show(tag, batch):
     for planner, name in ((plan_te_cp, "te_cp"), (build_plan, "zeppelin")):
         plan = planner(batch, cluster)
         timeline, report = simulate(plan, cluster, coeffs)
-        rings = [(r.kind, len(r.members)) for r in plan.ring_groups]
+        rings = [(ring_kind(r.members, cluster.gpus_per_node), len(r.members)) for r in plan.ring_groups]
         path = os.path.join(out_dir, f"{tag}-{name}.trace.json")
         export_trace(timeline, path)
         print(f"{name:<9} rings {rings or '[]'}")

@@ -67,6 +67,12 @@ def ranges_from_sizes(sizes: list[int]) -> list[list[tuple[int, int]]]:
     return out
 
 
+def ring_kind(members: tuple[int, ...], gpus_per_node: int) -> str:
+    """Inter-node when the members sit on two or more nodes, intra-node
+    otherwise: a ring's kind follows from its members alone."""
+    return INTER_NODE if len({r // gpus_per_node for r in members}) >= 2 else INTRA_NODE
+
+
 def causal_pairs(seq_len: int) -> int:
     """Pairs of a full lower-triangular mask: n*(n+1)/2."""
     return seq_len * (seq_len + 1) // 2
@@ -77,16 +83,13 @@ class RingGroup:
     """A KV-rotation group: ordered member ranks plus the ids of the
     sequences whose KV travels the ring. Position i holds those sequences'
     micro-batch-0 fragments on rank members[i], in zigzag chunks
-    (`build_schedule` rejects any other layout). Inter-node rings span >= 2
-    nodes, intra-node rings stay within one."""
+    (`build_schedule` rejects any other layout). Its kind is read off the
+    members by `ring_kind`."""
 
-    kind: str
     members: tuple[int, ...]
     sequence_ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in (INTER_NODE, INTRA_NODE):
-            raise ValueError(f"bad ring kind {self.kind!r}")
         if len(self.members) < 2:
             raise ValueError("a ring needs at least 2 members")
 
@@ -217,8 +220,9 @@ def build_schedule(plan: "PlacementPlan") -> AttentionSchedule:
     receives from i-1), for G rounds per ring so every position sees every
     KV set and the layout returns home for the backward pass."""
     scheds, ringed = _ring_schedules(plan.ring_groups, plan.placement)
-    inter = [sched for sched in scheds if sched.ring.kind == INTER_NODE]
-    intra = [sched for sched in scheds if sched.ring.kind != INTER_NODE]
+    inter, intra = [], []
+    for sched in scheds:
+        (inter if ring_kind(sched.ring.members, plan.gpus_per_node) == INTER_NODE else intra).append(sched)
     # a sequence a ring carries is computed in its rounds, even when all of
     # its tokens sit on one rank (a one-token sequence on te_cp's global ring)
     rows = plan.placement[(plan.placement[:, 1] > 0) | ~ringed]

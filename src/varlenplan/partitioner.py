@@ -32,6 +32,7 @@ from .attention_engine import (
     RingGroup,
     balanced_zigzag_sizes,
     ranges_from_sizes,
+    ring_kind,
     split_even,
 )
 from .topology import ClusterSpec
@@ -357,8 +358,7 @@ def lay_out_global_ring(
                                         ends - sizes, ends), axis=-1).reshape(-1, 5)
     # every sequence's KV rides the global ring, even the ones whose queries
     # fit on a single rank: that is the even split's overhead
-    kind = INTER_NODE if cluster.num_nodes > 1 else INTRA_NODE
-    return rows[rows[:, 4] > rows[:, 3]], (RingGroup(kind, tuple(range(n_ranks)), tuple(sids.tolist())),)
+    return rows[rows[:, 4] > rows[:, 3]], (RingGroup(tuple(range(n_ranks)), tuple(sids.tolist())),)
 
 
 def even_zigzag_plan(batch: SequenceBatch, cluster: ClusterSpec, strategy: str) -> PlacementPlan:
@@ -370,10 +370,6 @@ def even_zigzag_plan(batch: SequenceBatch, cluster: ClusterSpec, strategy: str) 
         raise InfeasibleBatch(f"batch of {batch.total_tokens} tokens exceeds cluster capacity {cap}")
     rows, rings = lay_out_global_ring(sorted(batch.sequences), cluster)
     return plan_from_rows(strategy, batch, cluster, rows, rings, meta={})
-
-
-def _ring_kind(members: tuple[int, ...], gpus_per_node: int) -> str:
-    return INTER_NODE if len({r // gpus_per_node for r in members}) >= 2 else INTRA_NODE
 
 
 def _assemble_plan(
@@ -417,10 +413,8 @@ def _assemble_plan(
     if max(running) > cluster.token_capacity:
         raise InfeasibleBatch("zigzag re-chunking leaves a rank over capacity")
 
-    rings = tuple(sorted(
-        (RingGroup(_ring_kind(members, p), members, tuple(sorted(sids))) for members, sids in ring_map.items()),
-        key=lambda ring: (ring.kind, ring.members),
-    ))
+    rings = tuple(RingGroup(members, tuple(sorted(ring_map[members])))
+                  for members in sorted(ring_map, key=lambda members: (ring_kind(members, p), members)))
     return plan_from_rows(
         "zeppelin", batch, cluster, rows, rings,
         meta={
@@ -443,15 +437,8 @@ def _add_ring_sequence(
     gpus_per_node: int,
 ) -> None:
     ranges = ranges_from_sizes(balanced_zigzag_sizes(length, [running[r] for r in members]).tolist())
-    spanned = [rank for rank, rs in zip(members, ranges) if rs]
-    if len(spanned) < 2:
-        # too short to actually occupy several ranks: keep it local
-        rank = spanned[0] if spanned else members[0]
-        rows += (rank, 0, sid, 0, length)
-        running[rank] += length
-        return
-    spanned_nodes = {r // gpus_per_node for r in spanned}
-    if len(spanned_nodes) == 1 and _ring_kind(members, gpus_per_node) == INTER_NODE:
+    spanned_nodes = {rank // gpus_per_node for rank, rs in zip(members, ranges) if rs}
+    if len(spanned_nodes) == 1 and ring_kind(members, gpus_per_node) == INTER_NODE:
         # too short to genuinely cross nodes: run it on a node-local ring
         node = spanned_nodes.pop()
         node_members = tuple(r for r in members if r // gpus_per_node == node)
@@ -466,11 +453,11 @@ def _add_ring_sequence(
 
 def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpec) -> None:
     """Internal invariant guard: token conservation, disjoint full coverage of
-    every sequence, per-phase capacity, ring kinds that match the nodes their
-    members sit on, and the layout `build_schedule` reads: each ringed sequence
-    rides one ring of distinct ranks, with every fragment at micro-batch 0 on
-    a member, and every other sequence is one fragment. Zones need no check:
-    they are read off placement."""
+    every sequence, per-phase capacity, and the layout `build_schedule`
+    reads: each ringed sequence rides one ring of distinct ranks, with every
+    fragment at micro-batch 0 on a member, and every other sequence is one
+    fragment. Zones and ring kinds need no check: they are read off the
+    placement and the members."""
     lengths = batch.lengths
     if set(plan.sequence_lengths) != set(lengths):
         raise PlanValidationError("plan covers a different sequence id set than the batch")
@@ -481,11 +468,6 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
         members = set(ring.members)
         if len(members) != ring.group_size or min(members) < 0 or max(members) >= plan.num_ranks:
             raise PlanValidationError("ring members are not distinct ranks of the plan")
-        nodes = {r // cluster.gpus_per_node for r in members}
-        if ring.kind == INTER_NODE and len(nodes) < 2:
-            raise PlanValidationError("inter-node ring does not span nodes")
-        if ring.kind == INTRA_NODE and len(nodes) != 1:
-            raise PlanValidationError("intra-node ring crosses nodes")
         for sid in ring.sequence_ids:
             if sid not in lengths:
                 raise PlanValidationError(f"a ring carries sequence {sid}, which the batch lacks")
@@ -546,7 +528,7 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
         raise PlanValidationError(f"sequence {first} is split but rides no ring")
 
 
-PLAN_FORMAT = 2
+PLAN_FORMAT = 3
 
 
 def plan_to_json(plan: PlacementPlan) -> str:
@@ -563,8 +545,7 @@ def plan_to_json(plan: PlacementPlan) -> str:
         "s0_per_node": plan.s0_per_node,
         "sequence_lengths": sorted(plan.sequence_lengths.items()),
         "placement": plan.placement.tolist(),
-        "rings": [{"kind": ring.kind, "members": ring.members, "sequence_ids": ring.sequence_ids}
-                  for ring in plan.ring_groups],
+        "rings": [{"members": ring.members, "sequence_ids": ring.sequence_ids} for ring in plan.ring_groups],
         "meta": plan.meta,
     }
     # no indent: json then writes with its C encoder
@@ -591,7 +572,7 @@ def plan_from_json(text: str) -> PlacementPlan:
             raise ValueError("plan file's placement rows must be lists of 5 integers")
         if any(type(pair) is not list or len(pair) != 2 for pair in pairs):
             raise ValueError("plan file's sequence_lengths must be [id, length] pairs")
-        rings = tuple(RingGroup(r["kind"], tuple(r["members"]), tuple(r["sequence_ids"])) for r in entries)
+        rings = tuple(RingGroup(tuple(r["members"]), tuple(r["sequence_ids"])) for r in entries)
         fields = {key: payload[key] for key in ("strategy", "num_nodes", "gpus_per_node", "s1")}
         # json gives int for integers only; bool is not one. Checked before
         # numpy, which would quietly turn 0.5 and False into 0

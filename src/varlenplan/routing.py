@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .attention_engine import INTER_NODE, AttentionSchedule, RingGroup, split_even
+from .attention_engine import AttentionSchedule, RingGroup, split_even
 from .topology import ClusterSpec
 
 if TYPE_CHECKING:
@@ -147,7 +147,9 @@ def route_schedule(
     cluster: ClusterSpec,
 ) -> dict[tuple[int, int, int], RoutePlan]:
     """Build a RoutePlan for every cross-node send of every inter-node ring
-    round, keyed by (ring index within schedule.rings(), round, source rank).
+    round, keyed by (ring index within schedule.rings(), round, source rank):
+    the inter-node rings come first there, so their indices are those of
+    schedule.inter_rings.
 
     A ring sends each position's KV set once per hop, so each crossing hop
     picks its proxies once, and each of its distinct token counts is routed
@@ -156,10 +158,8 @@ def route_schedule(
     Schedules without inter-node rings come back unchanged (empty mapping).
     """
     routes: dict[tuple[int, int, int], RoutePlan] = {}
-    for ring_idx, ring_sched in enumerate(schedule.rings()):
+    for ring_idx, ring_sched in enumerate(schedule.inter_rings):
         ring = ring_sched.ring
-        if ring.kind != INTER_NODE:
-            continue
         g = ring.group_size
         members = set(ring.members)
         # each crossing hop's position, source, proxies and routes by token count

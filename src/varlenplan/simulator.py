@@ -33,7 +33,15 @@ from itertools import groupby, repeat
 import numpy as np
 
 from . import baselines
-from .attention_engine import INTER_NODE, AttentionSchedule, RingGroup, RingSchedule, build_schedule, causal_pairs
+from .attention_engine import (
+    INTER_NODE,
+    INTRA_NODE,
+    AttentionSchedule,
+    RingGroup,
+    RingSchedule,
+    build_schedule,
+    causal_pairs,
+)
 from .partitioner import InfeasibleBatch, PlacementPlan
 from .remapping import cost_matrix, solve_remap, target_distribution
 from .routing import RoutePlan, route_schedule
@@ -165,10 +173,10 @@ def _run_rings(
     routes = route_schedule(schedule, plan, cluster) if routed else {}
     for ring_idx, ring_sched in enumerate(schedule.rings()):
         members = ring_sched.ring.members
+        inter = ring_idx < len(schedule.inter_rings)
         # route_schedule routes every cross-node send of an inter-node ring
-        ring_routes = routes if routed and ring_sched.ring.kind == INTER_NODE else None
-        t = _run_ring(engine, ring_idx, ring_sched, max(ready[m] for m in members),
-                      cluster, coeffs, ring_routes)
+        t = _run_ring(engine, ring_idx, ring_sched, INTER_NODE if inter else INTRA_NODE,
+                      max(ready[m] for m in members), cluster, coeffs, routes if routed and inter else None)
         for m in members:
             ready[m] = t
     for task in schedule.local_tasks:
@@ -184,19 +192,22 @@ def _run_ring(
     engine: _Engine,
     ring_idx: int,
     ring_sched: RingSchedule,
+    kind: str,
     t0: float,
     cluster: ClusterSpec,
     coeffs: CostCoefficients,
     routes: dict[tuple[int, int, int], RoutePlan] | None,
 ) -> float:
-    """Run one ring from t0 and return the end of its last round.
+    """Run one ring of `kind` from t0 and return the end of its last round.
 
-    Every leg of round r starts at max(t_r, tail), with tail its lane's tail
-    when the ring began: a lane the ring used before ended by t_r. Float
-    addition rounds monotonically, so a round whose legs all start at t_r
-    ends at t_r + (its longest leg); lanes whose tail lies past t0 (a rank
-    that proxied an earlier routed ring) and routed sends are added per
-    round on top. Sends of positions in `routes` are routed, each timed by
+    Every direct leg of round r starts at the round's start t_r. A ring
+    starts once its members' earlier rings have ended, and only a member's
+    own rings use its compute and intra-node lanes; an inter-node lane that
+    an earlier route left busy carries no direct send, since every crossing
+    hop of a routed ring is routed and unrouted strategies leave no route.
+    Float addition rounds monotonically, so a round ends at t_r + (its
+    longest direct leg), or at its last routed send's end when that is
+    later. Sends of positions in `routes` are routed, each timed by
     `_run_route`; the rest go direct.
     """
     ring = ring_sched.ring
@@ -217,10 +228,6 @@ def _run_ring(
 
     compute_lanes = [3 * m for m in members]
     send_lanes = [3 * m + (2 if c else 1) for m, c in zip(members, crossing)]
-    compute_tail = [tails[lane] for lane in compute_lanes]
-    send_tail = [tails[lane] for lane in send_lanes]
-    late = [(compute_tail[i], compute[i], pairs[i] > 0) for i in range(g) if compute_tail[i] > t0]
-    late += [(send_tail[i], send[i], direct[i]) for i in range(g) if send_tail[i] > t0 and not via_route[i]]
 
     # the routed sends of each round, and each distinct route's lanes
     round_routes: list[list[RoutePlan]] = [[] for _ in range(g)]
@@ -245,26 +252,21 @@ def _run_ring(
     for r in range(g):
         starts.append(t)
         end = t + longest[r]
-        for tail, dur, used in late:
-            if tail > t and used[r]:
-                end = max(end, tail + float(dur[r]))
         if round_routes[r]:
             # routed steps move the lane tails as they go: a lane's tail is
             # then its latest end, and ends of earlier rounds lie before t
             for j in shared:
                 if direct[j, r]:
-                    tails[send_lanes[j]] = max(t, send_tail[j]) + float(send[j, r])
+                    tails[send_lanes[j]] = t + float(send[j, r])
             for route in round_routes[r]:
                 *starts_of_send, send_end = _run_route(route, lanes[route], tails, t)
                 end = max(end, send_end)
                 sends.append((r, route, *starts_of_send))
         t = end
     round_start = np.array(starts)
-    compute_start = np.maximum(round_start, np.array(compute_tail)[:, None])
-    send_start = np.maximum(round_start, np.array(send_tail)[:, None])
     # a lane's ends rise with the rounds, so its tail is its latest end
-    compute_end = np.where(pairs > 0, compute_start + compute, 0.0).max(axis=1).tolist()
-    send_end = np.where(direct, send_start + send, 0.0).max(axis=1).tolist()
+    compute_end = np.where(pairs > 0, round_start + compute, 0.0).max(axis=1).tolist()
+    send_end = np.where(direct, round_start + send, 0.0).max(axis=1).tolist()
     for i in range(g):
         tails[compute_lanes[i]] = max(tails[compute_lanes[i]], compute_end[i])
         tails[send_lanes[i]] = max(tails[send_lanes[i]], send_end[i])
@@ -282,8 +284,8 @@ def _run_ring(
         # in event order: round by round, then position
         engine.bill_nic(node, nic, send[rows].T.ravel().tolist())
 
-    engine.records.append(_RingRecord(ring_idx, ring, crossing, pairs, tokens, compute, send, direct,
-                                      compute_start, send_start, sends))
+    engine.records.append(_RingRecord(ring_idx, ring, kind, crossing, pairs, tokens, compute, send, direct,
+                                      round_start, sends))
     return t
 
 
@@ -349,19 +351,21 @@ def _tally_sends(engine: _Engine, sends: list[tuple]) -> None:
 @dataclass(eq=False)
 class _RingRecord:
     """One ring's events in compact form: [position, round] matrices of its
-    computes and direct sends, and its routed sends in emission order as
-    (round, route, dispatch start, transfer starts, gather start)."""
+    computes and direct sends, each round's start, at which all of that
+    round's computes and direct sends start, and its routed sends in
+    emission order as (round, route, dispatch start, transfer starts,
+    gather start)."""
 
     ring_idx: int
     ring: RingGroup
+    kind: str
     crossing: list[bool]
     pairs: np.ndarray
     tokens: np.ndarray
     compute: np.ndarray
     send: np.ndarray
     direct: np.ndarray
-    compute_start: np.ndarray
-    send_start: np.ndarray
+    round_start: np.ndarray
     sends: list[tuple]
 
 
@@ -597,10 +601,10 @@ class _TraceColumns:
         send_lane = 3 * members + np.where(rec.crossing, _STREAM_ORDER[INTER_COMM], _STREAM_ORDER[INTRA_COMM])
         # the transposed masks enumerate (round, position) in emission order
         r, i = np.nonzero(rec.pairs.T > 0)
-        self._add(f"{rec.ring.kind}.attn", rec.compute_start[i, r], rec.compute[i, r], 3 * members[i],
+        self._add(f"{rec.kind}.attn", rec.round_start[r], rec.compute[i, r], 3 * members[i],
                   {"pairs": rec.pairs[i, r], "ring": rec.ring_idx, "round": r}, _attn_lines)
         r, i = np.nonzero(rec.direct.T)
-        self._add("kv.send", rec.send_start[i, r], rec.send[i, r], send_lane[i],
+        self._add("kv.send", rec.round_start[r], rec.send[i, r], send_lane[i],
                   {"dst": members[(i + 1) % len(members)], "ring": rec.ring_idx, "round": r,
                    "tokens": rec.tokens[i, r]}, _send_lines)
         if rec.sends:

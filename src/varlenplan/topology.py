@@ -10,7 +10,7 @@ linear modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 # Bytes moved per KV token: 2 tensors (K and V) x 4096 hidden x 2-byte dtype.
 KV_BYTES_PER_TOKEN = 16384
@@ -168,7 +168,7 @@ def parse_cluster_config(text: str) -> tuple[ClusterSpec, CostCoefficients]:
     Lines starting with '#' and blank lines are ignored. Unknown or repeated
     keys and unparseable values raise ConfigError naming the offending key.
     """
-    values: dict[str, float] = {}
+    values: dict[str, int | float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -195,19 +195,12 @@ def parse_cluster_config(text: str) -> tuple[ClusterSpec, CostCoefficients]:
     for key in _REQUIRED_KEYS:
         if key not in values:
             raise ConfigError(f"missing required config key '{key}'")
-    cluster = ClusterSpec(
-        num_nodes=int(values["nodes"]),
-        gpus_per_node=int(values["gpus_per_node"]),
-        token_capacity=int(values["token_capacity"]),
-        inv_bw_intra=values["inv_bw_intra"],
-        inv_bw_inter=values["inv_bw_inter"],
-        nics_per_node=int(values.get("nics_per_node", 1)),
-        backward_multiplier=values.get("backward_multiplier", 2.0),
-    )
-    coeffs = CostCoefficients(
-        attn_quadratic=values["attn_quadratic"],
-        linear_per_token=values.get("linear_per_token", 0.0),
-    )
+    # each key names its field, but for nodes; a key left out takes the
+    # field's default, which only the dataclass states
+    values["num_nodes"] = values.pop("nodes")
+    coeff_fields = {f.name for f in fields(CostCoefficients)}
+    cluster = ClusterSpec(**{k: v for k, v in values.items() if k not in coeff_fields})
+    coeffs = CostCoefficients(**{k: v for k, v in values.items() if k in coeff_fields})
     return cluster, coeffs
 
 

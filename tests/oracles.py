@@ -13,7 +13,7 @@ from collections import defaultdict, namedtuple
 
 import numpy as np
 
-from varlenplan.attention_engine import INTER_NODE, build_schedule, causal_pairs
+from varlenplan.attention_engine import build_schedule, causal_pairs
 from varlenplan.partitioner import PlacementPlan
 from varlenplan.simulator import COMPUTE, INTER_COMM, INTRA_COMM, Event, StepReport, Timeline
 from varlenplan.topology import ClusterSpec, CostCoefficients
@@ -28,6 +28,12 @@ def fragments_by_rank(placement) -> dict[int, list[Fragment]]:
     for row in np.asarray(placement).tolist():
         by_rank[row[0]].append(Fragment(*row))
     return by_rank
+
+
+def spans_nodes(ring, cluster: ClusterSpec) -> bool:
+    """Whether a ring's members sit on two or more nodes: an inter-node
+    ring, which zeppelin routes."""
+    return len({cluster.node_of(m) for m in ring.members}) > 1
 
 
 def check_plan(plan: PlacementPlan, lengths: dict[int, int], cluster: ClusterSpec) -> list[str]:
@@ -427,7 +433,8 @@ def _reference_rings(engine, plan, cluster, coeffs) -> list[float]:
     for ring_idx, ring_sched in enumerate(schedule.rings()):
         ring = ring_sched.ring
         g = ring.group_size
-        routed = plan.strategy == "zeppelin" and ring.kind == INTER_NODE
+        inter = spans_nodes(ring, cluster)
+        routed = plan.strategy == "zeppelin" and inter
         t = max(ready[m] for m in ring.members)
         pairs = ring_sched.pairs.tolist()
         for r in range(g):
@@ -436,7 +443,7 @@ def _reference_rings(engine, plan, cluster, coeffs) -> list[float]:
                 compute_pairs = pairs[pos][(pos - r) % g]
                 if compute_pairs > 0:
                     dur = coeffs.attn_quadratic * compute_pairs
-                    end = engine.emit(member, COMPUTE, t, dur, f"{ring.kind}.attn",
+                    end = engine.emit(member, COMPUTE, t, dur, "inter_node.attn" if inter else "intra_node.attn",
                                       {"ring": ring_idx, "round": r, "pairs": compute_pairs})
                     round_end = max(round_end, end)
             routed_legs = []
@@ -602,7 +609,7 @@ def _reference_comm_tokens(plan: PlacementPlan, cluster: ClusterSpec) -> tuple[l
         g = ring.group_size
         kv = [sum(f.end - f.start for f in fragments[m] if f.sequence_id in ring.sequence_ids
                   and f.micro_batch == 0) for m in ring.members]
-        routed = plan.strategy == "zeppelin" and ring.kind == INTER_NODE
+        routed = plan.strategy == "zeppelin" and spans_nodes(ring, cluster)
         for pos, src in enumerate(ring.members):
             dst = ring.members[(pos + 1) % g]
             if src // cluster.gpus_per_node == dst // cluster.gpus_per_node:

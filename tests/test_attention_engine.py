@@ -20,6 +20,16 @@ def test_split_even_rule():
     assert ae.split_even(0, 2) == [0, 0]
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ae.split_even(4, 0), "parts must be >= 1"),
+    (lambda: ae.split_even(-1, 2), "total must be >= 0"),
+    (lambda: ae.RingGroup((3,), (0,)), "a ring needs at least 2 members"),
+], ids=["no_parts", "negative_total", "one_member_ring"])
+def test_input_checks_raise_value_errors(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_zigzag_two_rank_example():
     ranges = ae.ranges_from_sizes(ae.split_even(8, 4))
     assert ranges[0] == [(0, 2), (6, 8)]
@@ -61,7 +71,7 @@ def ring_pairs(q_ranges, kv_ranges):
     """Causal pairs of one sequence between the query ranges at ring
     position 0 and the key ranges at position 1, off the ring's pair matrix."""
     placement = table([(0, 0, 0, s, e) for s, e in q_ranges] + [(1, 0, 0, s, e) for s, e in kv_ranges])
-    ring = ae.RingGroup(kind=ae.INTRA_NODE, members=(0, 1), sequence_ids=(0,))
+    ring = ae.RingGroup(members=(0, 1), sequence_ids=(0,))
     return int(ae._ring_schedules((ring,), placement)[0][0].pairs[0, 1])
 
 
@@ -142,7 +152,7 @@ def test_single_long_sequence_ring_structure():
 def test_fused_intra_ring_balances_two_sequences():
     ranges = ae.ranges_from_sizes(ae.split_even(8, 4))
     placement = table([(rank, 0, sid, s, e) for rank in (0, 1) for sid in (0, 1) for s, e in ranges[rank]])
-    ring = ae.RingGroup(kind=ae.INTRA_NODE, members=(0, 1), sequence_ids=(0, 1))
+    ring = ae.RingGroup(members=(0, 1), sequence_ids=(0, 1))
     sched = ae._ring_schedules((ring,), placement)[0][0]
     assert sched.pairs.sum(axis=1).tolist() == [2 * 18, 2 * 18]
 
@@ -212,7 +222,7 @@ def rings(draw):
     if draw(st.booleans()):
         rank = draw(st.integers(0, g - 1))
         rows.append((rank, draw(st.integers(0, 1)), n_seqs, 0, draw(st.integers(1, 40))))
-    return ae.RingGroup(kind=ae.INTRA_NODE, members=members, sequence_ids=tuple(range(n_seqs))), table(rows), zigzag
+    return ae.RingGroup(members=members, sequence_ids=tuple(range(n_seqs))), table(rows), zigzag
 
 
 def ring_schedule_or_none(case):
@@ -246,7 +256,7 @@ def test_ring_layouts_draw_both_outcomes():
 def test_rejects_positions_that_rise_twice():
     # sorted by start, the chunks sit at positions 0, 1, 0, 1
     placement = [(0, 0, 0, 0, 2), (0, 0, 0, 4, 6), (1, 0, 0, 2, 4), (1, 0, 0, 6, 8)]
-    ring = ae.RingGroup(kind=ae.INTRA_NODE, members=(0, 1), sequence_ids=(0,))
+    ring = ae.RingGroup(members=(0, 1), sequence_ids=(0,))
     plan = PlacementPlan(strategy="te_cp", num_nodes=1, gpus_per_node=2, s1=0, s0_per_node=[0],
                          sequence_lengths={0: 8}, placement=placement, ring_groups=(ring,), meta={})
     with pytest.raises(ValueError, match=r"ring \[0, 1\]: sequence 0 is not laid out in zigzag chunks"):
@@ -262,11 +272,13 @@ def round_pairs(sched):
 
 @st.composite
 def multi_ring_plans(draw):
-    """Unvalidated plans of 2-4 rings over 2-10 ranks, and whether every
-    sequence is laid out in zigzag chunks. Rings carry disjoint sequences,
-    and their members may share ranks. Each sequence is laid out as in
-    `rings`, and the rows come in any order."""
-    n_ranks = draw(st.integers(2, 10))
+    """Unvalidated plans of 2-4 rings over 2-10 ranks on one or two nodes,
+    and whether every sequence is laid out in zigzag chunks. Rings carry
+    disjoint sequences, and their members may share ranks. Each sequence is
+    laid out as in `rings`, and the rows come in any order."""
+    n_nodes = draw(st.integers(1, 2))
+    p = draw(st.integers(3 - n_nodes, 5 if n_nodes == 2 else 10))
+    n_ranks = n_nodes * p
     rows = []
     ring_groups = []
     sid = 0
@@ -282,13 +294,12 @@ def multi_ring_plans(draw):
                 rows += [(rank, 0, sid, s, e) for s, e in pos_ranges]
             sids.append(sid)
             sid += 1
-        kind = draw(st.sampled_from([ae.INTER_NODE, ae.INTRA_NODE]))
-        ring_groups.append(ae.RingGroup(kind=kind, members=members, sequence_ids=tuple(sids)))
+        ring_groups.append(ae.RingGroup(members=members, sequence_ids=tuple(sids)))
     rows = draw(st.permutations(rows))
     lengths = dict.fromkeys(range(sid), 0)
     for _, _, seq, _, end in rows:
         lengths[seq] = max(lengths[seq], end)
-    plan = PlacementPlan(strategy="te_cp", num_nodes=1, gpus_per_node=n_ranks, s1=0, s0_per_node=[0],
+    plan = PlacementPlan(strategy="te_cp", num_nodes=n_nodes, gpus_per_node=p, s1=0, s0_per_node=[0] * n_nodes,
                          sequence_lengths=lengths, placement=rows, ring_groups=tuple(ring_groups), meta={})
     return plan, zigzag
 
@@ -304,6 +315,10 @@ def test_every_ring_of_a_plan_matches_token_enumeration(case):
         assert not zigzag
         return
     assert sorted(s.ring.sequence_ids for s in schedule.rings()) == sorted(r.sequence_ids for r in plan.ring_groups)
+    # the inter-node queue holds exactly the rings whose members sit on two nodes
+    p = plan.gpus_per_node
+    assert [len({m // p for m in s.ring.members}) for s in schedule.rings()] \
+        == [2] * len(schedule.inter_rings) + [1] * len(schedule.intra_rings)
     for sched in schedule.rings():
         assert round_pairs(sched) == ring_round_pairs_bruteforce(sched.ring, plan.placement)
         assert all(type(n) is int for n in sched.kv_sizes)

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from varlenplan import cli, partitioner
-from varlenplan.attention_engine import INTRA_NODE, RingGroup
+from varlenplan.attention_engine import RingGroup
 from varlenplan.topology import ClusterSpec, CostCoefficients, cluster_a, save_cluster_config
 from varlenplan.workload import load_batch
 
@@ -132,15 +132,38 @@ FORMAT_1_PLAN = (
 )
 
 
-def test_simulate_rejects_a_format_1_plan_file(tmp_path, capsys):
-    message = "not a format-2 plan file; write it afresh with `varlenplan plan`"
+# the same plan as the second format wrote it: the placement table, and
+# rings that store their kind beside their members
+FORMAT_2_PLAN = (
+    '{"format": 2, "gpus_per_node": 2, "meta": {}, "num_nodes": 1, "placement": [[0, 0, 0, 0, 2], '
+    '[0, 0, 0, 6, 8], [0, 0, 1, 0, 1], [1, 0, 0, 2, 4], [1, 0, 0, 4, 6]], '
+    '"rings": [{"kind": "intra_node", "members": [0, 1], "sequence_ids": [0, 1]}], "s0_per_node": [0], "s1": 0, '
+    '"sequence_lengths": [[0, 8], [1, 1]], "strategy": "te_cp"}'
+)
+
+
+def assert_simulate_rejects_as_stale(tmp_path, capsys, text):
+    message = "not a format-3 plan file; write it afresh with `varlenplan plan`"
     with pytest.raises(ValueError, match=re.escape(message)):
-        partitioner.plan_from_json(FORMAT_1_PLAN)
+        partitioner.plan_from_json(text)
     plan_path = tmp_path / "plan.json"
-    plan_path.write_text(FORMAT_1_PLAN)
+    plan_path.write_text(text)
     rc = run(["simulate", "--config", "cluster_a", "--plan", str(plan_path)])
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_format_1_plan_file(tmp_path, capsys):
+    assert_simulate_rejects_as_stale(tmp_path, capsys, FORMAT_1_PLAN)
+
+
+def test_simulate_rejects_a_format_2_plan_file(tmp_path, capsys):
+    assert_simulate_rejects_as_stale(tmp_path, capsys, FORMAT_2_PLAN)
+    # with its format and kind edited away, the same plan reads as format 3
+    payload = json.loads(FORMAT_2_PLAN)
+    payload["format"] = 3
+    del payload["rings"][0]["kind"]
+    assert partitioner.plan_from_json(json.dumps(payload)).ring_groups == (RingGroup((0, 1), (0, 1)),)
 
 
 def test_simulate_checks_topology_before_validating(tmp_path, batch_file, capsys):
@@ -162,7 +185,7 @@ def test_simulate_rejects_a_ring_that_is_not_zigzag(tmp_path, capsys):
     cfg = tmp_path / "cluster.cfg"
     save_cluster_config(str(cfg), cluster, CostCoefficients(attn_quadratic=1e-9))
     placement = [(0, 0, 0, 0, 2), (0, 0, 0, 4, 6), (1, 0, 0, 2, 4), (1, 0, 0, 6, 8)]
-    ring = RingGroup(kind=INTRA_NODE, members=(0, 1), sequence_ids=(0,))
+    ring = RingGroup(members=(0, 1), sequence_ids=(0,))
     plan_path = tmp_path / "plan.json"
     partitioner.save_plan(str(plan_path), partitioner.PlacementPlan(
         strategy="te_cp", num_nodes=1, gpus_per_node=2, s1=0, s0_per_node=[0], sequence_lengths={0: 8},
@@ -305,6 +328,42 @@ def test_infeasible_batch_gives_distinct_exit(tmp_path, capsys):
               "--strategy", "zeppelin", "--out", str(tmp_path / "p.json")])
     assert rc == 3
     assert "infeasible" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("line, error", [
+    ("token_capacity 10", "line 6: expected 'key = value', got 'token_capacity 10'"),
+    ("linear_per_token = slow", "key 'linear_per_token': expected a number, got 'slow'"),
+], ids=["line_without_equals", "non_numeric_float"])
+def test_malformed_config_line_gives_usage_exit(tmp_path, capsys, line, error):
+    cfg = tmp_path / "cluster.cfg"
+    cfg.write_text("nodes = 1\ngpus_per_node = 2\ninv_bw_intra = 1.0\ninv_bw_inter = 2.0\n"
+                   f"attn_quadratic = 1e-9\n{line}\n")
+    out = tmp_path / "o.csv"
+    rc = run(["compare", "--config", str(cfg), "--dataset", "arxiv", "--total-len", "100", "--out", str(out)])
+    assert rc == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_keeps_rows_of_strategies_that_cannot_place_the_batch(tmp_path, capsys):
+    # 20 tokens on 2 GPUs of 8: only hybrid_dp, whose micro-batches run one
+    # after another, places them
+    cfg = tmp_path / "small.cfg"
+    cluster = ClusterSpec(num_nodes=1, gpus_per_node=2, token_capacity=8, inv_bw_intra=1e-6, inv_bw_inter=2e-6)
+    save_cluster_config(str(cfg), cluster, CostCoefficients(attn_quadratic=1e-9, linear_per_token=1e-7))
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([{"id": sid, "len": 4} for sid in range(5)]))
+    out = tmp_path / "cmp.csv"
+    assert run(["compare", "--config", str(cfg), "--batch", str(batch), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["zeppelin", "te_cp", "llama_cp", "hybrid_dp"]
+    assert rows[:3] == ["zeppelin,,,,,,,", "te_cp,,,,,,,", "llama_cp,,,,,,,"]
+    # hybrid_dp's row has every figure but the speedup, which te_cp lacks
+    assert [bool(field) for field in rows[3].split(",")] == [True] * 5 + [False] + [True] * 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"{name}: infeasible (batch of 20 tokens exceeds cluster capacity 16)"
+                                         for name in ("zeppelin", "te_cp", "llama_cp")]
+    assert captured.out.startswith("hybrid_dp: total ") and captured.out.endswith(", speedup vs te_cp n/a\n")
 
 
 def test_compare_requires_exactly_one_batch_source(tmp_path, batch_file):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import check_plan
 from varlenplan import partitioner as pt
-from varlenplan.attention_engine import INTRA_NODE, RingGroup, split_even
+from varlenplan.attention_engine import RingGroup, split_even
 from varlenplan.baselines import STRATEGIES, plan_te_cp, plan_with
 from varlenplan.topology import ClusterSpec, cluster_a
 from varlenplan.workload import SequenceBatch, preset, sample_batch
@@ -175,8 +175,9 @@ class TestBuildPlan:
         assert plan.zone_of[0] == "inter_node"
         assert plan.s1 == 20
         assert plan.meta["reconcile_attempts"] == 0
-        ring = next(r for r in plan.ring_groups if r.kind == "inter_node")
-        assert ring.members == (0, 1, 2, 3)
+        # the one ring that spans nodes, listed first
+        spans = [len({m // cluster.gpus_per_node for m in r.members}) for r in plan.ring_groups]
+        assert spans == [2, 1, 1] and plan.ring_groups[0].members == (0, 1, 2, 3)
 
     def test_exact_capacity_single_sequence(self):
         cluster = make_cluster(n=2, p=2, cap=10)
@@ -255,7 +256,7 @@ class TestBuildPlan:
             del missing[key]
             with pytest.raises(ValueError, match="malformed plan file"):
                 pt.plan_from_json(json.dumps(missing))
-        for key in ("kind", "members", "sequence_ids"):
+        for key in ("members", "sequence_ids"):
             missing = json.loads(text)
             del missing["rings"][0][key]
             with pytest.raises(ValueError, match="malformed plan file"):
@@ -350,7 +351,7 @@ class TestBuildPlan:
          "sequence 1 has a fragment off its ring's micro-batch 0"),
         (lambda plan, ring: {"ring_groups": (dataclasses.replace(ring, members=(0, 1, 2)),)},
          "has a fragment off its ring's micro-batch 0"),
-        (lambda plan, ring: {"ring_groups": (ring, RingGroup(INTRA_NODE, (0, 1), (1,)))},
+        (lambda plan, ring: {"ring_groups": (ring, RingGroup((0, 1), (1,)))},
          "sequence 1 rides two rings"),
         (lambda plan, ring: {"ring_groups": (dataclasses.replace(ring, sequence_ids=(1,)),)},
          "sequence 0 is split but rides no ring"),
@@ -371,6 +372,15 @@ class TestBuildPlan:
         with pytest.raises(pt.PlanValidationError, match=error):
             pt.validate_plan(broken, batch, cluster)
         assert check_plan(broken, batch.lengths, cluster) != []
+
+    def test_validate_plan_checks_the_sequence_ids(self):
+        # the plan covers sequences 0 and 1; the batch holds a sequence 2 too
+        cluster = make_cluster(n=2, p=2, cap=40)
+        plan = plan_te_cp(SequenceBatch(((0, 24), (1, 6))), cluster)
+        batch = SequenceBatch(((0, 24), (1, 6), (2, 1)))
+        with pytest.raises(pt.PlanValidationError, match="^plan covers a different sequence id set than the batch$"):
+            pt.validate_plan(plan, batch, cluster)
+        assert check_plan(plan, batch.lengths, cluster) != []
 
     def test_infeasible_total_raises(self):
         cluster = make_cluster()
@@ -443,11 +453,11 @@ def plans_digest(plans) -> str:
 
 
 class TestPinnedPlans:
-    # sha256 over format-2 plan files; a change that means to move a plan, or
+    # sha256 over format-3 plan files; a change that means to move a plan, or
     # to change the file format, updates the digest and says so
-    DIGEST = "be60c1f441d378891689ef4a54ee7dd2954ed4dd8313b13d3ae2b002f60839a9"
-    BASELINES_DIGEST = "1f7f15b58b38c3ea573ebe4a62b81405093960989e723e446e21b55d235e762b"
-    FALLBACK_DIGEST = "0e1d835229ec7513cbe5a59f78eee1a11076acbbe09a4d03b97d3676af19669b"
+    DIGEST = "bc86b3c908abb4c8b5de8e792f6c2c04e867ddf6f6679147852085524615c7f7"
+    BASELINES_DIGEST = "3cc307737f04d4e3603413f65c9555814737048dd37b90acea3f54eeef598b66"
+    FALLBACK_DIGEST = "7fbad2c6fd00cf26acb8b84a7feee451356545c313ed10b47a88343321c7e073"
 
     def test_greedy_plans_are_byte_identical(self):
         plans = (pt.build_plan(batch, cluster) for batch, cluster in pinned_plan_cases())

@@ -51,6 +51,10 @@ class TestTargetDistribution:
         with pytest.raises(ValueError):
             remapping.target_distribution([-1, 2])
 
+    def test_rejects_no_ranks(self):
+        with pytest.raises(ValueError, match="^need at least one rank$"):
+            remapping.target_distribution([])
+
 
 class TestSolveRemap:
     def test_two_rank_forced_transfer(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import reference_route
 from varlenplan import routing
-from varlenplan.attention_engine import INTER_NODE, AttentionSchedule, RingGroup, RingSchedule, build_schedule
+from varlenplan.attention_engine import AttentionSchedule, RingGroup, RingSchedule, build_schedule
 from varlenplan.partitioner import build_plan
 from varlenplan.topology import ClusterSpec, cluster_a, direct_transfer_time
 from varlenplan.workload import SequenceBatch
@@ -105,7 +105,7 @@ class TestBuildRoute:
         # under the formula each, and the largest transfer up to one inter
         # token over it
         cluster = make_cluster(bi=bi, be=bi * gap, p=p)
-        ring = RingGroup(INTER_NODE, (p - 1, p), (0,))
+        ring = RingGroup((p - 1, p), (0,))
         route = routing.build_route(cluster, ring, p - 1, p, n)
         formula = routing.routed_time(cluster, n, p, p)
         diff = billed_time(route) - formula
@@ -130,7 +130,7 @@ class TestRouteSchedule:
         cluster, _ = cluster_a()
         batch = SequenceBatch(((0, 9000), (1, 9000)))  # two intra-node rings
         plan = build_plan(batch, cluster)
-        assert all(r.kind == "intra_node" for r in plan.ring_groups)
+        assert [{m // 8 for m in r.members} for r in plan.ring_groups] == [{0}, {1}]
         schedule = build_schedule(plan)
         assert routing.route_schedule(schedule, plan, cluster) == {}
 
@@ -181,7 +181,7 @@ def inter_ring_schedules(draw):
         sizes = st.one_of(st.integers(0, 2 * p), st.integers(0, 10**6))
         kv = draw(st.lists(sizes, min_size=len(members), max_size=len(members)))
         g = len(members)
-        rings.append(RingSchedule(RingGroup(INTER_NODE, tuple(members), (0,)), np.zeros((g, g), dtype=np.int64),
+        rings.append(RingSchedule(RingGroup(tuple(members), (0,)), np.zeros((g, g), dtype=np.int64),
                                   tuple(kv)))
     return cluster, AttentionSchedule(tuple(rings), (), ())
 

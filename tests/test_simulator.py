@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from oracles import check_timeline, reference_timeline, reference_trace, sorted_events
 from varlenplan import simulator
 from varlenplan.attention_engine import (
-    INTER_NODE,
-    INTRA_NODE,
     RingGroup,
     build_schedule,
     causal_pairs,
@@ -98,8 +96,7 @@ class TestSimulateRings:
         cluster, coeffs = cluster_a()
         batch = SequenceBatch(((0, 32768), (1, 32768)))
         plan = build_plan(batch, cluster)
-        assert [(r.kind, r.group_size) for r in plan.ring_groups] == [
-            ("intra_node", 8), ("intra_node", 8)]
+        assert [r.members for r in plan.ring_groups] == [tuple(range(8)), tuple(range(8, 16))]
         zep = simulator.simulate(plan, cluster, coeffs)[1]
         te = simulator.simulate(plan_te_cp(batch, cluster), cluster, coeffs)[1]
         assert zep.inter_comm_tokens == 0
@@ -512,19 +509,17 @@ def hand_built_plan(strategy, cluster, rings, placement):
     )
 
 
-@pytest.mark.parametrize("later_kind", [INTER_NODE, INTRA_NODE])
-def test_late_lane_matches_scalar_reference(later_kind):
+def test_late_lane_matches_scalar_reference():
     # ring (0, 2) routes its sends through proxies 1 and 3; ring (1, 3) then
-    # starts at 0 while those proxies' inter-node lanes are still busy. As
-    # an inter-node ring its sends are routed again; as an intra-node ring
-    # across nodes (which only an unvalidated stored plan holds) they go
-    # direct on the busy lanes.
+    # starts at 0 while those proxies' inter-node lanes are still busy. Its
+    # members sit on two nodes, so its sends are routed too, and each of its
+    # transfers waits for the busy lane
     cluster = ClusterSpec(num_nodes=2, gpus_per_node=2, token_capacity=1000,
                           inv_bw_intra=1e-6, inv_bw_inter=1e-4, nics_per_node=2)
     coeffs = CostCoefficients(attn_quadratic=1e-9, linear_per_token=1e-7)
     rings = (
-        RingGroup(INTER_NODE, (0, 2), (0,)),
-        RingGroup(later_kind, (1, 3), (1,)),
+        RingGroup((0, 2), (0,)),
+        RingGroup((1, 3), (1,)),
     )
     placement = [
         (0, 0, 0, 0, 100), (0, 0, 0, 300, 400),
@@ -541,6 +536,29 @@ def test_late_lane_matches_scalar_reference(later_kind):
     assert later_start < proxy_tail == min(e.start for e in lane if e.payload["ring"] == 1)
 
 
+def test_hand_written_two_node_ring_runs_as_a_routed_inter_node_ring():
+    # a plan file names only a ring's members; these sit on two nodes, so
+    # the ring is an inter-node one, and zeppelin routes its every send
+    cluster = ClusterSpec(num_nodes=2, gpus_per_node=2, token_capacity=1000,
+                          inv_bw_intra=1e-6, inv_bw_inter=1e-4, nics_per_node=2)
+    coeffs = CostCoefficients(attn_quadratic=1e-9)
+    text = json.dumps({
+        "format": 3, "strategy": "zeppelin", "num_nodes": 2, "gpus_per_node": 2, "s1": 0, "s0_per_node": [0, 0],
+        "sequence_lengths": [[0, 40]], "meta": {}, "rings": [{"members": [1, 2], "sequence_ids": [0]}],
+        "placement": [[1, 0, 0, 0, 10], [1, 0, 0, 30, 40], [2, 0, 0, 10, 30]],
+    })
+    plan = plan_from_json(text)
+    schedule = build_schedule(plan)
+    assert [s.ring.members for s in schedule.inter_rings] == [(1, 2)] and schedule.intra_rings == ()
+    events = assert_matches_reference(plan, cluster, coeffs)
+    assert_trace_matches_reference(plan, cluster, coeffs)
+    assert {e.kind for e in events if e.stream == "compute"} == {"inter_node.attn"}
+    assert not any(e.kind == "kv.send" for e in events)
+    # two rounds, each with one send per member, of 20 tokens split over 2 proxies
+    transfers = [e for e in events if e.kind == "route.transfer"]
+    assert len(transfers) == 2 * 2 * 2 and {e.payload["tokens"] for e in transfers} == {10}
+
+
 def test_shared_nic_busy_time_adds_in_event_order():
     # a stored te_cp ring that alternates nodes: every hop crosses, and both
     # senders of a node share its one NIC, so the per-round sends of the two
@@ -550,7 +568,7 @@ def test_shared_nic_busy_time_adds_in_event_order():
     coeffs = CostCoefficients(attn_quadratic=1e-3)
     members = (0, 2, 1, 3)
     ranges = ranges_from_sizes([7, 11, 13, 17, 19, 23, 29, 31])
-    ring = RingGroup(INTER_NODE, members, (0,))
+    ring = RingGroup(members, (0,))
     placement = [(rank, 0, 0, s, e) for rank in range(4) for s, e in ranges[members.index(rank)]]
     plan = hand_built_plan("te_cp", cluster, (ring,), placement)
     events = assert_matches_reference(plan, cluster, coeffs)

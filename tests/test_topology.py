@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from varlenplan.topology import (
     CostCoefficients,
     cluster_a,
     direct_transfer_time,
+    inv_bw_from_bandwidth,
     load_cluster_config,
     parse_cluster_config,
     resolve_cluster,
@@ -109,6 +111,27 @@ def test_invalid_parameters_rejected():
         CostCoefficients(attn_quadratic=1.0, linear_per_token=-1.0)
 
 
+CONFIG_WITHOUT_COEFFS = "nodes = 1\ngpus_per_node = 1\ntoken_capacity = 10\ninv_bw_intra = 1.0\ninv_bw_inter = 1.0\n"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_cluster(p=0), "gpus_per_node must be >= 1"),
+    (lambda: make_cluster(cap=0), "token_capacity must be >= 1"),
+    (lambda: make_cluster(nics=0), "nics_per_node must be >= 1"),
+    (lambda: ClusterSpec(num_nodes=1, gpus_per_node=1, token_capacity=1, inv_bw_intra=1.0, inv_bw_inter=1.0,
+                         backward_multiplier=-0.5), "backward_multiplier must be >= 0"),
+    (lambda: inv_bw_from_bandwidth(0), "bandwidth must be > 0"),
+    (lambda: parse_cluster_config("nodes = 1\nattn_quadratic 1e-9\n"),
+     "line 2: expected 'key = value', got 'attn_quadratic 1e-9'"),
+    (lambda: parse_cluster_config(CONFIG_WITHOUT_COEFFS + "attn_quadratic = tiny\n"),
+     "key 'attn_quadratic': expected a number, got 'tiny'"),
+], ids=["no_gpus", "no_capacity", "no_nics", "negative_backward", "zero_bandwidth", "line_without_equals",
+        "non_numeric_float"])
+def test_input_checks_raise_config_errors(build, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("spec, name", [
     (ClusterSpec, "inv_bw_intra"), (ClusterSpec, "inv_bw_inter"), (ClusterSpec, "backward_multiplier"),
@@ -172,6 +195,15 @@ def test_config_comments_and_defaults():
     assert cluster.nics_per_node == 1
     assert cluster.backward_multiplier == 2.0
     assert coeffs.linear_per_token == 0.0
+    # the defaults are the dataclasses' own
+    assert cluster == ClusterSpec(num_nodes=2, gpus_per_node=4, token_capacity=100, inv_bw_intra=1.0,
+                                  inv_bw_inter=2.0)
+    assert coeffs == CostCoefficients(attn_quadratic=1e-9)
+    # and a key that is set overrides its default
+    cluster, coeffs = parse_cluster_config(CONFIG_WITHOUT_COEFFS + "attn_quadratic = 1e-9\nnics_per_node = 3\n"
+                                           "backward_multiplier = 0.5\nlinear_per_token = 2e-6\n")
+    assert (cluster.num_nodes, cluster.nics_per_node, cluster.backward_multiplier) == (1, 3, 0.5)
+    assert coeffs == CostCoefficients(attn_quadratic=1e-9, linear_per_token=2e-6)
 
 
 def test_resolve_cluster_preset_name():

@@ -88,6 +88,16 @@ def test_distribution_validation():
         LengthDistribution(((10, 10, 1.0),))  # empty bin
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: LengthDistribution(((1, 10, -0.5), (10, 20, 1.5))), "bin probabilities must be >= 0"),
+    (lambda: LengthDistribution.normalized([(1, 10, 0.0), (10, 20, 0.0)]), "total probability mass must be > 0"),
+    (lambda: sample_batch(preset("arxiv"), -1, seed=0), "target_total must be >= 0"),
+], ids=["negative_probability", "zero_mass", "negative_total"])
+def test_input_checks_raise_value_errors(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_batch_json_round_trip(tmp_path):
     batch = sample_batch(preset("prolong64k"), 30000, seed=3)
     path = tmp_path / "batch.json"
