@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -295,8 +295,9 @@ def build_plan(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
     Zigzag re-chunking can shift a rank's token count by a token or two
     relative to the even-split accounting the levels used. When a level
     cannot place the batch, or a rank ends up over capacity, the batch takes
-    the even zigzag split over one global ring instead; meta
-    "reconcile_attempts" is 1 for such a plan and 0 otherwise.
+    the even zigzag split over one global ring instead, which
+    even_zigzag_plan returns validated; meta "reconcile_attempts" is 1 for
+    such a plan and 0 otherwise.
     """
     try:
         inter = partition_inter_node(batch, cluster)
@@ -305,6 +306,7 @@ def build_plan(batch: SequenceBatch, cluster: ClusterSpec) -> PlacementPlan:
     except InfeasibleBatch:
         plan = even_zigzag_plan(batch, cluster, "zeppelin")
         plan.meta = {"s1_restarts": 0, "s0_restarts": [0] * cluster.num_nodes, "reconcile_attempts": 1}
+        return plan
     validate_plan(plan, batch, cluster)
     return plan
 
@@ -341,19 +343,27 @@ def lay_out_global_ring(
 ) -> tuple[np.ndarray, tuple[RingGroup, ...]]:
     """Zigzag-split each (sequence_id, length), in order, over all ranks,
     leftover tokens to the lightest ranks. Returns the placement rows and
-    the one global ring that carries them all."""
+    the one global ring that carries them all.
+
+    Every sequence gives each rank the same base, so the ranks' loads never
+    differ by more than a token: the lighter ranks run from a pointer p, the
+    earlier sequences' leftovers mod R, to the last rank. A sequence's
+    leftovers so go round the ranks from p, first chunks before second ones,
+    which is balanced_zigzag_sizes on those loads in one closed form."""
     n_ranks = cluster.num_ranks
-    if n_ranks == 1 or not sequences:
-        return np.array([(0, 0, sid, 0, length) for sid, length in sequences], dtype=np.int64).reshape(-1, 5), ()
-    sizes = np.empty((len(sequences), 2 * n_ranks), dtype=np.int64)
-    running = np.zeros(n_ranks, dtype=np.int64)
-    for i, (_, length) in enumerate(sequences):
-        sizes[i] = balanced_zigzag_sizes(length, running)
-        # rank p holds chunks p and 2R-1-p
-        running += sizes[i, :n_ranks] + sizes[i, :n_ranks - 1:-1]
+    sids, lengths = np.array(sequences, dtype=np.int64).reshape(-1, 2).T
+    if n_ranks == 1 or not len(sids):
+        zero = np.zeros_like(sids)
+        return np.stack((zero, zero, sids, zero, lengths), axis=1), ()
+    base, extra = np.divmod(lengths, 2 * n_ranks)
+    pointer = (np.cumsum(extra) - extra) % n_ranks
+    # leftovers still to go once a rank's place from the pointer is reached:
+    # one more token for its first chunk above 0, for its second above R
+    ahead = extra[:, None] - (np.arange(n_ranks) - pointer[:, None]) % n_ranks
+    # rank p holds chunks p and 2R-1-p
+    sizes = base[:, None] + np.concatenate((ahead > 0, (ahead > n_ranks)[:, ::-1]), axis=1)
     ends = np.cumsum(sizes, axis=1)
     chunk = np.arange(2 * n_ranks)
-    sids = np.array([sid for sid, _ in sequences], dtype=np.int64)
     rows = np.stack(np.broadcast_arrays(np.minimum(chunk, 2 * n_ranks - 1 - chunk), 0, sids[:, None],
                                         ends - sizes, ends), axis=-1).reshape(-1, 5)
     # every sequence's KV rides the global ring, even the ones whose queries
@@ -361,15 +371,35 @@ def lay_out_global_ring(
     return rows[rows[:, 4] > rows[:, 3]], (RingGroup(tuple(range(n_ranks)), tuple(sids.tolist())),)
 
 
+# the last even split laid out, as (batch, cluster, validated plan)
+_last_even: tuple[SequenceBatch, ClusterSpec, PlacementPlan] | None = None
+
+
 def even_zigzag_plan(batch: SequenceBatch, cluster: ClusterSpec, strategy: str) -> PlacementPlan:
-    """Every sequence zigzag-split over all ranks on one global ring. Each
-    rank's load stays within one token of total/R, so the plan fits exactly
-    when the batch total fits the cluster."""
-    cap = cluster.num_ranks * cluster.token_capacity
-    if batch.total_tokens > cap:
-        raise InfeasibleBatch(f"batch of {batch.total_tokens} tokens exceeds cluster capacity {cap}")
-    rows, rings = lay_out_global_ring(sorted(batch.sequences), cluster)
-    return plan_from_rows(strategy, batch, cluster, rows, rings, meta={})
+    """Every sequence zigzag-split over all ranks on one global ring, as a
+    validated plan. Each rank's load stays within one token of total/R, so
+    the plan fits exactly when the batch total fits the cluster.
+
+    te_cp, llama_cp and zeppelin's fallback all place a batch this way, so
+    the last batch's plan is kept, keyed by the identity of its batch and
+    cluster (both frozen). Each call returns its own copy: only the
+    read-only table and the ring tuple are shared."""
+    global _last_even
+    last = _last_even
+    if last is None or last[0] is not batch or last[1] is not cluster:
+        cap = cluster.num_ranks * cluster.token_capacity
+        if batch.total_tokens > cap:
+            raise InfeasibleBatch(f"batch of {batch.total_tokens} tokens exceeds cluster capacity {cap}")
+        rows, rings = lay_out_global_ring(sorted(batch.sequences), cluster)
+        plan = plan_from_rows(strategy, batch, cluster, rows, rings, meta={})
+        validate_plan(plan, batch, cluster)
+        last = _last_even = (batch, cluster, plan)
+    plan = last[2]
+    # the fields alone: values cached on the kept plan stay with it
+    twin = object.__new__(PlacementPlan)
+    vars(twin).update({f.name: getattr(plan, f.name) for f in fields(PlacementPlan)}, strategy=strategy,
+                      s0_per_node=list(plan.s0_per_node), sequence_lengths=dict(plan.sequence_lengths), meta={})
+    return twin
 
 
 def _assemble_plan(
@@ -529,6 +559,10 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
 
 
 PLAN_FORMAT = 3
+# the keys a plan file holds, and those of each of its ring entries
+_PLAN_KEYS = frozenset({"format", "strategy", "num_nodes", "gpus_per_node", "s1", "s0_per_node",
+                        "sequence_lengths", "placement", "rings", "meta"})
+_RING_KEYS = frozenset({"members", "sequence_ids"})
 
 
 def plan_to_json(plan: PlacementPlan) -> str:
@@ -554,7 +588,7 @@ def plan_to_json(plan: PlacementPlan) -> str:
 
 def plan_from_json(text: str) -> PlacementPlan:
     """Read a file plan_to_json wrote. Any other format, and any key that is
-    missing or holds the wrong type, raises ValueError."""
+    missing, unknown or holds the wrong type, raises ValueError."""
     payload = json.loads(text)
     version = payload.get("format") if type(payload) is dict else None
     if type(version) is not int or version != PLAN_FORMAT:
@@ -568,31 +602,34 @@ def plan_from_json(text: str) -> PlacementPlan:
         if any(type(v) is not list for v in lists) or (type(meta), type(payload["strategy"])) != (dict, str):
             raise ValueError("malformed plan file: placement, sequence_lengths, rings and their members and "
                              "sequence_ids must be lists, meta an object and strategy a string")
+        unknown = (payload.keys() - _PLAN_KEYS) | {key for entry in entries for key in entry.keys() - _RING_KEYS}
+        if unknown:
+            raise ValueError(f"malformed plan file: unknown keys {sorted(unknown)}")
         if any(type(row) is not list or len(row) != 5 for row in rows):
             raise ValueError("plan file's placement rows must be lists of 5 integers")
         if any(type(pair) is not list or len(pair) != 2 for pair in pairs):
             raise ValueError("plan file's sequence_lengths must be [id, length] pairs")
         rings = tuple(RingGroup(tuple(r["members"]), tuple(r["sequence_ids"])) for r in entries)
-        fields = {key: payload[key] for key in ("strategy", "num_nodes", "gpus_per_node", "s1")}
+        header = {key: payload[key] for key in ("strategy", "num_nodes", "gpus_per_node", "s1")}
         # json gives int for integers only; bool is not one. Checked before
         # numpy, which would quietly turn 0.5 and False into 0
         integers = [v for row in rows for v in row] + [v for pair in pairs for v in pair]
         integers += [v for ring in rings for v in ring.members + ring.sequence_ids]
-        integers += [fields[key] for key in ("num_nodes", "gpus_per_node", "s1")] + s0
+        integers += [header[key] for key in ("num_nodes", "gpus_per_node", "s1")] + s0
         if any(type(v) is not int for v in integers):
             raise ValueError("plan file's topology, thresholds, sequence ids, lengths, placement rows "
                              "and ring members must be integers")
         lengths = dict(pairs)
         if len(lengths) != len(pairs):
             raise ValueError("plan file's sequence_lengths repeat a sequence id")
-        if len(s0) != fields["num_nodes"]:
-            raise ValueError(f"plan file lists {len(s0)} s0 thresholds for {fields['num_nodes']} nodes")
-        n_ranks = fields["num_nodes"] * fields["gpus_per_node"]
+        if len(s0) != header["num_nodes"]:
+            raise ValueError(f"plan file lists {len(s0)} s0 thresholds for {header['num_nodes']} nodes")
+        n_ranks = header["num_nodes"] * header["gpus_per_node"]
         for ring in rings:
             if not all(m in range(n_ranks) for m in ring.members):
                 raise ValueError(f"plan file's ring members {list(ring.members)} are not ranks 0..{n_ranks - 1}")
         try:
-            return PlacementPlan(**fields, s0_per_node=s0, sequence_lengths=lengths, placement=rows,
+            return PlacementPlan(**header, s0_per_node=s0, sequence_lengths=lengths, placement=rows,
                                  ring_groups=rings, meta=meta)
         except OverflowError:
             raise ValueError("plan file's integers must fit in 64 bits") from None

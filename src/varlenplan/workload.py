@@ -134,6 +134,8 @@ def load_batch(path: str) -> SequenceBatch:
             sequence = (entry["id"], entry["len"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed batch entry {entry!r}: expected keys 'id' and 'len'") from exc
+        if len(entry) != 2:
+            raise ValueError(f"malformed batch entry {entry!r}: expected keys 'id' and 'len' only")
         # json gives int for integers only; bool is not one
         if any(type(value) is not int for value in sequence):
             raise ValueError(f"malformed batch entry {entry!r}: 'id' and 'len' must be integers")

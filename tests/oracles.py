@@ -13,7 +13,7 @@ from collections import defaultdict, namedtuple
 
 import numpy as np
 
-from varlenplan.attention_engine import build_schedule, causal_pairs
+from varlenplan.attention_engine import RingGroup, balanced_zigzag_sizes, build_schedule, causal_pairs
 from varlenplan.partitioner import PlacementPlan
 from varlenplan.simulator import COMPUTE, INTER_COMM, INTRA_COMM, Event, StepReport, Timeline
 from varlenplan.topology import ClusterSpec, CostCoefficients
@@ -150,6 +150,28 @@ def ring_round_pairs_bruteforce(ring, placement) -> list[list[tuple[int, int]]]:
         [(int(pairs[i, (i - r) % g]), int(held[(i - r) % g])) for r in range(g)]
         for i in range(g)
     ]
+
+
+def reference_global_ring(sequences: list[tuple[int, int]], cluster: ClusterSpec):
+    """The even split's rows and ring, one sequence at a time: each
+    (sequence_id, length) in order takes balanced_zigzag_sizes over all
+    ranks on the loads the sequences before it left, and rank p holds chunks
+    p and 2R-1-p."""
+    n_ranks = cluster.num_ranks
+    if n_ranks == 1 or not sequences:
+        return np.array([(0, 0, sid, 0, length) for sid, length in sequences], dtype=np.int64).reshape(-1, 5), ()
+    rows = []
+    running = np.zeros(n_ranks, dtype=np.int64)
+    for sid, length in sequences:
+        sizes = balanced_zigzag_sizes(length, running)
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        for chunk in range(2 * n_ranks):
+            rank = min(chunk, 2 * n_ranks - 1 - chunk)
+            if sizes[chunk]:
+                rows.append((rank, 0, sid, int(bounds[chunk]), int(bounds[chunk + 1])))
+            running[rank] += sizes[chunk]
+    ring = RingGroup(tuple(range(n_ranks)), tuple(sid for sid, _ in sequences))
+    return np.array(rows, dtype=np.int64).reshape(-1, 5), (ring,)
 
 
 RefRemap = namedtuple("RefRemap", "matrix objective row_costs")

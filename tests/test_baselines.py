@@ -1,11 +1,14 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
-from oracles import check_plan
-from varlenplan import baselines
+from oracles import check_plan, reference_global_ring
+from varlenplan import baselines, partitioner, simulator
 from varlenplan.attention_engine import build_schedule, causal_pairs
-from varlenplan.partitioner import InfeasibleBatch, build_plan
+from varlenplan.partitioner import InfeasibleBatch, build_plan, lay_out_global_ring
 from varlenplan.simulator import simulate
 from varlenplan.topology import ClusterSpec, CostCoefficients, cluster_a
 from varlenplan.workload import SequenceBatch, preset, sample_batch
@@ -145,3 +148,155 @@ def test_infeasible_batch_rejected_by_all_planners():
     for planner in (baselines.plan_te_cp, baselines.plan_llama_cp, baselines.plan_hybrid_dp):
         with pytest.raises(InfeasibleBatch):
             planner(batch, cluster)
+
+
+@st.composite
+def global_ring_cases(draw):
+    """A cluster of 1-4 nodes of 1-8 GPUs and 0-11 sequences, each shorter
+    than 2R or up to twenty times longer, by id as the even split takes
+    them; with `cut` set, only those longer than it, as hybrid_dp lays out
+    its ring-phase sequences."""
+    cluster = small_cluster(n=draw(st.integers(1, 4)), p=draw(st.integers(1, 8)))
+    two_r = 2 * cluster.num_ranks
+    ids = draw(st.lists(st.integers(0, 99), max_size=11, unique=True))
+    lengths = [draw(st.integers(1, max(two_r - 1, 1)) | st.integers(two_r, 20 * two_r)) for _ in ids]
+    sequences = sorted(zip(ids, lengths))
+    cut = draw(st.none() | st.integers(1, 20 * two_r))
+    if cut is not None:
+        sequences = [(sid, ln) for sid, ln in sequences if ln > cut]
+    return sequences, cluster, cut
+
+
+class TestGlobalRingLayout:
+    @settings(max_examples=400)
+    @given(global_ring_cases())
+    def test_closed_form_matches_the_per_sequence_layout(self, case):
+        sequences, cluster, _ = case
+        rows, rings = lay_out_global_ring(sequences, cluster)
+        ref_rows, ref_rings = reference_global_ring(sequences, cluster)
+        assert rows.dtype == ref_rows.dtype and rows.shape == ref_rows.shape
+        assert rows.tolist() == ref_rows.tolist()
+        assert rings == ref_rings
+
+    def test_cases_draw_every_shape(self):
+        # the property above sees one rank, no sequences, lengths on both
+        # sides of 2R on a wider ring, and hybrid_dp's cut subsets
+        find(global_ring_cases(), lambda case: case[1].num_ranks == 1 and case[0])
+        find(global_ring_cases(), lambda case: case[1].num_ranks > 1 and not case[0])
+        for short in (True, False):
+            find(global_ring_cases(), lambda case: case[1].num_ranks > 2 and len(case[0]) > 2
+                 and any((ln < 2 * case[1].num_ranks) == short for _, ln in case[0]))
+        find(global_ring_cases(), lambda case: case[2] is not None and len(case[0]) > 1)
+
+    @pytest.mark.parametrize("name", ["arxiv", "github", "prolong64k"])
+    def test_closed_form_matches_on_sampled_batches(self, name):
+        for nodes in (2, 8):
+            cluster, _ = cluster_a(num_nodes=nodes)
+            for seed in range(3):
+                batch = sample_batch(preset(name), 32768 * nodes, seed=seed)
+                whole = sorted(batch.sequences)
+                for sequences in (whole, [(sid, ln) for sid, ln in whole if ln > cluster.token_capacity]):
+                    rows, rings = lay_out_global_ring(sequences, cluster)
+                    ref_rows, ref_rings = reference_global_ring(sequences, cluster)
+                    assert rows.tolist() == ref_rows.tolist() and rings == ref_rings
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts the calls of validate_plan and lay_out_global_ring in the
+    partitioner's and the baselines' namespaces, by (namespace, name)."""
+    counts: dict[tuple[str, str], list] = {}
+    for module in (partitioner, baselines):
+        for name in ("validate_plan", "lay_out_global_ring"):
+            made = counts[module.__name__.rsplit(".", 1)[1], name] = []
+
+            def counting(*args, _fn=getattr(module, name), _made=made):
+                _made.append(args)
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+# a batch zeppelin places on its own levels, and one they cannot place, so
+# that it takes the even split
+GREEDY = (small_cluster(n=2, p=2, cap=4000), ((0, 5000), (1, 3000), (2, 700)))
+FALLBACK = (ClusterSpec(num_nodes=2, gpus_per_node=2, token_capacity=8, inv_bw_intra=0.5, inv_bw_inter=1.0),
+            tuple(enumerate((6, 6, 9, 11))))
+
+
+class TestOneEvenPlanPerBatch:
+    def test_te_cp_and_llama_cp_share_the_table(self):
+        cluster, sequences = GREEDY
+        batch = SequenceBatch(sequences)
+        te = baselines.plan_te_cp(batch, cluster)
+        llama = baselines.plan_llama_cp(batch, cluster)
+        assert llama.placement is te.placement and llama.ring_groups is te.ring_groups
+        assert (te.strategy, llama.strategy) == ("te_cp", "llama_cp")
+        assert all(getattr(llama, f.name) == getattr(te, f.name)
+                   for f in dataclasses.fields(te) if f.name not in ("strategy", "placement"))
+        assert llama.meta is not te.meta and llama.sequence_lengths is not te.sequence_lengths
+
+    @pytest.mark.parametrize("case, validations", [(GREEDY, 3), (FALLBACK, 2)], ids=["greedy", "fallback"])
+    def test_a_compare_lays_out_and_validates_the_even_split_once(self, calls, case, validations):
+        cluster, sequences = case
+        batch = SequenceBatch(sequences)
+        reports = simulator.compare(batch, cluster, CostCoefficients(attn_quadratic=1e-9), list(baselines.STRATEGIES))
+        assert all(r.feasible for r in reports)
+        # zeppelin (on its own levels) and hybrid_dp validate their own
+        # plans; te_cp, llama_cp and zeppelin's fallback share one
+        assert len(calls["partitioner", "validate_plan"]) + len(calls["baselines", "validate_plan"]) == validations
+        layouts = calls["partitioner", "lay_out_global_ring"] + calls["baselines", "lay_out_global_ring"]
+        assert [args[0] for args in layouts].count(sorted(sequences)) == 1
+
+    def test_each_planner_alone_returns_a_validated_plan(self, calls):
+        cluster, sequences = GREEDY
+        for planner in (baselines.plan_te_cp, baselines.plan_llama_cp):
+            batch = SequenceBatch(sequences)
+            plan = planner(batch, cluster)
+            (validated, checked, against), = calls["partitioner", "validate_plan"][-1:]
+            assert checked is batch and against is cluster and validated.placement is plan.placement
+        assert len(calls["partitioner", "validate_plan"]) == 2
+
+    def test_returned_plans_are_their_own(self):
+        cluster, sequences = GREEDY
+        batch = SequenceBatch(sequences)
+        first = baselines.plan_te_cp(batch, cluster)
+        first.meta["edited"] = True
+        first.sequence_lengths[99] = 1
+        first.s0_per_node.append(7)
+        second = baselines.plan_te_cp(batch, cluster)
+        assert second.placement is first.placement
+        assert second.meta == {} and second.sequence_lengths == batch.lengths and second.s0_per_node == [0, 0]
+
+    def test_only_the_same_batch_and_cluster_objects_hit(self, calls):
+        cluster, sequences = GREEDY
+        batch = SequenceBatch(sequences)
+        kept = baselines.plan_te_cp(batch, cluster).placement
+        assert baselines.plan_llama_cp(batch, cluster).placement is kept
+        equal = SequenceBatch(sequences)
+        assert baselines.plan_te_cp(equal, cluster).placement is not kept
+        roomier = dataclasses.replace(cluster, token_capacity=cluster.token_capacity + 1)
+        assert baselines.plan_te_cp(equal, roomier).placement is not kept
+        assert len(calls["partitioner", "lay_out_global_ring"]) == 3
+
+    def test_an_over_capacity_batch_raises_every_time(self, calls):
+        cluster = small_cluster(n=1, p=2, cap=10)
+        fits = SequenceBatch(((0, 20),))
+        kept = baselines.plan_te_cp(fits, cluster).placement
+        over = SequenceBatch(((0, 21),))
+        for planner in (baselines.plan_te_cp, baselines.plan_llama_cp, baselines.plan_te_cp):
+            with pytest.raises(InfeasibleBatch, match="exceeds cluster capacity"):
+                planner(over, cluster)
+        assert len(calls["partitioner", "lay_out_global_ring"]) == 1
+        assert baselines.plan_llama_cp(fits, cluster).placement is kept
+
+    def test_a_fallback_keeps_its_own_meta(self):
+        cluster, sequences = FALLBACK
+        batch = SequenceBatch(sequences)
+        zeppelin = build_plan(batch, cluster)
+        assert zeppelin.meta["reconcile_attempts"] == 1
+        te = baselines.plan_te_cp(batch, cluster)
+        assert te.placement is zeppelin.placement and te.meta == {}
+        assert zeppelin.meta == {"s1_restarts": 0, "s0_restarts": [0, 0], "reconcile_attempts": 1}
+        assert zeppelin.strategy == "zeppelin" and te.strategy == "te_cp"

@@ -166,6 +166,35 @@ def test_simulate_rejects_a_format_2_plan_file(tmp_path, capsys):
     assert partitioner.plan_from_json(json.dumps(payload)).ring_groups == (RingGroup((0, 1), (0, 1)),)
 
 
+def _stale_ring_kind(path):
+    # a format-2 ring entry's kind, left in a format-3 file
+    payload = json.loads(path.read_text())
+    payload["rings"][0]["kind"] = "intra_node"
+    path.write_text(json.dumps(payload))
+
+
+def _leftover_zones(path):
+    # the zones a format-1 file stored beside its fragments
+    payload = json.loads(path.read_text())
+    payload["zones"] = {"0": "inter_node"}
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_stale_ring_kind, "malformed plan file: unknown keys ['kind']"),
+    (_leftover_zones, "malformed plan file: unknown keys ['zones']"),
+], ids=["ring_kind", "zones"])
+def test_simulate_rejects_a_plan_file_with_an_unknown_key(tmp_path, batch_file, capsys, edit, error):
+    plan_path = tmp_path / "plan.json"
+    assert run(["plan", "--config", "cluster_a", "--batch", batch_file,
+                "--strategy", "te_cp", "--out", str(plan_path)]) == 0
+    assert run(["simulate", "--config", "cluster_a", "--plan", str(plan_path)]) == 0
+    edit(plan_path)
+    rc = run(["simulate", "--config", "cluster_a", "--plan", str(plan_path)])
+    assert rc == 2
+    assert f"error: {error}" in capsys.readouterr().err
+
+
 def test_simulate_checks_topology_before_validating(tmp_path, batch_file, capsys):
     plan_path = tmp_path / "plan.json"
     assert run(["plan", "--config", "cluster_a", "--batch", batch_file,
@@ -272,6 +301,16 @@ def test_malformed_json_gives_io_exit(tmp_path, capsys):
 def test_non_integer_batch_length_gives_usage_exit(tmp_path, capsys):
     batch = tmp_path / "batch.json"
     batch.write_text(json.dumps([{"id": 0, "len": 10.7}]))
+    out = tmp_path / "p.json"
+    rc = run(["plan", "--config", "cluster_a", "--batch", str(batch), "--out", str(out)])
+    assert rc == 2
+    assert "malformed batch entry" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_batch_entry_with_an_unknown_key_gives_usage_exit(tmp_path, capsys):
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([{"id": 0, "len": 10, "dataset": "arxiv"}]))
     out = tmp_path / "p.json"
     rc = run(["plan", "--config", "cluster_a", "--batch", str(batch), "--out", str(out)])
     assert rc == 2

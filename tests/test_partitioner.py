@@ -332,14 +332,19 @@ class TestBuildPlan:
     @settings(max_examples=400)
     @given(st.data())
     def test_plan_from_json_raises_only_value_error_on_a_mutated_file(self, data):
-        # drop one key, or give one value another JSON type, anywhere in a
-        # plan file but inside meta, whose contents are free-form
+        # drop one key, insert one beside it, or give one value another JSON
+        # type, anywhere in a plan file but inside meta, whose contents are
+        # free-form
         payload = json.loads(_mutation_base())
         paths = list(_json_paths(payload))
         *where, key = data.draw(st.sampled_from(paths))
         parent = functools.reduce(operator.getitem, where, payload)
-        if isinstance(parent, dict) and data.draw(st.booleans()):
+        edits = ["drop", "insert", "retype"] if isinstance(parent, dict) else ["retype"]
+        edit = data.draw(st.sampled_from(edits))
+        if edit == "drop":
             del parent[key]
+        elif edit == "insert":
+            parent[data.draw(st.text(max_size=5).filter(lambda k: k not in parent))] = data.draw(JSON_VALUES)
         else:
             old = type(parent[key])
             parent[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not old))

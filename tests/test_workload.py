@@ -139,3 +139,11 @@ def test_batch_json_rejects_entries_that_are_not_objects(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match="malformed batch entry"):
             load_batch(str(path))
+
+
+def test_batch_json_rejects_unknown_keys(tmp_path):
+    path = tmp_path / "bad.json"
+    for text in ('[{"id": 0, "len": 12, "dataset": "arxiv"}]', '[{"id": 0, "len": 12}, {"id": 1, "len": 3, "": 0}]'):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="malformed batch entry .* expected keys 'id' and 'len' only"):
+            load_batch(str(path))
