@@ -7,7 +7,9 @@ and measures it against this checkout's src/ on the same machine. Each round
 starts one fresh worker process per side, the side that goes first
 alternating from round to round; a worker times every cell once to warm up
 and then --calls times. A cell reports the median and quartiles of all its
-calls on one side (--rounds x --calls of them, 8 by default).
+calls on one side (--rounds x --calls of them, 8 by default), the ratio of
+the medians, and whether the two sides' quartile ranges are apart
+("resolved").
 
 The file holds:
 - the machine, the interpreter and, per side, its git SHA and src_sha256;
@@ -183,7 +185,8 @@ def _cells(parent: dict[str, list[float]], change: dict[str, list[float]]) -> di
         if key in change:
             before, after = _summary(parent[key]), _summary(change[key])
             cells[key] = {"parent": before, "change": after,
-                          "change_over_parent": round(after["p50"] / before["p50"], 4)}
+                          "change_over_parent": round(after["p50"] / before["p50"], 4),
+                          "resolved": after["q3"] < before["q1"] or after["q1"] > before["q3"]}
     return cells
 
 
