@@ -3,13 +3,15 @@
     python3 scripts/bench_record.py --base <rev> --out BENCH_<n>.json
 
 Exports the library at <rev> with `git archive` into a temporary directory
-and measures it against this checkout's src/ on the same machine. Each round
-starts one fresh worker process per side, the side that goes first
-alternating from round to round; a worker times every cell once to warm up
-and then --calls times. A cell reports the median and quartiles of all its
-calls on one side (--rounds x --calls of them, 8 by default), the ratio of
-the medians, and whether the two sides' quartile ranges are apart
-("resolved").
+and measures it against this checkout's src/ on the same machine, in ROUNDS
+pairs of runs. Each round starts one fresh worker process per side, the side
+that goes first alternating from round to round; a worker times every cell
+once to warm up and then CALLS times, and the median of those calls is the
+run's value. A cell reports, per side, the median and quartiles of its
+ROUNDS run values; the ratio of the medians; in how many of the ROUNDS pairs
+(one round's two runs) the change was faster; and whether the medians lie
+further apart than the parent's quartiles do. A gain is resolved when the
+change wins at least nine in ten pairs and the gap exceeds that spread.
 
 The file holds:
 - the machine, the interpreter and, per side, its git SHA and src_sha256;
@@ -51,16 +53,18 @@ import numpy
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NODES = (2, 4, 8, 16, 32)
 COMPARE_NODES = (8, 32)
+ROUNDS = 10
+CALLS = 3
 TOKENS_PER_NODE = 32768
 DATASET = "github"
 SEED = 1
 
 
-def _timed(calls: int, fn, setup=None) -> list[float]:
-    """Milliseconds of `calls` calls of fn(*setup()), after one untimed
-    call; setup runs outside the timed region."""
+def _timed(fn, setup=None) -> list[float]:
+    """Milliseconds of CALLS calls of fn(*setup()), after one untimed call;
+    setup runs outside the timed region."""
     samples = []
-    for i in range(calls + 1):
+    for i in range(CALLS + 1):
         args = setup() if setup else ()
         t0 = time.perf_counter()
         fn(*args)
@@ -69,7 +73,7 @@ def _timed(calls: int, fn, setup=None) -> list[float]:
     return samples
 
 
-def _stage_row(lib, nodes: int, calls: int, workdir: str) -> dict:
+def _stage_row(lib, nodes: int, workdir: str) -> dict:
     attention_engine, baselines, partitioner, remapping, routing, simulator, topology, workload = lib
     cluster, coeffs = topology.cluster_a(num_nodes=nodes)
     tokens = TOKENS_PER_NODE * nodes
@@ -79,35 +83,35 @@ def _stage_row(lib, nodes: int, calls: int, workdir: str) -> dict:
     def fresh():
         return (workload.SequenceBatch(batch.sequences),)
 
-    ms = {"sample_batch": _timed(calls, lambda: workload.sample_batch(dist, tokens, SEED)),
-          "build_plan": _timed(calls, lambda b: partitioner.build_plan(b, cluster), fresh)}
+    ms = {"sample_batch": _timed(lambda: workload.sample_batch(dist, tokens, SEED)),
+          "build_plan": _timed(lambda b: partitioner.build_plan(b, cluster), fresh)}
     plan = partitioner.build_plan(*fresh(), cluster)
     schedule = attention_engine.build_schedule(plan)
-    ms["build_schedule"] = _timed(calls, lambda: attention_engine.build_schedule(plan))
-    ms["route_schedule"] = _timed(calls, lambda: routing.route_schedule(schedule, plan, cluster))
+    ms["build_schedule"] = _timed(lambda: attention_engine.build_schedule(plan))
+    ms["route_schedule"] = _timed(lambda: routing.route_schedule(schedule, plan, cluster))
     ms["solve_remap"] = _timed(
-        calls, lambda: remapping.solve_remap(plan.tokens_per_rank, remapping.cost_matrix(cluster)))
+        lambda: remapping.solve_remap(plan.tokens_per_rank, remapping.cost_matrix(cluster)))
     ms["plan_te_cp+plan_llama_cp"] = _timed(
-        calls, lambda b: (baselines.plan_te_cp(b, cluster), baselines.plan_llama_cp(b, cluster)), fresh)
-    ms["plan_hybrid_dp"] = _timed(calls, lambda b: baselines.plan_hybrid_dp(b, cluster), fresh)
+        lambda b: (baselines.plan_te_cp(b, cluster), baselines.plan_llama_cp(b, cluster)), fresh)
+    ms["plan_hybrid_dp"] = _timed(lambda b: baselines.plan_hybrid_dp(b, cluster), fresh)
     te = baselines.plan_te_cp(*fresh(), cluster)
-    ms["plan_to_json"] = _timed(calls, lambda: partitioner.plan_to_json(te))
+    ms["plan_to_json"] = _timed(lambda: partitioner.plan_to_json(te))
     text = partitioner.plan_to_json(te)
-    ms["plan_from_json"] = _timed(calls, lambda: partitioner.plan_from_json(text))
+    ms["plan_from_json"] = _timed(lambda: partitioner.plan_from_json(text))
     for strategy in baselines.STRATEGIES:
         try:
             strategy_plan = baselines.plan_with(strategy, *fresh(), cluster)
         except partitioner.InfeasibleBatch:
             continue
-        ms[f"simulate.{strategy}"] = _timed(calls, lambda: simulator.simulate(strategy_plan, cluster, coeffs))
+        ms[f"simulate.{strategy}"] = _timed(lambda: simulator.simulate(strategy_plan, cluster, coeffs))
         timeline = simulator.simulate(strategy_plan, cluster, coeffs)[0]
         path = os.path.join(workdir, "stage.trace.json")
-        ms[f"export_trace.{strategy}"] = _timed(calls, lambda: simulator.export_trace(timeline, path))
+        ms[f"export_trace.{strategy}"] = _timed(lambda: simulator.export_trace(timeline, path))
         os.remove(path)
     return {"nodes": nodes, "ranks": cluster.num_ranks, "tokens": tokens, "sequences": len(batch), "ms": ms}
 
 
-def _compare_rows(cli, topology, workload, calls: int, workdir: str) -> tuple[list[dict], str]:
+def _compare_rows(cli, topology, workload, workdir: str) -> tuple[list[dict], str]:
     """Timed `compare` runs, and a sha256 over the CSVs and traces of the
     last run of each."""
     digest = hashlib.sha256()
@@ -130,7 +134,7 @@ def _compare_rows(cli, topology, workload, calls: int, workdir: str) -> tuple[li
                     if cli.main(argv) != 0:
                         raise RuntimeError(f"compare exited non-zero: {argv}")
 
-            rows.append({"nodes": nodes, "traced": traced, "ms": _timed(calls, run)})
+            rows.append({"nodes": nodes, "traced": traced, "ms": _timed(run)})
             for name in sorted(os.listdir(out_dir)):
                 with open(os.path.join(out_dir, name), "rb") as fh:
                     digest.update(f"{nodes}/{int(traced)}/{name}\0".encode() + fh.read())
@@ -138,15 +142,15 @@ def _compare_rows(cli, topology, workload, calls: int, workdir: str) -> tuple[li
     return rows, digest.hexdigest()
 
 
-def worker(calls: int, workdir: str) -> dict:
+def worker(workdir: str) -> dict:
     """One side's measurements in this process; the library comes from
     PYTHONPATH."""
     from varlenplan import (attention_engine, baselines, cli, partitioner, remapping, routing, simulator,
                             topology, workload)
 
     lib = (attention_engine, baselines, partitioner, remapping, routing, simulator, topology, workload)
-    stages = [_stage_row(lib, n, calls, workdir) for n in NODES]
-    compare, digest = _compare_rows(cli, topology, workload, calls, workdir)
+    stages = [_stage_row(lib, n, workdir) for n in NODES]
+    compare, digest = _compare_rows(cli, topology, workload, workdir)
     return {"stages": stages, "compare": compare, "outputs_sha256": digest}
 
 
@@ -180,22 +184,28 @@ def _summary(samples: list[float]) -> dict:
 
 
 def _cells(parent: dict[str, list[float]], change: dict[str, list[float]]) -> dict:
+    """Per cell, both sides' run values summarized and compared pair by
+    pair; round r's two runs are pair r."""
     cells = {}
     for key in parent:
         if key in change:
             before, after = _summary(parent[key]), _summary(change[key])
             cells[key] = {"parent": before, "change": after,
                           "change_over_parent": round(after["p50"] / before["p50"], 4),
-                          "resolved": after["q3"] < before["q1"] or after["q1"] > before["q3"]}
+                          "change_faster_pairs": sum(c < b for b, c in zip(parent[key], change[key])),
+                          "pairs": len(parent[key]),
+                          "gap_over_parent_iqr": abs(after["p50"] - before["p50"]) > before["q3"] - before["q1"]}
     return cells
 
 
 def _merge(runs: list[dict]) -> dict:
-    """One side's rounds, each cell's samples pooled."""
+    """One side's rounds, each cell a list of its run values in round
+    order."""
     first = runs[0]
-    stages = [{**row, "ms": {key: [v for run in runs for v in run["stages"][i]["ms"][key]] for key in row["ms"]}}
+    stages = [{**row, "ms": {key: [statistics.median(run["stages"][i]["ms"][key]) for run in runs]
+                             for key in row["ms"]}}
               for i, row in enumerate(first["stages"])]
-    compare = [{**row, "ms": [v for run in runs for v in run["compare"][i]["ms"]]}
+    compare = [{**row, "ms": [statistics.median(run["compare"][i]["ms"]) for run in runs]}
                for i, row in enumerate(first["compare"])]
     digests = {run["outputs_sha256"] for run in runs}
     if len(digests) != 1:
@@ -217,16 +227,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", help="the parent revision to measure against")
     parser.add_argument("--out", help="the BENCH_*.json file to write")
-    parser.add_argument("--rounds", type=int, default=4, help="worker processes per side")
-    parser.add_argument("--calls", type=int, default=2, help="timed calls per cell in each worker")
     parser.add_argument("--workdir", help="where the temporary files go (default: the system's temp directory)")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        print(json.dumps(worker(args.calls, args.workdir)))
+        print(json.dumps(worker(args.workdir)))
         return 0
-    if not (args.base and args.out) or args.rounds < 1 or args.calls < 1:
-        parser.error("--base and --out are required, and --rounds and --calls must be >= 1")
+    if not (args.base and args.out):
+        parser.error("--base and --out are required")
 
     base_sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     scratch = tempfile.mkdtemp(prefix="bench-record-", dir=args.workdir)
@@ -236,21 +244,19 @@ def main(argv: list[str] | None = None) -> int:
         archive = subprocess.run(["git", "archive", base_sha], cwd=ROOT, capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", roots["parent"]], input=archive, check=True)
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
                 workdir = tempfile.mkdtemp(dir=scratch)
                 env = {**os.environ, "PYTHONPATH": os.path.join(roots[side], "src")}
-                done = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", "--calls",
-                                       str(args.calls), "--workdir", workdir], env=env, capture_output=True,
-                                      text=True, check=True)
+                done = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", "--workdir", workdir],
+                                      env=env, capture_output=True, text=True, check=True)
                 runs[side].append(json.loads(done.stdout))
                 shutil.rmtree(workdir)
-                print(f"# round {r + 1}/{args.rounds}: {side} done", file=sys.stderr)
+                print(f"# round {r + 1}/{ROUNDS}: {side} done", file=sys.stderr)
         tier1 = {side: _tier1(roots[side]) for side in ("parent", "change")}
         sides = {side: _merge(runs[side]) for side in runs}
         record = {
-            "command": f"python3 scripts/bench_record.py --base {args.base} --out {os.path.basename(args.out)} "
-                       f"--rounds {args.rounds} --calls {args.calls}",
+            "command": f"python3 scripts/bench_record.py --base {args.base} --out {os.path.basename(args.out)}",
             "environment": {
                 "cpu_model": _cpu_model(),
                 "nproc": os.cpu_count(),
@@ -264,8 +270,10 @@ def main(argv: list[str] | None = None) -> int:
                            "src_dirty": bool(_git("status", "--porcelain", "src"))},
             },
             "method": {
-                "rounds": args.rounds, "calls_per_round": args.calls,
-                "cell": "median and quartiles of every timed call on one side, host ms",
+                "rounds": ROUNDS, "calls_per_run": CALLS,
+                "run": "median of one worker's timed calls of a cell, after one untimed call, host ms",
+                "cell": "per side, median and quartiles of its runs; pairs the change was faster in; "
+                        "whether the medians differ by more than the parent's quartile spread",
                 "batch": f"{DATASET}, seed {SEED}, {TOKENS_PER_NODE} tokens per node, cluster_a(num_nodes=N)",
             },
             "stages": [

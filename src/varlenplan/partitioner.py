@@ -351,21 +351,25 @@ def lay_out_global_ring(
     leftovers so go round the ranks from p, first chunks before second ones,
     which is balanced_zigzag_sizes on those loads in one closed form."""
     n_ranks = cluster.num_ranks
-    sids, lengths = np.array(sequences, dtype=np.int64).reshape(-1, 2).T
-    if n_ranks == 1 or not len(sids):
-        zero = np.zeros_like(sids)
-        return np.stack((zero, zero, sids, zero, lengths), axis=1), ()
+    if n_ranks == 1 or not sequences:
+        return np.array([(0, 0, sid, 0, length) for sid, length in sequences], dtype=np.int64).reshape(-1, 5), ()
+    sids, lengths = np.array(sequences, dtype=np.int64).T
     base, extra = np.divmod(lengths, 2 * n_ranks)
     pointer = (np.cumsum(extra) - extra) % n_ranks
+    rank = np.arange(n_ranks)
     # leftovers still to go once a rank's place from the pointer is reached:
     # one more token for its first chunk above 0, for its second above R
-    ahead = extra[:, None] - (np.arange(n_ranks) - pointer[:, None]) % n_ranks
-    # rank p holds chunks p and 2R-1-p
+    ahead = extra[:, None] - (rank - pointer[:, None]) % n_ranks
     sizes = base[:, None] + np.concatenate((ahead > 0, (ahead > n_ranks)[:, ::-1]), axis=1)
-    ends = np.cumsum(sizes, axis=1)
-    chunk = np.arange(2 * n_ranks)
-    rows = np.stack(np.broadcast_arrays(np.minimum(chunk, 2 * n_ranks - 1 - chunk), 0, sids[:, None],
-                                        ends - sizes, ends), axis=-1).reshape(-1, 5)
+    # (sequence, chunk) -> (rank, micro_batch, sequence_id, start, end);
+    # rank p holds chunks p and 2R-1-p
+    rows = np.zeros((len(sids), 2 * n_ranks, 5), dtype=np.int64)
+    rows[:, :n_ranks, 0] = rank
+    rows[:, n_ranks:, 0] = rank[::-1]
+    rows[:, :, 2] = sids[:, None]
+    np.cumsum(sizes, axis=1, out=rows[:, :, 4])
+    rows[:, 1:, 3] = rows[:, :-1, 4]
+    rows = rows.reshape(-1, 5)
     # every sequence's KV rides the global ring, even the ones whose queries
     # fit on a single rank: that is the even split's overhead
     return rows[rows[:, 4] > rows[:, 3]], (RingGroup(tuple(range(n_ranks)), tuple(sids.tolist())),)
@@ -559,10 +563,11 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
 
 
 PLAN_FORMAT = 3
-# the keys a plan file holds, and those of each of its ring entries
-_PLAN_KEYS = frozenset({"format", "strategy", "num_nodes", "gpus_per_node", "s1", "s0_per_node",
-                        "sequence_lengths", "placement", "rings", "meta"})
-_RING_KEYS = frozenset({"members", "sequence_ids"})
+# the keys of a plan file, in the order plan_to_json fills them; each ring
+# entry holds a RingGroup's fields
+_PLAN_KEYS = ("format", "strategy", "num_nodes", "gpus_per_node", "s1", "s0_per_node",
+              "sequence_lengths", "placement", "rings", "meta")
+_RING_KEYS = frozenset(f.name for f in fields(RingGroup))
 
 
 def plan_to_json(plan: PlacementPlan) -> str:
@@ -570,20 +575,18 @@ def plan_to_json(plan: PlacementPlan) -> str:
     ring's members and sequences, beside the topology, thresholds, sequence
     lengths and meta. Zones, buckets and ring layouts are read off the table
     after loading."""
-    payload = {
-        "format": PLAN_FORMAT,
-        "strategy": plan.strategy,
-        "num_nodes": plan.num_nodes,
-        "gpus_per_node": plan.gpus_per_node,
-        "s1": plan.s1,
-        "s0_per_node": plan.s0_per_node,
-        "sequence_lengths": sorted(plan.sequence_lengths.items()),
-        "placement": plan.placement.tolist(),
-        "rings": [{"members": ring.members, "sequence_ids": ring.sequence_ids} for ring in plan.ring_groups],
-        "meta": plan.meta,
-    }
+    values = (PLAN_FORMAT, plan.strategy, plan.num_nodes, plan.gpus_per_node, plan.s1, plan.s0_per_node,
+              sorted(plan.sequence_lengths.items()), plan.placement.tolist(), list(map(vars, plan.ring_groups)),
+              plan.meta)
     # no indent: json then writes with its C encoder
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(dict(zip(_PLAN_KEYS, values, strict=True)), sort_keys=True)
+
+
+def _check_keys(found, expected) -> None:
+    missing, unknown = expected - found, found - expected
+    if missing or unknown:
+        raise ValueError("malformed plan file: " + ", ".join(
+            f"{what} keys {sorted(keys)}" for what, keys in (("missing", missing), ("unknown", unknown)) if keys))
 
 
 def plan_from_json(text: str) -> PlacementPlan:
@@ -594,22 +597,24 @@ def plan_from_json(text: str) -> PlacementPlan:
     if type(version) is not int or version != PLAN_FORMAT:
         raise ValueError(f"not a format-{PLAN_FORMAT} plan file; write it afresh with `varlenplan plan`")
     try:
+        _check_keys(payload.keys(), set(_PLAN_KEYS))
         rows, pairs, entries = payload["placement"], payload["sequence_lengths"], payload["rings"]
         s0, meta = payload["s0_per_node"], payload["meta"]
         if type(s0) is not list:
             raise ValueError("plan file's s0_per_node must be a list")
-        lists = [rows, pairs, entries] + [entry[k] for entry in entries for k in ("members", "sequence_ids")]
+        if type(entries) is not list or any(type(entry) is not dict for entry in entries):
+            raise ValueError("malformed plan file: rings must be a list of objects")
+        for entry in entries:
+            _check_keys(entry.keys(), _RING_KEYS)
+        lists = [rows, pairs] + [v for entry in entries for v in entry.values()]
         if any(type(v) is not list for v in lists) or (type(meta), type(payload["strategy"])) != (dict, str):
-            raise ValueError("malformed plan file: placement, sequence_lengths, rings and their members and "
+            raise ValueError("malformed plan file: placement, sequence_lengths, rings' members and "
                              "sequence_ids must be lists, meta an object and strategy a string")
-        unknown = (payload.keys() - _PLAN_KEYS) | {key for entry in entries for key in entry.keys() - _RING_KEYS}
-        if unknown:
-            raise ValueError(f"malformed plan file: unknown keys {sorted(unknown)}")
         if any(type(row) is not list or len(row) != 5 for row in rows):
             raise ValueError("plan file's placement rows must be lists of 5 integers")
         if any(type(pair) is not list or len(pair) != 2 for pair in pairs):
             raise ValueError("plan file's sequence_lengths must be [id, length] pairs")
-        rings = tuple(RingGroup(tuple(r["members"]), tuple(r["sequence_ids"])) for r in entries)
+        rings = tuple(RingGroup(**{key: tuple(v) for key, v in entry.items()}) for entry in entries)
         header = {key: payload[key] for key in ("strategy", "num_nodes", "gpus_per_node", "s1")}
         # json gives int for integers only; bool is not one. Checked before
         # numpy, which would quietly turn 0.5 and False into 0
