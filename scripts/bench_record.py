@@ -23,6 +23,9 @@ The file holds:
   plan_from_json of the te_cp plan;
 - in-process `cli.main(["compare", ...])` over all four strategies at N = 8
   and 32, without and with --trace-dir;
+- a cold start: bench/harness.py's `setup` of the github-8n workload, which
+  imports varlenplan afresh, writes the cluster's config file and samples
+  its pool of 160 github batches of 262,144 tokens, SETUP_REPEATS times;
 - the wall-clock of each side's Tier-1 suite, run once per side;
 - per side, a sha256 over the compare CSVs and trace files the workers
   wrote, which must be equal.
@@ -58,6 +61,7 @@ CALLS = 3
 TOKENS_PER_NODE = 32768
 DATASET = "github"
 SEED = 1
+COLD_START_WORKLOAD = "github-8n"
 
 
 def _timed(fn, setup=None) -> list[float]:
@@ -142,6 +146,16 @@ def _compare_rows(cli, topology, workload, workdir: str) -> tuple[list[dict], st
     return rows, digest.hexdigest()
 
 
+def _cold_start(workdir: str) -> list[float]:
+    """Milliseconds of each repeat of the benchmark's own set-up, unscaled;
+    it imports the library from PYTHONPATH like everything else here."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    import harness
+
+    setup = harness.setup(harness.WORKLOADS[COLD_START_WORKLOAD], SEED, workdir)
+    return [seconds * 1e3 for _, seconds in setup.samples]
+
+
 def worker(workdir: str) -> dict:
     """One side's measurements in this process; the library comes from
     PYTHONPATH."""
@@ -151,7 +165,7 @@ def worker(workdir: str) -> dict:
     lib = (attention_engine, baselines, partitioner, remapping, routing, simulator, topology, workload)
     stages = [_stage_row(lib, n, workdir) for n in NODES]
     compare, digest = _compare_rows(cli, topology, workload, workdir)
-    return {"stages": stages, "compare": compare, "outputs_sha256": digest}
+    return {"stages": stages, "compare": compare, "cold_start": _cold_start(workdir), "outputs_sha256": digest}
 
 
 def src_sha256(root: str) -> str:
@@ -207,10 +221,11 @@ def _merge(runs: list[dict]) -> dict:
               for i, row in enumerate(first["stages"])]
     compare = [{**row, "ms": [statistics.median(run["compare"][i]["ms"]) for run in runs]}
                for i, row in enumerate(first["compare"])]
+    cold_start = [statistics.median(run["cold_start"]) for run in runs]
     digests = {run["outputs_sha256"] for run in runs}
     if len(digests) != 1:
         raise RuntimeError("one side's outputs differ from round to round")
-    return {"stages": stages, "compare": compare, "outputs_sha256": digests.pop()}
+    return {"stages": stages, "compare": compare, "cold_start": cold_start, "outputs_sha256": digests.pop()}
 
 
 def _tier1(root: str) -> dict:
@@ -275,6 +290,8 @@ def main(argv: list[str] | None = None) -> int:
                 "cell": "per side, median and quartiles of its runs; pairs the change was faster in; "
                         "whether the medians differ by more than the parent's quartile spread",
                 "batch": f"{DATASET}, seed {SEED}, {TOKENS_PER_NODE} tokens per node, cluster_a(num_nodes=N)",
+                "cold_start": f"bench/harness.py setup of {COLD_START_WORKLOAD}, seed {SEED}: median of its "
+                              "repeats, host ms",
             },
             "stages": [
                 {key: row[key] for key in ("nodes", "ranks", "tokens", "sequences")}
@@ -286,6 +303,8 @@ def main(argv: list[str] | None = None) -> int:
                  "ms": _cells({"main": row["ms"]}, {"main": sides["change"]["compare"][i]["ms"]})["main"]}
                 for i, row in enumerate(sides["parent"]["compare"])
             ],
+            "cold_start": {"ms": _cells({"main": sides["parent"]["cold_start"]},
+                                        {"main": sides["change"]["cold_start"]})["main"]},
             "tier1": tier1,
             "outputs_sha256": {side: sides[side]["outputs_sha256"] for side in sides}
             | {"equal": sides["parent"]["outputs_sha256"] == sides["change"]["outputs_sha256"]},

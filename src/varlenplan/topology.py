@@ -10,7 +10,7 @@ linear modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 # Bytes moved per KV token: 2 tensors (K and V) x 4096 hidden x 2-byte dtype.
 KV_BYTES_PER_TOKEN = 16384
@@ -151,15 +151,14 @@ def cluster_a(
     return cluster, coeffs
 
 
-_INT_KEYS = ("nodes", "gpus_per_node", "token_capacity", "nics_per_node")
-_FLOAT_KEYS = (
-    "inv_bw_intra",
-    "inv_bw_inter",
-    "attn_quadratic",
-    "linear_per_token",
-    "backward_multiplier",
-)
-_REQUIRED_KEYS = ("nodes", "gpus_per_node", "token_capacity", "inv_bw_intra", "inv_bw_inter", "attn_quadratic")
+# Config file key -> (dataclass, field), in field order: each key is its
+# field's name, but for nodes. field.type is the annotation's text, 'int' or
+# 'float'; a field without a default is a required key.
+_CONFIG_KEYS = {
+    ("nodes" if f.name == "num_nodes" else f.name): (spec, f)
+    for spec in (ClusterSpec, CostCoefficients)
+    for f in fields(spec)
+}
 
 
 def parse_cluster_config(text: str) -> tuple[ClusterSpec, CostCoefficients]:
@@ -180,28 +179,22 @@ def parse_cluster_config(text: str) -> tuple[ClusterSpec, CostCoefficients]:
         val = val.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: key '{key}' is set twice")
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise ConfigError(f"key '{key}': expected an integer, got {val!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"key '{key}': expected a number, got {val!r}") from None
-        else:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key '{key}'")
-    for key in _REQUIRED_KEYS:
-        if key not in values:
+        parse, expected = (int, "an integer") if _CONFIG_KEYS[key][1].type == "int" else (float, "a number")
+        try:
+            values[key] = parse(val)
+        except ValueError:
+            raise ConfigError(f"key '{key}': expected {expected}, got {val!r}") from None
+    for key, (_, f) in _CONFIG_KEYS.items():
+        if key not in values and f.default is MISSING:
             raise ConfigError(f"missing required config key '{key}'")
-    # each key names its field, but for nodes; a key left out takes the
-    # field's default, which only the dataclass states
-    values["num_nodes"] = values.pop("nodes")
-    coeff_fields = {f.name for f in fields(CostCoefficients)}
-    cluster = ClusterSpec(**{k: v for k, v in values.items() if k not in coeff_fields})
-    coeffs = CostCoefficients(**{k: v for k, v in values.items() if k in coeff_fields})
-    return cluster, coeffs
+    # a key left out takes the field's default, which only the dataclass states
+    kwargs: dict[type, dict[str, int | float]] = {ClusterSpec: {}, CostCoefficients: {}}
+    for key, value in values.items():
+        spec, f = _CONFIG_KEYS[key]
+        kwargs[spec][f.name] = value
+    return ClusterSpec(**kwargs[ClusterSpec]), CostCoefficients(**kwargs[CostCoefficients])
 
 
 def load_cluster_config(path: str) -> tuple[ClusterSpec, CostCoefficients]:
@@ -210,17 +203,11 @@ def load_cluster_config(path: str) -> tuple[ClusterSpec, CostCoefficients]:
 
 
 def save_cluster_config(path: str, cluster: ClusterSpec, coeffs: CostCoefficients) -> None:
-    lines = [
-        f"nodes = {cluster.num_nodes}",
-        f"gpus_per_node = {cluster.gpus_per_node}",
-        f"token_capacity = {cluster.token_capacity}",
-        f"inv_bw_intra = {cluster.inv_bw_intra!r}",
-        f"inv_bw_inter = {cluster.inv_bw_inter!r}",
-        f"nics_per_node = {cluster.nics_per_node}",
-        f"attn_quadratic = {coeffs.attn_quadratic!r}",
-        f"linear_per_token = {coeffs.linear_per_token!r}",
-        f"backward_multiplier = {cluster.backward_multiplier!r}",
-    ]
+    objects = {ClusterSpec: cluster, CostCoefficients: coeffs}
+    lines = []
+    for key, (spec, f) in _CONFIG_KEYS.items():
+        value = getattr(objects[spec], f.name)
+        lines.append(f"{key} = {value}" if f.type == "int" else f"{key} = {value!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +51,8 @@ class LengthDistribution:
                 raise ValueError(f"empty bin [{lo}, {hi})")
             if lo < prev_hi:
                 raise ValueError("bins must be ordered and non-overlapping")
+            if not math.isfinite(p):
+                raise ValueError("bin probabilities must be finite")
             if p < 0:
                 raise ValueError("bin probabilities must be >= 0")
             prev_hi = hi
@@ -95,22 +99,26 @@ def sample_batch(dist: LengthDistribution, target_total: int, seed: int) -> Sequ
     until the running total reaches target_total; the final sequence is
     truncated so total_tokens == target_total exactly.
 
-    Deterministic for a fixed (dist, target_total, seed).
+    A bin is the first normalized cumulative mass above one uniform draw,
+    which is the draw Generator.choice(len(p), p=p) makes, so batches match
+    that sampler's for the same seed. Deterministic for a fixed (dist,
+    target_total, seed).
     """
+    if isinstance(target_total, bool) or not isinstance(target_total, (int, np.integer)):
+        raise ValueError("target_total must be an integer")
     if target_total < 0:
         raise ValueError("target_total must be >= 0")
     if target_total == 0:
         return SequenceBatch(())
     rng = np.random.default_rng(seed)
-    probs = np.array([p for _, _, p in dist.bins])
-    lows = np.array([lo for lo, _, _ in dist.bins])
-    highs = np.array([hi for _, hi, _ in dist.bins])
+    cumulative = np.cumsum([p for _, _, p in dist.bins])
+    cdf = (cumulative / cumulative[-1]).tolist()
+    bounds = [(lo, hi) for lo, hi, _ in dist.bins]
     sequences: list[tuple[int, int]] = []
     total = 0
     while total < target_total:
-        b = int(rng.choice(len(probs), p=probs))
-        length = int(rng.integers(lows[b], highs[b]))
-        length = min(length, target_total - total)
+        lo, hi = bounds[bisect.bisect_right(cdf, rng.random())]
+        length = min(int(rng.integers(lo, hi)), target_total - total)
         sequences.append((len(sequences), length))
         total += length
     return SequenceBatch(tuple(sequences))

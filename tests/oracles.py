@@ -17,6 +17,7 @@ from varlenplan.attention_engine import RingGroup, balanced_zigzag_sizes, build_
 from varlenplan.partitioner import PlacementPlan
 from varlenplan.simulator import COMPUTE, INTER_COMM, INTRA_COMM, Event, StepReport, Timeline
 from varlenplan.topology import ClusterSpec, CostCoefficients
+from varlenplan.workload import LengthDistribution, SequenceBatch
 
 
 Fragment = namedtuple("Fragment", "rank micro_batch sequence_id start end")
@@ -172,6 +173,27 @@ def reference_global_ring(sequences: list[tuple[int, int]], cluster: ClusterSpec
             running[rank] += sizes[chunk]
     ring = RingGroup(tuple(range(n_ranks)), tuple(sid for sid, _ in sequences))
     return np.array(rows, dtype=np.int64).reshape(-1, 5), (ring,)
+
+
+def reference_sample_batch(dist: LengthDistribution, target_total: int, seed: int) -> SequenceBatch:
+    """sample_batch drawn through Generator.choice: a bin by probability,
+    then a length uniform within it, until the running total reaches
+    target_total; the last length is truncated to land on it exactly."""
+    if target_total == 0:
+        return SequenceBatch(())
+    rng = np.random.default_rng(seed)
+    probs = np.array([p for _, _, p in dist.bins])
+    lows = np.array([lo for lo, _, _ in dist.bins])
+    highs = np.array([hi for _, hi, _ in dist.bins])
+    sequences: list[tuple[int, int]] = []
+    total = 0
+    while total < target_total:
+        b = int(rng.choice(len(probs), p=probs))
+        length = int(rng.integers(lows[b], highs[b]))
+        length = min(length, target_total - total)
+        sequences.append((len(sequences), length))
+        total += length
+    return SequenceBatch(tuple(sequences))
 
 
 RefRemap = namedtuple("RefRemap", "matrix objective row_costs")

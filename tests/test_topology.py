@@ -125,8 +125,12 @@ CONFIG_WITHOUT_COEFFS = "nodes = 1\ngpus_per_node = 1\ntoken_capacity = 10\ninv_
      "line 2: expected 'key = value', got 'attn_quadratic 1e-9'"),
     (lambda: parse_cluster_config(CONFIG_WITHOUT_COEFFS + "attn_quadratic = tiny\n"),
      "key 'attn_quadratic': expected a number, got 'tiny'"),
+    (lambda: parse_cluster_config("nodes = 2.5\n"), "key 'nodes': expected an integer, got '2.5'"),
+    (lambda: parse_cluster_config("frobnicate = 3\n"), "unknown config key 'frobnicate'"),
+    (lambda: parse_cluster_config(CONFIG_WITHOUT_COEFFS), "missing required config key 'attn_quadratic'"),
+    (lambda: parse_cluster_config("nics_per_node = 2\n"), "missing required config key 'nodes'"),
 ], ids=["no_gpus", "no_capacity", "no_nics", "negative_backward", "zero_bandwidth", "line_without_equals",
-        "non_numeric_float"])
+        "non_numeric_float", "non_integer_int", "unknown_key", "missing_coefficient", "missing_nodes"])
 def test_input_checks_raise_config_errors(build, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         build()
@@ -165,6 +169,24 @@ def test_config_file_round_trip(tmp_path):
     loaded_cluster, loaded_coeffs = load_cluster_config(str(path))
     assert loaded_cluster == cluster
     assert loaded_coeffs == coeffs
+
+
+def test_saved_config_lists_the_fields_in_order(tmp_path):
+    cluster, coeffs = cluster_a(num_nodes=3, token_capacity=5000)
+    path = tmp_path / "cluster.cfg"
+    save_cluster_config(str(path), cluster, coeffs)
+    assert path.read_text() == (
+        "nodes = 3\ngpus_per_node = 8\ntoken_capacity = 5000\ninv_bw_intra = 4.096e-08\n"
+        "inv_bw_inter = 6.5536e-07\nnics_per_node = 4\nbackward_multiplier = 2.0\n"
+        "attn_quadratic = 1.2e-10\nlinear_per_token = 2e-06\n"
+    )
+
+
+def test_a_config_in_the_earlier_key_order_parses_to_equal_objects():
+    text = ("nodes = 3\ngpus_per_node = 8\ntoken_capacity = 5000\ninv_bw_intra = 4.096e-08\n"
+            "inv_bw_inter = 6.5536e-07\nnics_per_node = 4\nattn_quadratic = 1.2e-10\n"
+            "linear_per_token = 2e-06\nbackward_multiplier = 2.0\n")
+    assert parse_cluster_config(text) == cluster_a(num_nodes=3, token_capacity=5000)
 
 
 def test_config_errors_name_offending_key():

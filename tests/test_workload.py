@@ -1,8 +1,15 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from oracles import reference_sample_batch
 from varlenplan.workload import (
     BIN_EDGES,
+    PRESET_NAMES,
     LengthDistribution,
     SequenceBatch,
     load_batch,
@@ -91,11 +98,84 @@ def test_distribution_validation():
 @pytest.mark.parametrize("build, message", [
     (lambda: LengthDistribution(((1, 10, -0.5), (10, 20, 1.5))), "bin probabilities must be >= 0"),
     (lambda: LengthDistribution.normalized([(1, 10, 0.0), (10, 20, 0.0)]), "total probability mass must be > 0"),
+    (lambda: LengthDistribution(((1, 10, math.nan), (10, 20, 1.0))), "bin probabilities must be finite"),
+    (lambda: LengthDistribution.normalized([(1, 10, math.nan), (10, 20, 1.0)]), "bin probabilities must be finite"),
+    (lambda: LengthDistribution.normalized([(1, 10, math.inf), (10, 20, 1.0)]), "bin probabilities must be finite"),
     (lambda: sample_batch(preset("arxiv"), -1, seed=0), "target_total must be >= 0"),
-], ids=["negative_probability", "zero_mass", "negative_total"])
+    (lambda: sample_batch(preset("arxiv"), 1000.5, seed=3), "target_total must be an integer"),
+    (lambda: sample_batch(preset("arxiv"), True, seed=3), "target_total must be an integer"),
+], ids=["negative_probability", "zero_mass", "nan_probability", "nan_mass", "infinite_mass", "negative_total",
+        "float_total", "bool_total"])
 def test_input_checks_raise_value_errors(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+@st.composite
+def distributions(draw):
+    """1-9 ordered bins, 1 to 1e5 tokens wide with gaps of up to 1e5
+    between them; any bin may carry zero mass, but not every bin."""
+    n = draw(st.integers(1, 9))
+    bins = []
+    lo = draw(st.integers(1, 100_000))
+    for _ in range(n):
+        hi = lo + draw(st.integers(1, 100_000))
+        mass = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+        bins.append((lo, hi, mass))
+        lo = hi + draw(st.integers(0, 100_000))
+    if not any(mass for _, _, mass in bins):
+        i = draw(st.integers(0, n - 1))
+        bins[i] = (*bins[i][:2], 1.0)
+    return LengthDistribution.normalized(bins)
+
+
+def _zero_mass_at(where: int) -> LengthDistribution:
+    bins = [(1, 10, 0.2), (10, 100, 0.3), (100, 1000, 0.5)]
+    bins[where] = (*bins[where][:2], 0.0)
+    return LengthDistribution.normalized(bins)
+
+
+@given(distributions(), st.integers(0, 2**20), st.integers(0, 2**32))
+@example(_zero_mass_at(0), 50_000, 11)
+@example(_zero_mass_at(1), 50_000, 12)
+@example(_zero_mass_at(2), 50_000, 13)
+def test_sampling_matches_the_choice_reference(dist, total, seed):
+    # at most about 2,000 draws an example: the choice reference is slow
+    mean = sum(p * (lo + hi - 1) / 2 for lo, hi, p in dist.bins)
+    total = min(total, int(2000 * mean))
+    assert sample_batch(dist, total, seed) == reference_sample_batch(dist, total, seed)
+
+
+def test_a_draw_on_a_cumulative_edge_takes_the_bin_above():
+    # the first uniform of the seed is exactly bin 0's cumulative mass
+    u = np.random.default_rng(5).random()
+    dist = LengthDistribution(((1, 2, u), (2, 3, 1.0 - u)))
+    batch = sample_batch(dist, 2, 5)
+    assert batch.sequences == ((0, 2),)
+    assert batch == reference_sample_batch(dist, 2, 5)
+
+
+def test_bins_follow_the_normalized_cumulative_masses():
+    # masses summing to 1 + 8e-10: the first uniform lies below bin 0's raw
+    # cumulative mass but not below its normalized one
+    u = np.random.default_rng(5).random()
+    p0 = u * (1 + 4e-10)
+    p1 = 1 + 8e-10 - p0
+    assert p0 > u >= p0 / (p0 + p1)
+    dist = LengthDistribution(((1, 2, p0), (2, 3, p1)))
+    batch = sample_batch(dist, 2, 5)
+    assert batch.sequences == ((0, 2),)
+    assert batch == reference_sample_batch(dist, 2, 5)
+
+
+def test_preset_batches_are_pinned():
+    digest = hashlib.sha256()
+    for name in PRESET_NAMES:
+        dist = preset(name)
+        for total in (65_536, 262_144):
+            for seed in range(50):
+                digest.update(f"{name} {total} {seed} {sample_batch(dist, total, seed).sequences}\n".encode())
+    assert digest.hexdigest() == "c13e1f9a8fc4cb5b8fcfaff722ca0430bc47758a7a10c4ae80d8e25fe06d745a"
 
 
 def test_batch_json_round_trip(tmp_path):
