@@ -25,7 +25,9 @@ The file holds:
   and 32, without and with --trace-dir;
 - a cold start: bench/harness.py's `setup` of the github-8n workload, which
   imports varlenplan afresh, writes the cluster's config file and samples
-  its pool of 160 github batches of 262,144 tokens, SETUP_REPEATS times;
+  its pool of 160 github batches of 262,144 tokens, SETUP_REPEATS times,
+  read as bench/run.py reads setup_s: each repeat scaled to the reference
+  host by the reference calls around it, in ms;
 - the wall-clock of each side's Tier-1 suite, run once per side;
 - per side, a sha256 over the compare CSVs and trace files the workers
   wrote, which must be equal.
@@ -147,13 +149,14 @@ def _compare_rows(cli, topology, workload, workdir: str) -> tuple[list[dict], st
 
 
 def _cold_start(workdir: str) -> list[float]:
-    """Milliseconds of each repeat of the benchmark's own set-up, unscaled;
-    it imports the library from PYTHONPATH like everything else here."""
+    """Milliseconds of each repeat of the benchmark's own set-up, scaled to
+    the reference host as setup_s is; it imports the library from
+    PYTHONPATH like everything else here."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     import harness
 
     setup = harness.setup(harness.WORKLOADS[COLD_START_WORKLOAD], SEED, workdir)
-    return [seconds * 1e3 for _, seconds in setup.samples]
+    return [seconds * 1e3 for seconds in harness.scale_to_reference(setup.samples, setup.reference)]
 
 
 def worker(workdir: str) -> dict:
@@ -291,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
                         "whether the medians differ by more than the parent's quartile spread",
                 "batch": f"{DATASET}, seed {SEED}, {TOKENS_PER_NODE} tokens per node, cluster_a(num_nodes=N)",
                 "cold_start": f"bench/harness.py setup of {COLD_START_WORKLOAD}, seed {SEED}: median of its "
-                              "repeats, host ms",
+                              "repeats, each scaled to the reference host as setup_s is, ms",
             },
             "stages": [
                 {key: row[key] for key in ("nodes", "ranks", "tokens", "sequences")}
