@@ -26,9 +26,14 @@ print("\nzones:")
 for sid, zone in sorted(plan.zone_of.items()):
     print(f"  seq {sid}: {zone}")
 
+# a node's bucket: the tokens of each sequence its ranks hold, read off the placement table
+buckets = [{} for _ in range(plan.num_nodes)]
+for rank, _, sid, start, end in plan.placement.tolist():
+    bucket = buckets[rank // plan.gpus_per_node]
+    bucket[sid] = bucket.get(sid, 0) + end - start
 print("\nnode buckets (sequence, resident tokens):")
-for node, bucket in enumerate(plan.node_buckets):
-    print(f"  node {node}: {bucket}  -> {sum(t for _, t in bucket)} tokens")
+for node, bucket in enumerate(buckets):
+    print(f"  node {node}: {sorted(bucket.items())}  -> {sum(bucket.values())} tokens")
 
 print("\nper-rank token loads:")
 print(" ", plan.tokens_per_rank)

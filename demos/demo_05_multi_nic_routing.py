@@ -32,13 +32,16 @@ print(f"  recv proxies {recv}")
 # one token per leg of the formula (exactly it when the proxies divide n)
 for tokens in (n, n + 5):
     route = build_route(cluster, ring, 7, 8, tokens)
-    dispatch, transfer, combine = sum(route.dispatch_times), max(route.transfer_times), sum(route.combine_times)
+    # the gather moves the dispatched shares back, so it bills the dispatch times
+    dispatch, transfer = sum(route.dispatch_times), max(route.transfer_times)
+    combine = dispatch
     print(f"\nbilled steps for one {tokens}-token round: dispatch {dispatch * 1e3:.4f} ms, "
           f"transfer {transfer * 1e3:.4f} ms, combine {combine * 1e3:.4f} ms")
     print(f"  total {(dispatch + transfer + combine) * 1e3:.4f} ms, formula "
           f"{routed_time(cluster, tokens, len(send), len(recv)) * 1e3:.4f} ms")
 print(f"  some steps of the {route.tokens}-token send:")
-for step in (route.dispatches[0], route.transfers[0], route.transfers[-1], route.combines[-1]):
+transfers = [step for step in route.steps if step.kind == "inter_transfer"]
+for step in (route.steps[0], transfers[0], transfers[-1], route.steps[-1]):
     print(f"    {step.kind:<14} {step.source_rank:>2} -> {step.dest_rank:>2}  {step.tokens} tokens")
 print(f"    ... {len(route.steps)} steps total")
 

@@ -7,11 +7,15 @@ and measures it against this checkout's src/ on the same machine, in ROUNDS
 pairs of runs. Each round starts one fresh worker process per side, the side
 that goes first alternating from round to round; a worker times every cell
 once to warm up and then CALLS times, and the median of those calls is the
-run's value. A cell reports, per side, the median and quartiles of its
-ROUNDS run values; the ratio of the medians; in how many of the ROUNDS pairs
-(one round's two runs) the change was faster; and whether the medians lie
-further apart than the parent's quartiles do. A gain is resolved when the
-change wins at least nine in ten pairs and the gap exceeds that spread.
+run's value. Each call is scaled to the reference host as bench/run.py
+scales its samples: a worker runs bench/harness.py's reference work once
+before each cell and once after its last, and `harness.scale_to_reference`
+divides each call by the reference calls around it. A cell reports, per
+side, the median and quartiles of its ROUNDS run values; the ratio of the
+medians; in how many of the ROUNDS pairs (one round's two runs) the change
+was faster; and whether the medians lie further apart than the parent's
+quartiles do. A gain is resolved when the change wins at least nine in ten
+pairs and the gap exceeds that spread.
 
 The file holds:
 - the machine, the interpreter and, per side, its git SHA and src_sha256;
@@ -34,13 +38,15 @@ The file holds:
 
 Every planner call gets a new SequenceBatch object with the batch's
 sequences, as a compare of a freshly loaded batch does, so no timed call
-reuses a plan kept from an earlier one. Times are host milliseconds.
+reuses a plan kept from an earlier one. Times are milliseconds on the
+reference host.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -66,20 +72,32 @@ SEED = 1
 COLD_START_WORKLOAD = "github-8n"
 
 
-def _timed(fn, setup=None) -> list[float]:
-    """Milliseconds of CALLS calls of fn(*setup()), after one untimed call;
-    setup runs outside the timed region."""
+@functools.cache
+def _harness():
+    """bench/harness.py, for its reference work and its set-up."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    import harness
+
+    return harness
+
+
+def _timed(reference: list, fn, setup=None) -> list[tuple[float, float]]:
+    """(midpoint, seconds) of CALLS calls of fn(*setup()), after one
+    reference call into `reference` and one untimed call; setup runs outside
+    the timed region."""
+    _harness().timed_reference(reference)
     samples = []
     for i in range(CALLS + 1):
         args = setup() if setup else ()
         t0 = time.perf_counter()
         fn(*args)
+        elapsed = time.perf_counter() - t0
         if i:
-            samples.append((time.perf_counter() - t0) * 1e3)
+            samples.append((t0 + elapsed / 2, elapsed))
     return samples
 
 
-def _stage_row(lib, nodes: int, workdir: str) -> dict:
+def _stage_row(lib, nodes: int, workdir: str, reference: list) -> dict:
     attention_engine, baselines, partitioner, remapping, routing, simulator, topology, workload = lib
     cluster, coeffs = topology.cluster_a(num_nodes=nodes)
     tokens = TOKENS_PER_NODE * nodes
@@ -89,35 +107,35 @@ def _stage_row(lib, nodes: int, workdir: str) -> dict:
     def fresh():
         return (workload.SequenceBatch(batch.sequences),)
 
-    ms = {"sample_batch": _timed(lambda: workload.sample_batch(dist, tokens, SEED)),
-          "build_plan": _timed(lambda b: partitioner.build_plan(b, cluster), fresh)}
+    ms = {"sample_batch": _timed(reference, lambda: workload.sample_batch(dist, tokens, SEED)),
+          "build_plan": _timed(reference, lambda b: partitioner.build_plan(b, cluster), fresh)}
     plan = partitioner.build_plan(*fresh(), cluster)
     schedule = attention_engine.build_schedule(plan)
-    ms["build_schedule"] = _timed(lambda: attention_engine.build_schedule(plan))
-    ms["route_schedule"] = _timed(lambda: routing.route_schedule(schedule, plan, cluster))
-    ms["solve_remap"] = _timed(
+    ms["build_schedule"] = _timed(reference, lambda: attention_engine.build_schedule(plan))
+    ms["route_schedule"] = _timed(reference, lambda: routing.route_schedule(schedule, plan, cluster))
+    ms["solve_remap"] = _timed(reference, 
         lambda: remapping.solve_remap(plan.tokens_per_rank, remapping.cost_matrix(cluster)))
-    ms["plan_te_cp+plan_llama_cp"] = _timed(
+    ms["plan_te_cp+plan_llama_cp"] = _timed(reference, 
         lambda b: (baselines.plan_te_cp(b, cluster), baselines.plan_llama_cp(b, cluster)), fresh)
-    ms["plan_hybrid_dp"] = _timed(lambda b: baselines.plan_hybrid_dp(b, cluster), fresh)
+    ms["plan_hybrid_dp"] = _timed(reference, lambda b: baselines.plan_hybrid_dp(b, cluster), fresh)
     te = baselines.plan_te_cp(*fresh(), cluster)
-    ms["plan_to_json"] = _timed(lambda: partitioner.plan_to_json(te))
+    ms["plan_to_json"] = _timed(reference, lambda: partitioner.plan_to_json(te))
     text = partitioner.plan_to_json(te)
-    ms["plan_from_json"] = _timed(lambda: partitioner.plan_from_json(text))
+    ms["plan_from_json"] = _timed(reference, lambda: partitioner.plan_from_json(text))
     for strategy in baselines.STRATEGIES:
         try:
             strategy_plan = baselines.plan_with(strategy, *fresh(), cluster)
         except partitioner.InfeasibleBatch:
             continue
-        ms[f"simulate.{strategy}"] = _timed(lambda: simulator.simulate(strategy_plan, cluster, coeffs))
+        ms[f"simulate.{strategy}"] = _timed(reference, lambda: simulator.simulate(strategy_plan, cluster, coeffs))
         timeline = simulator.simulate(strategy_plan, cluster, coeffs)[0]
         path = os.path.join(workdir, "stage.trace.json")
-        ms[f"export_trace.{strategy}"] = _timed(lambda: simulator.export_trace(timeline, path))
+        ms[f"export_trace.{strategy}"] = _timed(reference, lambda: simulator.export_trace(timeline, path))
         os.remove(path)
     return {"nodes": nodes, "ranks": cluster.num_ranks, "tokens": tokens, "sequences": len(batch), "ms": ms}
 
 
-def _compare_rows(cli, topology, workload, workdir: str) -> tuple[list[dict], str]:
+def _compare_rows(cli, topology, workload, workdir: str, reference: list) -> tuple[list[dict], str]:
     """Timed `compare` runs, and a sha256 over the CSVs and traces of the
     last run of each."""
     digest = hashlib.sha256()
@@ -140,7 +158,7 @@ def _compare_rows(cli, topology, workload, workdir: str) -> tuple[list[dict], st
                     if cli.main(argv) != 0:
                         raise RuntimeError(f"compare exited non-zero: {argv}")
 
-            rows.append({"nodes": nodes, "traced": traced, "ms": _timed(run)})
+            rows.append({"nodes": nodes, "traced": traced, "ms": _timed(reference, run)})
             for name in sorted(os.listdir(out_dir)):
                 with open(os.path.join(out_dir, name), "rb") as fh:
                     digest.update(f"{nodes}/{int(traced)}/{name}\0".encode() + fh.read())
@@ -152,9 +170,7 @@ def _cold_start(workdir: str) -> list[float]:
     """Milliseconds of each repeat of the benchmark's own set-up, scaled to
     the reference host as setup_s is; it imports the library from
     PYTHONPATH like everything else here."""
-    sys.path.insert(0, os.path.join(ROOT, "bench"))
-    import harness
-
+    harness = _harness()
     setup = harness.setup(harness.WORKLOADS[COLD_START_WORKLOAD], SEED, workdir)
     return [seconds * 1e3 for seconds in harness.scale_to_reference(setup.samples, setup.reference)]
 
@@ -166,8 +182,19 @@ def worker(workdir: str) -> dict:
                             topology, workload)
 
     lib = (attention_engine, baselines, partitioner, remapping, routing, simulator, topology, workload)
-    stages = [_stage_row(lib, n, workdir) for n in NODES]
-    compare, digest = _compare_rows(cli, topology, workload, workdir)
+    reference: list[tuple[float, float]] = []
+    stages = [_stage_row(lib, n, workdir, reference) for n in NODES]
+    compare, digest = _compare_rows(cli, topology, workload, workdir, reference)
+    harness = _harness()
+    harness.timed_reference(reference)
+
+    def scaled(samples: list[tuple[float, float]]) -> list[float]:
+        return [seconds * 1e3 for seconds in harness.scale_to_reference(samples, reference)]
+
+    for row in stages:
+        row["ms"] = {key: scaled(samples) for key, samples in row["ms"].items()}
+    for row in compare:
+        row["ms"] = scaled(row["ms"])
     return {"stages": stages, "compare": compare, "cold_start": _cold_start(workdir), "outputs_sha256": digest}
 
 
@@ -289,7 +316,9 @@ def main(argv: list[str] | None = None) -> int:
             },
             "method": {
                 "rounds": ROUNDS, "calls_per_run": CALLS,
-                "run": "median of one worker's timed calls of a cell, after one untimed call, host ms",
+                "run": "median of one worker's timed calls of a cell, after one untimed call, each call "
+                       "scaled to the reference host by bench/harness.py's reference calls around it (one "
+                       "before each cell, one after the worker's last), ms",
                 "cell": "per side, median and quartiles of its runs; pairs the change was faster in; "
                         "whether the medians differ by more than the parent's quartile spread",
                 "batch": f"{DATASET}, seed {SEED}, {TOKENS_PER_NODE} tokens per node, cluster_a(num_nodes=N)",

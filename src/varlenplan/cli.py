@@ -1,7 +1,7 @@
 """Command-line entry point: sample, plan, simulate, compare.
 
 Exit codes: 0 success, 2 usage, config-value or invalid-plan error,
-3 infeasible batch, 4 I/O failure (missing or unreadable files).
+3 infeasible batch, 4 I/O failure (any OSError, as for a missing file).
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     except partitioner.InfeasibleBatch as exc:
         print(f"error: infeasible batch: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except OSError as exc:
         print(f"error: cannot access {getattr(exc, 'filename', None) or exc}", file=sys.stderr)
         return EXIT_IO
     except json.JSONDecodeError as exc:

@@ -95,9 +95,9 @@ class PlacementPlan:
 
     The constructor turns the rows it is given, in any order and as a nested
     or a flat sequence, into a read-only (n, 5) int64 table in execution
-    order (by rank, micro_batch, sequence_id, start). Zones,
-    per-node buckets, per-rank token totals and micro-batch counts follow
-    from the table; they are derived on first read and cached."""
+    order (by rank, micro_batch, sequence_id, start). Zones and per-rank
+    token totals follow from the table; they are derived on first read and
+    cached."""
 
     strategy: str
     num_nodes: int
@@ -131,15 +131,6 @@ class PlacementPlan:
         return tokens.astype(np.int64).tolist()
 
     @cached_property
-    def micro_batch_counts(self) -> list[int]:
-        """Per rank, its largest micro-batch index, and at least 1."""
-        rank, mb = self.placement[:, 0], self.placement[:, 1]
-        heads = _group_starts(rank)
-        counts = np.ones(self.num_ranks, dtype=np.int64)
-        counts[rank[heads]] = np.maximum(np.maximum.reduceat(mb, heads), 1)
-        return counts.tolist()
-
-    @cached_property
     def zone_of(self) -> dict[int, str]:
         """Each placed sequence's zone, in order of first appearance:
         inter-node when its fragments span two or more nodes, intra-node
@@ -153,20 +144,6 @@ class PlacementPlan:
         order = np.argsort(first)
         names = (LOCAL, INTRA_NODE, INTER_NODE)
         return {s: names[z] for s, z in zip(ids[order].tolist(), zone[order].tolist())}
-
-    @cached_property
-    def node_buckets(self) -> list[list[tuple[int, int]]]:
-        """Per node, the (sequence_id, tokens) its ranks hold, by sequence id."""
-        rows = self.placement
-        node = rows[:, 0] // self.gpus_per_node
-        order = np.lexsort((rows[:, 2], node))
-        node, sid = node[order], rows[order, 2]
-        heads = _group_starts(node, sid)
-        totals = np.add.reduceat((rows[:, 4] - rows[:, 3])[order], heads)
-        buckets: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
-        for n, s, tokens in zip(node[heads].tolist(), sid[heads].tolist(), totals.tolist()):
-            buckets[n].append((s, tokens))
-        return buckets
 
 
 # a fill's candidate bins for the next piece, from the loads and the previous piece's bin

@@ -120,9 +120,9 @@ def solve_remap(counts: list[int], cost: np.ndarray) -> RemapResult:
     minimax optimum as `objective` together with an integer transfer matrix
     whose row/column sums match the surplus/deficit vectors exactly and whose
     max row cost is the integer minimax optimum: each sender's cross-node
-    share is the floor of its continuous share, plus one token at a time for
-    the shortfall to the sender left cheapest by it (ties by index). Senders
-    fill their in-node deficits in index order, then the cross-node ones.
+    share is the floor of its continuous share, and each token short goes to
+    the sender whose next token is cheapest (ties by index). Senders fill
+    their in-node deficits in index order, then the cross-node ones.
     """
     a = np.asarray(counts, dtype=np.int64)
     d = len(a)
@@ -152,12 +152,15 @@ def solve_remap(counts: list[int], cost: np.ndarray) -> RemapResult:
             senders = [i for i in grouped[bounds[n]:bounds[n + 1]] if ul[i] > 0]
             level = _water_level([c * ul[i] for i in senders], [e * ul[i] for i in senders], (e - c) * need)
             objective = max(objective, level)
-            shares = {i: min(ul[i], max(0, math.floor((level - c * ul[i]) / (e - c)))) for i in senders}
-            for _ in range(need - sum(shares.values())):
-                k = min((i for i in senders if shares[i] < ul[i]),
-                        key=lambda i: (c * ul[i] + (e - c) * (shares[i] + 1), i))
+            shares = [min(ul[i], max(0, math.floor((level - c * ul[i]) / (e - c)))) for i in senders]
+            # sender i's j-th extra token costs c*u_i + (e - c)*(share + j), never less as j
+            # grows, in floats too, so the `short` cheapest (cost, index) are the greedy's picks
+            short = need - sum(shares)
+            ranked = sorted((c * ul[i] + (e - c) * (s + j), k) for k, (i, s) in enumerate(zip(senders, shares))
+                            for j in range(1, min(short, ul[i] - s) + 1))
+            for _, k in ranked[:short]:
                 shares[k] += 1
-            cross[senders] = list(shares.values())
+            cross[senders] = shares
     # every node's north-west fill at once: each line of slots restarts at
     # its node's first rank, and the same-node mask drops the overlaps of
     # slots on different nodes' lines

@@ -38,8 +38,9 @@ class RouteStep:
 class RoutePlan:
     """One cross-node ring send over proxy ranks: the endpoint-first send and
     receive proxies, the integer share send proxy i hands receive proxy i,
-    and the time billed for each dispatch, transfer and combine (link
-    coefficient x share). The steps are a view built when read."""
+    and the time billed for each dispatch and transfer (link coefficient x
+    share); the gather moves the dispatched shares back, so each combine
+    bills its dispatch's time. The steps are a view built when read."""
 
     source_rank: int
     dest_rank: int
@@ -49,28 +50,17 @@ class RoutePlan:
     shares: tuple[int, ...]
     dispatch_times: tuple[float, ...]
     transfer_times: tuple[float, ...]
-    combine_times: tuple[float, ...]
-
-    @property
-    def dispatches(self) -> tuple[RouteStep, ...]:
-        """The source scatters every other send proxy its share."""
-        return tuple(RouteStep(DISPATCH, self.source_rank, proxy, n)
-                     for proxy, n in zip(self.send_proxies[1:], self.shares[1:]))
-
-    @property
-    def transfers(self) -> tuple[RouteStep, ...]:
-        return tuple(RouteStep(INTER_TRANSFER, s, r, n)
-                     for s, r, n in zip(self.send_proxies, self.recv_proxies, self.shares))
-
-    @property
-    def combines(self) -> tuple[RouteStep, ...]:
-        """Every other receive proxy gathers its share at the destination."""
-        return tuple(RouteStep(COMBINE, proxy, self.dest_rank, n)
-                     for proxy, n in zip(self.recv_proxies[1:], self.shares[1:]))
 
     @property
     def steps(self) -> tuple[RouteStep, ...]:
-        return self.dispatches + self.transfers + self.combines
+        """The source's scatter to every other send proxy, the transfers
+        across, then every other receive proxy's gather to the destination."""
+        return (*(RouteStep(DISPATCH, self.source_rank, proxy, n)
+                  for proxy, n in zip(self.send_proxies[1:], self.shares[1:])),
+                *(RouteStep(INTER_TRANSFER, s, r, n)
+                  for s, r, n in zip(self.send_proxies, self.recv_proxies, self.shares)),
+                *(RouteStep(COMBINE, proxy, self.dest_rank, n)
+                  for proxy, n in zip(self.recv_proxies[1:], self.shares[1:])))
 
 
 def routed_time(cluster: ClusterSpec, n: int | float, x1: int, x2: int) -> float:
@@ -132,12 +122,9 @@ def _route(cluster: ClusterSpec, send_proxies: tuple[int, ...], recv_proxies: tu
            tokens: int) -> RoutePlan:
     # as many send as receive proxies: send proxy i hands its share to receive proxy i
     shares = tuple(split_even(tokens, len(send_proxies)))
-    bi = cluster.inv_bw_intra
-    # the gather moves the dispatched shares back, so it bills the same times
-    gathered = tuple(bi * n for n in shares[1:])
     return RoutePlan(
         send_proxies[0], recv_proxies[0], tokens, send_proxies, recv_proxies, shares,
-        gathered, tuple(cluster.inv_bw_inter * n for n in shares), gathered,
+        tuple(cluster.inv_bw_intra * n for n in shares[1:]), tuple(cluster.inv_bw_inter * n for n in shares),
     )
 
 

@@ -323,8 +323,8 @@ def _run_route(route: RoutePlan, lanes: tuple[int, ...], tails: list[float],
         if done > transfer_end:
             transfer_end = done
     combine_start = end = max(transfer_end, tails[dest_lane])
-    if route.combine_times:
-        for dur in route.combine_times:
+    if route.dispatch_times:
+        for dur in route.dispatch_times:  # the gather bills the dispatch times
             end += dur
         tails[dest_lane] = end
     else:
@@ -468,7 +468,7 @@ def simulate(
         intra_tokens_per_rank=list(engine.intra_tokens),
         nic_busy_time=[list(row) for row in engine.nic_busy],
         peak_kv_tokens=_peak_kv(plan, schedule),
-        max_micro_batches=max(plan.micro_batch_counts, default=1),
+        max_micro_batches=int(plan.placement[:, 1].max(initial=1)),
     )
     return timeline, report
 
@@ -638,13 +638,13 @@ class _TraceColumns:
         def chain(starts: tuple, durations: np.ndarray) -> np.ndarray:
             return np.cumsum(np.column_stack((starts, durations)), axis=1)[:, :-1]
 
+        # the gather bills the dispatch times
         duration = table("dispatch_times", float)
         add("route.dispatch", chain(dispatch_start, duration), duration, np.repeat(lanes[:, 0], duration.shape[1]),
             table("send_proxies")[:, 1:], shares[:, 1:])
         recv_proxies = table("recv_proxies")
         add("route.transfer", np.array(transfer_starts, dtype=float), table("transfer_times", float), lanes[:, 2:],
             recv_proxies, shares)
-        duration = table("combine_times", float)
         add("route.combine", chain(combine_start, duration), duration, np.repeat(lanes[:, 1], duration.shape[1]),
             recv_proxies[:, 1:], shares[:, 1:])
 

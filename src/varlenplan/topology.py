@@ -119,25 +119,20 @@ def direct_transfer_time(cluster: ClusterSpec, n: int | float, scope: str) -> fl
     raise ValueError(f"unknown scope {scope!r} (expected 'intra' or 'inter')")
 
 
-def inv_bw_from_bandwidth(bytes_per_second: float, kv_bytes_per_token: int = KV_BYTES_PER_TOKEN) -> float:
+def inv_bw_from_bandwidth(bytes_per_second: float) -> float:
     """Translate a link bandwidth into seconds per KV token."""
     if not bytes_per_second > 0:
         raise ConfigError("bandwidth must be > 0")
-    return kv_bytes_per_token / bytes_per_second
+    return KV_BYTES_PER_TOKEN / bytes_per_second
 
 
-def cluster_a(
-    num_nodes: int = 2,
-    token_capacity: int = 8192,
-    attn_quadratic: float = 1.2e-10,
-    linear_per_token: float = 2.0e-6,
-) -> tuple[ClusterSpec, CostCoefficients]:
+def cluster_a(num_nodes: int = 2, token_capacity: int = 8192) -> tuple[ClusterSpec, CostCoefficients]:
     """Built-in preset: 8-GPU nodes with a 400 GB/s intra-node fabric and
     4 NICs of 200 Gb/s each (one inter-node path per NIC at 25 GB/s).
 
     token_capacity defaults to 8192 so a 64k-token batch on two nodes has
     placement headroom; the compute coefficients are loose calibrations for
-    an A800-class device and are meant to be overridden per deployment.
+    an A800-class device, which a deployment overrides in its config file.
     """
     cluster = ClusterSpec(
         num_nodes=num_nodes,
@@ -147,7 +142,7 @@ def cluster_a(
         inv_bw_inter=inv_bw_from_bandwidth(200e9 / 8),
         nics_per_node=4,
     )
-    coeffs = CostCoefficients(attn_quadratic=attn_quadratic, linear_per_token=linear_per_token)
+    coeffs = CostCoefficients(attn_quadratic=1.2e-10, linear_per_token=2.0e-6)
     return cluster, coeffs
 
 

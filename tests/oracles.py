@@ -196,7 +196,8 @@ def reference_sample_batch(dist: LengthDistribution, target_total: int, seed: in
     return SequenceBatch(tuple(sequences))
 
 
-RefRemap = namedtuple("RefRemap", "matrix objective row_costs")
+# shortfall: the most tokens one node's floored cross-node shares left to hand out
+RefRemap = namedtuple("RefRemap", "matrix objective row_costs shortfall")
 
 
 def reference_target(counts: list[int]) -> list[int]:
@@ -276,9 +277,10 @@ def reference_remap(counts: list[int], cost: np.ndarray) -> RefRemap:
     v = np.maximum(b - a, 0)
     matrix = np.zeros((d, d), dtype=np.int64)
     if u.sum() == 0:
-        return RefRemap(matrix=matrix, objective=0.0, row_costs=np.zeros(d))
+        return RefRemap(matrix=matrix, objective=0.0, row_costs=np.zeros(d), shortfall=0)
     objective = c * float(u.max())
     cross = np.zeros(d, dtype=np.int64)
+    shortfall = 0
     for members in nodes:
         excess = int(u[members].sum() - v[members].sum())
         if excess > 0:
@@ -287,6 +289,7 @@ def reference_remap(counts: list[int], cost: np.ndarray) -> RefRemap:
                                            (e - c) * excess)
             objective = max(objective, level)
             shares = {i: min(int(u[i]), max(0, math.floor((level - c * u[i]) / (e - c)))) for i in senders}
+            shortfall = max(shortfall, excess - sum(shares.values()))
             for _ in range(excess - sum(shares.values())):
                 k = min((i for i in senders if shares[i] < u[i]),
                         key=lambda i: (c * u[i] + (e - c) * (shares[i] + 1), i))
@@ -294,7 +297,7 @@ def reference_remap(counts: list[int], cost: np.ndarray) -> RefRemap:
             cross[senders] = [shares[i] for i in senders]
         matrix[np.ix_(members, members)] = _reference_northwest(u[members] - cross[members], v[members])
     matrix += _reference_northwest(cross, v - matrix.sum(axis=0))
-    return RefRemap(matrix=matrix, objective=objective, row_costs=(t * matrix).sum(axis=1))
+    return RefRemap(matrix=matrix, objective=objective, row_costs=(t * matrix).sum(axis=1), shortfall=shortfall)
 
 
 def _remap_program(counts: list[int], cost: np.ndarray):
@@ -625,7 +628,7 @@ def reference_timeline(plan: PlacementPlan, cluster: ClusterSpec,
         intra_tokens_per_rank=list(engine.intra_tokens),
         nic_busy_time=[list(row) for row in engine.nic_busy],
         peak_kv_tokens=_reference_peak_kv(plan),
-        max_micro_batches=max(plan.micro_batch_counts, default=1),
+        max_micro_batches=max([1] + [f.micro_batch for frs in fragments_by_rank(plan.placement).values() for f in frs]),
     )
     return engine.events, report
 

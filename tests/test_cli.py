@@ -290,6 +290,29 @@ def test_missing_batch_file_gives_io_exit(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+def _trace_dir_names_a_file(tmp_path, afile):
+    return ["compare", "--config", "cluster_a", "--dataset", "arxiv", "--total-len", "4096",
+            "--out", str(tmp_path / "out.csv"), "--trace-dir", str(afile)]
+
+
+def _compare_out_under_a_file(tmp_path, afile):
+    return ["compare", "--config", "cluster_a", "--dataset", "arxiv", "--total-len", "4096",
+            "--out", str(afile / "out.csv")]
+
+
+def _sample_out_under_a_file(tmp_path, afile):
+    return ["sample", "--dataset", "arxiv", "--total-len", "4096", "--seed", "0", "--out", str(afile / "b.json")]
+
+
+@pytest.mark.parametrize("argv", [_trace_dir_names_a_file, _compare_out_under_a_file, _sample_out_under_a_file])
+def test_output_path_through_a_file_gives_io_exit(tmp_path, capsys, argv):
+    # FileExistsError and NotADirectoryError are OSErrors like a missing file
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert run(argv(tmp_path, afile)) == 4
+    assert "error: cannot access" in capsys.readouterr().err
+
+
 def test_malformed_json_gives_io_exit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

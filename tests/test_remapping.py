@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from oracles import lp_remap_oracle, milp_remap_oracle, reference_cost_matrix, reference_remap
@@ -177,6 +177,28 @@ def test_solve_remap_is_bit_identical_to_the_per_node_reference(instance):
     assert type(result.objective) is float and result.objective == reference.objective
     assert result.row_costs.dtype == reference.row_costs.dtype
     assert np.array_equal(result.row_costs, reference.row_costs)
+
+
+def test_solve_remap_hands_out_a_shortfall_as_the_token_by_token_reference():
+    # e - c is below one float step of c * u here, so a sender's second extra
+    # token can cost no more than another sender's first: handing out one
+    # token each to the cheapest senders would differ from the reference
+    counts = [0, 1741597, 0, 88131, 2686462, 3282202, 0, 538481]
+    cost = block_cost(2, 4, 4.0, 4.0 + 1e-9)
+    result, reference = remapping.solve_remap(counts, cost), reference_remap(counts, cost)
+    assert reference.shortfall == 2
+    assert np.array_equal(result.matrix, reference.matrix)
+    assert result.objective == reference.objective
+
+
+def test_block_form_instances_draw_shortfalls_of_two_or_more():
+    # the solver hands a node's shortfall out one token each to its cheapest
+    # senders, where the reference loops token by token: only a shortfall of
+    # 2 or more could tell the two apart
+    counts, cost = find(block_form_instances(), lambda instance: reference_remap(*instance).shortfall >= 2,
+                        settings=settings(derandomize=True, max_examples=400, database=None,
+                                          phases=[Phase.generate]))
+    assert reference_remap(counts, cost).shortfall >= 2
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -20,8 +20,9 @@ def make_cluster(bi=1.0, be=10.0, n=2, p=8, nics=4, cap=100000):
 
 def billed_time(route):
     """A routed send's time as the simulator bills it on idle lanes: the
-    dispatch chain, the slowest parallel transfer, then the gather chain."""
-    return sum(route.dispatch_times) + max(route.transfer_times) + sum(route.combine_times)
+    dispatch chain, the slowest parallel transfer, then the gather chain,
+    which moves the dispatched shares back in the dispatch times."""
+    return 2 * sum(route.dispatch_times) + max(route.transfer_times)
 
 
 class TestRoutedTime:
@@ -217,17 +218,14 @@ class TestRouteProperties:
             assert sum(shares) == route.tokens
             assert max(shares) - min(shares) <= 1
             assert all(a >= b for a, b in zip(shares, shares[1:]))
-            # the derived steps, kind by kind
-            assert [(s.kind, s.source_rank, s.dest_rank, s.tokens) for s in route.dispatches] == \
-                [(routing.DISPATCH, src, proxy, n) for proxy, n in zip(send[1:], shares[1:])]
-            assert [(s.kind, s.source_rank, s.dest_rank, s.tokens) for s in route.transfers] == \
-                [(routing.INTER_TRANSFER, a, b, n) for a, b, n in zip(send, recv, shares)]
-            assert [(s.kind, s.source_rank, s.dest_rank, s.tokens) for s in route.combines] == \
-                [(routing.COMBINE, proxy, dst, n) for proxy, n in zip(recv[1:], shares[1:])]
-            # each time is its link coefficient x its share
+            # the derived steps: dispatches, then transfers, then combines
+            steps = [(s.kind, s.source_rank, s.dest_rank, s.tokens) for s in route.steps]
+            assert steps == [(routing.DISPATCH, src, proxy, n) for proxy, n in zip(send[1:], shares[1:])] \
+                + [(routing.INTER_TRANSFER, a, b, n) for a, b, n in zip(send, recv, shares)] \
+                + [(routing.COMBINE, proxy, dst, n) for proxy, n in zip(recv[1:], shares[1:])]
+            # each time is its link coefficient x its share; a combine bills its dispatch's time
             assert route.dispatch_times == tuple(cluster.inv_bw_intra * n for n in shares[1:])
             assert route.transfer_times == tuple(cluster.inv_bw_inter * n for n in shares)
-            assert route.combine_times == tuple(cluster.inv_bw_intra * n for n in shares[1:])
             hop_proxies.setdefault((ring_idx, src), set()).add((send, recv))
             # the proxies' order and the shares as the routing spec gives them
             reference = reference_route(cluster, ring_sched.ring, src, dst, route.tokens)

@@ -204,13 +204,22 @@ def test_batch_json_rejects_garbage(tmp_path):
     '{"id": "0", "len": 12}',
     '{"id": null, "len": 12}',
     '{"id": 0, "len": [12]}',
+    '{"id": 9223372036854775808, "len": 5}',
+    '{"id": -9223372036854775809, "len": 5}',
+    '{"id": 0, "len": 9223372036854775808}',
 ], ids=["float_len", "integral_float_len", "bool_id", "bool_len", "string_len", "string_id", "null_id",
-        "list_len"])
+        "list_len", "id_beyond_64_bits", "id_below_64_bits", "len_beyond_64_bits"])
 def test_batch_json_rejects_non_integer_values(tmp_path, entry):
     path = tmp_path / "bad.json"
     path.write_text(f"[{entry}]")
     with pytest.raises(ValueError, match="malformed batch entry .* must be integers"):
         load_batch(str(path))
+
+
+def test_batch_json_accepts_the_64_bit_extremes(tmp_path):
+    path = tmp_path / "batch.json"
+    path.write_text('[{"id": 9223372036854775807, "len": 5}, {"id": -9223372036854775808, "len": 3}]')
+    assert load_batch(str(path)).sequences == ((2**63 - 1, 5), (-2**63, 3))
 
 
 def test_batch_json_rejects_entries_that_are_not_objects(tmp_path):
