@@ -144,7 +144,7 @@ def load_batch(path: str) -> SequenceBatch:
             raise ValueError(f"malformed batch entry {entry!r}: expected keys 'id' and 'len'") from exc
         if len(entry) != 2:
             raise ValueError(f"malformed batch entry {entry!r}: expected keys 'id' and 'len' only")
-        # json gives int for integers only; bool is not one. A plan's table holds int64
+        # json gives int for integers only; bool is not one. A plan's table holds int64.
         if any(type(value) is not int or not -2**63 <= value < 2**63 for value in sequence):
             raise ValueError(f"malformed batch entry {entry!r}: 'id' and 'len' must be integers that fit in 64 bits")
         sequences.append(sequence)
