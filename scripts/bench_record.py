@@ -5,10 +5,13 @@
 Exports the library at <rev> with `git archive` into a temporary directory
 and measures it against this checkout's src/ on the same machine, in ROUNDS
 pairs of runs. Each round starts one fresh worker process per side, the side
-that goes first alternating from round to round; a worker times every cell
-once to warm up and then CALLS times, and the median of those calls is the
-run's value. Each call is scaled to the reference host as bench/run.py
-scales its samples: a worker runs bench/harness.py's reference work once
+that goes first alternating from round to round. A worker first runs
+bench/harness.py's reference work once and discards it, since a fresh
+process runs its first call slow. It then times every cell once to warm up
+and then until it has at least CALLS calls and at least MIN_CELL_S seconds
+of them, so that a sub-millisecond cell rests on many calls; the median of
+those calls is the run's value. Each call is scaled to the reference host
+as bench/run.py scales its samples: a worker runs the reference work once
 before each cell and once after its last, and `harness.scale_to_reference`
 divides each call by the reference calls around it. A cell reports, per
 side, the median and quartiles of its ROUNDS run values; the ratio of the
@@ -66,6 +69,7 @@ NODES = (2, 4, 8, 16, 32)
 COMPARE_NODES = (8, 32)
 ROUNDS = 10
 CALLS = 3
+MIN_CELL_S = 0.05
 TOKENS_PER_NODE = 32768
 DATASET = "github"
 SEED = 1
@@ -82,18 +86,20 @@ def _harness():
 
 
 def _timed(reference: list, fn, setup=None) -> list[tuple[float, float]]:
-    """(midpoint, seconds) of CALLS calls of fn(*setup()), after one
+    """(midpoint, seconds) of the timed calls of fn(*setup()), at least
+    CALLS of them and at least MIN_CELL_S seconds in all, after one
     reference call into `reference` and one untimed call; setup runs outside
     the timed region."""
     _harness().timed_reference(reference)
-    samples = []
-    for i in range(CALLS + 1):
+    fn(*(setup() if setup else ()))
+    samples, total = [], 0.0
+    while len(samples) < CALLS or total < MIN_CELL_S:
         args = setup() if setup else ()
         t0 = time.perf_counter()
         fn(*args)
         elapsed = time.perf_counter() - t0
-        if i:
-            samples.append((t0 + elapsed / 2, elapsed))
+        samples.append((t0 + elapsed / 2, elapsed))
+        total += elapsed
     return samples
 
 
@@ -182,6 +188,7 @@ def worker(workdir: str) -> dict:
                             topology, workload)
 
     lib = (attention_engine, baselines, partitioner, remapping, routing, simulator, topology, workload)
+    _harness().reference_work()  # a fresh process runs its first call slow
     reference: list[tuple[float, float]] = []
     stages = [_stage_row(lib, n, workdir, reference) for n in NODES]
     compare, digest = _compare_rows(cli, topology, workload, workdir, reference)
@@ -315,10 +322,11 @@ def main(argv: list[str] | None = None) -> int:
                            "src_dirty": bool(_git("status", "--porcelain", "src"))},
             },
             "method": {
-                "rounds": ROUNDS, "calls_per_run": CALLS,
-                "run": "median of one worker's timed calls of a cell, after one untimed call, each call "
-                       "scaled to the reference host by bench/harness.py's reference calls around it (one "
-                       "before each cell, one after the worker's last), ms",
+                "rounds": ROUNDS, "calls_per_run": CALLS, "min_cell_s": MIN_CELL_S,
+                "run": "median of one worker's timed calls of a cell, at least calls_per_run of them and at "
+                       "least min_cell_s seconds in all, after one untimed call, each call scaled to the "
+                       "reference host by bench/harness.py's reference calls around it (one before each cell, "
+                       "one after the worker's last; one more when the worker starts is discarded), ms",
                 "cell": "per side, median and quartiles of its runs; pairs the change was faster in; "
                         "whether the medians differ by more than the parent's quartile spread",
                 "batch": f"{DATASET}, seed {SEED}, {TOKENS_PER_NODE} tokens per node, cluster_a(num_nodes=N)",

@@ -467,8 +467,8 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
     every sequence, per-phase capacity, and the layout `build_schedule`
     reads: each ringed sequence rides one ring of distinct ranks, with every
     fragment at micro-batch 0 on a member, and every other sequence is one
-    fragment. Zones and ring kinds need no check: they are read off the
-    placement and the members."""
+    fragment at micro-batch 0 or later. Zones and ring kinds need no check:
+    they are read off the placement and the members."""
     lengths = batch.lengths
     if set(plan.sequence_lengths) != set(lengths):
         raise PlanValidationError("plan covers a different sequence id set than the batch")
@@ -510,13 +510,14 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
     n_ranks = plan.num_ranks
     member = np.zeros((len(plan.ring_groups) + 1) * n_ranks, dtype=bool)
     member[[k * n_ranks + m for k, r in enumerate(plan.ring_groups) for m in r.members]] = True
-    bad_rows = (seq == n) | ((ring >= 0) & ((mb != 0) | ~member[ring * n_ranks + rank]))
-    if np.count_nonzero(bad_rows):
-        i = order[bad_rows].min()
-        if not (len(over) and table[over[0], 0] < table[i, 0]):
-            if table[i, 2] in lengths:
-                raise PlanValidationError(f"sequence {table[i, 2]} has a fragment off its ring's micro-batch 0")
-            raise PlanValidationError(f"a fragment holds sequence {table[i, 2]}, which the batch lacks")
+    # fault classes in a fixed order, each naming its first offender in
+    # (sequence, start) order
+    off_ring = (ring >= 0) & ((mb != 0) | ~member[ring * n_ranks + rank])
+    for fault, message in ((seq == n, "a fragment holds sequence {}, which the batch lacks"),
+                           (off_ring, "sequence {} has a fragment off its ring's micro-batch 0"),
+                           (mb < 0, "sequence {} has a fragment at a negative micro-batch")):
+        if np.count_nonzero(fault):
+            raise PlanValidationError(message.format(sid[fault.argmax()]))
     if len(over):
         raise PlanValidationError(f"rank {table[over[0], 0]} exceeds token capacity")
     # a sequence's ranges by start tile [0, length); once they do, their
@@ -526,17 +527,16 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
     reached[1:] = end[:-1]
     reached[head] = 0
     untiled = (start != reached) | (end <= start)
+    if np.count_nonzero(untiled):
+        first = sid[untiled.argmax()]
+        raise PlanValidationError(f"sequence {first} fragments do not tile [0, {lengths[first]})")
     covered = np.bincount(seq, weights=end - start, minlength=n + 1)[:n]
     uncovered = covered != np.fromiter(map(lengths.get, ids), dtype=np.int64, count=n)
+    if np.count_nonzero(uncovered):
+        raise PlanValidationError(f"sequence {ids[uncovered.argmax()]} fragments do not cover its length")
     split = ~head & (ring < 0)
-    if np.count_nonzero(untiled | split) or np.count_nonzero(uncovered):
-        faults = [set(sid[untiled].tolist()), {ids[k] for k in uncovered.nonzero()[0]}, set(sid[split].tolist())]
-        first = next(s for s in lengths if any(s in f for f in faults))
-        if first in faults[0]:
-            raise PlanValidationError(f"sequence {first} fragments do not tile [0, {lengths[first]})")
-        if first in faults[1]:
-            raise PlanValidationError(f"sequence {first} fragments do not cover its length")
-        raise PlanValidationError(f"sequence {first} is split but rides no ring")
+    if np.count_nonzero(split):
+        raise PlanValidationError(f"sequence {sid[split.argmax()]} is split but rides no ring")
 
 
 PLAN_FORMAT = 3

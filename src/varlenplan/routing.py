@@ -148,15 +148,12 @@ def route_schedule(
     for ring_idx, ring_sched in enumerate(schedule.inter_rings):
         ring = ring_sched.ring
         g = ring.group_size
-        members = set(ring.members)
         # each crossing hop's position, source, proxies and routes by token count
         hops = []
         for pos, src in enumerate(ring.members):
             dst = ring.members[(pos + 1) % g]
-            src_node, dst_node = cluster.node_of(src), cluster.node_of(dst)
-            if src_node != dst_node:
-                proxies = _proxy_order(cluster, members, src_node, src), _proxy_order(cluster, members, dst_node, dst)
-                hops.append((pos, src, proxies, {}))
+            if cluster.node_of(src) != cluster.node_of(dst):
+                hops.append((pos, src, select_proxies(cluster, ring, src, dst), {}))
         for r in range(g):
             for pos, src, proxies, built in hops:
                 tokens = ring_sched.kv_sizes[(pos - r) % g]

@@ -131,12 +131,6 @@ class _Engine:
         self.records.append((rank, stream, start, duration, kind, payload))
         return start + duration
 
-    def count(self, rank: int, scope: str, tokens: int) -> None:
-        if scope == "inter":
-            self.inter_tokens[rank] += tokens
-        else:
-            self.intra_tokens[rank] += tokens
-
     def affine_nic(self, rank: int) -> int:
         """Direct sends bill the sender's affine NIC."""
         local = rank % self.cluster.gpus_per_node
@@ -163,20 +157,18 @@ def _run_rings(
     engine: _Engine,
     schedule: AttentionSchedule,
     plan: PlacementPlan,
-    cluster: ClusterSpec,
     coeffs: CostCoefficients,
     routed: bool,
 ) -> list[float]:
     """Execute ring queues (inter-node first, then intra-node) and the local
     kernels; returns per-rank completion times of the attention phase."""
-    ready = [0.0] * cluster.num_ranks
-    routes = route_schedule(schedule, plan, cluster) if routed else {}
+    ready = [0.0] * engine.cluster.num_ranks
+    routes = route_schedule(schedule, plan, engine.cluster) if routed else None
     for ring_idx, ring_sched in enumerate(schedule.rings()):
         members = ring_sched.ring.members
-        inter = ring_idx < len(schedule.inter_rings)
         # route_schedule routes every cross-node send of an inter-node ring
-        t = _run_ring(engine, ring_idx, ring_sched, INTER_NODE if inter else INTRA_NODE,
-                      max(ready[m] for m in members), cluster, coeffs, routes if routed and inter else None)
+        t = _run_ring(engine, ring_idx, ring_sched, max(ready[m] for m in members), coeffs,
+                      routes if ring_idx < len(schedule.inter_rings) else None)
         for m in members:
             ready[m] = t
     for task in schedule.local_tasks:
@@ -192,13 +184,11 @@ def _run_ring(
     engine: _Engine,
     ring_idx: int,
     ring_sched: RingSchedule,
-    kind: str,
     t0: float,
-    cluster: ClusterSpec,
     coeffs: CostCoefficients,
     routes: dict[tuple[int, int, int], RoutePlan] | None,
 ) -> float:
-    """Run one ring of `kind` from t0 and return the end of its last round.
+    """Run one ring from t0 and return the end of its last round.
 
     Every direct leg of round r starts at the round's start t_r. A ring
     starts once its members' earlier rings have ended, and only a member's
@@ -218,6 +208,7 @@ def _run_ring(
     held = (pos[:, None] - pos) % g  # [i, r]: position whose KV i holds in round r
     pairs = ring_sched.pairs[pos[:, None], held]
     tokens = np.array(ring_sched.kv_sizes, dtype=np.int64)[held]
+    cluster = engine.cluster
     p = cluster.gpus_per_node
     crossing = [m // p != members[(i + 1) % g] // p for i, m in enumerate(members)]
     via_route = crossing if routes is not None else [False] * g
@@ -277,13 +268,14 @@ def _run_ring(
     for i, m in enumerate(members):
         if via_route[i]:
             continue
-        engine.count(m, "inter" if crossing[i] else "intra", kv_total)
+        (engine.inter_tokens if crossing[i] else engine.intra_tokens)[m] += kv_total
         if crossing[i]:
             node_nics.setdefault((m // p, engine.affine_nic(m)), []).append(i)
     for (node, nic), rows in node_nics.items():
         # in event order: round by round, then position
         engine.bill_nic(node, nic, send[rows].T.ravel().tolist())
 
+    kind = INTER_NODE if any(crossing) else INTRA_NODE
     engine.records.append(_RingRecord(ring_idx, ring, kind, crossing, pairs, tokens, compute, send, direct,
                                       round_start, sends))
     return t
@@ -369,42 +361,33 @@ class _RingRecord:
     sends: list[tuple]
 
 
-def _run_allgather(
-    engine: _Engine,
-    plan: PlacementPlan,
-    cluster: ClusterSpec,
-    coeffs: CostCoefficients,
-) -> list[float]:
+def _run_allgather(engine: _Engine, plan: PlacementPlan, coeffs: CostCoefficients) -> list[float]:
     """Non-overlapped ring all-gather followed by fully parallel attention
     compute; the gather runs at the slowest link class the group spans."""
-    g = cluster.num_ranks
+    cluster = engine.cluster
+    g, p = cluster.num_ranks, cluster.gpus_per_node
     total = plan.total_tokens()
-    ready = [0.0] * g
+    end = 0.0
     if g > 1 and total > 0:
         crossing = cluster.num_nodes > 1
         bw = cluster.inv_bw_inter if crossing else cluster.inv_bw_intra
-        ag_time = bw * total * (g - 1) / g
+        end = ag_time = bw * total * (g - 1) / g
         sent = round(total * (g - 1) / g)
         for rank in range(g):
-            node = cluster.node_of(rank)
-            is_boundary = crossing and rank == max(cluster.ranks_of_node(node))
+            # each node's last rank carries the ring across to the next node
+            is_boundary = crossing and rank % p == p - 1
             stream = INTER_COMM if is_boundary else INTRA_COMM
             engine.emit(rank, stream, 0.0, ag_time, "kv.allgather", {"tokens": sent})
-            engine.count(rank, "inter" if is_boundary else "intra", sent)
+            (engine.inter_tokens if is_boundary else engine.intra_tokens)[rank] += sent
             if is_boundary:
-                engine.bill_nic(node, engine.affine_nic(rank), [ag_time])
-        start = ag_time
-    else:
-        start = 0.0
+                engine.bill_nic(rank // p, engine.affine_nic(rank), [ag_time])
     total_pairs = sum(causal_pairs(ln) for ln in plan.sequence_lengths.values())
     if total_pairs > 0:
         dur = coeffs.attn_quadratic * total_pairs / g
         for rank in range(g):
-            engine.emit(rank, COMPUTE, start, dur, "attn.parallel", {"pairs": total_pairs / g})
-        ready = [start + dur] * g
-    else:
-        ready = [start] * g
-    return ready
+            engine.emit(rank, COMPUTE, end, dur, "attn.parallel", {"pairs": total_pairs / g})
+        end += dur
+    return [end] * g
 
 
 def check_topology(plan: PlacementPlan, cluster: ClusterSpec) -> None:
@@ -425,10 +408,10 @@ def simulate(
     engine = _Engine(cluster)
     if plan.strategy == "llama_cp":
         schedule = None
-        ready = _run_allgather(engine, plan, cluster, coeffs)
+        ready = _run_allgather(engine, plan, coeffs)
     else:
         schedule = build_schedule(plan)
-        ready = _run_rings(engine, schedule, plan, cluster, coeffs, routed=plan.strategy == "zeppelin")
+        ready = _run_rings(engine, schedule, plan, coeffs, routed=plan.strategy == "zeppelin")
     # every attention leg ends by its ring's last round or its rank's last
     # kernel, and `ready` holds both
     attention_end = max([0.0] + ready)
@@ -436,10 +419,9 @@ def simulate(
     remap_fwd = remap_inv = 0.0
     if plan.strategy == "zeppelin" and plan.total_tokens() > 0:
         result = solve_remap(plan.tokens_per_rank, cost_matrix(cluster))
-        worst_row = float(result.row_costs.max()) if result.row_costs.size else 0.0
-        remap_fwd = remap_inv = max(result.objective, worst_row)
+        remap_fwd = remap_inv = max(result.objective, float(result.row_costs.max()))
         linear_tokens = target_distribution(plan.tokens_per_rank)
-        _emit_remap(engine, cluster, result, attention_end, "remap.forward")
+        _emit_remap(engine, result, attention_end, "remap.forward")
     else:
         linear_tokens = list(plan.tokens_per_rank)
     linear_start = attention_end + remap_fwd
@@ -452,7 +434,7 @@ def simulate(
                 linear_time = max(linear_time, dur)
     linear_end = linear_start + linear_time
     if remap_inv > 0:
-        _emit_remap(engine, cluster, result, linear_end, "remap.inverse")
+        _emit_remap(engine, result, linear_end, "remap.inverse")
     total_step = (linear_end + remap_inv) * (1.0 + cluster.backward_multiplier)
     timeline = Timeline(gpus_per_node=cluster.gpus_per_node, records=engine.records)
     report = StepReport(
@@ -473,9 +455,9 @@ def simulate(
     return timeline, report
 
 
-def _emit_remap(engine: _Engine, cluster: ClusterSpec, result, start: float, kind: str) -> None:
+def _emit_remap(engine: _Engine, result, start: float, kind: str) -> None:
     matrix = result.matrix
-    node = np.arange(cluster.num_ranks) // cluster.gpus_per_node
+    node = np.arange(engine.cluster.num_ranks) // engine.cluster.gpus_per_node
     crosses = ((matrix > 0) & (node[:, None] != node)).any(axis=1).tolist()
     sent = matrix.sum(axis=1).tolist()
     for rank, cost in enumerate(result.row_costs.tolist()):

@@ -38,9 +38,9 @@ def spans_nodes(ring, cluster: ClusterSpec) -> bool:
 
 
 def check_plan(plan: PlacementPlan, lengths: dict[int, int], cluster: ClusterSpec) -> list[str]:
-    """Re-derive conservation, coverage, per-phase capacity, zone labels and
-    ring membership directly from the placement rows; returns a list of
-    violations."""
+    """Re-derive conservation, coverage, micro-batch numbering, per-phase
+    capacity, zone labels and ring membership directly from the placement
+    rows; returns a list of violations."""
     problems = []
     by_rank = fragments_by_rank(plan.placement)
     frags = [f for rank_frags in by_rank.values() for f in rank_frags]
@@ -60,6 +60,9 @@ def check_plan(plan: PlacementPlan, lengths: dict[int, int], cluster: ClusterSpe
             covered = end
         if covered != length:
             problems.append(f"seq {sid}: covered {covered} of {length} tokens")
+    for f in frags:
+        if f.micro_batch < 0:
+            problems.append(f"seq {f.sequence_id} has a fragment at micro-batch {f.micro_batch} < 0")
     for rank in range(plan.num_ranks):
         loads: dict[int, int] = {}
         for f in by_rank[rank]:

@@ -6,6 +6,7 @@ import pytest
 
 from varlenplan import cli, partitioner
 from varlenplan.attention_engine import RingGroup
+from varlenplan.baselines import STRATEGIES
 from varlenplan.topology import ClusterSpec, CostCoefficients, cluster_a, save_cluster_config
 from varlenplan.workload import load_batch
 
@@ -90,6 +91,14 @@ def _bool_micro_batch(path):
     path.write_text(json.dumps(payload))
 
 
+def _negative_micro_batch(path):
+    # put a fragment of a sequence that rides no ring before the attention phase
+    payload = json.loads(path.read_text())
+    ringed = {sid for ring in payload["rings"] for sid in ring["sequence_ids"]}
+    next(row for row in payload["placement"] if row[2] not in ringed)[1] = -3
+    path.write_text(json.dumps(payload))
+
+
 def _lengths_as_object(path):
     # the shape an older plan file gave sequence_lengths: {"id": length}
     payload = json.loads(path.read_text())
@@ -102,9 +111,11 @@ def _lengths_as_object(path):
     (_half_token_boundary, "must be integers"),
     (_float_length, "must be integers"),
     (_bool_micro_batch, "must be integers"),
+    (_negative_micro_batch, "has a fragment at a negative micro-batch"),
     (_lengths_as_object, "malformed plan file"),
     (_unknown_strategy, "unknown strategy 'foo'"),
-], ids=["over_capacity", "half_token", "float_length", "bool_micro_batch", "lengths_array", "unknown_strategy"])
+], ids=["over_capacity", "half_token", "float_length", "bool_micro_batch", "negative_micro_batch", "lengths_array",
+        "unknown_strategy"])
 def test_simulate_rejects_a_plan_file_with_an_edited_zone(tmp_path, batch_file, capsys, edit, error):
     plan_path = tmp_path / "plan.json"
     assert run(["plan", "--config", "cluster_a", "--batch", batch_file,
@@ -180,10 +191,22 @@ def _leftover_zones(path):
     path.write_text(json.dumps(payload))
 
 
+def _rings_as(rings):
+    def edit(path):
+        payload = json.loads(path.read_text())
+        payload["rings"] = rings
+        path.write_text(json.dumps(payload))
+
+    return edit
+
+
 @pytest.mark.parametrize("edit, error", [
     (_stale_ring_kind, "malformed plan file: unknown keys ['kind']"),
     (_leftover_zones, "malformed plan file: unknown keys ['zones']"),
-], ids=["ring_kind", "zones"])
+    (_rings_as({}), "malformed plan file: rings must be a list of objects"),
+    (_rings_as(["x"]), "malformed plan file: rings must be a list of objects"),
+    (_rings_as([[0, 1]]), "malformed plan file: rings must be a list of objects"),
+], ids=["ring_kind", "zones", "rings_object", "ring_string", "ring_list"])
 def test_simulate_rejects_a_plan_file_with_an_unknown_key(tmp_path, batch_file, capsys, edit, error):
     plan_path = tmp_path / "plan.json"
     assert run(["plan", "--config", "cluster_a", "--batch", batch_file,
@@ -263,6 +286,23 @@ def test_compare_rejects_repeated_or_empty_strategies(tmp_path, batch_file, caps
                 "--out", str(out), "--trace-dir", str(traces)]) == 2
     assert "strategies" in capsys.readouterr().err
     assert not out.exists() and not traces.exists()
+
+
+def test_compare_of_an_empty_batch_writes_zeros_and_empty_traces(tmp_path, capsys):
+    batch = tmp_path / "batch.json"
+    batch.write_text("[]")
+    out = tmp_path / "cmp.csv"
+    traces = tmp_path / "traces"
+    assert run(["compare", "--config", "cluster_a", "--batch", str(batch), "--out", str(out),
+                "--trace-dir", str(traces)]) == 0
+    stdout, stderr = capsys.readouterr()
+    # an infeasible strategy is reported on stderr
+    assert stderr == ""
+    assert stdout.splitlines() == [f"{s}: total 0s, speedup vs te_cp n/a" for s in STRATEGIES]
+    assert out.read_text().splitlines()[1:] == [f"{s},0,0,0,0,,0,0" for s in STRATEGIES]
+    assert sorted(p.name for p in traces.iterdir()) == sorted(f"{s}.trace.json" for s in STRATEGIES)
+    for s in STRATEGIES:
+        assert (traces / f"{s}.trace.json").read_bytes() == b'{"displayTimeUnit":"ms","traceEvents":[]}\n'
 
 
 def test_compare_sampled_batch_is_deterministic(tmp_path):

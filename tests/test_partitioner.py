@@ -378,6 +378,27 @@ class TestBuildPlan:
             pt.validate_plan(broken, batch, cluster)
         assert check_plan(broken, batch.lengths, cluster) != []
 
+    @pytest.mark.parametrize("moves, error", [
+        # rank 0 over capacity, and rank 3's fragment of ringed sequence 1 at micro-batch 1
+        ({(1, 0, 1, 1, 2): (0, 0, 1, 1, 2), (3, 0, 1, 3, 4): (3, 1, 1, 3, 4)},
+         "^sequence 1 has a fragment off its ring's micro-batch 0$"),
+        # rank 0 over capacity, and sequence 0's range [6, 9) moved to [7, 10)
+        ({(1, 0, 1, 1, 2): (0, 0, 1, 1, 2), (2, 0, 0, 6, 9): (2, 0, 0, 7, 10)},
+         "^rank 0 exceeds token capacity$"),
+    ], ids=["off_ring_before_capacity", "capacity_before_tiling"])
+    def test_validate_plan_names_the_first_fault_class(self, moves, error):
+        # fault classes are checked in one order: unknown sequence, off its
+        # ring, negative micro-batch, capacity, tiling, coverage, split
+        cluster = make_cluster(n=2, p=2, cap=8)
+        batch = SequenceBatch(((0, 24), (1, 6)))
+        plan = plan_te_cp(batch, cluster)
+        assert plan.tokens_per_rank == [8, 8, 7, 7]
+        broken = dataclasses.replace(plan, placement=[moves.get(tuple(row), row) for row in plan.placement.tolist()])
+        assert broken.tokens_per_rank[0] == 9
+        with pytest.raises(pt.PlanValidationError, match=error):
+            pt.validate_plan(broken, batch, cluster)
+        assert check_plan(broken, batch.lengths, cluster) != []
+
     def test_validate_plan_checks_the_sequence_ids(self):
         # the plan covers sequences 0 and 1; the batch holds a sequence 2 too
         cluster = make_cluster(n=2, p=2, cap=40)
@@ -582,7 +603,8 @@ def corrupted_plans(draw):
     """A planner's plan of a small batch, with one corruption applied to its
     placement table: a boundary two rows of one sequence share (or a
     sequence's last end) shifted, a row dropped or duplicated, a row moved
-    to another rank or to micro-batch 1, or a row's sequence relabelled."""
+    to another rank or to micro-batch 1 or -1, or a row's sequence
+    relabelled."""
     cluster, batch = draw(small_clusters_and_batches())
     strategy = draw(st.sampled_from(STRATEGIES))
     try:
@@ -606,7 +628,7 @@ def corrupted_plans(draw):
     elif corruption == "rank":
         row[0] = draw(st.integers(0, cluster.num_ranks - 1))
     elif corruption == "micro_batch":
-        row[1] = 1
+        row[1] = draw(st.sampled_from([1, -1]))
     else:
         row[2] = draw(st.sampled_from(sorted(batch.lengths) + [len(batch.lengths)]))
     return dataclasses.replace(plan, placement=rows), batch, cluster
