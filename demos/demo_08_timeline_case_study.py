@@ -17,8 +17,8 @@ from varlenplan.baselines import plan_te_cp
 from varlenplan.workload import SequenceBatch
 
 cluster, coeffs = cluster_a()
-out_dir = os.path.join(os.path.dirname(__file__), "traces")
-os.makedirs(out_dir, exist_ok=True)
+here = os.path.dirname(__file__)
+os.makedirs(os.path.join(here, "traces"), exist_ok=True)
 
 
 def show(tag, batch):
@@ -27,8 +27,9 @@ def show(tag, batch):
         plan = planner(batch, cluster)
         timeline, report = simulate(plan, cluster, coeffs)
         rings = [(ring_kind(r.members, cluster.gpus_per_node), len(r.members)) for r in plan.ring_groups]
-        path = os.path.join(out_dir, f"{tag}-{name}.trace.json")
-        export_trace(timeline, path)
+        # printed relative to the demo's directory, wherever the checkout sits
+        path = os.path.join("traces", f"{tag}-{name}.trace.json")
+        export_trace(timeline, os.path.join(here, path))
         print(f"{name:<9} rings {rings or '[]'}")
         print(f"          attention {report.attention_makespan * 1e3:7.2f} ms, "
               f"step {report.total_step * 1e3:7.2f} ms, "

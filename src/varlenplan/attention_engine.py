@@ -57,14 +57,7 @@ def ranges_from_sizes(sizes: list[int]) -> list[list[tuple[int, int]]]:
     g = len(sizes) // 2
     bounds = list(itertools.accumulate(sizes, initial=0))
     chunks = list(zip(bounds, bounds[1:]))
-    out: list[list[tuple[int, int]]] = []
-    for i in range(g):
-        j = 2 * g - 1 - i
-        ranges = [chunks[i]]
-        if j != i:
-            ranges.append(chunks[j])
-        out.append([(a, b) for a, b in ranges if b > a])
-    return out
+    return [[(a, b) for a, b in (chunks[i], chunks[2 * g - 1 - i]) if b > a] for i in range(g)]
 
 
 def ring_kind(members: tuple[int, ...], gpus_per_node: int) -> str:

@@ -1,7 +1,8 @@
 """Command-line entry point: sample, plan, simulate, compare.
 
 Exit codes: 0 success, 2 usage, config-value or invalid-plan error,
-3 infeasible batch, 4 I/O failure (any OSError, as for a missing file).
+3 infeasible batch, 4 I/O failure (any OSError, as for a missing file) or
+an input that is not valid JSON or not UTF-8 text.
 """
 
 from __future__ import annotations
@@ -142,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_IO
     except partitioner.PlanValidationError as exc:
         print(f"error: invalid plan: {exc}", file=sys.stderr)

@@ -573,50 +573,47 @@ def plan_from_json(text: str) -> PlacementPlan:
     version = payload.get("format") if type(payload) is dict else None
     if type(version) is not int or version != PLAN_FORMAT:
         raise ValueError(f"not a format-{PLAN_FORMAT} plan file; write it afresh with `varlenplan plan`")
+    _check_keys(payload.keys(), set(_PLAN_KEYS))
+    rows, pairs, entries = payload["placement"], payload["sequence_lengths"], payload["rings"]
+    s0, meta = payload["s0_per_node"], payload["meta"]
+    if type(s0) is not list:
+        raise ValueError("plan file's s0_per_node must be a list")
+    if type(entries) is not list or any(type(entry) is not dict for entry in entries):
+        raise ValueError("malformed plan file: rings must be a list of objects")
+    for entry in entries:
+        _check_keys(entry.keys(), _RING_KEYS)
+    lists = [rows, pairs] + [v for entry in entries for v in entry.values()]
+    if any(type(v) is not list for v in lists) or (type(meta), type(payload["strategy"])) != (dict, str):
+        raise ValueError("malformed plan file: placement, sequence_lengths, rings' members and "
+                         "sequence_ids must be lists, meta an object and strategy a string")
+    if any(type(row) is not list or len(row) != 5 for row in rows):
+        raise ValueError("plan file's placement rows must be lists of 5 integers")
+    if any(type(pair) is not list or len(pair) != 2 for pair in pairs):
+        raise ValueError("plan file's sequence_lengths must be [id, length] pairs")
+    rings = tuple(RingGroup(**{key: tuple(v) for key, v in entry.items()}) for entry in entries)
+    header = {key: payload[key] for key in ("strategy", "num_nodes", "gpus_per_node", "s1")}
+    # json gives int for integers only; bool is not one. Checked before
+    # numpy, which would quietly turn 0.5 and False into 0
+    integers = [v for row in rows for v in row] + [v for pair in pairs for v in pair]
+    integers += [v for ring in rings for v in ring.members + ring.sequence_ids]
+    integers += [header[key] for key in ("num_nodes", "gpus_per_node", "s1")] + s0
+    if any(type(v) is not int for v in integers):
+        raise ValueError("plan file's topology, thresholds, sequence ids, lengths, placement rows "
+                         "and ring members must be integers")
+    lengths = dict(pairs)
+    if len(lengths) != len(pairs):
+        raise ValueError("plan file's sequence_lengths repeat a sequence id")
+    if len(s0) != header["num_nodes"]:
+        raise ValueError(f"plan file lists {len(s0)} s0 thresholds for {header['num_nodes']} nodes")
+    n_ranks = header["num_nodes"] * header["gpus_per_node"]
+    for ring in rings:
+        if not all(m in range(n_ranks) for m in ring.members):
+            raise ValueError(f"plan file's ring members {list(ring.members)} are not ranks 0..{n_ranks - 1}")
     try:
-        _check_keys(payload.keys(), set(_PLAN_KEYS))
-        rows, pairs, entries = payload["placement"], payload["sequence_lengths"], payload["rings"]
-        s0, meta = payload["s0_per_node"], payload["meta"]
-        if type(s0) is not list:
-            raise ValueError("plan file's s0_per_node must be a list")
-        if type(entries) is not list or any(type(entry) is not dict for entry in entries):
-            raise ValueError("malformed plan file: rings must be a list of objects")
-        for entry in entries:
-            _check_keys(entry.keys(), _RING_KEYS)
-        lists = [rows, pairs] + [v for entry in entries for v in entry.values()]
-        if any(type(v) is not list for v in lists) or (type(meta), type(payload["strategy"])) != (dict, str):
-            raise ValueError("malformed plan file: placement, sequence_lengths, rings' members and "
-                             "sequence_ids must be lists, meta an object and strategy a string")
-        if any(type(row) is not list or len(row) != 5 for row in rows):
-            raise ValueError("plan file's placement rows must be lists of 5 integers")
-        if any(type(pair) is not list or len(pair) != 2 for pair in pairs):
-            raise ValueError("plan file's sequence_lengths must be [id, length] pairs")
-        rings = tuple(RingGroup(**{key: tuple(v) for key, v in entry.items()}) for entry in entries)
-        header = {key: payload[key] for key in ("strategy", "num_nodes", "gpus_per_node", "s1")}
-        # json gives int for integers only; bool is not one. Checked before
-        # numpy, which would quietly turn 0.5 and False into 0
-        integers = [v for row in rows for v in row] + [v for pair in pairs for v in pair]
-        integers += [v for ring in rings for v in ring.members + ring.sequence_ids]
-        integers += [header[key] for key in ("num_nodes", "gpus_per_node", "s1")] + s0
-        if any(type(v) is not int for v in integers):
-            raise ValueError("plan file's topology, thresholds, sequence ids, lengths, placement rows "
-                             "and ring members must be integers")
-        lengths = dict(pairs)
-        if len(lengths) != len(pairs):
-            raise ValueError("plan file's sequence_lengths repeat a sequence id")
-        if len(s0) != header["num_nodes"]:
-            raise ValueError(f"plan file lists {len(s0)} s0 thresholds for {header['num_nodes']} nodes")
-        n_ranks = header["num_nodes"] * header["gpus_per_node"]
-        for ring in rings:
-            if not all(m in range(n_ranks) for m in ring.members):
-                raise ValueError(f"plan file's ring members {list(ring.members)} are not ranks 0..{n_ranks - 1}")
-        try:
-            return PlacementPlan(**header, s0_per_node=s0, sequence_lengths=lengths, placement=rows,
-                                 ring_groups=rings, meta=meta)
-        except OverflowError:
-            raise ValueError("plan file's integers must fit in 64 bits") from None
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed plan file: missing or invalid key ({exc})") from exc
+        return PlacementPlan(**header, s0_per_node=s0, sequence_lengths=lengths, placement=rows,
+                             ring_groups=rings, meta=meta)
+    except OverflowError:
+        raise ValueError("plan file's integers must fit in 64 bits") from None
 
 
 def save_plan(path: str, plan: PlacementPlan) -> None:

@@ -112,8 +112,10 @@ class StepReport:
 
 
 class _Engine:
-    """Per-lane tails with (rank, stream) exclusivity, token and NIC tallies,
-    and the step's event records. Lane 3 * rank + s is stream s of a rank."""
+    """The lane tails routed steps read, token and NIC tallies, and the
+    step's event records. Lane 3 * rank + s is stream s of a rank. An
+    `emit`ted event starts at its caller's time, as none of its lane's
+    earlier events ends later (README "Model notes")."""
 
     def __init__(self, cluster: ClusterSpec):
         self.cluster = cluster
@@ -124,10 +126,7 @@ class _Engine:
         self.nic_busy = [[0.0] * cluster.nics_per_node for _ in range(cluster.num_nodes)]
         self._nic_cursor = [0] * cluster.num_nodes
 
-    def emit(self, rank: int, stream: str, earliest: float, duration: float, kind: str, payload: dict) -> float:
-        lane = 3 * rank + _STREAM_ORDER[stream]
-        start = max(earliest, self.tails[lane])
-        self.tails[lane] = start + duration
+    def emit(self, rank: int, stream: str, start: float, duration: float, kind: str, payload: dict) -> float:
         self.records.append((rank, stream, start, duration, kind, payload))
         return start + duration
 
@@ -166,9 +165,7 @@ def _run_rings(
     routes = route_schedule(schedule, plan, engine.cluster) if routed else None
     for ring_idx, ring_sched in enumerate(schedule.rings()):
         members = ring_sched.ring.members
-        # route_schedule routes every cross-node send of an inter-node ring
-        t = _run_ring(engine, ring_idx, ring_sched, max(ready[m] for m in members), coeffs,
-                      routes if ring_idx < len(schedule.inter_rings) else None)
+        t = _run_ring(engine, ring_idx, ring_sched, max(ready[m] for m in members), coeffs, routes)
         for m in members:
             ready[m] = t
     for task in schedule.local_tasks:
@@ -197,8 +194,11 @@ def _run_ring(
     hop of a routed ring is routed and unrouted strategies leave no route.
     Float addition rounds monotonically, so a round ends at t_r + (its
     longest direct leg), or at its last routed send's end when that is
-    later. Sends of positions in `routes` are routed, each timed by
-    `_run_route`; the rest go direct.
+    later. With `routes`, crossing sends are routed, each timed by
+    `_run_route`, and the rest go direct. Only routed steps read tails:
+    their endpoints' intra lanes, idle once a later ring of theirs starts,
+    and their proxies' inter lanes, which only routes write; so a direct
+    send sets its tail only for a routed step of its own round.
     """
     ring = ring_sched.ring
     g = ring.group_size
@@ -217,13 +217,12 @@ def _run_ring(
     direct = ~np.array(via_route)[:, None] & (tokens > 0)
     longest = np.maximum(compute, np.where(direct, send, 0.0)).max(axis=0).tolist()
 
-    compute_lanes = [3 * m for m in members]
     send_lanes = [3 * m + (2 if c else 1) for m, c in zip(members, crossing)]
 
     # the routed sends of each round, and each distinct route's lanes
     round_routes: list[list[RoutePlan]] = [[] for _ in range(g)]
     lanes: dict[RoutePlan, tuple[int, ...]] = {}
-    if routes is not None:
+    if any(via_route):
         token_rows = tokens.tolist()
         routed = [i for i in range(g) if via_route[i]]
         for r in range(g):
@@ -250,17 +249,10 @@ def _run_ring(
                 if direct[j, r]:
                     tails[send_lanes[j]] = t + float(send[j, r])
             for route in round_routes[r]:
-                *starts_of_send, send_end = _run_route(route, lanes[route], tails, t)
-                end = max(end, send_end)
+                *starts_of_send, route_end = _run_route(route, lanes[route], tails, t)
+                end = max(end, route_end)
                 sends.append((r, route, *starts_of_send))
         t = end
-    round_start = np.array(starts)
-    # a lane's ends rise with the rounds, so its tail is its latest end
-    compute_end = np.where(pairs > 0, round_start + compute, 0.0).max(axis=1).tolist()
-    send_end = np.where(direct, round_start + send, 0.0).max(axis=1).tolist()
-    for i in range(g):
-        tails[compute_lanes[i]] = max(tails[compute_lanes[i]], compute_end[i])
-        tails[send_lanes[i]] = max(tails[send_lanes[i]], send_end[i])
     _tally_sends(engine, sends)
 
     kv_total = sum(ring_sched.kv_sizes)
@@ -276,8 +268,8 @@ def _run_ring(
         engine.bill_nic(node, nic, send[rows].T.ravel().tolist())
 
     kind = INTER_NODE if any(crossing) else INTRA_NODE
-    engine.records.append(_RingRecord(ring_idx, ring, kind, crossing, pairs, tokens, compute, send, direct,
-                                      round_start, sends))
+    engine.records.append(_RingRecord(ring_idx, ring, kind, send_lanes, pairs, tokens, compute, send, direct,
+                                      np.array(starts), sends))
     return t
 
 
@@ -342,16 +334,16 @@ def _tally_sends(engine: _Engine, sends: list[tuple]) -> None:
 
 @dataclass(eq=False)
 class _RingRecord:
-    """One ring's events in compact form: [position, round] matrices of its
-    computes and direct sends, each round's start, at which all of that
-    round's computes and direct sends start, and its routed sends in
-    emission order as (round, route, dispatch start, transfer starts,
-    gather start)."""
+    """One ring's events in compact form: each position's send lane,
+    [position, round] matrices of its computes and direct sends, each
+    round's start, at which all of that round's computes and direct sends
+    start, and its routed sends in emission order as (round, route,
+    dispatch start, transfer starts, gather start)."""
 
     ring_idx: int
     ring: RingGroup
     kind: str
-    crossing: list[bool]
+    send_lanes: list[int]
     pairs: np.ndarray
     tokens: np.ndarray
     compute: np.ndarray
@@ -580,13 +572,12 @@ class _TraceColumns:
         keeps emission order within its kinds, which is all the stable
         sort needs: events of different kinds never tie."""
         members = np.array(rec.ring.members, dtype=np.int64)
-        send_lane = 3 * members + np.where(rec.crossing, _STREAM_ORDER[INTER_COMM], _STREAM_ORDER[INTRA_COMM])
         # the transposed masks enumerate (round, position) in emission order
         r, i = np.nonzero(rec.pairs.T > 0)
         self._add(f"{rec.kind}.attn", rec.round_start[r], rec.compute[i, r], 3 * members[i],
                   {"pairs": rec.pairs[i, r], "ring": rec.ring_idx, "round": r}, _attn_lines)
         r, i = np.nonzero(rec.direct.T)
-        self._add("kv.send", rec.round_start[r], rec.send[i, r], send_lane[i],
+        self._add("kv.send", rec.round_start[r], rec.send[i, r], np.array(rec.send_lanes)[i],
                   {"dst": members[(i + 1) % len(members)], "ring": rec.ring_idx, "round": r,
                    "tokens": rec.tokens[i, r]}, _send_lines)
         if rec.sends:

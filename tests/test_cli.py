@@ -361,6 +361,29 @@ def test_malformed_json_gives_io_exit(tmp_path, capsys):
     assert rc == 4
 
 
+def _batch_not_utf8(tmp_path, bad):
+    return ["plan", "--config", "cluster_a", "--batch", str(bad), "--out", str(tmp_path / "p.json")]
+
+
+def _plan_not_utf8(tmp_path, bad):
+    return ["simulate", "--config", "cluster_a", "--plan", str(bad)]
+
+
+def _config_not_utf8(tmp_path, bad):
+    return ["compare", "--config", str(bad), "--dataset", "arxiv", "--total-len", "4096",
+            "--out", str(tmp_path / "out.csv")]
+
+
+@pytest.mark.parametrize("argv", [_batch_not_utf8, _plan_not_utf8, _config_not_utf8])
+def test_input_that_is_not_utf8_gives_io_exit(tmp_path, capsys, argv):
+    # a batch, a plan or a config file that does not decode is an unreadable
+    # input, as malformed JSON is
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[]")
+    assert run(argv(tmp_path, bad)) == 4
+    assert "error: input is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_non_integer_batch_length_gives_usage_exit(tmp_path, capsys):
     batch = tmp_path / "batch.json"
     batch.write_text(json.dumps([{"id": 0, "len": 10.7}]))

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +496,19 @@ def test_timeline_oracle_on_routed_8_node_batch():
         assert check_timeline(plan, cluster, timeline, report) == []
         if strategy == "zeppelin":
             assert sum(e.kind == "route.transfer" for e in timeline.events) > 100
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rank_on_two_routed_rings_matches_scalar_reference(seed):
+    # 8 ranks ride both inter-node rings, so the second ring's routes read
+    # intra lanes of ranks the first ring's direct sends and routes used
+    cluster, coeffs = cluster_a(num_nodes=8)
+    plan = plan_with("zeppelin", sample_batch(preset("github"), 262144, seed=seed), cluster)
+    inter_rings = build_schedule(plan).inter_rings
+    rides = Counter(m for ring_sched in inter_rings for m in ring_sched.ring.members)
+    assert len(inter_rings) == 2 and sum(n == 2 for n in rides.values()) == 8
+    assert_matches_reference(plan, cluster, coeffs)
+    assert_trace_matches_reference(plan, cluster, coeffs)
 
 
 def hand_built_plan(strategy, cluster, rings, placement):
