@@ -22,6 +22,9 @@ pairs and the gap exceeds that spread.
 
 The file holds:
 - the machine, the interpreter and, per side, its git SHA and src_sha256;
+  when src/ has uncommitted changes, the change side's git_sha is null and
+  its `tree` reads "working tree over <HEAD's SHA>", since HEAD's SHA would
+  name code other than what was measured;
 - a stage table on `cluster_a(num_nodes=N)`, N = 2, 4, 8, 16, 32, with one
   github batch (seed 1, 32k tokens per node) per N: sample_batch,
   build_plan, build_schedule, route_schedule, solve_remap, each strategy's
@@ -229,6 +232,16 @@ def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
+def _change_side() -> dict:
+    """The checkout's git SHA and src_sha256. With uncommitted changes
+    under src/, no SHA names the code measured, so git_sha is null and a
+    tree note names the commit the working tree sits over."""
+    head = _git("rev-parse", "HEAD")
+    if _git("status", "--porcelain", "src"):
+        return {"git_sha": None, "tree": f"working tree over {head}", "src_sha256": src_sha256(ROOT)}
+    return {"git_sha": head, "src_sha256": src_sha256(ROOT)}
+
+
 def _summary(samples: list[float]) -> dict:
     q1, p50, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"p50": round(p50, 4), "q1": round(q1, 4), "q3": round(q3, 4), "n": len(samples)}
@@ -318,8 +331,7 @@ def main(argv: list[str] | None = None) -> int:
             },
             "sides": {
                 "parent": {"git_sha": base_sha, "src_sha256": src_sha256(roots["parent"])},
-                "change": {"git_sha": _git("rev-parse", "HEAD"), "src_sha256": src_sha256(ROOT),
-                           "src_dirty": bool(_git("status", "--porcelain", "src"))},
+                "change": _change_side(),
             },
             "method": {
                 "rounds": ROUNDS, "calls_per_run": CALLS, "min_cell_s": MIN_CELL_S,

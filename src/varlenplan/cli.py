@@ -59,9 +59,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UnreadableInput(Exception):
+    """An input file that is not UTF-8 text or not valid JSON."""
+
+
+def _read(load, path: str):
+    """`load(path)`, a decode error of the file raised as `_UnreadableInput`
+    naming it."""
+    try:
+        return load(path)
+    except json.JSONDecodeError as exc:
+        raise _UnreadableInput(f"invalid JSON input in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _UnreadableInput(f"input is not UTF-8 text in {path}: {exc}") from exc
+
+
 def _load_batch_arg(args: argparse.Namespace) -> workload.SequenceBatch:
     if getattr(args, "batch", None):
-        return workload.load_batch(args.batch)
+        return _read(workload.load_batch, args.batch)
     if args.total_len is None:
         raise topology.ConfigError("--total-len is required when sampling with --dataset")
     dist = workload.preset(args.dataset)
@@ -77,8 +92,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    cluster, _ = topology.resolve_cluster(args.config)
-    batch = workload.load_batch(args.batch)
+    cluster, _ = _read(topology.resolve_cluster, args.config)
+    batch = _read(workload.load_batch, args.batch)
     plan = baselines.plan_with(args.strategy, batch, cluster)
     partitioner.save_plan(args.out, plan)
     print(f"wrote {args.strategy} plan for {len(batch)} sequences to {args.out}")
@@ -86,8 +101,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cluster, coeffs = topology.resolve_cluster(args.config)
-    plan = partitioner.load_plan(args.plan)
+    cluster, coeffs = _read(topology.resolve_cluster, args.config)
+    plan = _read(partitioner.load_plan, args.plan)
     batch = partitioner.batch_from_plan(plan)
     simulator.check_topology(plan, cluster)
     partitioner.validate_plan(plan, batch, cluster)
@@ -103,7 +118,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cluster, coeffs = topology.resolve_cluster(args.config)
+    cluster, coeffs = _read(topology.resolve_cluster, args.config)
     batch = _load_batch_arg(args)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     reports, timelines = simulator.compare_with_timelines(batch, cluster, coeffs, strategies)
@@ -141,11 +156,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot access {getattr(exc, 'filename', None) or exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except UnicodeDecodeError as exc:
-        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
+    except _UnreadableInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except partitioner.PlanValidationError as exc:
         print(f"error: invalid plan: {exc}", file=sys.stderr)

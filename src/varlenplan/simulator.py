@@ -11,11 +11,12 @@ traffic, but the three steps of one payload stay causally ordered.
 Ring round ends are evaluated in closed form over (position, round) arrays,
 routed sends by per-route chains, and events are kept in compact records.
 One expansion turns them into blocks of columns, one block per run of one
-kind, payload fields kept as integers. One sort orders them: `export_trace`
-formats each line once from its kind's template and writes the lines in
-that order, and `Timeline.events` builds Event objects from the same
-columns, so neither a comparison nor a trace builds any Event, and no
-payload is printed before the sort or parsed back.
+kind, payload fields kept as integers, and small tables of each distinct
+piece of text the block's lines are made of. One sort orders them:
+`export_trace` gathers each event's row of pieces in that order and joins
+them, and `Timeline.events` builds Event objects from the same columns, so
+neither a comparison nor a trace builds any Event, and no payload is
+printed per event or parsed back.
 
 After the attention phase the remapping, linear-module, and inverse-remapping
 phases run barrier-synchronized; backward is modeled as a scalar multiplier
@@ -25,7 +26,6 @@ on the whole forward step, so the exported timeline covers forward only.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby, repeat
@@ -475,10 +475,19 @@ def _peak_kv(plan: PlacementPlan, schedule: AttentionSchedule | None) -> int:
     )
 
 
-def _texts(values: np.ndarray, text) -> list[str]:
-    """`text(value)` for each value, called once per distinct value."""
-    distinct, index = np.unique(values, return_inverse=True)
-    return np.array([text(v) for v in distinct.tolist()], dtype=object)[index].tolist()
+def _us(seconds: np.ndarray) -> list[float]:
+    """Times in seconds as microseconds, which json prints by `repr`."""
+    return (seconds * 1e6).tolist()
+
+
+def _distinct(key: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each event's distinct key, then each column's value at each distinct
+    key, for columns that the key fixes."""
+    distinct, index = np.unique(key, return_inverse=True)
+    values = [np.empty(len(distinct), column.dtype) for column in columns]
+    for value, column in zip(values, columns):
+        value[index] = column
+    return index, *values
 
 
 @dataclass(eq=False)
@@ -486,15 +495,17 @@ class _Block:
     """A run of events of one kind in emission order: start, duration and
     lane columns, the payload as `fields`, each key (in sorted order)
     mapped to a column (an int64 array, or a list of the records' own
-    values) or to the one value all the run's events share, and the
-    `template` that prints the run's lines from them."""
+    values) or to the one value all the run's events share, and each
+    line's text up to its pid as three pieces: `rows` holds each event's
+    three indices into `texts`, a table of each distinct piece once."""
 
     kind: str
     start: np.ndarray
     duration: np.ndarray
     lane: np.ndarray
     fields: dict
-    template: Callable
+    texts: list[str]
+    rows: np.ndarray
 
     def payloads(self) -> list[dict]:
         keys = list(self.fields)
@@ -503,48 +514,19 @@ class _Block:
         return [dict(zip(keys, row)) for row in zip(*columns)]
 
 
-# Each template takes the text between "dur" and "pid" (the kind's name),
-# the payload fields and each event's dur, pid/tid and ts texts; it bakes
-# in the fields all the run's events share, and numbers print as json
-# prints them.
-
-def _attn_lines(name: str, fields: dict, dur: list[str], pid_tid: list[str], ts: list[str]) -> list[str]:
-    ring = f',"ring":{fields["ring"]},"round":'
-    return [f'{{"args":{{"pairs":{p}{ring}{r}}},"dur":{d}{name}{pt},"ts":{t}}}'
-            for p, r, d, pt, t in zip(fields["pairs"].tolist(), fields["round"].tolist(), dur, pid_tid, ts)]
-
-
-def _send_lines(name: str, fields: dict, dur: list[str], pid_tid: list[str], ts: list[str]) -> list[str]:
-    ring = f',"ring":{fields["ring"]},"round":'
-    dst, rounds, tokens = fields["dst"].tolist(), fields["round"].tolist(), fields["tokens"].tolist()
-    return [f'{{"args":{{"dst":{a}{ring}{r},"tokens":{n}}},"dur":{d}{name}{pt},"ts":{t}}}'
-            for a, r, n, d, pt, t in zip(dst, rounds, tokens, dur, pid_tid, ts)]
-
-
-def _step_lines(name: str, fields: dict, dur: list[str], pid_tid: list[str], ts: list[str]) -> list[str]:
-    ring = f',"ring":{fields["ring"]},"round":'
-    columns = [fields[k].tolist() for k in ("dst", "proxy", "round", "src", "tokens")]
-    return [f'{{"args":{{"dst":{a},"proxy":{x}{ring}{r},"src":{s},"tokens":{n}}},"dur":{d}{name}{pt},"ts":{t}}}'
-            for a, x, r, s, n, d, pt, t in zip(*columns, dur, pid_tid, ts)]
-
-
-def _run_lines(name: str, fields: dict, dur: list[str], pid_tid: list[str], ts: list[str]) -> list[str]:
-    """A run of tuple records, every field a column: %s prints an int as
-    json does, and a float by its repr, as json does too."""
-    args = ",".join(f'"{k}":%s' for k in fields)
-    template = '{"args":{' + args + '},"dur":%s' + name + '%s,"ts":%s}'
-    return [template % row for row in zip(*fields.values(), dur, pid_tid, ts)]
-
-
 class _TraceColumns:
     """A timeline's events as `_Block`s of columns in emission order. A ring
     record gives a block of computes (pairs, round), one of direct sends
     (dst, round, tokens) and three of routed steps (dst, proxy, src and
     tokens from each distinct route's proxies and shares); a run of tuple
     records of one kind gives a block of the records' own values. Payload
-    integers stay int64 or Python int, never float. The one expansion of
-    the records: `lines` prints the trace from them and `events` reads them
-    back, both in the order of one stable sort."""
+    integers stay int64 or Python int, never float. Each block's text
+    pieces are keyed on what fixes them: a compute's on its pairs, a direct
+    send's on its position and on its link class and tokens, a routed
+    step's on its route and proxy index, and every ring event's round on
+    the round; a tuple record keeps one piece of its own. The one expansion
+    of the records: `text` prints the trace from them and `events` reads
+    them back, both in the order of one stable sort."""
 
     def __init__(self, records: list) -> None:
         self.blocks: list[_Block] = []
@@ -555,61 +537,95 @@ class _TraceColumns:
             else:
                 self.add_run(list(run))
 
-    def _add(self, kind: str, start, duration, lane, fields: dict, template: Callable) -> None:
+    def _add(self, kind: str, start, duration, lane, fields: dict, *pieces: tuple[list[str], np.ndarray]) -> None:
+        """A block whose events' three pieces are (table, each event's index into it)."""
         if len(start):
+            texts, rows, at = [], [], 0
+            for table, index in pieces:
+                texts += table
+                rows.append(at + index)
+                at += len(table)
             self.blocks.append(_Block(kind, np.asarray(start, dtype=float), np.asarray(duration, dtype=float),
-                                      np.asarray(lane, dtype=np.int64), fields, template))
+                                      np.asarray(lane, dtype=np.int64), fields, texts, np.array(rows).T))
 
     def add_run(self, run: list[tuple]) -> None:
-        """Tuple records of one kind and one payload key set."""
+        """Tuple records of one kind and one payload key set, each line's
+        text up to its pid one piece: %s prints an int as json does, and a
+        float by its repr, as json does too."""
         rank, stream, start, duration, kinds, payloads = zip(*run)
         lane = [3 * r + _STREAM_ORDER[s] for r, s in zip(rank, stream)]
-        self._add(kinds[0], start, duration, lane, {k: [p[k] for p in payloads] for k in sorted(payloads[0])},
-                  _run_lines)
+        fields = {k: [p[k] for p in payloads] for k in sorted(payloads[0])}
+        head = '{"args":{' + ",".join(f'"{k}":%s' for k in fields) + f'}},"dur":%r,"name":"{kinds[0]}","ph":"X",'
+        index = np.arange(len(run))
+        blank = ([""], np.zeros_like(index))
+        self._add(kinds[0], start, duration, lane, fields,
+                  ([head % row for row in zip(*fields.values(), _us(np.array(duration)))], index),
+                  blank, blank)
 
     def add_ring(self, rec: _RingRecord) -> None:
         """A ring's computes, direct sends and routed steps. Each block
         keeps emission order within its kinds, which is all the stable
         sort needs: events of different kinds never tie."""
         members = np.array(rec.ring.members, dtype=np.int64)
+        rounds = list(map(str, range(len(members))))
         # the transposed masks enumerate (round, position) in emission order
         r, i = np.nonzero(rec.pairs.T > 0)
-        self._add(f"{rec.kind}.attn", rec.round_start[r], rec.compute[i, r], 3 * members[i],
-                  {"pairs": rec.pairs[i, r], "ring": rec.ring_idx, "round": r}, _attn_lines)
+        pairs, compute = rec.pairs[i, r], rec.compute[i, r]
+        key, distinct_pairs, dur = _distinct(pairs, pairs, compute)
+        self._add(f"{rec.kind}.attn", rec.round_start[r], compute, 3 * members[i],
+                  {"pairs": pairs, "ring": rec.ring_idx, "round": r},
+                  ([f'{{"args":{{"pairs":{p},"ring":{rec.ring_idx},"round":' for p in distinct_pairs.tolist()], key),
+                  (rounds, r),
+                  ([f'}},"dur":{d!r},"name":"{rec.kind}.attn","ph":"X",' for d in _us(dur)], key))
         r, i = np.nonzero(rec.direct.T)
-        self._add("kv.send", rec.round_start[r], rec.send[i, r], np.array(rec.send_lanes)[i],
-                  {"dst": members[(i + 1) % len(members)], "ring": rec.ring_idx, "round": r,
-                   "tokens": rec.tokens[i, r]}, _send_lines)
+        lane, tokens, send = np.array(rec.send_lanes, dtype=np.int64)[i], rec.tokens[i, r], rec.send[i, r]
+        dst = np.roll(members, -1)
+        key, distinct_tokens, dur = _distinct(2 * tokens + (lane % 3 == 2), tokens, send)  # (tokens, link class)
+        self._add("kv.send", rec.round_start[r], send, lane,
+                  {"dst": dst[i], "ring": rec.ring_idx, "round": r, "tokens": tokens},
+                  ([f'{{"args":{{"dst":{a},"ring":{rec.ring_idx},"round":' for a in dst.tolist()], i),
+                  (rounds, r),
+                  ([f',"tokens":{n}}},"dur":{d!r},"name":"kv.send","ph":"X",'
+                    for n, d in zip(distinct_tokens.tolist(), _us(dur))], key))
         if rec.sends:
-            self._add_sends(rec)
+            self._add_sends(rec, rounds)
 
-    def _add_sends(self, rec: _RingRecord) -> None:
+    def _add_sends(self, rec: _RingRecord, round_texts: list[str]) -> None:
         """A ring's routed steps, kind by kind in emission order, their
-        fields gathered from each distinct route's proxies and shares. A
-        chain's starts are the sequential sums of its durations from its
-        start, as a cumulative sum along each row gives them."""
+        fields and texts taken from each distinct route's proxies and
+        shares. A chain's starts are the sequential sums of its durations
+        from its start, as a cumulative sum along each row gives them."""
         rounds, routes, dispatch_start, transfer_starts, combine_start = zip(*rec.sends)
         distinct = {route: u for u, route in enumerate(dict.fromkeys(routes))}
         u = np.array([distinct[route] for route in routes], dtype=np.int64)
         rounds = np.array(rounds, dtype=np.int64)
 
         def table(name: str, dtype=np.int64) -> np.ndarray:
-            """Each send's route's field, a row of it per send."""
-            return np.array([getattr(route, name) for route in distinct], dtype=dtype)[u]
+            """Each distinct route's field, a row of it per route."""
+            return np.array([getattr(route, name) for route in distinct], dtype=dtype)
 
         src, dst, shares = table("source_rank"), table("dest_rank"), table("shares")
-        lanes = np.array([_route_lanes(route) for route in distinct], dtype=np.int64)[u]
+        lanes = np.array([_route_lanes(route) for route in distinct], dtype=np.int64)
 
         def add(kind: str, start: np.ndarray, duration: np.ndarray, lane: np.ndarray, proxy: np.ndarray,
                 tokens: np.ndarray) -> None:
+            """Steps starting at `start`, a row per send; the other
+            arguments have a row per distinct route."""
             k = proxy.shape[1]
-            self._add(kind, start.ravel(), duration.ravel(), lane.ravel(),
-                      {"dst": np.repeat(dst, k), "proxy": proxy.ravel(), "ring": rec.ring_idx,
-                       "round": np.repeat(rounds, k), "src": np.repeat(src, k),
-                       "tokens": tokens.ravel()}, _step_lines)
+            cell = (u[:, None] * k + np.arange(k)).ravel()  # each step's (route, proxy index)
+            dsts, srcs, r = np.repeat(dst, k), np.repeat(src, k), np.repeat(rounds, k)
+            proxy, tokens, duration = proxy.ravel(), tokens.ravel(), duration.ravel()
+            self._add(kind, start.ravel(), duration[cell], lane.ravel()[cell],
+                      {"dst": dsts[cell], "proxy": proxy[cell], "ring": rec.ring_idx,
+                       "round": r, "src": srcs[cell], "tokens": tokens[cell]},
+                      ([f'{{"args":{{"dst":{a},"proxy":{x},"ring":{rec.ring_idx},"round":'
+                        for a, x in zip(dsts.tolist(), proxy.tolist())], cell),
+                      (round_texts, r),
+                      ([f',"src":{s},"tokens":{n}}},"dur":{d!r},"name":"{kind}","ph":"X",'
+                        for s, n, d in zip(srcs.tolist(), tokens.tolist(), _us(duration))], cell))
 
         def chain(starts: tuple, durations: np.ndarray) -> np.ndarray:
-            return np.cumsum(np.column_stack((starts, durations)), axis=1)[:, :-1]
+            return np.cumsum(np.column_stack((starts, durations[u])), axis=1)[:, :-1]
 
         # the gather bills the dispatch times
         duration = table("dispatch_times", float)
@@ -634,24 +650,26 @@ class _TraceColumns:
         # (rank, stream order) sorts as the lane does
         return start, duration, lane, np.lexsort((duration, code, lane, start))
 
-    def lines(self, gpus_per_node: int) -> list[str]:
-        """One 'X' record per event in trace order, keys in sorted order and
-        numbers as json writes them. Each block's lines come from its
-        template, then the sort's permutation puts them in trace order."""
+    def text(self, gpus_per_node: int) -> str:
+        """The 'X' records of all events in trace order, keys in sorted
+        order, numbers as json writes them and a comma between records.
+        A record is five pieces: its block's three, its lane's pid and tid,
+        and its start's ts; each text is formatted once, a row of indices
+        per event is gathered in trace order and the pieces are joined."""
         if not self.blocks:
-            return []
-        start, duration, lane, order = self.in_trace_order()
-        ts, dur = _texts(start * 1e6, repr), _texts(duration * 1e6, repr)
-        lane_text = [f'"pid":{n // 3 // gpus_per_node},"tid":"{n // 3}.{_STREAMS[n % 3]}"'
-                     for n in range(int(lane.max()) + 1)]
-        pt = np.array(lane_text, dtype=object)[lane].tolist()
-        lines: list[str] = []
-        at = 0
-        for block in self.blocks:
-            n = at + len(block.start)
-            lines += block.template(f',"name":"{block.kind}","ph":"X",', block.fields, dur[at:n], pt[at:n], ts[at:n])
-            at = n
-        return np.array(lines, dtype=object)[order].tolist()
+            return ""
+        start, _, lane, order = self.in_trace_order()
+        start, lane = start[order], lane[order]
+        new = np.concatenate(([True], start[1:] != start[:-1]))  # the first event of each start, in sorted order
+        texts = [piece for block in self.blocks for piece in block.texts]
+        at = np.cumsum([0] + [len(block.texts) for block in self.blocks])
+        rows = np.concatenate([block.rows + a for block, a in zip(self.blocks, at)])[order]
+        texts += [f'"pid":{n // 3 // gpus_per_node},"tid":"{n // 3}.{_STREAMS[n % 3]}",'
+                  for n in range(int(lane.max()) + 1)]
+        pieces = np.array(texts + [f'"ts":{t!r}}},' for t in _us(start[new])], dtype=object)[
+            np.column_stack((rows, at[-1] + lane, len(texts) - 1 + np.cumsum(new)))]
+        pieces[-1, -1] = pieces[-1, -1][:-1]  # no comma after the last record
+        return "".join(pieces.ravel().tolist())
 
     def events(self) -> list[Event]:
         if not self.blocks:
@@ -674,11 +692,11 @@ def _run_key(record) -> tuple | None:
 def export_trace(timeline: Timeline, path: str) -> None:
     """Write the timeline as Chrome Trace Event JSON: complete ('X') events
     with microsecond timestamps, process id = node, thread id = rank.stream.
-    Each line is formatted once, after the sort, from the compact records'
-    columns, with no Event built, in the bytes `json.dumps(...,
-    sort_keys=True)` gives."""
-    # the columns and the lines are freed once joined, before the write
-    text = ",".join(_TraceColumns(timeline.records).lines(timeline.gpus_per_node))
+    Each distinct piece of text is formatted once from the compact records'
+    columns, with no Event built, and the pieces are joined in trace order
+    into the bytes `json.dumps(..., sort_keys=True)` gives."""
+    # the columns and the pieces are freed once joined, before the write
+    text = _TraceColumns(timeline.records).text(timeline.gpus_per_node)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"displayTimeUnit":"ms","traceEvents":[')
         fh.write(text)

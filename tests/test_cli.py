@@ -384,6 +384,31 @@ def test_input_that_is_not_utf8_gives_io_exit(tmp_path, capsys, argv):
     assert "error: input is not UTF-8 text" in capsys.readouterr().err
 
 
+def test_bad_config_with_a_good_batch_names_the_config(tmp_path, batch_file, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe[]")
+    assert run(["compare", "--config", str(bad), "--batch", batch_file, "--out", str(tmp_path / "out.csv")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: input is not UTF-8 text") and str(bad) in err and batch_file not in err
+
+
+def _plan_of_bad_json(tmp_path, bad):
+    return ["simulate", "--config", "cluster_a", "--plan", str(bad)]
+
+
+def _batch_of_bad_json(tmp_path, bad):
+    return ["compare", "--config", "cluster_a", "--batch", str(bad), "--out", str(tmp_path / "out.csv")]
+
+
+@pytest.mark.parametrize("argv", [_batch_of_bad_json, _plan_of_bad_json])
+def test_bad_json_names_its_file(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run(argv(tmp_path, bad)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON input") and str(bad) in err
+
+
 def test_non_integer_batch_length_gives_usage_exit(tmp_path, capsys):
     batch = tmp_path / "batch.json"
     batch.write_text(json.dumps([{"id": 0, "len": 10.7}]))

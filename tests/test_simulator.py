@@ -208,9 +208,10 @@ class TestTraceExport:
 
 
 class TestTraceLines:
-    """Edge cases of the line templates against the reference exporter; the
-    events read back must be the reference's in trace order, value types
-    included."""
+    """Edge cases of the per-distinct text tables against the reference
+    exporter, including pieces that a wrongly keyed table would share
+    between events that print differently; the events read back must be
+    the reference's in trace order, value types included."""
 
     def check(self, timeline, events, tmp_path):
         path = tmp_path / "trace.json"
@@ -255,6 +256,56 @@ class TestTraceLines:
         assert all("e" in repr(seconds * 1e6) for seconds in (1e-13, 1e11, 3e-14))
         self.check(simulator.Timeline(gpus_per_node=2, records=records),
                    [simulator.Event(*record) for record in records], tmp_path)
+
+    def check_plan(self, plan, cluster, coeffs, tmp_path):
+        timeline, _ = simulator.simulate(plan, cluster, coeffs)
+        events, _ = reference_timeline(plan, cluster, coeffs)
+        self.check(timeline, events, tmp_path)
+        return events
+
+    def test_crossing_and_intra_sends_of_equal_tokens(self, tmp_path):
+        # an even split: every hop of te_cp's 2-node ring sends 16 tokens,
+        # the crossing hops at the inter-node rate
+        cluster = ClusterSpec(num_nodes=2, gpus_per_node=2, token_capacity=100,
+                              inv_bw_intra=1e-9, inv_bw_inter=1e-8)
+        coeffs = CostCoefficients(attn_quadratic=1e-9)
+        events = self.check_plan(plan_te_cp(SequenceBatch(((0, 64),)), cluster), cluster, coeffs, tmp_path)
+        sends = {(e.stream, e.payload["tokens"], e.duration) for e in events if e.kind == "kv.send"}
+        assert len(sends) == 2 and {(s, n) for s, n, _ in sends} == {("intra-comm", 16), ("inter-comm", 16)}
+
+    def test_rings_of_equal_pairs(self, tmp_path):
+        # two equal sequences, each ringed over one node's two ranks
+        cluster = ClusterSpec(num_nodes=2, gpus_per_node=2, token_capacity=40,
+                              inv_bw_intra=1e-9, inv_bw_inter=1e-8)
+        coeffs = CostCoefficients(attn_quadratic=1e-9)
+        events = self.check_plan(build_plan(SequenceBatch(((0, 64), (1, 64))), cluster), cluster, coeffs, tmp_path)
+        pairs = [{e.payload["pairs"] for e in events if e.kind == "intra_node.attn" and e.payload["ring"] == ring}
+                 for ring in (0, 1)]
+        assert pairs[0] and pairs[0] == pairs[1]
+
+    def test_routed_proxies_of_equal_shares(self, tmp_path):
+        # each crossing send of 64 tokens splits into four shares of 16,
+        # one per proxy, each proxy on its own inter-node lane
+        cluster = ClusterSpec(num_nodes=2, gpus_per_node=4, token_capacity=100,
+                              inv_bw_intra=1e-9, inv_bw_inter=1e-8)
+        coeffs = CostCoefficients(attn_quadratic=1e-9)
+        events = self.check_plan(build_plan(SequenceBatch(((0, 512),)), cluster), cluster, coeffs, tmp_path)
+        lanes = {}
+        for e in events:
+            if e.kind == "route.transfer":
+                lanes.setdefault((e.payload["src"], e.payload["round"]), []).append((e.rank, e.payload["tokens"]))
+        assert lanes and all(len({rank for rank, _ in sent}) == len(sent) == 4 and {n for _, n in sent} == {16}
+                             for sent in lanes.values())
+
+    def test_ring_and_route_times_printed_with_an_exponent(self, tmp_path):
+        # tiny coefficients: every duration and every start but 0, in
+        # microseconds, prints in exponent form
+        cluster = ClusterSpec(num_nodes=2, gpus_per_node=4, token_capacity=100,
+                              inv_bw_intra=1e-21, inv_bw_inter=1e-20)
+        coeffs = CostCoefficients(attn_quadratic=1e-21, linear_per_token=0.0)
+        events = self.check_plan(build_plan(SequenceBatch(((0, 512),)), cluster), cluster, coeffs, tmp_path)
+        assert {"inter_node.attn", "kv.send", "route.transfer"} <= {e.kind for e in events}
+        assert all("e" in repr(e.duration * 1e6) and (e.start == 0 or "e" in repr(e.start * 1e6)) for e in events)
 
 
 class TestCompare:
