@@ -6,6 +6,7 @@ and communication in KV tokens; no tensor math happens here.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -31,7 +32,7 @@ def split_even(total: int, parts: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(parts)]
 
 
-def balanced_zigzag_sizes(seq_len: int, position_loads) -> np.ndarray:
+def balanced_zigzag_sizes(seq_len: int, position_loads) -> list[int]:
     """Zigzag chunk sizes over G = len(position_loads) ring positions whose
     leftover tokens (seq_len mod 2G) go to the positions carrying the
     lightest current loads, ties to the lowest position.
@@ -43,10 +44,13 @@ def balanced_zigzag_sizes(seq_len: int, position_loads) -> np.ndarray:
     """
     g = len(position_loads)
     base, extra = divmod(seq_len, 2 * g)
-    order = np.argsort(position_loads, kind="stable")
+    sizes = [base] * (2 * g)
     # leftovers fill the lightest positions' first chunks, then their second ones
-    sizes = np.full(2 * g, base, dtype=np.int64)
-    sizes[np.concatenate((order, 2 * g - 1 - order))[:extra]] += 1
+    order = sorted(range(g), key=position_loads.__getitem__)
+    for i in order[:extra]:
+        sizes[i] += 1
+    for i in order[:max(0, extra - g)]:
+        sizes[2 * g - 1 - i] += 1
     return sizes
 
 
@@ -62,8 +66,10 @@ def ranges_from_sizes(sizes: list[int]) -> list[list[tuple[int, int]]]:
 
 def ring_kind(members: tuple[int, ...], gpus_per_node: int) -> str:
     """Inter-node when the members sit on two or more nodes, intra-node
-    otherwise: a ring's kind follows from its members alone."""
-    return INTER_NODE if len({r // gpus_per_node for r in members}) >= 2 else INTRA_NODE
+    otherwise: a ring's kind follows from its members alone. A rank's node
+    rises with the rank, so the lowest and highest members share a node
+    exactly when all of them do."""
+    return INTER_NODE if min(members) // gpus_per_node != max(members) // gpus_per_node else INTRA_NODE
 
 
 def causal_pairs(seq_len: int) -> int:
@@ -130,7 +136,8 @@ class AttentionSchedule:
         return self.inter_rings + self.intra_rings
 
 
-def _ring_schedules(rings: "tuple[RingGroup, ...]", placement: np.ndarray) -> tuple[list[RingSchedule], np.ndarray]:
+def _ring_schedules(rings: "tuple[RingGroup, ...]", placement: np.ndarray,
+                    gpus_per_node: int) -> tuple[list[RingSchedule], np.ndarray]:
     """Every ring's pair matrix and KV sizes from its zigzag chunk sizes,
     in order of ring size, and per row of the placement table whether its
     sequence rides one of the rings. Each sequence rides at most one ring,
@@ -144,26 +151,34 @@ def _ring_schedules(rings: "tuple[RingGroup, ...]", placement: np.ndarray) -> tu
     and B the ring's (sequences x G) chunk sizes, queries at position i see
     KV at position j in M = tril(AᵀA, -1) + BᵀA + triu(BᵀB, 1), plus the
     ramps sum a(a+1)/2 + b(b+1)/2 on the diagonal; kv_sizes are the column
-    sums of A + B. Rings of one size are stacked, padded on the sequence
-    axis. A sequence whose ranges overlap, or whose second chunks'
-    positions do not strictly fall, raises ValueError naming the ring's
-    members.
+    sums of A + B. Rings of at most `gpus_per_node` members share one
+    product, each padded with zero positions to the widest of them (M's
+    entries for positions i, j < G do not depend on later positions), and
+    wider rings share one per size; all are padded on the sequence axis.
+    A sequence whose ranges overlap, or whose second chunks' positions do
+    not strictly fall, raises ValueError naming the ring's members.
     """
     if not rings:
         return [], np.zeros(len(placement), dtype=bool)
-    rings = tuple(sorted(rings, key=lambda ring: ring.group_size))
-    # ring k's positions are columns at[k] .. at[k] + G_k - 1 of the chunk sizes
-    at = list(itertools.accumulate((ring.group_size for ring in rings), initial=0))
+    rings = tuple(sorted(rings, key=lambda ring: len(ring.members)))
+    sizes = [len(ring.members) for ring in rings]
+    # ring k's positions are columns at[k] .. at[k] + G_k - 1 of the chunk
+    # sizes, in a slot as wide as the widest of the first `narrow` rings,
+    # which fit a node, or as its own width
+    narrow = bisect.bisect_right(sizes, gpus_per_node)
+    slot = [sizes[narrow - 1]] * narrow + sizes[narrow:]
+    at = list(itertools.accumulate(slot, initial=0))
     # one (sequence id, ring, index in the ring) row per ring sequence, by
     # id, then a pad row that only ids beyond the last one are sent to
     keys = np.array([*sorted((sid, k, s) for k, ring in enumerate(rings) for s, sid in enumerate(ring.sequence_ids)),
                      (0, 0, 0)], dtype=np.int64)
     # each (ring k, rank) pair's column at k * width + rank, -1 off the ring;
-    # the table runs by rank, so its last row holds the highest
-    members = [m for ring in rings for m in ring.members]
-    width = max(*members, int(placement[-1, 0]) if len(placement) else 0) + 1
+    # the table runs by rank, so its last row holds the highest. A slot's
+    # padding positions go to rank width - 1, which no row holds
+    width = max(*(max(ring.members) for ring in rings), int(placement[-1, 0]) if len(placement) else 0) + 2
     column = np.full(len(rings) * width, -1)
-    column[[k * width + m for k, ring in enumerate(rings) for m in ring.members]] = np.arange(at[-1])
+    column[[k * width + m for k, ring in enumerate(rings)
+            for m in ring.members + (width - 1,) * (slot[k] - sizes[k])]] = np.arange(at[-1])
     rank, mb, sid, start, end = placement.T
     hit = keys[:-1, 0].searchsorted(sid)
     ringed = (hit < len(keys) - 1) & (keys[hit, 0] == sid)
@@ -192,18 +207,19 @@ def _ring_schedules(rings: "tuple[RingGroup, ...]", placement: np.ndarray) -> tu
     kv_sizes = chunks.sum(axis=(0, 1)).tolist()
     ramps = (chunks * (chunks + 1) // 2).sum(axis=(0, 1))
     out = []
-    for g, group in itertools.groupby(range(len(rings)), key=lambda k: rings[k].group_size):
+    tri = np.arange(slot[-1])[:, None] > np.arange(slot[-1])
+    for w, group in itertools.groupby(range(len(rings)), key=slot.__getitem__):
         ks = list(group)
         lo, n = at[ks[0]], len(ks)
-        c = chunks[:, :, lo:lo + n * g].reshape(len(chunks), 2, n, g)
+        c = chunks[:, :, lo:lo + n * w].reshape(len(chunks), 2, n, w)
         p = np.einsum("suni,svnj->nuivj", c, c)
-        below = np.arange(g)[:, None] > np.arange(g)
+        below = tri[:w, :w]
         # BᵀA, plus AᵀA below the diagonal and BᵀB above it
         pairs = p[:, 1, :, 0] + below * p[:, 0, :, 0] + below.T * p[:, 1, :, 1]
-        pairs.reshape(n, g * g)[:, ::g + 1] += ramps[lo:lo + n * g].reshape(n, g)
+        pairs.reshape(n, w * w)[:, ::w + 1] += ramps[lo:lo + n * w].reshape(n, w)
         pairs.setflags(write=False)
-        out += [RingSchedule(ring=rings[k], pairs=m, kv_sizes=tuple(kv_sizes[at[k]:at[k] + g]))
-                for k, m in zip(ks, pairs)]
+        out += [RingSchedule(ring=rings[k], pairs=m[:g, :g], kv_sizes=tuple(kv_sizes[at[k]:at[k] + g]))
+                for k, m, g in zip(ks, pairs, sizes[ks[0]:])]
     return out, ringed
 
 
@@ -212,7 +228,7 @@ def build_schedule(plan: "PlacementPlan") -> AttentionSchedule:
     kernels. KV rotates one position per round (position i sends to i+1 and
     receives from i-1), for G rounds per ring so every position sees every
     KV set and the layout returns home for the backward pass."""
-    scheds, ringed = _ring_schedules(plan.ring_groups, plan.placement)
+    scheds, ringed = _ring_schedules(plan.ring_groups, plan.placement, plan.gpus_per_node)
     inter, intra = [], []
     for sched in scheds:
         (inter if ring_kind(sched.ring.members, plan.gpus_per_node) == INTER_NODE else intra).append(sched)

@@ -19,7 +19,7 @@ rank within one token of total/R, so it fits whenever the batch total does.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -146,39 +146,50 @@ class PlacementPlan:
         return {s: names[z] for s, z in zip(ids[order].tolist(), zone[order].tolist())}
 
 
-# a fill's candidate bins for the next piece, from the loads and the previous piece's bin
-Order = Callable[[list[int], int], list[int]]
+# a fill's bin order for one item, from the loads and the previous item's
+# last bin: the bins in the order its pieces try them, and the position in
+# that order where the first piece starts
+Order = Callable[[list[int], int], tuple[Sequence[int], int]]
 
 
-def _least_loaded(loads: list[int], last: int) -> list[int]:
-    """Bins by load, ties to the lowest index."""
-    return sorted(range(len(loads)), key=loads.__getitem__)
+def _least_loaded(loads: list[int], last: int) -> tuple[Sequence[int], int]:
+    """Bins by load, ties to the lowest index, from the lightest."""
+    return sorted(range(len(loads)), key=loads.__getitem__), 0
 
 
-def _round_robin(loads: list[int], last: int) -> list[int]:
-    """Bins in cyclic order, starting after the previous piece's bin."""
-    return [*range(last + 1, len(loads)), *range(last + 1)]
+def _round_robin(loads: list[int], last: int) -> tuple[Sequence[int], int]:
+    """Bins in index order, from the one after the previous item's last bin."""
+    return range(len(loads)), last + 1
 
 
 def _place_pieces(
     length: int, k_init: int, loads: list[int], cap: int, order: Order, last: int
 ) -> list[tuple[int, int]] | None:
-    """Split one item evenly into k pieces on k distinct bins, each piece to
-    the first bin in `order(loads, previous bin)` that it fits, trying k from
-    k_init up to the bin count. Returns the (bin, tokens) pieces of the first
-    k that fits, zero-token pieces included, or None when none does; `loads`
-    is left alone."""
+    """Split one item evenly into k pieces on k distinct bins, trying k from
+    k_init up to the bin count. Each piece walks `order`'s bins round from
+    the position after the previous piece's, the first from the order's
+    start, and goes to the first unused bin it fits. `loads` does not change
+    here, so a least-loaded piece that misses the next unused bin fits none.
+    Returns the (bin, tokens) pieces of the first k that fits, zero-token
+    pieces included, or None when none does; `loads` is left alone."""
     n = len(loads)
+    ranked, first = order(loads, last)
     for k in range(min(k_init, n), n + 1):
+        base, extra = divmod(length, k)
         pieces: list[tuple[int, int]] = []
         used: set[int] = set()
-        prev = last  # every k starts from the item's own cursor
-        for size in split_even(length, k):
-            prev = next((b for b in order(loads, prev) if b not in used and loads[b] + size <= cap), None)
-            if prev is None:
+        at = first  # every k starts from the item's own cursor
+        for j in range(k):
+            size = base + (j < extra)
+            for i in range(at, at + n):
+                b = ranked[i % n]
+                if b not in used and loads[b] + size <= cap:
+                    break
+            else:
                 break
-            used.add(prev)
-            pieces.append((prev, size))
+            used.add(b)
+            pieces.append((b, size))
+            at = i + 1
         else:
             return pieces
     return None
@@ -193,7 +204,8 @@ def _threshold_fill(
     Items at or above the running threshold (initially `cap`) split into
     ceil(len^power * B / sum of the tier's len^power) pieces over B bins, or
     more when those do not fit (`_place_pieces`); the previous item's last
-    bin seeds `order`. Shorter items go whole to the least-loaded bin. When
+    bin seeds `order`, which each split item calls once. Shorter items go
+    whole to the least-loaded bin, the first of the lightest. When
     a whole item overflows, the threshold drops to the longest whole item,
     which so joins the split tier, and the fill restarts: restarts never
     exceed the item count. Returns (threshold, restarts, placed), where
@@ -217,7 +229,7 @@ def _threshold_fill(
             for b, size in pieces:
                 trial[b] += size
         for sid, ln in items[n_split:]:
-            b = min(range(len(trial)), key=trial.__getitem__)
+            b = trial.index(min(trial))
             if trial[b] + ln > cap:
                 threshold = items[n_split][1]
                 restarts += 1
@@ -447,7 +459,7 @@ def _add_ring_sequence(
     running: list[int],
     gpus_per_node: int,
 ) -> None:
-    ranges = ranges_from_sizes(balanced_zigzag_sizes(length, [running[r] for r in members]).tolist())
+    ranges = ranges_from_sizes(balanced_zigzag_sizes(length, [running[r] for r in members]))
     spanned_nodes = {rank // gpus_per_node for rank, rs in zip(members, ranges) if rs}
     if len(spanned_nodes) == 1 and ring_kind(members, gpus_per_node) == INTER_NODE:
         # too short to genuinely cross nodes: run it on a node-local ring

@@ -13,8 +13,8 @@ from collections import defaultdict, namedtuple
 
 import numpy as np
 
-from varlenplan.attention_engine import RingGroup, balanced_zigzag_sizes, build_schedule, causal_pairs
-from varlenplan.partitioner import PlacementPlan
+from varlenplan.attention_engine import RingGroup, build_schedule, causal_pairs, split_even
+from varlenplan.partitioner import InfeasibleBatch, PlacementPlan
 from varlenplan.simulator import COMPUTE, INTER_COMM, INTRA_COMM, Event, StepReport, Timeline
 from varlenplan.topology import ClusterSpec, CostCoefficients
 from varlenplan.workload import LengthDistribution, SequenceBatch
@@ -156,9 +156,22 @@ def ring_round_pairs_bruteforce(ring, placement) -> list[list[tuple[int, int]]]:
     ]
 
 
+def reference_zigzag_sizes(seq_len: int, position_loads) -> np.ndarray:
+    """Zigzag chunk sizes over G positions: seq_len // 2G tokens each, and
+    the seq_len mod 2G leftovers to the first chunks of the positions by
+    load (a stable argsort, ties to the lowest position), then to their
+    second chunks in the same order."""
+    g = len(position_loads)
+    base, extra = divmod(seq_len, 2 * g)
+    order = np.argsort(np.asarray(position_loads), kind="stable")
+    sizes = np.full(2 * g, base, dtype=np.int64)
+    sizes[np.concatenate((order, 2 * g - 1 - order))[:extra]] += 1
+    return sizes
+
+
 def reference_global_ring(sequences: list[tuple[int, int]], cluster: ClusterSpec):
     """The even split's rows and ring, one sequence at a time: each
-    (sequence_id, length) in order takes balanced_zigzag_sizes over all
+    (sequence_id, length) in order takes reference_zigzag_sizes over all
     ranks on the loads the sequences before it left, and rank p holds chunks
     p and 2R-1-p."""
     n_ranks = cluster.num_ranks
@@ -167,7 +180,7 @@ def reference_global_ring(sequences: list[tuple[int, int]], cluster: ClusterSpec
     rows = []
     running = np.zeros(n_ranks, dtype=np.int64)
     for sid, length in sequences:
-        sizes = balanced_zigzag_sizes(length, running)
+        sizes = reference_zigzag_sizes(length, running)
         bounds = np.concatenate(([0], np.cumsum(sizes)))
         for chunk in range(2 * n_ranks):
             rank = min(chunk, 2 * n_ranks - 1 - chunk)
@@ -176,6 +189,67 @@ def reference_global_ring(sequences: list[tuple[int, int]], cluster: ClusterSpec
             running[rank] += sizes[chunk]
     ring = RingGroup(tuple(range(n_ranks)), tuple(sid for sid, _ in sequences))
     return np.array(rows, dtype=np.int64).reshape(-1, 5), (ring,)
+
+
+def _reference_least_loaded(loads: list[int], last: int) -> list[int]:
+    return sorted(range(len(loads)), key=loads.__getitem__)
+
+
+def _reference_round_robin(loads: list[int], last: int) -> list[int]:
+    return [*range(last + 1, len(loads)), *range(last + 1)]
+
+
+def _reference_place_pieces(length, k_init, loads, cap, order, last):
+    """Every piece of every k scans a fresh candidate list of all bins from
+    `order`, taking the first unused one it fits."""
+    n = len(loads)
+    for k in range(min(k_init, n), n + 1):
+        pieces = []
+        used = set()
+        prev = last
+        for size in split_even(length, k):
+            prev = next((b for b in order(loads, prev) if b not in used and loads[b] + size <= cap), None)
+            if prev is None:
+                break
+            used.add(prev)
+            pieces.append((prev, size))
+        else:
+            return pieces
+    return None
+
+
+def reference_threshold_fill(items: list[tuple[int, int]], loads: list[int], cap: int, power: int, order: str):
+    """The greedy threshold fill of `partitioner._threshold_fill`, with
+    `order` "least_loaded" or "round_robin", as a candidate list per piece:
+    (threshold, restarts, placed), or InfeasibleBatch when a split item fits
+    no set of bins."""
+    order = {"least_loaded": _reference_least_loaded, "round_robin": _reference_round_robin}[order]
+    items = sorted(items, key=lambda t: (-t[1], t[0]))
+    threshold, restarts = cap, 0
+    while True:
+        trial = list(loads)
+        placed = {}
+        n_split = sum(1 for _, ln in items if ln >= threshold)
+        weight = sum(ln**power for _, ln in items[:n_split])
+        last = -1
+        for sid, ln in items[:n_split]:
+            pieces = _reference_place_pieces(ln, max(1, -(-ln**power * len(trial) // weight)), trial, cap, order, last)
+            if pieces is None:
+                raise InfeasibleBatch(f"sequence {sid} fits no set of {len(trial)} bins of {cap} tokens")
+            last = pieces[-1][0]
+            placed[sid] = [(b, size) for b, size in pieces if size]
+            for b, size in pieces:
+                trial[b] += size
+        for sid, ln in items[n_split:]:
+            b = min(range(len(trial)), key=trial.__getitem__)
+            if trial[b] + ln > cap:
+                threshold = items[n_split][1]
+                restarts += 1
+                break
+            placed[sid] = [(b, ln)]
+            trial[b] += ln
+        else:
+            return threshold, restarts, placed
 
 
 def reference_sample_batch(dist: LengthDistribution, target_total: int, seed: int) -> SequenceBatch:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import find, given
 from hypothesis import strategies as st
 
-from oracles import ring_pair_totals_bruteforce, ring_round_pairs_bruteforce, visible_pairs_bruteforce
+from oracles import (reference_zigzag_sizes, ring_pair_totals_bruteforce, ring_round_pairs_bruteforce,
+                     visible_pairs_bruteforce)
 from varlenplan import attention_engine as ae
 from varlenplan.baselines import STRATEGIES, plan_with
 from varlenplan.partitioner import PlacementPlan, build_plan
@@ -72,7 +73,7 @@ def ring_pairs(q_ranges, kv_ranges):
     position 0 and the key ranges at position 1, off the ring's pair matrix."""
     placement = table([(0, 0, 0, s, e) for s, e in q_ranges] + [(1, 0, 0, s, e) for s, e in kv_ranges])
     ring = ae.RingGroup(members=(0, 1), sequence_ids=(0,))
-    return int(ae._ring_schedules((ring,), placement)[0][0].pairs[0, 1])
+    return int(ae._ring_schedules((ring,), placement, ring.group_size)[0][0].pairs[0, 1])
 
 
 def table(rows):
@@ -153,7 +154,7 @@ def test_fused_intra_ring_balances_two_sequences():
     ranges = ae.ranges_from_sizes(ae.split_even(8, 4))
     placement = table([(rank, 0, sid, s, e) for rank in (0, 1) for sid in (0, 1) for s, e in ranges[rank]])
     ring = ae.RingGroup(members=(0, 1), sequence_ids=(0, 1))
-    sched = ae._ring_schedules((ring,), placement)[0][0]
+    sched = ae._ring_schedules((ring,), placement, ring.group_size)[0][0]
     assert sched.pairs.sum(axis=1).tolist() == [2 * 18, 2 * 18]
 
 
@@ -186,12 +187,12 @@ def test_ring_per_rank_totals_equal_for_exact_split():
     assert len(set(rs.pairs.sum(axis=1).tolist())) == 1
 
 
-def draw_ranges(draw, g):
+def draw_ranges(draw, g, zigzag_only=False):
     """One sequence's ranges per ring position and whether they are zigzag
     chunks: balanced zigzag chunks, zigzag chunks of any sizes (zeros
-    included), or arbitrary (possibly empty or overlapping) ranges in any
-    order."""
-    layout = draw(st.sampled_from(["balanced", "sizes", "arbitrary"]))
+    included), or, unless `zigzag_only`, arbitrary (possibly empty or
+    overlapping) ranges in any order."""
+    layout = draw(st.sampled_from(["balanced", "sizes"] if zigzag_only else ["balanced", "sizes", "arbitrary"]))
     if layout == "balanced":
         seq_len = draw(st.integers(0, 8 * g))
         loads = draw(st.lists(st.integers(0, 50), min_size=g, max_size=g))
@@ -228,7 +229,7 @@ def rings(draw):
 def ring_schedule_or_none(case):
     ring, placement, _ = case
     try:
-        return ae._ring_schedules((ring,), placement)[0][0]
+        return ae._ring_schedules((ring,), placement, ring.group_size)[0][0]
     except ValueError:
         return None
 
@@ -268,6 +269,57 @@ def round_pairs(sched):
     r, position i computes against and sends on the KV of position (i - r) mod g."""
     g = sched.ring.group_size
     return [[(int(sched.pairs[i, (i - r) % g]), sched.kv_sizes[(i - r) % g]) for r in range(g)] for i in range(g)]
+
+
+@st.composite
+def zigzag_inputs(draw):
+    """A length and the loads of 1-12 positions, loads of 0-3 tokens so that
+    ties are common, with a leftover (length mod 2G) of 0, 2G-1 or any."""
+    g = draw(st.integers(1, 12))
+    loads = draw(st.lists(st.integers(0, 3), min_size=g, max_size=g))
+    extra = draw(st.sampled_from([0, 2 * g - 1]) | st.integers(0, 2 * g - 1))
+    return 2 * g * draw(st.integers(0, 4)) + extra, loads
+
+
+@given(zigzag_inputs())
+def test_balanced_zigzag_sizes_match_the_argsort_reference(case):
+    seq_len, loads = case
+    sizes = ae.balanced_zigzag_sizes(seq_len, loads)
+    assert sizes == reference_zigzag_sizes(seq_len, loads).tolist()
+    assert all(type(n) is int for n in sizes)
+
+
+@st.composite
+def mixed_size_rings(draw):
+    """2-4 rings of distinct sizes 2-10 on disjoint ranks, each carrying 1-3
+    zigzag sequences, their placement table, and a node width below the
+    widest ring and equal to another ring's size: the rings of at most that
+    width share one padded product, and wider ones keep their own."""
+    sizes = draw(st.lists(st.integers(2, 10), min_size=2, max_size=4, unique=True))
+    ranks = draw(st.permutations(range(sum(sizes))))
+    rows, ring_groups, sid = [], [], 0
+    for g in sizes:
+        members, ranks = tuple(ranks[:g]), ranks[g:]
+        sids = []
+        for _ in range(draw(st.integers(1, 3))):
+            ranges, _ = draw_ranges(draw, g, zigzag_only=True)
+            rows += [(rank, 0, sid, s, e) for rank, pos_ranges in zip(members, ranges) for s, e in pos_ranges]
+            sids.append(sid)
+            sid += 1
+        ring_groups.append(ae.RingGroup(members=members, sequence_ids=tuple(sids)))
+    return tuple(ring_groups), table(rows), draw(st.sampled_from(sorted(sizes)[:-1]))
+
+
+@given(mixed_size_rings())
+def test_rings_of_mixed_sizes_in_one_call_match_token_enumeration(case):
+    rings, placement, gpus_per_node = case
+    scheds, _ = ae._ring_schedules(rings, placement, gpus_per_node)
+    assert sorted(s.ring.members for s in scheds) == sorted(r.members for r in rings)
+    for sched in scheds:
+        g = sched.ring.group_size
+        assert sched.pairs.shape == (g, g) and sched.pairs.dtype == np.int64 and not sched.pairs.flags.writeable
+        assert all(type(n) is int for n in sched.kv_sizes)
+        assert round_pairs(sched) == ring_round_pairs_bruteforce(sched.ring, placement)
 
 
 @st.composite

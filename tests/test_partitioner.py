@@ -7,10 +7,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, find, given, settings
+from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
-from oracles import check_plan
+from oracles import check_plan, reference_threshold_fill
 from varlenplan import partitioner as pt
 from varlenplan.attention_engine import RingGroup, split_even
 from varlenplan.baselines import STRATEGIES, plan_te_cp, plan_with
@@ -546,6 +546,61 @@ class TestLevelInvariants:
             # shares are the starting loads, which it does not check
             loads = device_loads(bucket, intra, p)
             assert all(loads[d] <= cap for devs in intra.devices_of.values() for d in devs)
+
+
+@st.composite
+def fill_cases(draw):
+    """A threshold fill's inputs: 1-8 items with distinct ids in any order,
+    1-6 bins of 1-30 tokens with start loads up to half the cap, a power of
+    1 or 2 and an order name. As in `small_clusters_and_batches`, the items
+    fill the free room up to 100% or one token past it, about half the
+    draws to within 3 tokens."""
+    cap = draw(st.integers(1, 30))
+    loads = draw(st.lists(st.integers(0, cap // 2), min_size=1, max_size=6))
+    room = sum(cap - load for load in loads)
+    total = draw(st.integers(max(room - 3, 1), room + 1) | st.integers(1, room + 1))
+    cuts = draw(st.lists(st.integers(1, max(total - 1, 1)), max_size=min(7, total - 1), unique=True))
+    bounds = [0, *sorted(cuts), total]
+    lengths = [b - a for a, b in zip(bounds, bounds[1:])]
+    ids = draw(st.permutations(range(len(lengths))))
+    return list(zip(ids, lengths)), loads, cap, draw(st.sampled_from([1, 2])), \
+        draw(st.sampled_from(["least_loaded", "round_robin"]))
+
+
+def fill_outcome(fill, items, loads, cap, power, order):
+    try:
+        return fill(items, loads, cap, power, order)
+    except pt.InfeasibleBatch:
+        return "infeasible"
+
+
+class TestThresholdFill:
+    ORDERS = {"least_loaded": pt._least_loaded, "round_robin": pt._round_robin}
+
+    def library(self, items, loads, cap, power, order):
+        return fill_outcome(pt._threshold_fill, items, loads, cap, power, self.ORDERS[order])
+
+    @settings(max_examples=500)
+    @given(fill_cases())
+    def test_matches_the_candidate_list_reference(self, case):
+        items, loads, cap, power, order = case
+        start = list(loads)
+        assert self.library(*case) == fill_outcome(reference_threshold_fill, *case)
+        assert loads == start
+
+    def test_cases_draw_restarts_splits_and_failures(self):
+        # the property above sees restarts and items split into uneven
+        # pieces under both orders, and fills that fail; no shrinking, as
+        # any example will do
+        def draws(condition):
+            find(fill_cases(), condition, settings=settings(phases=[Phase.generate]))
+
+        for order in self.ORDERS:
+            placed = lambda case: case[4] == order and self.library(*case) != "infeasible"
+            draws(lambda case: placed(case) and self.library(*case)[1] > 0)
+            draws(lambda case: placed(case) and any(len({size for _, size in pieces}) > 1
+                                                    for pieces in self.library(*case)[2].values()))
+        draws(lambda case: self.library(*case) == "infeasible")
 
 
 class TestEvenSplitFallback:
