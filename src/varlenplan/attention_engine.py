@@ -6,7 +6,6 @@ and communication in KV tokens; no tensor math happens here.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -46,11 +45,9 @@ def balanced_zigzag_sizes(seq_len: int, position_loads) -> list[int]:
     base, extra = divmod(seq_len, 2 * g)
     sizes = [base] * (2 * g)
     # leftovers fill the lightest positions' first chunks, then their second ones
-    order = sorted(range(g), key=position_loads.__getitem__)
-    for i in order[:extra]:
-        sizes[i] += 1
-    for i in order[:max(0, extra - g)]:
-        sizes[2 * g - 1 - i] += 1
+    for place, i in enumerate(sorted(range(g), key=position_loads.__getitem__)):
+        sizes[i] += place < extra
+        sizes[2 * g - 1 - i] += place < extra - g
     return sizes
 
 
@@ -66,9 +63,8 @@ def ranges_from_sizes(sizes: list[int]) -> list[list[tuple[int, int]]]:
 
 def ring_kind(members: tuple[int, ...], gpus_per_node: int) -> str:
     """Inter-node when the members sit on two or more nodes, intra-node
-    otherwise: a ring's kind follows from its members alone. A rank's node
-    rises with the rank, so the lowest and highest members share a node
-    exactly when all of them do."""
+    otherwise: a ring's kind follows from its members alone (a rank's node
+    rises with the rank, so its lowest and highest members' nodes tell)."""
     return INTER_NODE if min(members) // gpus_per_node != max(members) // gpus_per_node else INTRA_NODE
 
 
@@ -152,11 +148,10 @@ def _ring_schedules(rings: "tuple[RingGroup, ...]", placement: np.ndarray,
     KV at position j in M = tril(AᵀA, -1) + BᵀA + triu(BᵀB, 1), plus the
     ramps sum a(a+1)/2 + b(b+1)/2 on the diagonal; kv_sizes are the column
     sums of A + B. Rings of at most `gpus_per_node` members share one
-    product, each padded with zero positions to the widest of them (M's
-    entries for positions i, j < G do not depend on later positions), and
-    wider rings share one per size; all are padded on the sequence axis.
-    A sequence whose ranges overlap, or whose second chunks' positions do
-    not strictly fall, raises ValueError naming the ring's members.
+    product, padded with zero positions to the widest (M[:G, :G] does not
+    depend on later positions), wider rings one per size, all padded on the
+    sequence axis. A sequence whose ranges overlap, or whose second chunks'
+    positions do not strictly fall, raises ValueError naming the members.
     """
     if not rings:
         return [], np.zeros(len(placement), dtype=bool)
@@ -165,7 +160,7 @@ def _ring_schedules(rings: "tuple[RingGroup, ...]", placement: np.ndarray,
     # ring k's positions are columns at[k] .. at[k] + G_k - 1 of the chunk
     # sizes, in a slot as wide as the widest of the first `narrow` rings,
     # which fit a node, or as its own width
-    narrow = bisect.bisect_right(sizes, gpus_per_node)
+    narrow = sum(g <= gpus_per_node for g in sizes)
     slot = [sizes[narrow - 1]] * narrow + sizes[narrow:]
     at = list(itertools.accumulate(slot, initial=0))
     # one (sequence id, ring, index in the ring) row per ring sequence, by
@@ -207,13 +202,12 @@ def _ring_schedules(rings: "tuple[RingGroup, ...]", placement: np.ndarray,
     kv_sizes = chunks.sum(axis=(0, 1)).tolist()
     ramps = (chunks * (chunks + 1) // 2).sum(axis=(0, 1))
     out = []
-    tri = np.arange(slot[-1])[:, None] > np.arange(slot[-1])
     for w, group in itertools.groupby(range(len(rings)), key=slot.__getitem__):
         ks = list(group)
         lo, n = at[ks[0]], len(ks)
         c = chunks[:, :, lo:lo + n * w].reshape(len(chunks), 2, n, w)
         p = np.einsum("suni,svnj->nuivj", c, c)
-        below = tri[:w, :w]
+        below = np.arange(w)[:, None] > np.arange(w)
         # BᵀA, plus AᵀA below the diagonal and BᵀB above it
         pairs = p[:, 1, :, 0] + below * p[:, 0, :, 0] + below.T * p[:, 1, :, 1]
         pairs.reshape(n, w * w)[:, ::w + 1] += ramps[lo:lo + n * w].reshape(n, w)

@@ -146,9 +146,8 @@ class PlacementPlan:
         return {s: names[z] for s, z in zip(ids[order].tolist(), zone[order].tolist())}
 
 
-# a fill's bin order for one item, from the loads and the previous item's
-# last bin: the bins in the order its pieces try them, and the position in
-# that order where the first piece starts
+# a fill's bin order for one item, from the loads and the previous item's last bin:
+# the bins in the order its pieces try them, and the position where the first starts
 Order = Callable[[list[int], int], tuple[Sequence[int], int]]
 
 
@@ -167,11 +166,10 @@ def _place_pieces(
 ) -> list[tuple[int, int]] | None:
     """Split one item evenly into k pieces on k distinct bins, trying k from
     k_init up to the bin count. Each piece walks `order`'s bins round from
-    the position after the previous piece's, the first from the order's
-    start, and goes to the first unused bin it fits. `loads` does not change
-    here, so a least-loaded piece that misses the next unused bin fits none.
-    Returns the (bin, tokens) pieces of the first k that fits, zero-token
-    pieces included, or None when none does; `loads` is left alone."""
+    after the previous piece's (the first from the order's start) to the
+    first unused one it fits. Returns the (bin, tokens) pieces of the first
+    k that fits, zero-token pieces included, or None when none does;
+    `loads` is left alone, so the order is built once per item."""
     n = len(loads)
     ranked, first = order(loads, last)
     for k in range(min(k_init, n), n + 1):
