@@ -24,7 +24,9 @@ The file holds:
 - the machine, the interpreter and, per side, its git SHA and src_sha256;
   when src/ has uncommitted changes, the change side's git_sha is null and
   its `tree` reads "working tree over <HEAD's SHA>", since HEAD's SHA would
-  name code other than what was measured;
+  name code other than what was measured. src/ is hashed before the first
+  round and again before the file is written; when the two differ, the
+  script exits non-zero, naming both, and writes nothing;
 - a stage table on `cluster_a(num_nodes=N)`, N = 2, 4, 8, 16, 32, with one
   github batch (seed 1, 32k tokens per node) per N: sample_batch,
   build_plan, build_schedule, route_schedule, solve_remap, each strategy's
@@ -232,14 +234,29 @@ def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
-def _change_side() -> dict:
-    """The checkout's git SHA and src_sha256. With uncommitted changes
-    under src/, no SHA names the code measured, so git_sha is null and a
-    tree note names the commit the working tree sits over."""
+def _change_side(src: str) -> dict:
+    """The checkout's git SHA beside `src`, the src_sha256 it was measured
+    at. With uncommitted changes under src/, no SHA names the code
+    measured, so git_sha is null and a tree note names the commit the
+    working tree sits over."""
     head = _git("rev-parse", "HEAD")
     if _git("status", "--porcelain", "src"):
-        return {"git_sha": None, "tree": f"working tree over {head}", "src_sha256": src_sha256(ROOT)}
-    return {"git_sha": head, "src_sha256": src_sha256(ROOT)}
+        return {"git_sha": None, "tree": f"working tree over {head}", "src_sha256": src}
+    return {"git_sha": head, "src_sha256": src}
+
+
+def write_record(path: str, record: dict, src_before: str) -> None:
+    """Write the record, unless src/ changed since `src_before` was taken
+    before the first round: the workers import the live src/, so the
+    rounds may then have measured two versions of the code. In that case
+    exit non-zero, naming both hashes, and write nothing."""
+    src_now = src_sha256(ROOT)
+    if src_now != src_before:
+        sys.exit(f"src/ changed during the recording: src_sha256 {src_before} before the first round, "
+                 f"{src_now} before writing; {path} not written")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
 
 
 def _summary(samples: list[float]) -> dict:
@@ -302,6 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--base and --out are required")
 
     base_sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    src_before = src_sha256(ROOT)
     scratch = tempfile.mkdtemp(prefix="bench-record-", dir=args.workdir)
     try:
         roots = {"parent": os.path.join(scratch, "parent"), "change": ROOT}
@@ -331,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
             },
             "sides": {
                 "parent": {"git_sha": base_sha, "src_sha256": src_sha256(roots["parent"])},
-                "change": _change_side(),
+                "change": _change_side(src_before),
             },
             "method": {
                 "rounds": ROUNDS, "calls_per_run": CALLS, "min_cell_s": MIN_CELL_S,
@@ -363,9 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         }
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+    write_record(args.out, record, src_before)
     print(f"wrote {args.out}")
     return 0 if record["outputs_sha256"]["equal"] else 1
 

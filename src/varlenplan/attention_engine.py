@@ -132,12 +132,11 @@ class AttentionSchedule:
         return self.inter_rings + self.intra_rings
 
 
-def _ring_schedules(rings: "tuple[RingGroup, ...]", placement: np.ndarray,
-                    gpus_per_node: int) -> tuple[list[RingSchedule], np.ndarray]:
+def _ring_schedules(plan: "PlacementPlan") -> list[RingSchedule]:
     """Every ring's pair matrix and KV sizes from its zigzag chunk sizes,
-    in order of ring size, and per row of the placement table whether its
-    sequence rides one of the rings. Each sequence rides at most one ring,
-    of distinct ranks, as `validate_plan` proves.
+    in order of ring size, read off the plan's table by sequence. Each
+    sequence rides at most one ring, of distinct ranks, as `validate_plan`
+    proves.
 
     Sorted by start, a ring sequence's micro-batch-0 ranges are its first
     chunks a_i while their positions i rise, and its second chunks b_i from
@@ -151,39 +150,31 @@ def _ring_schedules(rings: "tuple[RingGroup, ...]", placement: np.ndarray,
     product, padded with zero positions to the widest (M[:G, :G] does not
     depend on later positions), wider rings one per size, all padded on the
     sequence axis. A sequence whose ranges overlap, or whose second chunks'
-    positions do not strictly fall, raises ValueError naming the members.
+    positions do not strictly fall, raises ValueError naming the members;
+    of several, the first ring by size and the first of its sequences.
     """
+    rings = plan.ring_groups
     if not rings:
-        return [], np.zeros(len(placement), dtype=bool)
-    rings = tuple(sorted(rings, key=lambda ring: len(ring.members)))
-    sizes = [len(ring.members) for ring in rings]
-    # ring k's positions are columns at[k] .. at[k] + G_k - 1 of the chunk
-    # sizes, in a slot as wide as the widest of the first `narrow` rings,
-    # which fit a node, or as its own width
-    narrow = sum(g <= gpus_per_node for g in sizes)
+        return []
+    by_size = sorted(range(len(rings)), key=lambda k: len(rings[k].members))
+    sizes = [len(rings[k].members) for k in by_size]
+    # ring by_size[i]'s positions are columns at[i] .. at[i] + G - 1 of the
+    # chunk sizes, in a slot as wide as the widest of the first `narrow`
+    # rings, which fit a node, or as its own width
+    narrow = sum(g <= plan.gpus_per_node for g in sizes)
     slot = [sizes[narrow - 1]] * narrow + sizes[narrow:]
     at = list(itertools.accumulate(slot, initial=0))
-    # one (sequence id, ring, index in the ring) row per ring sequence, by
-    # id, then a pad row that only ids beyond the last one are sent to
-    keys = np.array([*sorted((sid, k, s) for k, ring in enumerate(rings) for s, sid in enumerate(ring.sequence_ids)),
-                     (0, 0, 0)], dtype=np.int64)
-    # each (ring k, rank) pair's column at k * width + rank, -1 off the ring;
-    # the table runs by rank, so its last row holds the highest. A slot's
-    # padding positions go to rank width - 1, which no row holds
-    width = max(*(max(ring.members) for ring in rings), int(placement[-1, 0]) if len(placement) else 0) + 2
-    column = np.full(len(rings) * width, -1)
-    column[[k * width + m for k, ring in enumerate(rings)
-            for m in ring.members + (width - 1,) * (slot[k] - sizes[k])]] = np.arange(at[-1])
-    rank, mb, sid, start, end = placement.T
-    hit = keys[:-1, 0].searchsorted(sid)
-    ringed = (hit < len(keys) - 1) & (keys[hit, 0] == sid)
-    ring_of, seq = keys[hit, 1], keys[hit, 2]
-    column = column[ring_of * width + rank]
-    # empty ranges hold no tokens; the rest by (ring, sequence, start)
-    keep = (ringed & (mb == 0) & (column >= 0) & (start != end)).nonzero()[0]
-    keep = keep[np.lexsort((start[keep], seq[keep], ring_of[keep]))]
-    ring_of, seq, column, start, end = ring_of[keep], seq[keep], column[keep], start[keep], end[keep]
-    same = (ring_of[1:] == ring_of[:-1]) & (seq[1:] == seq[:-1])
+    offset = [0] * len(rings)
+    for k, lo in zip(by_size, at):
+        offset[k] = lo
+    view = plan.by_sequence
+    _, mb, sid, start, end = view.rows.T
+    # a row on its ring's members and at micro-batch 0; empty ranges hold
+    # no tokens. The rest stay by (sequence, start)
+    keep = ((view.place >= 0) & (mb == 0) & (start != end)).nonzero()[0]
+    ring_of, seq, sid, start, end = view.ring[keep], view.ring_seq[keep], sid[keep], start[keep], end[keep]
+    column = np.array(offset)[ring_of] + view.place[keep]
+    same = sid[1:] == sid[:-1]
     head = np.ones(len(column), dtype=bool)
     head[1:] = ~same
     turn = np.zeros(len(column), dtype=bool)
@@ -194,10 +185,11 @@ def _ring_schedules(rings: "tuple[RingGroup, ...]", placement: np.ndarray,
     bad = end < start
     bad[1:] |= same & ((start[1:] < end[:-1]) | (((second[1:] & second[:-1]) == 1) & (column[1:] >= column[:-1])))
     if bad.any():
-        ring = rings[ring_of[bad.argmax()]]
-        raise ValueError(f"ring {list(ring.members)}: sequence {ring.sequence_ids[seq[bad.argmax()]]} is not laid "
+        k, s = min(zip(ring_of[bad].tolist(), seq[bad].tolist()), key=lambda ks: (by_size.index(ks[0]), ks[1]))
+        ring = rings[k]
+        raise ValueError(f"ring {list(ring.members)}: sequence {ring.sequence_ids[s]} is not laid "
                          "out in zigzag chunks (ranges overlap, or second chunks' positions do not strictly fall)")
-    chunks = np.zeros((max((len(ring.sequence_ids) for ring in rings), default=0), 2, at[-1]), dtype=np.int64)
+    chunks = np.zeros((max(len(ring.sequence_ids) for ring in rings), 2, at[-1]), dtype=np.int64)
     chunks[seq, second, column] = end - start
     kv_sizes = chunks.sum(axis=(0, 1)).tolist()
     ramps = (chunks * (chunks + 1) // 2).sum(axis=(0, 1))
@@ -212,9 +204,9 @@ def _ring_schedules(rings: "tuple[RingGroup, ...]", placement: np.ndarray,
         pairs = p[:, 1, :, 0] + below * p[:, 0, :, 0] + below.T * p[:, 1, :, 1]
         pairs.reshape(n, w * w)[:, ::w + 1] += ramps[lo:lo + n * w].reshape(n, w)
         pairs.setflags(write=False)
-        out += [RingSchedule(ring=rings[k], pairs=m[:g, :g], kv_sizes=tuple(kv_sizes[at[k]:at[k] + g]))
+        out += [RingSchedule(ring=rings[by_size[k]], pairs=m[:g, :g], kv_sizes=tuple(kv_sizes[at[k]:at[k] + g]))
                 for k, m, g in zip(ks, pairs, sizes[ks[0]:])]
-    return out, ringed
+    return out
 
 
 def build_schedule(plan: "PlacementPlan") -> AttentionSchedule:
@@ -222,14 +214,15 @@ def build_schedule(plan: "PlacementPlan") -> AttentionSchedule:
     kernels. KV rotates one position per round (position i sends to i+1 and
     receives from i-1), for G rounds per ring so every position sees every
     KV set and the layout returns home for the backward pass."""
-    scheds, ringed = _ring_schedules(plan.ring_groups, plan.placement, plan.gpus_per_node)
     inter, intra = [], []
-    for sched in scheds:
+    for sched in _ring_schedules(plan):
         (inter if ring_kind(sched.ring.members, plan.gpus_per_node) == INTER_NODE else intra).append(sched)
     # a sequence a ring carries is computed in its rounds, even when all of
     # its tokens sit on one rank (a one-token sequence on te_cp's global ring)
-    rows = plan.placement[(plan.placement[:, 1] > 0) | ~ringed]
-    rows = rows[np.lexsort((rows[:, 2], rows[:, 0]))]
+    view = plan.by_sequence
+    rows = view.rows[(view.rows[:, 1] > 0) | (view.ring < 0)]
+    # by rank, then sequence, then micro-batch: ties are already by start
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 2], rows[:, 0]))]
     pairs = causal_pairs(rows[:, 4] - rows[:, 3]).tolist()
     local = [LocalTask(rank=rank, sequence_id=sid, compute_pairs=n)
              for rank, sid, n in zip(rows[:, 0].tolist(), rows[:, 2].tolist(), pairs)]

@@ -18,10 +18,12 @@ rank within one token of total/R, so it fits whenever the batch total does.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,6 +86,23 @@ def _group_starts(*columns: np.ndarray) -> np.ndarray:
     return change.nonzero()[0]
 
 
+class SequenceView(NamedTuple):
+    """A plan's placement table in (sequence, start) order, ties in execution
+    order, with per row: its sequence's index among the plan's sorted ids,
+    their count when the plan lacks it; the index in `ring_groups` of the
+    ring that carries it and its index among that ring's sequence ids, -1
+    for both when no ring does; and its rank's place among that ring's
+    members, -1 off them. A sequence on two rings (which `validate_plan`
+    rejects) is read as on the narrowest, the first of those on ties. All
+    arrays are read-only."""
+
+    rows: np.ndarray
+    seq: np.ndarray
+    ring: np.ndarray
+    ring_seq: np.ndarray
+    place: np.ndarray
+
+
 @dataclass(eq=False)
 class PlacementPlan:
     """What a planner decided: where each fragment lands and which rings
@@ -129,6 +148,37 @@ class PlacementPlan:
         rows = self.placement
         tokens = np.bincount(rows[:, 0], weights=rows[:, 4] - rows[:, 3], minlength=self.num_ranks)
         return tokens.astype(np.int64).tolist()
+
+    @cached_property
+    def by_sequence(self) -> SequenceView:
+        """The table by sequence, as `validate_plan` and the ring schedules
+        read it: sorted and looked up once per plan."""
+        table = self.placement
+        rows = table[np.lexsort((table[:, 3], table[:, 2]))]
+        rank, sid = rows[:, 0], rows[:, 2]
+        ids = np.array([*sorted(self.sequence_lengths), 0])
+        n = len(ids) - 1
+        seq = ids[:n].searchsorted(sid)
+        seq[ids[seq] != sid] = n
+        # (sequence id, ring size, ring, index in the ring) per ring
+        # sequence, by id, then a pad row that only ids beyond the last one
+        # are sent to; a row whose id no ring carries reads -1
+        rings = self.ring_groups
+        keys = np.array([*sorted((x, len(ring.members), k, s) for k, ring in enumerate(rings)
+                                 for s, x in enumerate(ring.sequence_ids)), (0, 0, -1, -1)], dtype=np.int64)
+        found = keys[keys[:-1, 0].searchsorted(sid)]
+        found[found[:, 0] != sid] = -1
+        ring = found[:, 2]
+        # ring k's members' places at k * width + rank; the last block, all
+        # -1, is read for rows on no ring
+        width = max([self.num_ranks] + [max(r.members) + 1 for r in rings])
+        places = np.full((len(rings) + 1) * width, -1)
+        places[[k * width + m for k, r in enumerate(rings) for m in r.members]] = \
+            [i for r in rings for i in range(len(r.members))]
+        view = SequenceView(rows=rows, seq=seq, ring=ring, ring_seq=found[:, 3], place=places[ring * width + rank])
+        for array in view:
+            array.setflags(write=False)
+        return view
 
     @cached_property
     def zone_of(self) -> dict[int, str]:
@@ -374,7 +424,7 @@ def even_zigzag_plan(batch: SequenceBatch, cluster: ClusterSpec, strategy: str) 
     te_cp, llama_cp and zeppelin's fallback all place a batch this way, so
     the last batch's plan is kept, keyed by the identity of its batch and
     cluster (both frozen). Each call returns its own copy: only the
-    read-only table and the ring tuple are shared."""
+    read-only table, its view by sequence and the ring tuple are shared."""
     global _last_even
     last = _last_even
     if last is None or last[0] is not batch or last[1] is not cluster:
@@ -386,10 +436,12 @@ def even_zigzag_plan(batch: SequenceBatch, cluster: ClusterSpec, strategy: str) 
         validate_plan(plan, batch, cluster)
         last = _last_even = (batch, cluster, plan)
     plan = last[2]
-    # the fields alone: values cached on the kept plan stay with it
+    # the fields and the read-only view by sequence: other values cached on
+    # the kept plan stay with it
     twin = object.__new__(PlacementPlan)
     vars(twin).update({f.name: getattr(plan, f.name) for f in fields(PlacementPlan)}, strategy=strategy,
-                      s0_per_node=list(plan.s0_per_node), sequence_lengths=dict(plan.sequence_lengths), meta={})
+                      s0_per_node=list(plan.s0_per_node), sequence_lengths=dict(plan.sequence_lengths), meta={},
+                      by_sequence=plan.by_sequence)
     return twin
 
 
@@ -484,45 +536,35 @@ def validate_plan(plan: PlacementPlan, batch: SequenceBatch, cluster: ClusterSpe
         raise PlanValidationError("plan covers a different sequence id set than the batch")
     if plan.total_tokens() != batch.total_tokens:
         raise PlanValidationError("token conservation violated")
-    ring_of: dict[int, int] = {}
-    for k, ring in enumerate(plan.ring_groups):
+    ringed: set[int] = set()
+    for ring in plan.ring_groups:
         members = set(ring.members)
         if len(members) != ring.group_size or min(members) < 0 or max(members) >= plan.num_ranks:
             raise PlanValidationError("ring members are not distinct ranks of the plan")
         for sid in ring.sequence_ids:
             if sid not in lengths:
                 raise PlanValidationError(f"a ring carries sequence {sid}, which the batch lacks")
-            if sid in ring_of:
+            if sid in ringed:
                 raise PlanValidationError(f"sequence {sid} rides two rings")
-            ring_of[sid] = k
+            ringed.add(sid)
     table = plan.placement
     # a phase is one micro-batch of one rank: rows run by phase, so each is one group
     phases = _group_starts(table[:, 0], table[:, 1])
     over = phases[np.add.reduceat(table[:, 4] - table[:, 3], phases) > cluster.token_capacity]
-    # rows by (sequence, start): each sequence's rows are one group
-    order = np.lexsort((table[:, 3], table[:, 2]))
-    rows = table[order]
-    rank, mb, sid, start, end = rows.T
-    head = np.ones(len(rows), dtype=bool)
+    # the plan's ids are the batch's, so `seq` indexes the batch's sorted
+    # ids, n when the batch lacks a row's sequence; per-sequence arrays get
+    # an entry n to match. After the ring checks above, `ring` names the
+    # one ring a sequence rides
+    view = plan.by_sequence
+    _, mb, sid, start, end = view.rows.T
+    seq, ring = view.seq, view.ring
+    head = np.ones(len(sid), dtype=bool)
     np.not_equal(sid[1:], sid[:-1], out=head[1:])
-    # each row's sequence as an index into the batch's sorted ids, n when
-    # the batch lacks it; per-sequence arrays get an entry n to match
     ids = sorted(lengths)
     n = len(ids)
-    keys = np.array([*ids, 0])
-    firsts = sid[head]
-    at = keys[:n].searchsorted(firsts)
-    at[keys[at] != firsts] = n
-    seq = at[head.cumsum() - 1]
-    ring = np.array([*map(ring_of.get, ids, [-1] * n), -1])[seq]
-    # a ringed sequence sits at micro-batch 0 on its ring's members; row k
-    # of `member` holds ring k's, and the last row, all False, is for no ring
-    n_ranks = plan.num_ranks
-    member = np.zeros((len(plan.ring_groups) + 1) * n_ranks, dtype=bool)
-    member[[k * n_ranks + m for k, r in enumerate(plan.ring_groups) for m in r.members]] = True
     # fault classes in a fixed order, each naming its first offender in
     # (sequence, start) order
-    off_ring = (ring >= 0) & ((mb != 0) | ~member[ring * n_ranks + rank])
+    off_ring = (ring >= 0) & ((mb != 0) | (view.place < 0))
     for fault, message in ((seq == n, "a fragment holds sequence {}, which the batch lacks"),
                            (off_ring, "sequence {} has a fragment off its ring's micro-batch 0"),
                            (mb < 0, "sequence {} has a fragment at a negative micro-batch")):
@@ -604,10 +646,9 @@ def plan_from_json(text: str) -> PlacementPlan:
     header = {key: payload[key] for key in ("strategy", "num_nodes", "gpus_per_node", "s1")}
     # json gives int for integers only; bool is not one. Checked before
     # numpy, which would quietly turn 0.5 and False into 0
-    integers = [v for row in rows for v in row] + [v for pair in pairs for v in pair]
-    integers += [v for ring in rings for v in ring.members + ring.sequence_ids]
-    integers += [header[key] for key in ("num_nodes", "gpus_per_node", "s1")] + s0
-    if any(type(v) is not int for v in integers):
+    integers = itertools.chain(*rows, *pairs, *(ring.members + ring.sequence_ids for ring in rings),
+                               [header[key] for key in ("num_nodes", "gpus_per_node", "s1")], s0)
+    if set(map(type, integers)) != {int}:
         raise ValueError("plan file's topology, thresholds, sequence ids, lengths, placement rows "
                          "and ring members must be integers")
     lengths = dict(pairs)

@@ -15,11 +15,11 @@ water level L_n solves sum_i clamp((L - c*u_i)/(e-c), 0, u_i) = E_n over the
 node's senders (the parametric-flow view of Gallo, Grigoriadis & Tarjan,
 SIAM J. Comput. 1989).
 
-The solve visits only the nodes with E_n > 0. The in-node fills of all
-nodes run as one d x d pass: each node's line of cumulative supply and
-demand slots restarts at its first rank, and the same-node mask drops the
-overlaps of slots on different nodes' lines. The cross-node shares then
-fill the deficits left over, north-west over all ranks.
+The solve visits only the nodes with E_n > 0. The fills are two-pointer
+passes, O(d) in all: each node's senders hand what they keep in the node
+to its deficits in index order, then the cross-node shares fill the
+deficits left over, in index order over all ranks. The few nonzero
+transfers go into the zero matrix in one assignment.
 """
 
 from __future__ import annotations
@@ -61,11 +61,11 @@ class RemapResult:
     row_costs: np.ndarray  # per-sender cost of the integer matrix
 
 
-def _node_blocks(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Read the nodes off a cost matrix: (node label per rank, same-node
-    mask, intra cost c, inter cost e). Ranks i and j share a node iff t[i][j]
-    is the smallest off-diagonal entry c, and each rank is labelled by the
-    first rank of its node; anything but a zero-diagonal block form raises."""
+def _node_blocks(t: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Read the nodes off a cost matrix: (node label per rank, intra cost c,
+    inter cost e). Ranks i and j share a node iff t[i][j] is the smallest
+    off-diagonal entry c, and each rank is labelled by the first rank of its
+    node; anything but a zero-diagonal block form raises."""
     d = len(t)
     if d == 1:
         c = e = 0.0
@@ -78,13 +78,12 @@ def _node_blocks(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
         near = t == c
         np.fill_diagonal(near, True)
         label = near.argmax(axis=1)
-    same = label[:, None] == label
-    expected = np.where(same, c, e)
+    expected = np.where(label[:, None] == label, c, e)
     np.fill_diagonal(expected, 0.0)
     if not c >= 0 or not np.array_equal(t, expected):
         raise ValueError("cost matrix must be zero on the diagonal, one cost within each "
                          "node and one cost across nodes")
-    return label, same, c, e
+    return label, c, e
 
 
 def _water_level(lo: list[float], hi: list[float], need: float) -> float:
@@ -104,12 +103,25 @@ def _water_level(lo: list[float], hi: list[float], need: float) -> float:
     return level
 
 
-def _overlap(supply_end: np.ndarray, supply: np.ndarray, demand_end: np.ndarray,
-             demand: np.ndarray) -> np.ndarray:
-    """Entry (i, j) is the overlap of supply i's slots and demand j's slots
-    on the line of cumulative tokens, each given by its end and its size."""
-    return np.maximum(np.minimum.outer(supply_end, demand_end)
-                      - np.maximum.outer(supply_end - supply, demand_end - demand), 0)
+def _northwest(senders, receivers, supply: list[int], demand: list[int],
+               fills: list[tuple[int, int, int]]) -> None:
+    """North-west fill: the senders, in order, hand their `supply` to the
+    receivers' `demand`, in order, appending each (sender, receiver, tokens)
+    to `fills`; `demand` keeps what is left. The receivers must want at
+    least what the senders hold."""
+    pending = iter(receivers)
+    j = room = 0
+    for i in senders:
+        give = supply[i]
+        while give:
+            while not room:
+                j = next(pending)
+                room = demand[j]
+            moved = min(give, room)
+            fills.append((i, j, moved))
+            give -= moved
+            room -= moved
+            demand[j] = room
 
 
 def solve_remap(counts: list[int], cost: np.ndarray) -> RemapResult:
@@ -130,7 +142,7 @@ def solve_remap(counts: list[int], cost: np.ndarray) -> RemapResult:
     if t.shape != (d, d):
         raise ValueError("cost matrix shape does not match the rank count")
     b = np.asarray(target_distribution(list(counts)), dtype=np.int64)
-    label, same, c, e = _node_blocks(t)
+    label, c, e = _node_blocks(t)
     u = np.maximum(a - b, 0)
     v = np.maximum(b - a, 0)
     if u.sum() == 0:
@@ -144,9 +156,10 @@ def solve_remap(counts: list[int], cost: np.ndarray) -> RemapResult:
     excess = np.add.reduceat((a - b)[order], starts)
     cross = np.zeros(d, dtype=np.int64)  # tokens each sender pushes off its node
     pushing = np.flatnonzero(excess > 0).tolist()  # only with two or more nodes, so e > c
+    grouped, bounds = order.tolist(), starts.tolist() + [d]
     if pushing:
         # Python ints keep the level, and so the objective, a Python float
-        ul, grouped, bounds = u.tolist(), order.tolist(), starts.tolist() + [d]
+        ul = u.tolist()
         for n in pushing:
             need = int(excess[n])
             senders = [i for i in grouped[bounds[n]:bounds[n + 1]] if ul[i] > 0]
@@ -161,15 +174,16 @@ def solve_remap(counts: list[int], cost: np.ndarray) -> RemapResult:
             for _, k in ranked[:short]:
                 shares[k] += 1
             cross[senders] = shares
-    # every node's north-west fill at once: each line of slots restarts at
-    # its node's first rank, and the same-node mask drops the overlaps of
-    # slots on different nodes' lines
-    lines = np.array((u - cross, v))
-    ends = np.cumsum(lines[:, order], axis=1)[:, np.argsort(order)]
-    ends -= (ends - lines)[:, label]
-    matrix = np.where(same, _overlap(ends[0], lines[0], ends[1], lines[1]), 0)
+    # each node's senders keep u - cross in the node, which its deficits
+    # take in full when it pushes; only nodes that push nothing off keep
+    # deficits, so the cross-node shares' fills all cross nodes
+    fills: list[tuple[int, int, int]] = []
+    kept, left = (u - cross).tolist(), v.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        _northwest(grouped[lo:hi], grouped[lo:hi], kept, left, fills)
     if pushing:
-        # only nodes that push nothing off keep deficits, so these fills all cross nodes
-        left = v - matrix.sum(axis=0)
-        matrix += _overlap(np.cumsum(cross), cross, np.cumsum(left), left)
+        _northwest(range(d), range(d), cross.tolist(), left, fills)
+    senders, receivers, moved = zip(*fills)
+    matrix = np.zeros((d, d), dtype=np.int64)
+    matrix[senders, receivers] = moved
     return RemapResult(matrix=matrix, objective=objective, row_costs=(t * matrix).sum(axis=1))

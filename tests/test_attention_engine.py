@@ -73,7 +73,7 @@ def ring_pairs(q_ranges, kv_ranges):
     position 0 and the key ranges at position 1, off the ring's pair matrix."""
     placement = table([(0, 0, 0, s, e) for s, e in q_ranges] + [(1, 0, 0, s, e) for s, e in kv_ranges])
     ring = ae.RingGroup(members=(0, 1), sequence_ids=(0,))
-    return int(ae._ring_schedules((ring,), placement, ring.group_size)[0][0].pairs[0, 1])
+    return int(ae._ring_schedules(ring_plan((ring,), placement, ring.group_size))[0].pairs[0, 1])
 
 
 def table(rows):
@@ -81,6 +81,15 @@ def table(rows):
     execution order a plan keeps them in."""
     return PlacementPlan(strategy="te_cp", num_nodes=1, gpus_per_node=1 + max((r[0] for r in rows), default=0), s1=0,
                          s0_per_node=[0], sequence_lengths={}, placement=rows, ring_groups=(), meta={}).placement
+
+
+def ring_plan(rings, placement, gpus_per_node):
+    """An unvalidated plan of a placement table on `rings`, over as many
+    nodes of `gpus_per_node` ranks as its ranks and members need."""
+    n_nodes = 1 + max([*placement[:, 0].tolist(), *(m for ring in rings for m in ring.members)]) // gpus_per_node
+    return PlacementPlan(strategy="te_cp", num_nodes=n_nodes, gpus_per_node=gpus_per_node, s1=0,
+                         s0_per_node=[0] * n_nodes, sequence_lengths={}, placement=placement, ring_groups=rings,
+                         meta={})
 
 
 def test_visible_pairs_examples():
@@ -94,6 +103,29 @@ def test_visible_pairs_examples():
                                 ([(4, 8)], [(6, 2), (0, 4)]), ([(8, 4)], [(0, 8)])]:
         with pytest.raises(ValueError, match=r"ring \[0, 1\]: sequence 0 is not laid out in zigzag chunks"):
             ring_pairs(q_ranges, kv_ranges)
+
+
+def test_zigzag_fault_names_the_first_ring_by_size_and_its_first_sequence():
+    # every sequence on both rings overlaps itself; the narrower ring comes
+    # first, and sequence 7 first among its sequences, though the plan
+    # lists the wider ring first and sequence 0 has the lowest id
+    wide, narrow = ae.RingGroup(members=(0, 1, 2), sequence_ids=(0,)), ae.RingGroup(members=(3, 4), sequence_ids=(7, 5))
+    rows = [(0, 0, 0, 0, 2), (1, 0, 0, 0, 2), (2, 0, 0, 2, 6),
+            (3, 0, 7, 0, 4), (4, 0, 7, 0, 4), (3, 0, 5, 0, 2), (4, 0, 5, 1, 3)]
+    plan = ring_plan((wide, narrow), table(rows), 5)
+    with pytest.raises(ValueError, match=r"^ring \[3, 4\]: sequence 7 is not laid out in zigzag chunks"):
+        ae.build_schedule(plan)
+
+
+def test_a_sequence_on_two_rings_is_scheduled_on_the_narrower():
+    # validate_plan rejects such a plan; the schedule reads the sequence as
+    # on the narrowest of its rings, though the plan lists it second
+    ranges = ae.ranges_from_sizes(ae.split_even(8, 4))
+    rows = [(rank, 0, 0, s, e) for rank, rank_ranges in zip((3, 4), ranges) for s, e in rank_ranges]
+    wide, narrow = ae.RingGroup(members=(0, 1, 2), sequence_ids=(0,)), ae.RingGroup(members=(3, 4), sequence_ids=(0,))
+    schedule = ae.build_schedule(ring_plan((wide, narrow), table(rows), 5))
+    pairs = {sched.ring.members: int(sched.pairs.sum()) for sched in schedule.rings()}
+    assert pairs == {(3, 4): ae.causal_pairs(8), (0, 1, 2): 0}
 
 
 def test_visible_pairs_matches_enumeration():
@@ -154,7 +186,7 @@ def test_fused_intra_ring_balances_two_sequences():
     ranges = ae.ranges_from_sizes(ae.split_even(8, 4))
     placement = table([(rank, 0, sid, s, e) for rank in (0, 1) for sid in (0, 1) for s, e in ranges[rank]])
     ring = ae.RingGroup(members=(0, 1), sequence_ids=(0, 1))
-    sched = ae._ring_schedules((ring,), placement, ring.group_size)[0][0]
+    sched = ae._ring_schedules(ring_plan((ring,), placement, ring.group_size))[0]
     assert sched.pairs.sum(axis=1).tolist() == [2 * 18, 2 * 18]
 
 
@@ -229,7 +261,7 @@ def rings(draw):
 def ring_schedule_or_none(case):
     ring, placement, _ = case
     try:
-        return ae._ring_schedules((ring,), placement, ring.group_size)[0][0]
+        return ae._ring_schedules(ring_plan((ring,), placement, ring.group_size))[0]
     except ValueError:
         return None
 
@@ -313,7 +345,7 @@ def mixed_size_rings(draw):
 @given(mixed_size_rings())
 def test_rings_of_mixed_sizes_in_one_call_match_token_enumeration(case):
     rings, placement, gpus_per_node = case
-    scheds, _ = ae._ring_schedules(rings, placement, gpus_per_node)
+    scheds = ae._ring_schedules(ring_plan(rings, placement, gpus_per_node))
     assert sorted(s.ring.members for s in scheds) == sorted(r.members for r in rings)
     for sched in scheds:
         g = sched.ring.group_size

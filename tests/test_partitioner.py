@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import check_plan, reference_threshold_fill
 from varlenplan import partitioner as pt
-from varlenplan.attention_engine import RingGroup, split_even
+from varlenplan.attention_engine import RingGroup, build_schedule, split_even
 from varlenplan.baselines import STRATEGIES, plan_te_cp, plan_with
 from varlenplan.topology import ClusterSpec, cluster_a
 from varlenplan.workload import SequenceBatch, preset, sample_batch
@@ -399,6 +399,29 @@ class TestBuildPlan:
             pt.validate_plan(broken, batch, cluster)
         assert check_plan(broken, batch.lengths, cluster) != []
 
+    @pytest.mark.parametrize("moves, error", [
+        # sequence 1 off its ring on rank 1, sequence 0 on rank 3: the first
+        # offender is taken in (sequence, start) order, not in rank order
+        ({(1, 0, 1, 1, 2): (1, 1, 1, 1, 2), (3, 0, 0, 9, 12): (3, 1, 0, 9, 12)},
+         "^sequence 0 has a fragment off its ring's micro-batch 0$"),
+        # a fragment of unknown sequence 9 on rank 3, sequence 0 off its ring on rank 0
+        ({(3, 0, 1, 3, 4): (3, 0, 9, 3, 4), (0, 0, 0, 0, 3): (0, 1, 0, 0, 3)},
+         "^a fragment holds sequence 9, which the batch lacks$"),
+        # sequence 1's [2, 3) moved onto [3, 4), sequence 0's [12, 15) onto [13, 16)
+        ({(2, 0, 1, 2, 3): (2, 0, 1, 3, 4), (3, 0, 0, 12, 15): (3, 0, 0, 13, 16)},
+         r"^sequence 0 fragments do not tile \[0, 24\)$"),
+    ], ids=["off_ring_by_sequence", "unknown_before_off_ring", "tiling_by_sequence"])
+    def test_validate_plan_names_the_first_offender_of_the_first_fault_class(self, moves, error):
+        cluster = make_cluster(n=2, p=2, cap=40)
+        batch = SequenceBatch(((0, 24), (1, 6)))
+        plan = plan_te_cp(batch, cluster)
+        rows = plan.placement.tolist()
+        assert all(list(row) in rows for row in moves)
+        broken = dataclasses.replace(plan, placement=[moves.get(tuple(row), row) for row in rows])
+        with pytest.raises(pt.PlanValidationError, match=error):
+            pt.validate_plan(broken, batch, cluster)
+        assert check_plan(broken, batch.lengths, cluster) != []
+
     def test_validate_plan_checks_the_sequence_ids(self):
         # the plan covers sequences 0 and 1; the batch holds a sequence 2 too
         cluster = make_cluster(n=2, p=2, cap=40)
@@ -728,6 +751,33 @@ class TestValidatePlanAgainstOracle:
         plan = dataclasses.replace(plan, placement=rows, ring_groups=())
         assert plan.placement.tolist() == [[0, 0, 1, 0, 2], [1, 0, 0, 0, 3]]
         assert rows.flags.writeable  # the caller's array is left alone
+
+    def test_a_plan_is_sorted_by_sequence_once(self, monkeypatch):
+        # validate_plan and the ring schedules read one view of the table by
+        # sequence: a global-ring plan, whose rows all ride the ring, is
+        # sorted whole once, not once per reader
+        cluster = make_cluster(n=2, p=2, cap=40)
+        batch = SequenceBatch(((0, 24), (1, 6), (2, 5)))
+        rows, rings = pt.lay_out_global_ring(sorted(batch.sequences), cluster)
+        plan = pt.plan_from_rows("te_cp", batch, cluster, rows, rings, meta={})
+        lexsort, sorted_lengths = np.lexsort, []
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorted_lengths.append(len(keys[0])) or lexsort(keys))
+        pt.validate_plan(plan, batch, cluster)
+        view = plan.by_sequence
+        build_schedule(plan)
+        assert plan.by_sequence is view
+        assert sorted_lengths.count(len(plan.placement)) == 1
+        assert all(not array.flags.writeable for array in view)
+
+    def test_even_split_twins_share_the_kept_plans_view(self):
+        cluster = make_cluster(n=2, p=2, cap=40)
+        batch = SequenceBatch(((0, 24), (1, 6), (2, 5)))
+        te, llama = plan_te_cp(batch, cluster), plan_with("llama_cp", batch, cluster)
+        # carried over when the twin is made, not built again on first read
+        assert "by_sequence" in vars(te) and "by_sequence" in vars(llama)
+        assert te.by_sequence is llama.by_sequence
+        fresh = dataclasses.replace(te)
+        assert all(np.array_equal(a, b) for a, b in zip(fresh.by_sequence, te.by_sequence))
 
     def test_rows_must_name_ranks_of_the_plan(self):
         plan = plan_te_cp(SequenceBatch(((0, 8),)), make_cluster(n=1, p=2, cap=8))

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from oracles import lp_remap_oracle, milp_remap_oracle, reference_cost_matrix, reference_remap
 from varlenplan import remapping
-from varlenplan.topology import ClusterSpec
+from varlenplan.partitioner import build_plan
+from varlenplan.topology import ClusterSpec, cluster_a
+from varlenplan.workload import preset, sample_batch
 
 
 def uniform_cost(d, b=1.0):
@@ -152,10 +154,11 @@ def test_water_fill_matches_lp_and_milp_oracles(instance):
 
 
 @st.composite
-def block_form_instances(draw):
-    """Block-form costs up to 8 nodes x 8 GPUs, ranks possibly permuted,
-    with counts that mix zeros, repeated values and values above 2**20."""
-    nodes = draw(st.integers(1, 8))
+def block_form_instances(draw, max_nodes=8):
+    """Block-form costs up to `max_nodes` nodes x 8 GPUs, ranks possibly
+    permuted, with counts that mix zeros, repeated values and values above
+    2**20."""
+    nodes = draw(st.integers(1, max_nodes))
     gpus = draw(st.integers(1, 8))
     d = nodes * gpus
     c = draw(st.sampled_from([0.0, 1.0, 0.37, 2.5e-7]))
@@ -167,16 +170,31 @@ def block_form_instances(draw):
     return counts, block_cost(nodes, gpus, c, e, perm)
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(block_form_instances())
-def test_solve_remap_is_bit_identical_to_the_per_node_reference(instance):
-    counts, cost = instance
+def assert_bit_identical(counts, cost):
     result, reference = remapping.solve_remap(counts, cost), reference_remap(counts, cost)
     assert result.matrix.dtype == np.int64
     assert np.array_equal(result.matrix, reference.matrix)
     assert type(result.objective) is float and result.objective == reference.objective
     assert result.row_costs.dtype == reference.row_costs.dtype
     assert np.array_equal(result.row_costs, reference.row_costs)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(block_form_instances(max_nodes=32))
+def test_solve_remap_is_bit_identical_to_the_per_node_reference(instance):
+    # up to 256 ranks: the per-node fills are where a wide cluster and a
+    # permuted layout could part from the node-at-a-time reference
+    assert_bit_identical(*instance)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_solve_remap_is_bit_identical_on_32_node_plans(seed):
+    cluster, _ = cluster_a(num_nodes=32)
+    counts = build_plan(sample_batch(preset("github"), 32768 * 32, seed), cluster).tokens_per_rank
+    assert_bit_identical(counts, remapping.cost_matrix(cluster))
+    # tokens cross nodes, so both the in-node and the cross-node fills run
+    node = np.arange(cluster.num_ranks) // cluster.gpus_per_node
+    assert remapping.solve_remap(counts, remapping.cost_matrix(cluster)).matrix[node[:, None] != node].any()
 
 
 def test_solve_remap_hands_out_a_shortfall_as_the_token_by_token_reference():
